@@ -16,8 +16,16 @@ import numpy as np
 
 FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 
-# Exact int64 convolution needs max_len * 4p^2 * p to stay below 2^63; with
-# intermediate lengths up to ~4p this holds comfortably for p <= 30000.
+# The one int64 bound.  Every polynomial product, the Newton inverse and both
+# convolutions of a pow_mod reduction (quotient = reversed top half times the
+# inverse, remainder = product - quotient * f) go through _conv_fq, always on
+# coefficients already reduced to [0, p).  There, (a0 + a1) * (b0 + b1) sums
+# at most len products below 4p^2 each, len being the shorter operand, and the
+# real part m0 + r*m2 stays below (1 + r) p^2 len; both are below
+# 4p^2 len + r p^2 len < 2^63.  For p <= MAX_P the least non-residue r is at
+# most 29, so any len below 3 * 10^8 is exact, far beyond the longest operand
+# used (length 2p, in the Cartier-Manin powers).  The schoolbook division
+# accumulates at most (1 + r) p^2 per coefficient before reducing.
 MAX_P = 30000
 
 
@@ -268,10 +276,6 @@ def _least_nonresidue(p: int) -> int:
     raise ValueError("no quadratic non-residue found; p=%d is not an odd prime" % p)
 
 
-def fq_pow(ctx: FieldCtx, x: FqElem, e: int) -> FqElem:
-    return ctx.pow(x, e)
-
-
 def sort_key(pt: ProjPoint):
     """Total order on P^1(F_{p^2}): finite points lexicographically, INF last."""
     if pt is INF:
@@ -454,15 +458,33 @@ class UniPoly:
         return acc
 
     def pow_mod(self, e: int, modulus: "UniPoly") -> "UniPoly":
-        acc = UniPoly.from_int_coeffs(self.ctx, [1]) % modulus
+        """self^e mod modulus, by square-and-multiply.
+
+        The modulus is made monic once and the inverse of its reversal is
+        precomputed, so every reduction is two convolutions instead of a
+        schoolbook division (von zur Gathen and Gerhard, Modern Computer
+        Algebra, ch. 9).
+        """
+        if e < 0:
+            raise ValueError("exponent must be nonnegative")
+        ctx = self.ctx
         base = self % modulus
+        if modulus.degree == 0:
+            return UniPoly.zero(ctx)
+        if base.is_zero():
+            return UniPoly.from_int_coeffs(ctx, [1 if e == 0 else 0])
+        f = modulus.monic()
+        f0, f1 = f.c0, f.c1
+        g0, g1 = _newton_inverse(ctx, f0[::-1], f1[::-1], f.degree - 1)
+        a0, a1 = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        b0, b1 = base.c0, base.c1
         while e:
             if e & 1:
-                acc = (acc * base) % modulus
+                a0, a1 = _reduce_newton(ctx, *_conv_fq(ctx, a0, a1, b0, b1), f0, f1, g0, g1)
             e >>= 1
             if e:
-                base = (base * base) % modulus
-        return acc
+                b0, b1 = _reduce_newton(ctx, *_conv_fq(ctx, b0, b1, b0, b1), f0, f1, g0, g1)
+        return UniPoly(ctx, a0, a1)
 
     def eval(self, x: FqElem) -> FqElem:
         ctx = self.ctx
@@ -480,6 +502,38 @@ def _conv_fq(ctx: FieldCtx, a0, a1, b0, b1) -> tuple:
     m2 = np.convolve(a1, b1)
     m1 = np.convolve(a0 + a1, b0 + b1) - m0 - m2
     return (m0 + ctx.r * m2) % p, m1 % p
+
+
+def _newton_inverse(ctx: FieldCtx, h0, h1, k: int) -> tuple:
+    """Inverse of h modulo x^k for h[0] = 1, by Newton iteration g <- g(2 - hg)."""
+    p = ctx.p
+    g0, g1 = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    prec = 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        t0, t1 = _conv_fq(ctx, h0[:prec], h1[:prec], g0, g1)
+        e0, e1 = -t0[:prec] % p, -t1[:prec] % p
+        e0[0] = (e0[0] + 2) % p
+        g0, g1 = _conv_fq(ctx, g0, g1, e0, e1)
+        g0, g1 = g0[:prec], g1[:prec]
+    return g0[:k], g1[:k]
+
+
+def _reduce_newton(ctx: FieldCtx, a0, a1, f0, f1, g0, g1) -> tuple:
+    """a mod f for monic f of degree n, len(a) <= 2n - 1, g = rev(f)^-1 mod x^(n-1).
+
+    The quotient's reversal is the reversed top of a times g (mod x^k, k the
+    quotient length); only the low n coefficients of quotient * f are needed,
+    so the head of f is left out of the product.
+    """
+    n = len(f0) - 1
+    k = len(a0) - n
+    if k <= 0:
+        return a0, a1
+    rq0, rq1 = _conv_fq(ctx, a0[n:][::-1], a1[n:][::-1], g0[:k], g1[:k])
+    m0, m1 = _conv_fq(ctx, rq0[k - 1::-1], rq1[k - 1::-1], f0[:n], f1[:n])
+    p = ctx.p
+    return (a0[:n] - m0[:n]) % p, (a1[:n] - m1[:n]) % p
 
 
 def _divmod_monic(ctx: FieldCtx, n0, n1, d0, d1) -> tuple:
@@ -519,10 +573,6 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     while not b.is_zero():
         a, b = b, a % b
     return a.monic()
-
-
-def poly_powmod_truncated(f: UniPoly, e: int, degcap: int) -> UniPoly:
-    return f.pow_truncated(e, degcap)
 
 
 def poly_roots_in_fq(f: UniPoly, rng: Optional[random.Random] = None) -> list:

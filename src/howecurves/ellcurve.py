@@ -123,8 +123,8 @@ class SupersingularLambdaSet:
 
     def __init__(self, ctx: FieldCtx, values: list):
         self.ctx = ctx
-        self.values = sorted(values)
-        self._set = set(values)
+        self.values = tuple(sorted(values))
+        self._set = frozenset(values)
 
     def __contains__(self, lam: FqElem) -> bool:
         return lam in self._set
@@ -136,8 +136,27 @@ class SupersingularLambdaSet:
         return iter(self.values)
 
 
+# Recently computed lambda sets by p.  find_one, enumerate_b and the closure's
+# elliptic seeds all need the set for the same p; the entries are immutable.
+_LAMBDA_SETS: dict = {}
+_LAMBDA_SETS_KEPT = 4
+
+
 def supersingular_lambda_set(ctx: FieldCtx) -> SupersingularLambdaSet:
-    """All lambda with y^2 = x(x-1)(x-lambda) supersingular; always (p-1)/2 values."""
+    """All lambda with y^2 = x(x-1)(x-lambda) supersingular; always (p-1)/2 values.
+
+    Computed once per p and kept for the last few primes asked for.
+    """
+    lset = _LAMBDA_SETS.get(ctx.p)
+    if lset is None:
+        lset = _compute_lambda_set(ctx)
+        if len(_LAMBDA_SETS) >= _LAMBDA_SETS_KEPT:
+            del _LAMBDA_SETS[next(iter(_LAMBDA_SETS))]
+        _LAMBDA_SETS[ctx.p] = lset
+    return lset
+
+
+def _compute_lambda_set(ctx: FieldCtx) -> SupersingularLambdaSet:
     p = ctx.p
     m = (p - 1) // 2
     coeffs = []

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional
@@ -558,14 +559,25 @@ def superspecial_genus2_list(
 
 
 def save_list(L: SuperspecialList, path: str) -> None:
-    """One record per line: p, the 12 root coordinates, the invariant key."""
+    """One record per line: p, the 12 root coordinates, the invariant key.
+
+    The file is written beside path under a temporary name and then renamed
+    over it, so an interrupted write never leaves a truncated cache behind.
+    """
     lines = []
     for C, key in zip(L.curves, L.keys):
         coords = " ".join("%d,%d" % rt for rt in C.roots)
         keystr = "%d " % key[0] + " ".join("%d,%d" % v for v in key[1:])
         lines.append("%d %s | %s" % (L.ctx.p, coords, keystr.strip()))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    tmp = "%s.%d.tmp" % (path, os.getpid())
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join(lines) + ("\n" if lines else ""))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_list(ctx: FieldCtx, path: str, verify: bool = True) -> SuperspecialList:

@@ -16,14 +16,13 @@ from howecurves import (
     MobiusMap,
     UniPoly,
     cross_ratio,
-    fq_pow,
     is_prime,
     mobius_from_triples,
     poly_gcd,
-    poly_powmod_truncated,
     poly_roots_in_fq,
     sort_key,
 )
+from howecurves.arith import MAX_P, _conv_fq, _newton_inverse, _reduce_newton
 
 
 def _random_elem(ctx, rng):
@@ -87,11 +86,11 @@ def test_sqrt_inverts_squaring():
 
 def test_fq_pow_pinned_values():
     ctx = FieldCtx(11)
-    assert fq_pow(ctx, ctx.one, 10 ** 9) == ctx.one
-    assert fq_pow(ctx, ctx.zero, 5) == ctx.zero
+    assert ctx.pow(ctx.one, 10 ** 9) == ctx.one
+    assert ctx.pow(ctx.zero, 5) == ctx.zero
     t = ctx.elem(0, 1)
     # Frobenius squared is the identity on F_{p^2}.
-    assert fq_pow(ctx, t, 11 ** 2) == t
+    assert ctx.pow(t, 11 ** 2) == t
 
 
 def test_fq_pow_lagrange():
@@ -100,7 +99,7 @@ def test_fq_pow_lagrange():
     for x in ctx.elements():
         if x == ctx.zero:
             continue
-        assert fq_pow(ctx, x, q - 1) == ctx.one
+        assert ctx.pow(x, q - 1) == ctx.one
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +110,7 @@ def test_fq_pow_lagrange():
 def test_powmod_truncated_pinned():
     ctx = FieldCtx(7)
     f = UniPoly.from_int_coeffs(ctx, [1, 1])  # x + 1
-    g = poly_powmod_truncated(f, 2, 1)
+    g = f.pow_truncated(2, 1)
     assert g.coeff(0) == ctx.one and g.coeff(1) == ctx.elem(2)
     assert g.degree <= 1
 
@@ -120,7 +119,7 @@ def test_powmod_truncated_squared_sextic():
     # (x^6 + 3x^3 + 2)^2 = x^12 + x^9 + 3x^6 + 2x^3 + 4 over F_5.
     ctx = FieldCtx(5)
     f = UniPoly.from_int_coeffs(ctx, [2, 0, 0, 3, 0, 0, 1])
-    g = poly_powmod_truncated(f, 2, 12)
+    g = f.pow_truncated(2, 12)
     want = {0: 4, 3: 2, 6: 3, 9: 1, 12: 1}
     for k in range(13):
         assert g.coeff(k) == ctx.elem(want.get(k, 0))
@@ -129,7 +128,7 @@ def test_powmod_truncated_squared_sextic():
 def test_powmod_truncated_zero_exponent():
     ctx = FieldCtx(5)
     f = UniPoly.from_int_coeffs(ctx, [3, 1, 4])
-    g = poly_powmod_truncated(f, 0, 10)
+    g = f.pow_truncated(0, 10)
     assert g.degree == 0 and g.coeff(0) == ctx.one
 
 
@@ -143,7 +142,124 @@ def test_powmod_truncated_matches_repeated_multiplication():
         full = UniPoly.from_coeffs(ctx, [ctx.one])
         for _ in range(e):
             full = full * f
-        assert poly_powmod_truncated(f, e, cap) == full.truncate(cap)
+        assert f.pow_truncated(e, cap) == full.truncate(cap)
+
+
+def _pow_mod_by_division(f, e, m):
+    """Reference: square-and-multiply with a schoolbook division per step."""
+    acc = UniPoly.from_int_coeffs(f.ctx, [1]) % m
+    base = f % m
+    while e:
+        if e & 1:
+            acc = (acc * base) % m
+        e >>= 1
+        base = (base * base) % m
+    return acc
+
+
+def _nonmonic_poly(ctx, rng, deg):
+    lead = ctx.zero
+    while lead == ctx.zero or lead == ctx.one:
+        lead = _random_elem(ctx, rng)
+    return UniPoly.from_coeffs(ctx, [_random_elem(ctx, rng) for _ in range(deg)] + [lead])
+
+
+@pytest.mark.parametrize("p", [5, 13, 409, 29989])
+def test_pow_mod_matches_division_reference(p):
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    top = 3 * (p - 1) // 2 if p < 1000 else 24
+    exponents = [0, 1, p * p, (p * p - 1) // 2]
+    for deg in (0, 1, 2, rng.randrange(3, top), top):
+        m = _nonmonic_poly(ctx, rng, deg)
+        bases = [UniPoly.zero(ctx), _random_poly(ctx, rng, deg + rng.randrange(0, 4)),
+                 _random_poly(ctx, rng, max(0, deg - 1))]
+        for f in bases:
+            for e in exponents:
+                got = f.pow_mod(e, m)
+                assert got == _pow_mod_by_division(f, e, m), (deg, f.degree, e)
+                assert got.degree < max(m.degree, 1)
+
+
+def test_pow_mod_of_a_multiple_of_the_modulus():
+    ctx = FieldCtx(13)
+    m = UniPoly.from_int_coeffs(ctx, [2, 0, 5])
+    f = m * UniPoly.from_int_coeffs(ctx, [1, 1])
+    assert f.pow_mod(0, m) == UniPoly.from_int_coeffs(ctx, [1])
+    assert f.pow_mod(7, m).is_zero()
+    with pytest.raises(ZeroDivisionError):
+        f.pow_mod(3, UniPoly.zero(ctx))
+    with pytest.raises(ValueError):
+        f.pow_mod(-1, m)
+
+
+@pytest.mark.parametrize("p", [5, 13, 409, 29989])
+def test_newton_inverse_inverts_the_series(p):
+    ctx = FieldCtx(p)
+    rng = random.Random(p + 1)
+    for k in (0, 1, 2, 3, 7, 64, 200):
+        coeffs = [ctx.one] + [_random_elem(ctx, rng) for _ in range(k + 2)]
+        h = UniPoly.from_coeffs(ctx, coeffs)
+        g0, g1 = _newton_inverse(ctx, h.c0, h.c1, k)
+        assert len(g0) == len(g1) == k
+        if k:
+            prod = (h * UniPoly(ctx, g0, g1)).truncate(k - 1)
+            assert prod == UniPoly.from_int_coeffs(ctx, [1])
+
+
+# Pure-Python big-int reference arithmetic for the int64 limit test: no
+# numpy, no fixed-width integers, reduction only at the very end.
+
+def _ref_mul(r, x, y):
+    return (x[0] * y[0] + r * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+def _ref_poly_mul(r, a, b):
+    out = [(0, 0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            z = _ref_mul(r, x, y)
+            out[i + j] = (out[i + j][0] + z[0], out[i + j][1] + z[1])
+    return out
+
+
+def _ref_poly_rem(r, p, a, f):
+    """a mod f for monic f, schoolbook, on Python ints."""
+    rem = [(x % p, y % p) for x, y in a]
+    n = len(f) - 1
+    for k in range(len(rem) - 1, n - 1, -1):
+        c = rem[k]
+        for i in range(n + 1):
+            z = _ref_mul(r, c, f[i])
+            j = k - n + i
+            rem[j] = ((rem[j][0] - z[0]) % p, (rem[j][1] - z[1]) % p)
+    return rem[:n]
+
+
+def test_int64_limit_at_the_largest_prime():
+    p = 29989
+    assert is_prime(p) and not any(is_prime(q) for q in range(p + 1, MAX_P + 1))
+    with pytest.raises(ValueError):
+        FieldCtx(30011)
+    ctx = FieldCtx(p)
+    r = ctx.r
+    top = (p - 1, p - 1)
+    n = 160
+    a = UniPoly.from_coeffs(ctx, [top] * n)
+    b = UniPoly.from_coeffs(ctx, [top] * (n - 1))
+    got0, got1 = _conv_fq(ctx, a.c0, a.c1, b.c0, b.c1)
+    want = [(x % p, y % p) for x, y in _ref_poly_mul(r, a.coeffs(), b.coeffs())]
+    assert list(zip(got0.tolist(), got1.tolist())) == want
+
+    # one reduction step: the product of two maximal residues modulo a monic
+    # f whose other coefficients are all p - 1
+    f = [top] * n + [(1, 0)]
+    fp = UniPoly.from_coeffs(ctx, f)
+    prod = [top] * (2 * n - 1)
+    pp = UniPoly.from_coeffs(ctx, prod)
+    g0, g1 = _newton_inverse(ctx, fp.c0[::-1], fp.c1[::-1], n - 1)
+    rem0, rem1 = _reduce_newton(ctx, pp.c0, pp.c1, fp.c0, fp.c1, g0, g1)
+    assert list(zip(rem0.tolist(), rem1.tolist())) == _ref_poly_rem(r, p, prod, f)
 
 
 def test_roots_pinned_small_cases():

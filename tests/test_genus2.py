@@ -33,6 +33,7 @@ from howecurves import (
     superspecial_genus2_list,
     two_torsion_roots,
 )
+from howecurves import genus2
 from howecurves.ellcurve import enumerate_supersingular_classes
 
 
@@ -263,6 +264,39 @@ def test_save_load_round_trip(tmp_path, genus2_lists):
     assert len(back.curves) == len(L.curves)
     for C, D in zip(L.curves, back.curves):
         assert C.roots == D.roots
+
+
+def test_interrupted_save_keeps_the_previous_cache(tmp_path, monkeypatch, genus2_lists):
+    path = tmp_path / "g2.cache"
+    save_list(genus2_lists(11), str(path))
+    before = path.read_bytes()
+
+    class HalfWritten:
+        """A file whose write stores half its text, then fails."""
+
+        def __init__(self, fh):
+            self._fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self._fh.close()
+
+        def write(self, text):
+            self._fh.write(text[: len(text) // 2])
+            self._fh.flush()
+            raise OSError(28, "No space left on device")
+
+    def failing_open(name, *args, **kwargs):
+        return HalfWritten(open(name, *args, **kwargs))
+
+    monkeypatch.setattr(genus2, "open", failing_open, raising=False)
+    with pytest.raises(OSError):
+        save_list(genus2_lists(13), str(path))
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_load_rejects_tampered_records(tmp_path, genus2_lists):

@@ -36,6 +36,7 @@ from howecurves import (
     supersingular_lambda_set,
     two_torsion_roots,
 )
+from howecurves import ellcurve
 from howecurves.ellcurve import enumerate_supersingular_classes
 from howecurves.genus2 import cartier_manin
 from howecurves.strategies import VerificationError, _fit_orbits, _verify_representatives
@@ -211,6 +212,27 @@ def test_find_one_returns_verified_witnesses():
     # p = 13 = 1 mod 6 goes through the genus-2 stream
     H13 = find_one(FieldCtx(13))
     assert H13 is not None and is_superspecial_howe(H13)
+
+
+def test_lambda_set_is_computed_once_per_prime(monkeypatch):
+    p = 37
+    calls = []
+    real = ellcurve.poly_roots_in_fq
+
+    def counting(f, *args, **kwargs):
+        if f.degree == (p - 1) // 2:
+            calls.append(f.degree)
+        return real(f, *args, **kwargs)
+
+    monkeypatch.setattr(ellcurve, "poly_roots_in_fq", counting)
+    for run in (find_one, enumerate_b):
+        monkeypatch.setattr(ellcurve, "_LAMBDA_SETS", {})  # cold memo
+        calls.clear()
+        assert run(FieldCtx(p)) is not None
+        assert len(calls) == 1, run.__name__
+    lset = supersingular_lambda_set(FieldCtx(p))
+    assert lset is supersingular_lambda_set(FieldCtx(p)) and len(calls) == 1
+    assert isinstance(lset.values, tuple)
 
 
 def test_match_representatives_edge_cases():
