@@ -289,11 +289,16 @@ def sort_key(pt: ProjPoint):
 
 
 def _trim(c0: np.ndarray, c1: np.ndarray) -> tuple:
-    n = max(len(c0), len(c1))
-    c0 = np.concatenate([c0, np.zeros(n - len(c0), dtype=np.int64)])
-    c1 = np.concatenate([c1, np.zeros(n - len(c1), dtype=np.int64)])
-    while n > 0 and c0[n - 1] == 0 and c1[n - 1] == 0:
-        n -= 1
+    """Pad the shorter array with zeros, then drop the zero leading terms.
+
+    c0 | c1 is zero exactly where both components are.
+    """
+    if len(c0) != len(c1):
+        n = max(len(c0), len(c1))
+        c0 = np.concatenate([c0, np.zeros(n - len(c0), dtype=np.int64)])
+        c1 = np.concatenate([c1, np.zeros(n - len(c1), dtype=np.int64)])
+    nonzero = np.flatnonzero(c0 | c1)
+    n = int(nonzero[-1]) + 1 if len(nonzero) else 0
     return c0[:n], c1[:n]
 
 

@@ -1,8 +1,9 @@
 """Command-line front end: enumerate, table, exists, and cache commands.
 
-Exit codes: 0 success, 1 usage error, 2 verification mismatch (table rows
-off the published counts, strategies disagreeing, failed re-checks, corrupt
-caches), 3 internal invariant violation.
+Exit codes: 0 success, 1 usage error (including a cache directory or file
+that cannot be used), 2 verification mismatch (table rows off the published
+counts, strategies disagreeing, failed re-checks, corrupt caches), 3 internal
+invariant violation.
 
 All output is assembled in memory and written once from the coordinating
 process; worker processes never touch files or stdout.
@@ -20,7 +21,6 @@ from typing import List, Optional
 from .arith import INF, FieldCtx, is_prime
 from .genus2 import (
     RationalityError,
-    SuperspecialList,
     iko_window,
     load_list,
     save_list,
@@ -93,29 +93,33 @@ def _cache_path(cdir: str, p: int) -> str:
     return os.path.join(cdir, "genus2_p%d.cache" % p)
 
 
-def _cached_genus2_list(ctx: FieldCtx, cdir: str) -> SuperspecialList:
-    """The superspecial genus-2 list, through the cache directory.
+def _cached_genus2_list(ctx: FieldCtx, cdir: str) -> tuple:
+    """The genus-2 list through the cache directory, and "loaded" or "written".
 
     A present cache file is loaded with every record re-verified and the
     total re-checked against the class-count window; anything off raises a
     verification error instead of being trusted.  A missing file is computed
-    and written.
+    and written.  A cache directory or file that cannot be created, read or
+    written is a usage error.
     """
     path = _cache_path(cdir, ctx.p)
-    if os.path.exists(path):
-        try:
-            L = load_list(ctx, path, verify=True)
-        except ValueError as exc:
-            raise VerificationError(str(exc))
-        lo, hi = iko_window(ctx.p)
-        if not lo <= len(L) <= hi:
-            raise VerificationError(
-                "cache %s holds %d classes, outside [%d, %d]" % (path, len(L), lo, hi))
-        return L
-    L = superspecial_genus2_list(ctx)
-    os.makedirs(cdir, exist_ok=True)
-    save_list(L, path)
-    return L
+    try:
+        if os.path.exists(path):
+            try:
+                L = load_list(ctx, path, verify=True)
+            except ValueError as exc:
+                raise VerificationError(str(exc))
+            lo, hi = iko_window(ctx.p)
+            if not lo <= len(L) <= hi:
+                raise VerificationError(
+                    "cache %s holds %d classes, outside [%d, %d]" % (path, len(L), lo, hi))
+            return L, "loaded"
+        os.makedirs(cdir, exist_ok=True)
+        L = superspecial_genus2_list(ctx)
+        save_list(L, path)
+    except OSError as exc:
+        raise UsageError("cannot use the cache at %s: %s" % (path, exc))
+    return L, "written"
 
 
 def _dump_json(doc: dict) -> str:
@@ -153,7 +157,7 @@ def cmd_enumerate(args) -> int:
     cdir = _cache_dir(args)
     genus2 = None
     if "b" in strategies and cdir:
-        genus2 = _cached_genus2_list(ctx, cdir)
+        genus2, _ = _cached_genus2_list(ctx, cdir)
     reports = {}
     for s in strategies:
         if s == "a":
@@ -220,7 +224,7 @@ def cmd_table(args) -> int:
     disagreements = []
     for q in primes:
         ctx = FieldCtx(q)
-        genus2 = _cached_genus2_list(ctx, cdir) if cdir else None
+        genus2 = _cached_genus2_list(ctx, cdir)[0] if cdir else None
         if args.strategy == "a":
             rep = enumerate_a(ctx, seed=args.seed, verify=args.verify,
                               workers=args.workers)
@@ -366,18 +370,8 @@ def cmd_cache(args) -> int:
     cdir = _cache_dir(args)
     if not cdir:
         raise UsageError("cache needs --cache DIR or the HOWE_CACHE environment variable")
+    L, action = _cached_genus2_list(ctx, cdir)
     path = _cache_path(cdir, ctx.p)
-    if os.path.exists(path):
-        try:
-            L = load_list(ctx, path, verify=True)
-        except ValueError as exc:
-            raise VerificationError(str(exc))
-        action = "loaded"
-    else:
-        L = superspecial_genus2_list(ctx)
-        os.makedirs(cdir, exist_ok=True)
-        save_list(L, path)
-        action = "written"
 
     if args.format == "json":
         out = _dump_json({"command": "cache", "p": ctx.p, "path": path,

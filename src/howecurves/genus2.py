@@ -3,10 +3,12 @@
 Curves are carried as the sorted 6-tuple of Weierstrass x-coordinates of a
 monic sextic model y^2 = prod (x - root); every construction in this package
 keeps those roots inside F_{p^2}.  The module provides the Cartier-Manin
-matrix entries, Kbar-isomorphism machinery (explicit Mobius search plus a
-canonical invariant key for hashing), the (2,2)-correspondence walk and its
-inverse gluing of elliptic pairs, and the closure routine producing every
-superspecial curve up to isomorphism.
+matrix entries, Kbar-isomorphism machinery (a canonical invariant key for
+hashing, and one Mobius matcher behind isomorphic and automorphisms that
+tests the 120 candidate maps on tabulated cross-ratios and builds only the
+maps that pass), the (2,2)-correspondence walk and its inverse gluing of
+elliptic pairs, and the closure routine producing every superspecial curve
+up to isomorphism.
 """
 
 from __future__ import annotations
@@ -79,7 +81,7 @@ def is_superspecial(C: Genus2Curve) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# isomorphism testing: invariant key and explicit Mobius search
+# isomorphism testing: invariant key and Mobius matcher
 # ---------------------------------------------------------------------------
 
 # index tables over the 15 unordered pairs from {0..5}
@@ -196,48 +198,61 @@ def igusa_key(ctx: FieldCtx, roots: tuple) -> IgusaKey:
     return (3,)
 
 
+# Each ordered triple (a, b, c) of root positions, in itertools.permutations
+# order, with the three positions it leaves out.
+_TRIPLES_WITH_REST = [
+    (a, b, c, tuple(d for d in range(6) if d not in (a, b, c)))
+    for a, b, c in itertools.permutations(range(6), 3)
+]
+
+
+def _mobius_matches(C: Genus2Curve, D: Genus2Curve) -> Iterator[MobiusMap]:
+    """Every Mobius map carrying the root set of C onto that of D.
+
+    A map is pinned by the images (a, b, c) of C's first three roots
+    (s0, s1, s2).  Writing T_xyz for the map x -> 0, y -> 1, z -> INF, the
+    map T_abc^-1 T_(s0 s1 s2) carries C's other three roots onto D's roots
+    exactly when T_abc sends D's other three roots into the set of images of
+    C's tail under T_(s0 s1 s2).  That set is computed once, and D's root
+    differences and their inverses are tabulated once, so each of the 120
+    candidate triples costs a few multiplications and stops at the first
+    miss; a MobiusMap is built only for a triple that passes.  Candidates
+    come in itertools.permutations(D.roots, 3) order.
+    """
+    ctx = C.ctx
+    mul, sub = ctx.mul, ctx.sub
+    src = C.roots[:3]
+    s0, s1, s2 = src
+    u, v = sub(s1, s2), sub(s1, s0)
+    tail = {ctx.div(mul(sub(t, s0), u), mul(sub(t, s2), v)) for t in C.roots[3:]}
+    roots = D.roots
+    diff = [[sub(x, y) for y in roots] for x in roots]
+    inv = [[None] * 6 for _ in range(6)]
+    for i, j in _PAIRS:
+        w = ctx.inv(diff[i][j])
+        inv[i][j], inv[j][i] = w, ctx.neg(w)
+    for a, b, c, rest in _TRIPLES_WITH_REST:
+        # T_abc(x) = (x - a)(b - c) / ((x - c)(b - a))
+        scale = mul(diff[b][c], inv[b][a])
+        for d in rest:
+            if mul(scale, mul(diff[d][a], inv[d][c])) not in tail:
+                break
+        else:
+            yield mobius_from_triples(ctx, src, (roots[a], roots[b], roots[c]))
+
+
 def isomorphic(C: Genus2Curve, D: Genus2Curve) -> Optional[MobiusMap]:
     """A Mobius map carrying the root set of C onto that of D, if one exists.
 
-    Tries the 120 maps determined by sending a fixed ordered triple of C's
-    roots to each ordered triple of D's roots, with an early membership exit.
+    The first match of _mobius_matches: the map sending C's first three roots
+    to the earliest ordered triple of D's roots that works.
     """
-    ctx = C.ctx
-    src = C.roots[:3]
-    tail = C.roots[3:]
-    dset = set(D.roots)
-    for dst in itertools.permutations(D.roots, 3):
-        m = mobius_from_triples(ctx, src, dst)
-        ok = True
-        for rt in tail:
-            img = m(rt)
-            if img is INF or img not in dset:
-                ok = False
-                break
-        if ok:
-            return m
-    return None
+    return next(_mobius_matches(C, D), None)
 
 
 def automorphisms(C: Genus2Curve) -> list:
     """All Mobius maps preserving the root set of C (the reduced automorphisms)."""
-    out = []
-    ctx = C.ctx
-    src = C.roots[:3]
-    tail = C.roots[3:]
-    rset = set(C.roots)
-    for dst in itertools.permutations(C.roots, 3):
-        m = mobius_from_triples(ctx, src, dst)
-        ok = True
-        for rt in tail:
-            img = m(rt)
-            if img is INF or img not in rset:
-                ok = False
-                break
-        if ok:
-            out.append(m)
-    out.sort(key=lambda m: m.key())
-    return out
+    return sorted(_mobius_matches(C, C), key=lambda m: m.key())
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +416,8 @@ class SuperspecialList:
     """Superspecial genus-2 curves up to Kbar-isomorphism, with lookups.
 
     Membership is decided by the canonical invariant key first (hash bucket)
-    and confirmed by the explicit Mobius search within the bucket, so a false
-    key collision can never merge distinct classes.
+    and every bucket hit is confirmed by isomorphic, which returns an explicit
+    Mobius map, so a false key collision can never merge distinct classes.
     """
 
     __slots__ = ("ctx", "curves", "keys", "_buckets", "_models")

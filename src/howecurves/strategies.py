@@ -275,7 +275,7 @@ def _howe_from_pair_hit(ctx: FieldCtx, rho1: tuple, rho2: tuple,
 def enumerate_a(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
                 workers: int = 1) -> EnumReport:
     """Enumerate superspecial Howe curves by scanning elliptic pairs."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     classes = enumerate_supersingular_classes(ctx)
     torsion = [two_torsion_roots(E) for E in classes]
     pairs = [(i, j) for i in range(len(classes)) for j in range(i, len(classes))]
@@ -301,7 +301,7 @@ def enumerate_a(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
     if verify:
         _verify_representatives(ctx, reps)
     return EnumReport(ctx.p, "a", len(reps), _ratio(ctx.p, len(reps)), raw,
-                      None, seed, time.time() - t0, reps)
+                      None, seed, time.perf_counter() - t0, reps)
 
 
 def enumerate_a_bruteforce(ctx: FieldCtx) -> EnumReport:
@@ -310,7 +310,7 @@ def enumerate_a_bruteforce(ctx: FieldCtx) -> EnumReport:
     Tests the superspeciality of every fiber directly instead of factoring
     entry gcds, so it shares no search logic with enumerate_a.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     classes = enumerate_supersingular_classes(ctx)
     torsion = [two_torsion_roots(E) for E in classes]
     raw = 0
@@ -339,7 +339,7 @@ def enumerate_a_bruteforce(ctx: FieldCtx) -> EnumReport:
                     reps.append(H)
     reps.sort(key=lambda H: H.sort_value())
     return EnumReport(ctx.p, "a-brute", len(reps), _ratio(ctx.p, len(reps)), raw,
-                      None, DEFAULT_SEED, time.time() - t0, reps)
+                      None, DEFAULT_SEED, time.perf_counter() - t0, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -430,7 +430,7 @@ def enumerate_b(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
     curve: one orbit of (split, b) under its reduced automorphisms per Howe
     curve.
     """
-    t0 = time.time()
+    t0 = time.perf_counter()
     L = genus2 if genus2 is not None else superspecial_genus2_list(ctx)
     lset = supersingular_lambda_set(ctx)
     raw = 0
@@ -451,7 +451,7 @@ def enumerate_b(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
     if verify:
         _verify_representatives(ctx, reps)
     return EnumReport(ctx.p, "b", len(reps), _ratio(ctx.p, len(reps)), raw,
-                      len(L), seed, time.time() - t0, reps)
+                      len(L), seed, time.perf_counter() - t0, reps)
 
 
 def find_one(ctx: FieldCtx, seed: int = DEFAULT_SEED) -> Optional[HoweData]:

@@ -107,6 +107,24 @@ def test_fq_pow_lagrange():
 # ---------------------------------------------------------------------------
 
 
+def test_unipoly_pads_and_trims_its_coefficients():
+    ctx = FieldCtx(13)
+    cases = [
+        ([], [], []),
+        ([0, 0, 0], [0], []),
+        ([0, 13, -26], [26, 0], []),
+        ([1, 2], [0, 0, 3], [(1, 0), (2, 0), (0, 3)]),
+        ([5], [0, 7, 0, 0], [(5, 0), (0, 7)]),
+        ([4, 0, 14, 0], [-1], [(4, 12), (0, 0), (1, 0)]),
+    ]
+    for c0, c1, want in cases:
+        f = UniPoly(ctx, c0, c1)
+        assert f.coeffs() == want
+        assert f.degree == len(want) - 1
+        assert len(f.c0) == len(f.c1)
+    assert UniPoly(ctx, [0, 0], [0, 0]) == UniPoly.zero(ctx)
+
+
 def test_powmod_truncated_pinned():
     ctx = FieldCtx(7)
     f = UniPoly.from_int_coeffs(ctx, [1, 1])  # x + 1

@@ -209,6 +209,31 @@ def test_cache_requires_directory(capsys, monkeypatch):
     assert "HOWE_CACHE" in err
 
 
+def test_enumerate_with_an_unusable_cache_directory(tmp_path, capsys):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    code, out, err = _run(capsys, ["enumerate", "--p", "11", "--cache",
+                                   str(blocker / "sub")])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
+def test_cache_with_an_unusable_cache_file(tmp_path, capsys):
+    blocker = tmp_path / "plain-file"
+    blocker.write_text("")
+    code, out, err = _run(capsys, ["cache", "--p", "11", "--cache", str(blocker)])
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    # a directory where the cache file should be cannot be read
+    (tmp_path / "genus2_p11.cache").mkdir()
+    code, out, err = _run(capsys, ["cache", "--p", "11", "--cache", str(tmp_path)])
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+
 def test_module_entry_point_subprocess():
     cmd = [sys.executable, "-m", "howecurves",
            "enumerate", "--p", "11", "--format", "json"]

@@ -2,14 +2,17 @@
 
 The Cartier-Manin oracle recomputes f^((p-1)/2) by naive repeated
 multiplication with no degree cap and reads the same four coefficients;
-the closure construction is checked against the count window and against
-its own seeds.
+the Mobius matcher behind isomorphic and automorphisms is checked against
+the explicit 120-map search it replaced; the closure construction is
+checked against the count window and against its own seeds.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from howecurves import (
     INF,
@@ -34,6 +37,7 @@ from howecurves import (
     two_torsion_roots,
 )
 from howecurves import genus2
+from howecurves.arith import mobius_from_triples
 from howecurves.ellcurve import enumerate_supersingular_classes
 
 
@@ -161,6 +165,76 @@ def test_automorphisms_generic_and_symmetric_cases():
         assert m1.inverse().key() in keys
         for m2 in auts:
             assert m1.compose(m2).key() in keys
+
+
+def _oracle_matches(C, D):
+    """The explicit search: build each of the 120 maps and apply it to C's tail."""
+    ctx = C.ctx
+    out = []
+    dset = set(D.roots)
+    for dst in itertools.permutations(D.roots, 3):
+        m = mobius_from_triples(ctx, C.roots[:3], dst)
+        if all(m(rt) is not INF and m(rt) in dset for rt in C.roots[3:]):
+            out.append(m)
+    return out
+
+
+def _assert_isomorphic_matches_oracle(C, D):
+    got = isomorphic(C, D)
+    want = _oracle_matches(C, D)
+    if not want:
+        assert got is None
+    else:
+        assert got is not None and got.key() == want[0].key()
+
+
+@pytest.mark.parametrize("p", [11, 13, 29, 53])
+def test_matcher_agrees_with_the_explicit_search(p, genus2_lists):
+    L = genus2_lists(p)
+    for C in L.curves:
+        assert [m.key() for m in automorphisms(C)] == sorted(
+            m.key() for m in _oracle_matches(C, C))
+        for _, D in richelot_codomains(C):
+            _assert_isomorphic_matches_oracle(C, D)
+            _assert_isomorphic_matches_oracle(L.curves[L.index_of(D)], D)
+    rng = random.Random(p)
+    pairs = list(itertools.combinations(L.curves, 2))
+    for C, D in rng.sample(pairs, min(len(pairs), 300)):
+        _assert_isomorphic_matches_oracle(C, D)
+
+
+_SMALL_FIELDS = st.sampled_from([FieldCtx(p) for p in (7, 11, 13)])
+
+
+@st.composite
+def _sextic_and_mobius(draw):
+    """A curve with six distinct roots and a Mobius map keeping them finite."""
+    ctx = draw(_SMALL_FIELDS)
+    elem = st.builds(ctx.elem, st.integers(0, ctx.p - 1), st.integers(0, ctx.p - 1))
+    roots = draw(st.lists(elem, min_size=6, max_size=6, unique=True))
+    a, b, c, d = (draw(elem) for _ in range(4))
+    assume(ctx.sub(ctx.mul(a, d), ctx.mul(b, c)) != ctx.zero)
+    g = MobiusMap(ctx, a, b, c, d)
+    assume(all(g(rt) is not INF for rt in roots))
+    return Genus2Curve(ctx, tuple(roots)), g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sextic_and_mobius())
+def test_isomorphic_finds_a_map_onto_a_mobius_image(case):
+    C, g = case
+    D = Genus2Curve(C.ctx, tuple(g(rt) for rt in C.roots))
+    m = isomorphic(C, D)
+    assert m is not None
+    assert sorted(m(rt) for rt in C.roots) == list(D.roots)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sextic_and_mobius(), st.randoms(use_true_random=False))
+def test_isomorphic_agrees_with_the_explicit_search_on_random_pairs(case, rng):
+    C, _ = case
+    D = Genus2Curve(C.ctx, _random_sextic_roots(C.ctx, rng))
+    _assert_isomorphic_matches_oracle(C, D)
 
 
 def test_quadratic_splittings_shape():
