@@ -645,12 +645,6 @@ def _quadratic_roots(ctx: FieldCtx, g: UniPoly) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _proj(ctx: FieldCtx, pt: ProjPoint) -> tuple:
-    if pt is INF:
-        return (ctx.one, ctx.zero)
-    return (pt, ctx.one)
-
-
 class MobiusMap:
     """Invertible map x -> (a*x + b)/(c*x + d) on P^1(F_{p^2})."""
 
@@ -710,6 +704,21 @@ class MobiusMap:
         return "MobiusMap(%r, %r, %r, %r)" % (self.a, self.b, self.c, self.d)
 
 
+def cross_ratio_map(ctx: FieldCtx, r: ProjPoint, s: ProjPoint, t: ProjPoint) -> MobiusMap:
+    """The map q -> (q, r; s, t) for distinct r, s, t: s -> 0, r -> 1, t -> INF."""
+    if s is INF:
+        d = ctx.sub(r, t)
+        return MobiusMap(ctx, ctx.zero, d, ctx.one, ctx.neg(t))
+    if r is INF:
+        return MobiusMap(ctx, ctx.one, ctx.neg(s), ctx.one, ctx.neg(t))
+    if t is INF:
+        d = ctx.sub(r, s)
+        return MobiusMap(ctx, ctx.one, ctx.neg(s), ctx.zero, d)
+    u = ctx.sub(r, t)
+    v = ctx.sub(r, s)
+    return MobiusMap(ctx, u, ctx.neg(ctx.mul(s, u)), v, ctx.neg(ctx.mul(t, v)))
+
+
 def cross_ratio(ctx: FieldCtx, q: ProjPoint, r: ProjPoint, s: ProjPoint, t: ProjPoint) -> FqElem:
     """Cross-ratio (q, r; s, t) of four distinct points of P^1(F_{p^2})."""
     pts = [q, r, s, t]
@@ -717,29 +726,7 @@ def cross_ratio(ctx: FieldCtx, q: ProjPoint, r: ProjPoint, s: ProjPoint, t: Proj
         for j in range(i + 1, 4):
             if pts[i] is pts[j] or pts[i] == pts[j]:
                 raise ValueError("cross-ratio requires four distinct points")
-    pq, pr, ps, pt_ = (_proj(ctx, v) for v in pts)
-
-    def bracket(u, v):
-        return ctx.sub(ctx.mul(u[0], v[1]), ctx.mul(v[0], u[1]))
-
-    num = ctx.mul(bracket(pq, ps), bracket(pr, pt_))
-    den = ctx.mul(bracket(pr, ps), bracket(pq, pt_))
-    return ctx.div(num, den)
-
-
-def _to_zero_one_inf(ctx: FieldCtx, a: ProjPoint, b: ProjPoint, c: ProjPoint) -> MobiusMap:
-    """The unique Mobius map with a -> 0, b -> 1, c -> INF."""
-    if a is INF:
-        d = ctx.sub(b, c)
-        return MobiusMap(ctx, ctx.zero, d, ctx.one, ctx.neg(c))
-    if b is INF:
-        return MobiusMap(ctx, ctx.one, ctx.neg(a), ctx.one, ctx.neg(c))
-    if c is INF:
-        d = ctx.sub(b, a)
-        return MobiusMap(ctx, ctx.one, ctx.neg(a), ctx.zero, d)
-    u = ctx.sub(b, c)
-    v = ctx.sub(b, a)
-    return MobiusMap(ctx, u, ctx.neg(ctx.mul(a, u)), v, ctx.neg(ctx.mul(c, v)))
+    return cross_ratio_map(ctx, r, s, t)(q)
 
 
 def mobius_from_triples(ctx: FieldCtx, src: Sequence[ProjPoint], dst: Sequence[ProjPoint]) -> MobiusMap:
@@ -750,6 +737,6 @@ def mobius_from_triples(ctx: FieldCtx, src: Sequence[ProjPoint], dst: Sequence[P
         keys = {sort_key(x) for x in tri}
         if len(keys) != 3:
             raise ValueError("triple contains a repeated point")
-    t_src = _to_zero_one_inf(ctx, *src)
-    t_dst = _to_zero_one_inf(ctx, *dst)
+    t_src = cross_ratio_map(ctx, src[1], src[0], src[2])
+    t_dst = cross_ratio_map(ctx, dst[1], dst[0], dst[2])
     return t_dst.inverse().compose(t_src)

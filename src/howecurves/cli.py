@@ -29,7 +29,6 @@ from .genus2 import (
 from .howe import is_superspecial_howe
 from .strategies import (
     DEFAULT_SEED,
-    EnumReport,
     VerificationError,
     enumerate_a,
     enumerate_b,
@@ -106,7 +105,7 @@ def _cached_genus2_list(ctx: FieldCtx, cdir: str) -> tuple:
     try:
         if os.path.exists(path):
             try:
-                L = load_list(ctx, path, verify=True)
+                L = load_list(ctx, path)
             except ValueError as exc:
                 raise VerificationError(str(exc))
             lo, hi = iko_window(ctx.p)
@@ -291,9 +290,9 @@ def cmd_table(args) -> int:
 
 def _exists_task(task: tuple) -> tuple:
     """One prime's existence check; runs in a worker, returns plain data."""
-    q, seed, verify = task
+    q, verify = task
     ctx = FieldCtx(q)
-    H = find_one(ctx, seed=seed)
+    H = find_one(ctx)
     if H is None:
         return (q, ctx.r, None, True)
     ok = is_superspecial_howe(H) if verify else True
@@ -314,7 +313,7 @@ def cmd_exists(args) -> int:
         raise UsageError("exists needs primes >= 5; drop %s from the range"
                          % ", ".join(map(str, small)))
 
-    tasks = [(q, args.seed, args.verify) for q in primes]
+    tasks = [(q, args.verify) for q in primes]
     if args.workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as ex:
             results = list(ex.map(_exists_task, tasks))

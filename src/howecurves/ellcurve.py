@@ -22,7 +22,6 @@ from .arith import (
     UniPoly,
     cross_ratio,
     poly_roots_in_fq,
-    sort_key,
 )
 
 

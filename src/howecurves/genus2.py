@@ -4,11 +4,12 @@ Curves are carried as the sorted 6-tuple of Weierstrass x-coordinates of a
 monic sextic model y^2 = prod (x - root); every construction in this package
 keeps those roots inside F_{p^2}.  The module provides the Cartier-Manin
 matrix entries, Kbar-isomorphism machinery (a canonical invariant key for
-hashing, and one Mobius matcher behind isomorphic and automorphisms that
-tests the 120 candidate maps on tabulated cross-ratios and builds only the
-maps that pass), the (2,2)-correspondence walk and its inverse gluing of
-elliptic pairs, and the closure routine producing every superspecial curve
-up to isomorphism.
+hashing, and mobius_matches, the one Mobius matcher behind isomorphic,
+automorphisms and howe.howe_isomorphic, which tests the 120 candidate maps
+on tabulated cross-ratios and builds only the maps that pass), the
+(2,2)-correspondence walk and its inverse gluing of elliptic pairs, and the
+closure routine producing every superspecial curve up to isomorphism, which
+fails as soon as its class count passes the mass-formula window.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .arith import (
     INF,
@@ -26,10 +27,10 @@ from .arith import (
     FqElem,
     MobiusMap,
     UniPoly,
+    cross_ratio_map,
     mobius_from_triples,
-    sort_key,
 )
-from .ellcurve import EllipticCurve, is_supersingular, two_torsion_roots, j_invariant
+from .ellcurve import enumerate_supersingular_classes, two_torsion_roots
 
 
 class RationalityError(ArithmeticError):
@@ -206,7 +207,7 @@ _TRIPLES_WITH_REST = [
 ]
 
 
-def _mobius_matches(C: Genus2Curve, D: Genus2Curve) -> Iterator[MobiusMap]:
+def mobius_matches(C: Genus2Curve, D: Genus2Curve) -> Iterator[MobiusMap]:
     """Every Mobius map carrying the root set of C onto that of D.
 
     A map is pinned by the images (a, b, c) of C's first three roots
@@ -221,10 +222,9 @@ def _mobius_matches(C: Genus2Curve, D: Genus2Curve) -> Iterator[MobiusMap]:
     """
     ctx = C.ctx
     mul, sub = ctx.mul, ctx.sub
-    src = C.roots[:3]
-    s0, s1, s2 = src
-    u, v = sub(s1, s2), sub(s1, s0)
-    tail = {ctx.div(mul(sub(t, s0), u), mul(sub(t, s2), v)) for t in C.roots[3:]}
+    s0, s1, s2 = C.roots[:3]
+    t_src = cross_ratio_map(ctx, s1, s0, s2)
+    tail = {t_src(t) for t in C.roots[3:]}
     roots = D.roots
     diff = [[sub(x, y) for y in roots] for x in roots]
     inv = [[None] * 6 for _ in range(6)]
@@ -238,21 +238,22 @@ def _mobius_matches(C: Genus2Curve, D: Genus2Curve) -> Iterator[MobiusMap]:
             if mul(scale, mul(diff[d][a], inv[d][c])) not in tail:
                 break
         else:
-            yield mobius_from_triples(ctx, src, (roots[a], roots[b], roots[c]))
+            t_dst = cross_ratio_map(ctx, roots[b], roots[a], roots[c])
+            yield t_dst.inverse().compose(t_src)
 
 
 def isomorphic(C: Genus2Curve, D: Genus2Curve) -> Optional[MobiusMap]:
     """A Mobius map carrying the root set of C onto that of D, if one exists.
 
-    The first match of _mobius_matches: the map sending C's first three roots
-    to the earliest ordered triple of D's roots that works.
+    The first of mobius_matches: the map sending C's first three roots to
+    the earliest ordered triple of D's roots that works.
     """
-    return next(_mobius_matches(C, D), None)
+    return next(mobius_matches(C, D), None)
 
 
 def automorphisms(C: Genus2Curve) -> list:
     """All Mobius maps preserving the root set of C (the reduced automorphisms)."""
-    return sorted(_mobius_matches(C, C), key=lambda m: m.key())
+    return sorted(mobius_matches(C, C), key=lambda m: m.key())
 
 
 # ---------------------------------------------------------------------------
@@ -503,6 +504,13 @@ def iko_window(p: int) -> tuple:
     return (math.ceil(lo), math.floor(hi))
 
 
+def _count_error(p: int, count: int) -> ArithmeticError:
+    lo, hi = iko_window(p)
+    return ArithmeticError(
+        "superspecial count %d at p=%d escapes [%d, %d]; list incomplete or wrong"
+        % (count, p, lo, hi))
+
+
 def closure_stream(
     ctx: FieldCtx,
     seed_mode: str = "glue",
@@ -512,59 +520,52 @@ def closure_stream(
 
     Lazy form of superspecial_genus2_list: callers that only need the first
     few classes (existence searches) can stop consuming early.  The accumulator
-    may be supplied to observe the growing list alongside the stream.
+    may be supplied to observe the growing list alongside the stream.  A class
+    found beyond the upper end of iko_window raises ArithmeticError at once,
+    so a faulty isomorphism test cannot make the walk run on.
     """
     if ctx.p <= 5:
         raise ValueError("the closure needs p > 5")
     if acc is None:
         acc = SuperspecialList(ctx)
     if seed_mode == "glue":
-        from .ellcurve import enumerate_supersingular_classes
-
-        for C in _glue_seeds(ctx, enumerate_supersingular_classes(ctx)):
-            if acc.add(C) is not None:
-                yield C
+        seeds = _glue_seeds(ctx, enumerate_supersingular_classes(ctx))
     elif seed_mode == "rosenhain":
-        C = _rosenhain_seed(ctx)
-        acc.add(C)
-        yield C
+        seeds = [_rosenhain_seed(ctx)]
     else:
         raise ValueError("unknown seed mode %r" % (seed_mode,))
-    cursor = 0
-    while cursor < len(acc.curves):
-        C = acc.curves[cursor]
-        for _, D in richelot_codomains(C):
-            if acc.add(D) is not None:
+
+    def candidates():
+        yield from seeds
+        cursor = 0
+        while cursor < len(acc.curves):
+            for _, D in richelot_codomains(acc.curves[cursor]):
                 yield D
-        cursor += 1
+            cursor += 1
+
+    hi = iko_window(ctx.p)[1]
+    for C in candidates():
+        if acc.add(C) is not None:
+            if len(acc) > hi:
+                raise _count_error(ctx.p, len(acc))
+            yield C
 
 
-def superspecial_genus2_list(
-    ctx: FieldCtx,
-    seed_mode: str = "glue",
-    check_count: bool = True,
-    on_new: Optional[Callable[[Genus2Curve], None]] = None,
-) -> SuperspecialList:
+def superspecial_genus2_list(ctx: FieldCtx, seed_mode: str = "glue") -> SuperspecialList:
     """Every superspecial genus-2 curve over F_bar_p, one model per class.
 
     Seeds the list with curves (2,2)-isogenous to products of supersingular
     elliptic curves (or, with seed_mode="rosenhain", with a single scanned
     curve) and closes under Richelot neighbours; connectivity of the
     superspecial (2,2)-graph makes the closure exhaustive.  The count is
-    checked against the exact interval around (p-1)(p^2+25p+166)/2880 unless
-    disabled.
+    checked against the exact interval around (p-1)(p^2+25p+166)/2880.
     """
     acc = SuperspecialList(ctx)
-    for C in closure_stream(ctx, seed_mode, acc):
-        if on_new is not None:
-            on_new(C)
-    if check_count:
-        lo, hi = iko_window(ctx.p)
-        if not lo <= len(acc) <= hi:
-            raise ArithmeticError(
-                "superspecial count %d at p=%d escapes [%d, %d]; list incomplete or wrong"
-                % (len(acc), ctx.p, lo, hi)
-            )
+    for _ in closure_stream(ctx, seed_mode, acc):
+        pass
+    lo, hi = iko_window(ctx.p)
+    if not lo <= len(acc) <= hi:
+        raise _count_error(ctx.p, len(acc))
     return acc
 
 
@@ -595,7 +596,7 @@ def save_list(L: SuperspecialList, path: str) -> None:
         raise
 
 
-def load_list(ctx: FieldCtx, path: str, verify: bool = True) -> SuperspecialList:
+def load_list(ctx: FieldCtx, path: str) -> SuperspecialList:
     """Reload a cached list, re-verifying superspeciality and keys per record."""
     acc = SuperspecialList(ctx)
     with open(path) as fh:
@@ -626,13 +627,12 @@ def load_list(ctx: FieldCtx, path: str, verify: bool = True) -> SuperspecialList
                 C = Genus2Curve(ctx, tuple(coords))
             except ValueError as exc:
                 raise ValueError("cache record %d of %s: %s" % (lineno, path, exc))
-            if verify:
-                if igusa_key(ctx, C.roots) != key:
-                    raise ValueError("cache record %d of %s: invariant key mismatch"
-                                     % (lineno, path))
-                if not is_superspecial(C):
-                    raise ValueError("cache record %d of %s: curve is not superspecial"
-                                     % (lineno, path))
+            if igusa_key(ctx, C.roots) != key:
+                raise ValueError("cache record %d of %s: invariant key mismatch"
+                                 % (lineno, path))
+            if not is_superspecial(C):
+                raise ValueError("cache record %d of %s: curve is not superspecial"
+                                 % (lineno, path))
             if acc.add(C) is None:
                 raise ValueError("cache record %d of %s duplicates an earlier class"
                                  % (lineno, path))

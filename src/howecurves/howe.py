@@ -11,7 +11,6 @@ when a Mobius map carries roots to roots, split to split, and b to b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import permutations
 from typing import Optional
 
 from .arith import (
@@ -21,12 +20,11 @@ from .arith import (
     MobiusMap,
     ProjPoint,
     UniPoly,
-    mobius_from_triples,
     poly_roots_in_fq,
     sort_key,
 )
-from .ellcurve import QuarticModel, SupersingularLambdaSet, quartic_is_supersingular
-from .genus2 import Genus2Curve, is_superspecial
+from .ellcurve import QuarticModel, quartic_is_supersingular
+from .genus2 import Genus2Curve, is_superspecial, mobius_matches
 
 WeierstrassSplit = tuple  # pair of sorted root triples, lexicographically ordered
 
@@ -85,7 +83,7 @@ def howe_from_cubics(ctx: FieldCtx, f1: UniPoly, f2: UniPoly) -> HoweData:
     return HoweData(curve, normalize_split(r1, r2), INF)
 
 
-def is_superspecial_howe(H: HoweData, lam_set: Optional[SupersingularLambdaSet] = None) -> bool:
+def is_superspecial_howe(H: HoweData) -> bool:
     """Superspeciality of the genus-4 curve.
 
     Equivalent to: both genus-1 covers supersingular and the genus-2 quotient
@@ -93,9 +91,9 @@ def is_superspecial_howe(H: HoweData, lam_set: Optional[SupersingularLambdaSet] 
     prime to p).
     """
     q1, q2 = H.quartics()
-    if not quartic_is_supersingular(q1, lam_set):
+    if not quartic_is_supersingular(q1):
         return False
-    if not quartic_is_supersingular(q2, lam_set):
+    if not quartic_is_supersingular(q2):
         return False
     return is_superspecial(H.curve)
 
@@ -103,35 +101,15 @@ def is_superspecial_howe(H: HoweData, lam_set: Optional[SupersingularLambdaSet] 
 def howe_isomorphic(H1: HoweData, H2: HoweData) -> Optional[MobiusMap]:
     """A Mobius map matching roots, split, and b between the two data sets.
 
-    It suffices to send a fixed ordered triple of H1's first split part onto
-    an ordered triple drawn from either part of H2's split (12 candidates),
-    then check the full incidence.
+    The first map of mobius_matches between the two genus-2 curves that
+    carries a part of H1's split onto a part of H2's split (the other part
+    then follows) and sends H1's b to H2's b.
     """
-    ctx = H1.curve.ctx
-    src = H1.split[0]
-    sets2 = (set(H2.split[0]), set(H2.split[1]))
-    for part in (0, 1):
-        for dst in permutations(H2.split[part]):
-            m = mobius_from_triples(ctx, src, dst)
-            if not _same_point(m(H1.b), H2.b):
-                continue
-            img2 = set()
-            ok = True
-            for rt in H1.split[1]:
-                q = m(rt)
-                if q is INF or q not in sets2[1 - part]:
-                    ok = False
-                    break
-                img2.add(q)
-            if ok and img2 == sets2[1 - part]:
-                return m
+    parts = (set(H2.split[0]), set(H2.split[1]))
+    for m in mobius_matches(H1.curve, H2.curve):
+        if m(H1.b) == H2.b and {m(rt) for rt in H1.split[0]} in parts:
+            return m
     return None
-
-
-def _same_point(a: ProjPoint, b: ProjPoint) -> bool:
-    if a is INF or b is INF:
-        return a is b
-    return a == b
 
 
 @dataclass(frozen=True)

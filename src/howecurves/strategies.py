@@ -8,10 +8,12 @@ Cartier-Manin entries of y^2 = f1*f2 become polynomials in lam, and their
 gcd hands over exactly the superspecial fibers.
 
 Strategy "b" walks the complete list of superspecial genus-2 curves instead,
-and for each one looks for a fourth branch point b that makes both cubic
-halves of a Weierstrass-point split supersingular.  Candidate b values come
-from pulling the supersingular lambda line back through the cross-ratio map,
-so each split costs O(p) instead of a p^2 scan.
+and for each of the 10 splits of a curve's Weierstrass points into two
+triples looks for a fourth branch point b that makes both cubic halves
+supersingular.  The b values are the supersingular lambda set pulled back
+through the first half's cross-ratio map and tested through one composed
+Mobius map for the second half, so each split costs O(p) instead of a p^2
+scan.
 
 Both engines return the same report shape and must agree; the second is far
 faster and is the one behind the table and CLI defaults.
@@ -34,7 +36,7 @@ from .arith import (
     FqElem,
     ProjPoint,
     UniPoly,
-    cross_ratio,
+    cross_ratio_map,
     poly_gcd,
     poly_roots_in_fq,
     sort_key,
@@ -77,7 +79,9 @@ class EnumReport:
     strategy: str
     count: int
     ratio: float                      # count / (p^3 / 1152)
-    raw_count: int                    # candidate hits before isomorphism dedup
+    # hits before isomorphism dedup: (lam, mu) points for strategy a, and
+    # (split, b) fits for strategy b, one orientation per split
+    raw_count: int
     genus2_classes: Optional[int]     # size of the superspecial list (strategy b)
     seed: int
     elapsed: float
@@ -347,55 +351,34 @@ def enumerate_a_bruteforce(ctx: FieldCtx) -> EnumReport:
 # ---------------------------------------------------------------------------
 
 
-def _candidate_b_values(ctx: FieldCtx, lset: SupersingularLambdaSet,
-                        triple: tuple) -> list:
-    """All b making y^2 = (x-b)(x-t1)(x-t2)(x-t3) supersingular, INF included.
-
-    The quartic's Legendre invariant is a Mobius function of b, so the good
-    values are the preimages of the supersingular lambda line.  Which of the
-    six cross-ratio orderings is used does not matter: the lambda line is
-    stable under all of them.
-    """
-    t1, t2, t3 = triple
-    out = []
-    if cross_ratio(ctx, INF, t1, t2, t3) in lset:
-        out.append(INF)
-    # cr(b, t1, t2, t3) = ((b-t1)/(b-t2)) * k with k = (t3-t2)/(t3-t1);
-    # solving cr = lam0 gives b = (t1 - w*t2)/(1 - w) for w = lam0/k
-    k = ctx.div(ctx.sub(t3, t2), ctx.sub(t3, t1))
-    for lam0 in lset.values:
-        w = ctx.div(lam0, k)
-        if w == ctx.one:  # that preimage is b = INF, handled above
-            continue
-        out.append(ctx.div(ctx.sub(t1, ctx.mul(w, t2)), ctx.sub(ctx.one, w)))
-    return out
-
-
 def supersingular_b_values(ctx: FieldCtx, lset: SupersingularLambdaSet,
                            split: tuple) -> list:
     """The b making both halves y^2 = (x-b)(x-t_i1)(x-t_i2)(x-t_i3) supersingular.
 
-    Candidates come from the first 3-set of the split alone; survivors avoid
-    all six branch points and pass the cross-ratio membership test for the
-    second 3-set.  Sorted by the projective sort key, INF last.
+    The Legendre invariant of the half on T = (t1, t2, t3) is the cross-ratio
+    (b, t1; t2, t3), a Mobius function M_T of b, so the good b for the first
+    half are the preimages under M1 = M_T1 of the lambda set; one composed
+    map N = M2 M1^-1 tests the second half on each of them.  Which of the six
+    cross-ratio orderings is used does not matter: the lambda set is stable
+    under all of them.  No lambda is 0, 1 or INF, so no b is a root.  Sorted
+    by the projective sort key, INF last.
     """
     T1, T2 = split
-    taken = set(T1) | set(T2)
-    out = []
-    for b in sorted(set(_candidate_b_values(ctx, lset, T1)), key=sort_key):
-        if b in taken:
-            continue
-        if cross_ratio(ctx, b, T2[0], T2[1], T2[2]) not in lset:
-            continue
-        out.append(b)
-    return out
+    back = cross_ratio_map(ctx, *T1).inverse()
+    N = cross_ratio_map(ctx, *T2).compose(back)
+    return sorted((back(lam) for lam in lset.values if N(lam) in lset), key=sort_key)
 
 
 def iter_howe_fits(ctx: FieldCtx, lset: SupersingularLambdaSet,
                    C: Genus2Curve) -> Iterator[Tuple[tuple, tuple, ProjPoint]]:
-    """(T1, T2, b) with both quartic halves supersingular, raw (no dedup)."""
+    """(T1, T2, b) with both quartic halves supersingular, raw (no dedup).
+
+    Each of the 10 splits is visited once, through the triple T1 holding the
+    first root; its complement T2 carries the same b values.
+    """
     roots = C.roots
-    for T1 in itertools.combinations(roots, 3):
+    for pair in itertools.combinations(roots[1:], 2):
+        T1 = (roots[0],) + pair
         T2 = tuple(rt for rt in roots if rt not in T1)
         for b in supersingular_b_values(ctx, lset, (T1, T2)):
             yield T1, T2, b
@@ -454,7 +437,7 @@ def enumerate_b(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
                       len(L), seed, time.perf_counter() - t0, reps)
 
 
-def find_one(ctx: FieldCtx, seed: int = DEFAULT_SEED) -> Optional[HoweData]:
+def find_one(ctx: FieldCtx) -> Optional[HoweData]:
     """One superspecial Howe curve in characteristic p, or None.
 
     For p = 5 mod 6 the cubic-split family member with a = -1 is returned

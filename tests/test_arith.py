@@ -412,6 +412,39 @@ def test_cross_ratio_is_mobius_invariant():
         seen += 1
 
 
+def _bracket_cross_ratio(ctx, q, r, s, t):
+    """(q, r; s, t) from 2x2 determinants of homogeneous coordinates."""
+
+    def proj(pt):
+        return (ctx.one, ctx.zero) if pt is INF else (pt, ctx.one)
+
+    def bracket(u, v):
+        return ctx.sub(ctx.mul(u[0], v[1]), ctx.mul(v[0], u[1]))
+
+    pq, pr, ps, pt = (proj(v) for v in (q, r, s, t))
+    num = ctx.mul(bracket(pq, ps), bracket(pr, pt))
+    den = ctx.mul(bracket(pr, ps), bracket(pq, pt))
+    return ctx.div(num, den)
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_cross_ratio_matches_the_bracket_formula(p):
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    line = [INF] + list(ctx.elements())
+    with_inf = 0
+    for _ in range(400):
+        pts = rng.sample(line, 4)
+        with_inf += INF in pts
+        assert cross_ratio(ctx, *pts) == _bracket_cross_ratio(ctx, *pts)
+    assert with_inf > 0
+    # INF in each of the four positions
+    for k in range(4):
+        pts = rng.sample(line[1:], 3)
+        pts.insert(k, INF)
+        assert cross_ratio(ctx, *pts) == _bracket_cross_ratio(ctx, *pts)
+
+
 def test_cross_ratio_requires_distinct_points():
     ctx = FieldCtx(11)
     with pytest.raises(ValueError):

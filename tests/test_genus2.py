@@ -320,6 +320,15 @@ def test_superspecial_list_small_primes(genus2_lists):
                 assert isomorphic(L.curves[i], L.curves[j]) is None
 
 
+def test_closure_stops_once_the_count_passes_the_window(monkeypatch):
+    # an isomorphism test that never matches turns every new model into a
+    # "class"; the closure must fail at the first one past the window (hi = 3
+    # at p = 11) instead of walking on through every model
+    monkeypatch.setattr(genus2, "isomorphic", lambda C, D: None)
+    with pytest.raises(ArithmeticError, match="count 4 at p=11 escapes"):
+        superspecial_genus2_list(FieldCtx(11))
+
+
 def test_seed_modes_agree():
     for p in (7, 11):
         ctx = FieldCtx(p)
@@ -334,7 +343,7 @@ def test_save_load_round_trip(tmp_path, genus2_lists):
     L = genus2_lists(13)
     path = str(tmp_path / "g2.cache")
     save_list(L, path)
-    back = load_list(FieldCtx(13), path, verify=True)
+    back = load_list(FieldCtx(13), path)
     assert len(back.curves) == len(L.curves)
     for C, D in zip(L.curves, back.curves):
         assert C.roots == D.roots

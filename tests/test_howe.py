@@ -1,10 +1,13 @@
 """Genus-4 double-cover data: construction, isomorphism, canonical model.
 
-The isomorphism test's oracle works on a single base curve: two choices of
-branch point give isomorphic data exactly when an automorphism of the curve
-preserving the split carries one choice to the other.
+The isomorphism test has two oracles.  On a single base curve, two choices
+of branch point give isomorphic data exactly when an automorphism of the
+curve preserving the split carries one choice to the other.  Across curves,
+an explicit search builds the 12 maps sending H1's first split part onto an
+ordered part of H2's split and checks the full incidence.
 """
 
+import itertools
 import random
 
 import pytest
@@ -22,11 +25,14 @@ from howecurves import (
     howe_isomorphic,
     is_superspecial,
     is_superspecial_howe,
+    iter_howe_fits,
+    mobius_from_triples,
     normalize_split,
     poly_roots_in_fq,
     quadric_from_cubics,
     quartic_is_supersingular,
     special_family,
+    supersingular_lambda_set,
 )
 
 
@@ -111,6 +117,28 @@ def test_superspeciality_with_finite_b_matches_direct_checks():
         assert is_superspecial_howe(H) == direct
 
 
+def _oracle_howe_isomorphic(H1, H2):
+    """The explicit search: 12 candidate maps, each checked on b and the split."""
+    ctx = H1.curve.ctx
+    sets2 = (set(H2.split[0]), set(H2.split[1]))
+    for part in (0, 1):
+        for dst in itertools.permutations(H2.split[part]):
+            m = mobius_from_triples(ctx, H1.split[0], dst)
+            if m(H1.b) == H2.b and {m(rt) for rt in H1.split[1]} == sets2[1 - part]:
+                return m
+    return None
+
+
+def _assert_howe_isomorphic_matches_oracle(H1, H2):
+    m = howe_isomorphic(H1, H2)
+    assert (m is None) == (_oracle_howe_isomorphic(H1, H2) is None)
+    if m is not None:
+        assert m(H1.b) == H2.b
+        img = normalize_split([m(rt) for rt in H1.split[0]], [m(rt) for rt in H1.split[1]])
+        assert img == H2.split
+    return m
+
+
 def test_howe_isomorphic_is_reflexive_and_symmetric():
     ctx, H = _cube_root_data(11)
     assert howe_isomorphic(H, H) is not None
@@ -130,8 +158,8 @@ def test_howe_isomorphic_is_reflexive_and_symmetric():
             tuple(m(rt) for rt in H.split[0]), tuple(m(rt) for rt in H.split[1])
         )
         H2 = HoweData(C2, split2, img_b)
-        fwd = howe_isomorphic(H, H2)
-        bwd = howe_isomorphic(H2, H)
+        fwd = _assert_howe_isomorphic_matches_oracle(H, H2)
+        bwd = _assert_howe_isomorphic_matches_oracle(H2, H)
         assert fwd is not None and bwd is not None
         assert is_superspecial_howe(H2) == is_superspecial_howe(H)
 
@@ -162,6 +190,26 @@ def test_howe_isomorphic_matches_automorphism_orbit_of_b():
             got = howe_isomorphic(H1, H2) is not None
             want = ("INF" if b2 is INF else b2) in orbit
             assert got == want, (b1, b2)
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_howe_isomorphic_agrees_with_the_explicit_search(p, genus2_lists):
+    # each raw fit on a curve against every (split, b) on that curve with b
+    # one of the fits' branch points: all pairs of fits, and pairs whose b
+    # match while the splits need not
+    ctx = FieldCtx(p)
+    lset = supersingular_lambda_set(ctx)
+    hits = 0
+    for C in genus2_lists(p).curves:
+        fits = [HoweData(C, normalize_split(T1, T2), b)
+                for T1, T2, b in iter_howe_fits(ctx, lset, C)]
+        splits = [(T1, tuple(rt for rt in C.roots if rt not in T1))
+                  for T1 in itertools.combinations(C.roots, 3)]
+        others = dict.fromkeys(HoweData(C, split, H.b) for H in fits for split in splits)
+        for H1, H2 in itertools.product(fits, others):
+            m = _assert_howe_isomorphic_matches_oracle(H1, H2)
+            hits += m is not None and H1 != H2
+    assert hits > 0
 
 
 def test_quadric_from_cubics_identity():

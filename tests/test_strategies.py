@@ -120,21 +120,40 @@ def test_no_howe_curve_at_p7():
 
 
 def test_b_value_solver_matches_projective_scan(genus2_lists):
-    ctx = FieldCtx(11)
+    for p in (11, 13):
+        ctx = FieldCtx(p)
+        lset = supersingular_lambda_set(ctx)
+        for C in genus2_lists(p).curves:
+            for T1 in itertools.combinations(C.roots, 3):
+                T2 = tuple(rt for rt in C.roots if rt not in T1)
+                want = []
+                for b in sorted(ctx.elements()) + [INF]:
+                    if b in C.roots:
+                        continue
+                    q1 = QuarticModel(ctx, b, T1)
+                    q2 = QuarticModel(ctx, b, T2)
+                    if quartic_is_supersingular(q1) and quartic_is_supersingular(q2):
+                        want.append(b)
+                got = supersingular_b_values(ctx, lset, (T1, T2))
+                assert got == want
+
+
+@pytest.mark.parametrize("p", [13, 17])
+def test_fits_visit_each_split_once(p, genus2_lists):
+    ctx = FieldCtx(p)
     lset = supersingular_lambda_set(ctx)
-    for C in genus2_lists(11).curves:
+    for C in genus2_lists(p).curves:
+        fits = list(iter_howe_fits(ctx, lset, C))
+        assert all(T1[0] == C.roots[0] for T1, _, _ in fits)
+        got = [(normalize_split(T1, T2), b) for T1, T2, b in fits]
+        assert len(set(got)) == len(got)
+        # no split is lost: both orientations of all 20 triples give the same fits
+        want = set()
         for T1 in itertools.combinations(C.roots, 3):
             T2 = tuple(rt for rt in C.roots if rt not in T1)
-            want = []
-            for b in sorted(ctx.elements()) + [INF]:
-                if b in C.roots:
-                    continue
-                q1 = QuarticModel(ctx, b, T1)
-                q2 = QuarticModel(ctx, b, T2)
-                if quartic_is_supersingular(q1) and quartic_is_supersingular(q2):
-                    want.append(b)
-            got = supersingular_b_values(ctx, lset, (T1, T2))
-            assert got == want
+            want.update((normalize_split(T1, T2), b)
+                        for b in supersingular_b_values(ctx, lset, (T1, T2)))
+        assert set(got) == want
 
 
 def test_b_value_solver_is_symmetric_in_the_split(genus2_lists):
