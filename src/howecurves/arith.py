@@ -417,21 +417,8 @@ class UniPoly:
             return self
         return self.scale(self.ctx.inv(lead))
 
-    def shift(self, k: int) -> "UniPoly":
-        """Multiply by x^k."""
-        if self.is_zero():
-            return self
-        z = np.zeros(k, dtype=np.int64)
-        return UniPoly(self.ctx, np.concatenate([z, self.c0]), np.concatenate([z, self.c1]))
-
     def truncate(self, degcap: int) -> "UniPoly":
         return UniPoly(self.ctx, self.c0[: degcap + 1], self.c1[: degcap + 1])
-
-    def derivative(self) -> "UniPoly":
-        if self.degree < 1:
-            return UniPoly.zero(self.ctx)
-        k = np.arange(1, len(self.c0), dtype=np.int64)
-        return UniPoly(self.ctx, self.c0[1:] * k, self.c1[1:] * k)
 
     def __divmod__(self, other: "UniPoly") -> tuple:
         if other.is_zero():
@@ -656,10 +643,6 @@ class MobiusMap:
             raise ValueError("singular matrix does not define a Mobius map")
         self.ctx = ctx
         self.a, self.b, self.c, self.d = a, b, c, d
-
-    @classmethod
-    def identity(cls, ctx: FieldCtx) -> "MobiusMap":
-        return cls(ctx, ctx.one, ctx.zero, ctx.zero, ctx.one)
 
     def __call__(self, pt: ProjPoint) -> ProjPoint:
         ctx = self.ctx

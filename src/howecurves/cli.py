@@ -3,7 +3,7 @@
 Exit codes: 0 success, 1 usage error (including a cache directory or file
 that cannot be used), 2 verification mismatch (table rows off the published
 counts, strategies disagreeing, failed re-checks, corrupt caches), 3 internal
-invariant violation.
+invariant violation or a worker process that died.
 
 All output is assembled in memory and written once from the coordinating
 process; worker processes never touch files or stdout.
@@ -16,9 +16,10 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional
 
-from .arith import INF, FieldCtx, is_prime
+from .arith import FieldCtx, is_prime
 from .genus2 import (
     RationalityError,
     iko_window,
@@ -123,10 +124,6 @@ def _cached_genus2_list(ctx: FieldCtx, cdir: str) -> tuple:
 
 def _dump_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def _fmt_point(pt) -> str:
-    return "inf" if pt is INF else "(%d,%d)" % (pt[0], pt[1])
 
 
 def _fmt_rep(rep: dict) -> str:
@@ -457,6 +454,9 @@ def main(argv=None) -> int:
         return EXIT_MISMATCH
     except (RationalityError, ArithmeticError) as exc:
         sys.stderr.write("internal invariant violated: %s\n" % exc)
+        return EXIT_INTERNAL
+    except BrokenProcessPool as exc:
+        sys.stderr.write("worker process died: %s\n" % exc)
         return EXIT_INTERNAL
 
 

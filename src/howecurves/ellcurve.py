@@ -12,7 +12,6 @@ lambda-invariants of Legendre curves y^2 = x(x-1)(x-lambda).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 from .arith import (
     INF,
@@ -180,13 +179,9 @@ def lambda_of_quartic(Q: QuarticModel) -> FqElem:
     return cross_ratio(Q.ctx, Q.b, a1, a2, a3)
 
 
-def quartic_is_supersingular(Q: QuarticModel, lam_set: Optional[SupersingularLambdaSet] = None) -> bool:
-    """Supersingularity of the genus-1 cover, via the lambda-set when supplied."""
-    if lam_set is not None:
-        return lambda_of_quartic(Q) in lam_set
-    ctx = Q.ctx
-    lam = lambda_of_quartic(Q)
-    return is_supersingular(_legendre_curve(ctx, lam))
+def quartic_is_supersingular(Q: QuarticModel) -> bool:
+    """Supersingularity of the genus-1 cover, by the Hasse test on its Legendre form."""
+    return is_supersingular(_legendre_curve(Q.ctx, lambda_of_quartic(Q)))
 
 
 def j_of_lambda(ctx: FieldCtx, lam: FqElem) -> FqElem:

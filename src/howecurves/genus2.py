@@ -3,13 +3,14 @@
 Curves are carried as the sorted 6-tuple of Weierstrass x-coordinates of a
 monic sextic model y^2 = prod (x - root); every construction in this package
 keeps those roots inside F_{p^2}.  The module provides the Cartier-Manin
-matrix entries, Kbar-isomorphism machinery (a canonical invariant key for
-hashing, and mobius_matches, the one Mobius matcher behind isomorphic,
-automorphisms and howe.howe_isomorphic, which tests the 120 candidate maps
-on tabulated cross-ratios and builds only the maps that pass), the
-(2,2)-correspondence walk and its inverse gluing of elliptic pairs, and the
-closure routine producing every superspecial curve up to isomorphism, which
-fails as soon as its class count passes the mass-formula window.
+matrix entries, Kbar-isomorphism machinery (the canonical Igusa key, which
+identifies a class for p > 5, and mobius_matches, the one Mobius matcher
+behind isomorphic, automorphisms and howe.howe_isomorphic, which tests the
+120 candidate maps on tabulated cross-ratios and builds only the maps that
+pass), the (2,2)-correspondence walk and its inverse gluing of elliptic
+pairs, and the closure routine producing every superspecial curve up to
+isomorphism, one class per key, which fails as soon as its class count
+passes the mass-formula window.
 """
 
 from __future__ import annotations
@@ -87,7 +88,6 @@ def is_superspecial(C: Genus2Curve) -> bool:
 
 # index tables over the 15 unordered pairs from {0..5}
 _PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
-_PAIR_INDEX = {pr: k for k, pr in enumerate(_PAIRS)}
 
 
 def _pair_partitions():
@@ -416,19 +416,23 @@ def glue_elliptic_pair(ctx: FieldCtx, s: tuple, t: tuple) -> Optional[Genus2Curv
 class SuperspecialList:
     """Superspecial genus-2 curves up to Kbar-isomorphism, with lookups.
 
-    Membership is decided by the canonical invariant key first (hash bucket)
-    and every bucket hit is confirmed by isomorphic, which returns an explicit
-    Mobius map, so a false key collision can never merge distinct classes.
+    A class is identified by its canonical invariant key alone: for p > 5
+    the Igusa-Clebsch invariants classify genus-2 curves over the algebraic
+    closure, so equal keys mean isomorphic curves and distinct keys distinct
+    classes.  Models already seen are remembered, so a repeated model skips
+    the key.
     """
 
-    __slots__ = ("ctx", "curves", "keys", "_buckets", "_models")
+    __slots__ = ("ctx", "curves", "keys", "_index", "_models")
 
     def __init__(self, ctx: FieldCtx):
+        if ctx.p <= 5:
+            raise ValueError("Igusa keys classify genus-2 curves only for p > 5")
         self.ctx = ctx
         self.curves: list = []
         self.keys: list = []
-        self._buckets: dict = {}
-        self._models: dict = {}
+        self._index: dict = {}    # key -> class index
+        self._models: dict = {}   # roots -> class index
 
     def __len__(self) -> int:
         return len(self.curves)
@@ -440,27 +444,19 @@ class SuperspecialList:
         """Insert C if its class is new; return the new index, else None."""
         if C.roots in self._models:
             return None
-        key = igusa_key(self.ctx, C.roots)
-        bucket = self._buckets.setdefault(key, [])
-        for idx in bucket:
-            if isomorphic(self.curves[idx], C) is not None:
-                self._models[C.roots] = idx
-                return None
+        return self._add_keyed(C, igusa_key(self.ctx, C.roots))
+
+    def _add_keyed(self, C: Genus2Curve, key: IgusaKey) -> Optional[int]:
+        idx = self._index.get(key)
+        if idx is not None:
+            self._models[C.roots] = idx
+            return None
         idx = len(self.curves)
         self.curves.append(C)
         self.keys.append(key)
-        bucket.append(idx)
+        self._index[key] = idx
         self._models[C.roots] = idx
         return idx
-
-    def index_of(self, C: Genus2Curve) -> Optional[int]:
-        if C.roots in self._models:
-            return self._models[C.roots]
-        key = igusa_key(self.ctx, C.roots)
-        for idx in self._buckets.get(key, ()):
-            if isomorphic(self.curves[idx], C) is not None:
-                return idx
-        return None
 
 
 def _glue_seeds(ctx: FieldCtx, classes: list) -> Iterator[Genus2Curve]:
@@ -522,10 +518,8 @@ def closure_stream(
     few classes (existence searches) can stop consuming early.  The accumulator
     may be supplied to observe the growing list alongside the stream.  A class
     found beyond the upper end of iko_window raises ArithmeticError at once,
-    so a faulty isomorphism test cannot make the walk run on.
+    so a key that splits one class into several cannot make the walk run on.
     """
-    if ctx.p <= 5:
-        raise ValueError("the closure needs p > 5")
     if acc is None:
         acc = SuperspecialList(ctx)
     if seed_mode == "glue":
@@ -633,7 +627,7 @@ def load_list(ctx: FieldCtx, path: str) -> SuperspecialList:
             if not is_superspecial(C):
                 raise ValueError("cache record %d of %s: curve is not superspecial"
                                  % (lineno, path))
-            if acc.add(C) is None:
+            if acc._add_keyed(C, key) is None:
                 raise ValueError("cache record %d of %s duplicates an earlier class"
                                  % (lineno, path))
     return acc

@@ -45,6 +45,7 @@ from .ellcurve import (
     EllipticCurve,
     SupersingularLambdaSet,
     enumerate_supersingular_classes,
+    quartic_is_supersingular,
     supersingular_lambda_set,
     two_torsion_roots,
 )
@@ -54,6 +55,7 @@ from .genus2 import (
     automorphisms,
     closure_stream,
     igusa_key,
+    is_superspecial,
     superspecial_genus2_list,
 )
 from .howe import (
@@ -87,10 +89,10 @@ class EnumReport:
     elapsed: float
     representatives: List[HoweData] = field(default_factory=list)
 
-    def to_jsonable(self, with_representatives: bool = True) -> dict:
+    def to_jsonable(self) -> dict:
         # elapsed is deliberately not serialized: reports with equal inputs
         # must serialize byte-identically across runs
-        doc = {
+        return {
             "p": self.p,
             "strategy": self.strategy,
             "count": self.count,
@@ -98,10 +100,8 @@ class EnumReport:
             "raw_count": self.raw_count,
             "genus2_classes": self.genus2_classes,
             "seed": self.seed,
+            "representatives": [howe_jsonable(H) for H in self.representatives],
         }
-        if with_representatives:
-            doc["representatives"] = [howe_jsonable(H) for H in self.representatives]
-        return doc
 
 
 def _point_jsonable(pt: ProjPoint):
@@ -496,10 +496,16 @@ def _verify_representatives(ctx: FieldCtx, reps: List[HoweData]) -> None:
 
     Uses the direct criterion (quartic Legendre invariants through the Hasse
     polynomial, Cartier-Manin entries of the sextic), not the search path
-    that produced the representative.
+    that produced the representative.  Representatives sharing a genus-2
+    curve share its Cartier-Manin test, which runs once per curve.
     """
+    curve_ok = {}
     for H in reps:
-        if not is_superspecial_howe(H):
+        if H.curve.roots not in curve_ok:
+            curve_ok[H.curve.roots] = is_superspecial(H.curve)
+        q1, q2 = H.quartics()
+        if not (quartic_is_supersingular(q1) and quartic_is_supersingular(q2)
+                and curve_ok[H.curve.roots]):
             raise VerificationError(
                 "representative %r at p=%d fails the superspeciality re-check"
                 % (howe_jsonable(H), ctx.p))

@@ -10,7 +10,10 @@ import sys
 
 import pytest
 
-from howecurves.cli import EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
+from concurrent.futures.process import BrokenProcessPool
+
+from howecurves import cli, strategies
+from howecurves.cli import EXIT_INTERNAL, EXIT_MISMATCH, EXIT_OK, EXIT_USAGE, main
 
 
 def _run(capsys, argv):
@@ -157,6 +160,35 @@ def test_unknown_flag_exits_with_usage(capsys):
         main(["enumerate", "--p", "11", "--bogus"])
     assert exc.value.code == EXIT_USAGE
     capsys.readouterr()
+
+
+class _DeadPool:
+    """A process pool whose workers have all died."""
+
+    def __init__(self, *args, **kwargs):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, *args, **kwargs):
+        raise BrokenProcessPool("a worker process terminated abruptly")
+
+
+@pytest.mark.parametrize("module, argv", [
+    (cli, ["exists", "--pmin", "10", "--pmax", "20"]),
+    (strategies, ["enumerate", "--p", "11"]),
+], ids=["exists", "enumerate"])
+def test_a_dead_worker_exits_3_without_a_traceback(capsys, monkeypatch, module, argv):
+    monkeypatch.setattr(module, "ProcessPoolExecutor", _DeadPool)
+    code, out, err = _run(capsys, argv + ["--workers", "2"])
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert "terminated abruptly" in err
 
 
 def test_cache_round_trip(tmp_path, capsys):

@@ -4,7 +4,8 @@ The Cartier-Manin oracle recomputes f^((p-1)/2) by naive repeated
 multiplication with no degree cap and reads the same four coefficients;
 the Mobius matcher behind isomorphic and automorphisms is checked against
 the explicit 120-map search it replaced; the closure construction is
-checked against the count window and against its own seeds.
+checked against the count window and against its own seeds, and the Mobius
+search is the oracle for its key-only class identity.
 """
 
 import itertools
@@ -19,12 +20,14 @@ from howecurves import (
     FieldCtx,
     Genus2Curve,
     MobiusMap,
+    SuperspecialList,
     UniPoly,
     automorphisms,
     cartier_manin,
     glue_elliptic_pair,
     igusa_key,
     iko_window,
+    is_prime,
     is_superspecial,
     isomorphic,
     load_list,
@@ -196,7 +199,8 @@ def test_matcher_agrees_with_the_explicit_search(p, genus2_lists):
             m.key() for m in _oracle_matches(C, C))
         for _, D in richelot_codomains(C):
             _assert_isomorphic_matches_oracle(C, D)
-            _assert_isomorphic_matches_oracle(L.curves[L.index_of(D)], D)
+            _assert_isomorphic_matches_oracle(
+                L.curves[L.keys.index(igusa_key(C.ctx, D.roots))], D)
     rng = random.Random(p)
     pairs = list(itertools.combinations(L.curves, 2))
     for C, D in rng.sample(pairs, min(len(pairs), 300)):
@@ -320,11 +324,31 @@ def test_superspecial_list_small_primes(genus2_lists):
                 assert isomorphic(L.curves[i], L.curves[j]) is None
 
 
+@pytest.mark.parametrize("p", [q for q in range(7, 62) if is_prime(q)])
+def test_key_names_an_isomorphic_class_for_every_candidate(p, genus2_lists):
+    # the Mobius search is the oracle for key-only membership: every model
+    # the closure tests is isomorphic to the class its key names
+    L = genus2_lists(p)
+    ctx = L.ctx
+    index = {key: idx for idx, key in enumerate(L.keys)}
+    assert len(index) == len(L)
+    seeds = list(genus2._glue_seeds(ctx, enumerate_supersingular_classes(ctx)))
+    neighbours = [D for C in L.curves for _, D in richelot_codomains(C)]
+    for D in seeds + neighbours:
+        C = L.curves[index[igusa_key(ctx, D.roots)]]
+        assert isomorphic(C, D) is not None
+
+
+def test_superspecial_list_needs_p_over_5():
+    with pytest.raises(ValueError, match="p > 5"):
+        SuperspecialList(FieldCtx(5))
+
+
 def test_closure_stops_once_the_count_passes_the_window(monkeypatch):
-    # an isomorphism test that never matches turns every new model into a
-    # "class"; the closure must fail at the first one past the window (hi = 3
-    # at p = 11) instead of walking on through every model
-    monkeypatch.setattr(genus2, "isomorphic", lambda C, D: None)
+    # a key that tells every model apart turns each into a "class"; the
+    # closure must fail at the first one past the window (hi = 3 at p = 11)
+    # instead of walking on through every model
+    monkeypatch.setattr(genus2, "igusa_key", lambda ctx, roots: roots)
     with pytest.raises(ArithmeticError, match="count 4 at p=11 escapes"):
         superspecial_genus2_list(FieldCtx(11))
 

@@ -1,10 +1,13 @@
-"""Every module-level import in the package is used.
+"""Every module-level import and private name in the package is used.
 
 No linter ships with the project, so this walks each module's syntax tree
-with the standard library: a name bound by a top-level `import` or
-`from ... import` must appear as a name somewhere else in the module.
+with the standard library.  A name bound by a top-level `import` or
+`from ... import` must appear as a name somewhere else in the module;
 `__init__.py` re-exports by importing and `from __future__` imports are
-directives, so both are exempt.
+directives, so both are exempt.  A private name (one leading underscore)
+bound at the top level of a module must be read somewhere in the package,
+as a name, an attribute or an imported name; binding it again does not
+count as a use.
 """
 
 import ast
@@ -30,6 +33,46 @@ def unused_imports(source: str) -> list:
     return sorted((line, name) for name, line in imported.items() if name not in used)
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
+def _top_level_bindings(tree: ast.Module) -> dict:
+    bound = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for n in ast.walk(target):
+                    if isinstance(n, ast.Name):
+                        bound[n.id] = node.lineno
+    return bound
+
+
+def _reads(tree: ast.Module) -> set:
+    out = set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.ImportFrom):
+            out.update(alias.name for alias in n.names)
+    return out
+
+
+def unused_private_names(sources: dict) -> list:
+    """(module, line, name) for each top-level private name nothing reads."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    read = set().union(*(_reads(tree) for tree in trees.values()))
+    return sorted((mod, line, name)
+                  for mod, tree in trees.items()
+                  for name, line in _top_level_bindings(tree).items()
+                  if _is_private(name) and name not in read)
+
+
 def test_checker_flags_an_unused_import():
     src = ("from __future__ import annotations\n"
            "import os\n"
@@ -38,6 +81,31 @@ def test_checker_flags_an_unused_import():
     assert unused_imports(src) == [(2, "os"), (3, "List")]
 
 
+def test_checker_flags_an_unused_private_name():
+    sources = {
+        "a": ("__all__ = ['f']\n"
+              "_TABLE = {}\n"
+              "_STATE = None\n"
+              "def _helper(): return _TABLE\n"
+              "def _dead(): pass\n"
+              "def f():\n"
+              "    global _STATE\n"
+              "    _STATE = 1\n"),
+        "b": ("from .a import _helper\n"
+              "class _Shape: pass\n"
+              "import a\n"
+              "x = a._Other\n"
+              "def _Other(): pass\n"),
+    }
+    assert unused_private_names(sources) == [
+        ("a", 3, "_STATE"), ("a", 5, "_dead"), ("b", 2, "_Shape")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_package_has_no_unused_private_names():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unused_private_names(sources) == []

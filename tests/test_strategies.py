@@ -36,7 +36,7 @@ from howecurves import (
     supersingular_lambda_set,
     two_torsion_roots,
 )
-from howecurves import ellcurve
+from howecurves import ellcurve, genus2
 from howecurves.ellcurve import enumerate_supersingular_classes
 from howecurves.genus2 import cartier_manin
 from howecurves.strategies import VerificationError, _fit_orbits, _verify_representatives
@@ -277,6 +277,30 @@ def test_verification_rejects_bad_representative():
         _verify_representatives(ctx, [bad])
 
 
+def test_verification_checks_each_genus2_curve_once(monkeypatch):
+    ctx = FieldCtx(17)
+    reps = enumerate_b(ctx).representatives
+    curves = {H.curve.roots for H in reps}
+    assert len(curves) < len(reps)
+    calls = []
+
+    def counting(C):
+        calls.append(C.roots)
+        return cartier_manin(C)
+
+    monkeypatch.setattr(genus2, "cartier_manin", counting)
+    _verify_representatives(ctx, reps)
+    assert sorted(calls) == sorted(curves)
+
+    # a bad branch point on a curve that already passed is still caught
+    H = reps[0]
+    b = next(b for b in ctx.elements() if b not in H.curve.roots
+             and not is_superspecial_howe(HoweData(H.curve, H.split, b)))
+    bad = HoweData(H.curve, H.split, b)
+    with pytest.raises(VerificationError, match="fails the superspeciality re-check"):
+        _verify_representatives(ctx, reps + [bad])
+
+
 def test_report_jsonable_shape():
     rb = enumerate_b(FieldCtx(11))
     doc = rb.to_jsonable()
@@ -287,6 +311,4 @@ def test_report_jsonable_shape():
         assert set(rep) == {"roots", "split", "b"}
         assert len(rep["roots"]) == 6
         assert sorted(rep["split"][0] + rep["split"][1]) == list(range(6))
-    slim = rb.to_jsonable(with_representatives=False)
-    assert "representatives" not in slim
     assert "elapsed" not in doc
