@@ -25,7 +25,8 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # 4p^2 len + r p^2 len < 2^63.  For p <= MAX_P the least non-residue r is at
 # most 29, so any len below 3 * 10^8 is exact, far beyond the longest operand
 # used (length 2p, in the Cartier-Manin powers).  The schoolbook division
-# accumulates at most (1 + r) p^2 per coefficient before reducing.
+# accumulates at most (1 + r) p^2 per coefficient before reducing, and the
+# elementwise products of mobius_eval_array, at most (1 + r) p^2 < 2^35.
 MAX_P = 30000
 
 
@@ -81,7 +82,7 @@ def is_prime(n: int) -> bool:
 class FieldCtx:
     """Carrier for a prime p > 3 and the extension F_{p^2} = F_p(t), t^2 = r."""
 
-    __slots__ = ("p", "r", "zero", "one", "_half", "_nonsquare", "_ts_params")
+    __slots__ = ("p", "r", "zero", "one", "_half", "_nonsquare", "_ts_params", "_inv_table")
 
     def __init__(self, p: int):
         if not is_prime(p) or p <= 3:
@@ -95,6 +96,7 @@ class FieldCtx:
         self._half = pow(2, p - 2, p)
         self._nonsquare: Optional[FqElem] = None
         self._ts_params: Optional[tuple] = None
+        self._inv_table: Optional[np.ndarray] = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldCtx) and other.p == self.p
@@ -157,6 +159,16 @@ class FieldCtx:
 
     def div(self, x: FqElem, y: FqElem) -> FqElem:
         return self.mul(x, self.inv(y))
+
+    def inv_table(self) -> np.ndarray:
+        """Inverses of 0, 1, ..., p-1 in F_p (0 for 0), built on first use."""
+        if self._inv_table is None:
+            p = self.p
+            t = [0, 1] + [0] * (p - 2)
+            for i in range(2, p):
+                t[i] = -(p // i) * t[p % i] % p
+            self._inv_table = np.array(t, dtype=np.int64)
+        return self._inv_table
 
     def pow(self, x: FqElem, e: int) -> FqElem:
         if e < 0:
@@ -436,18 +448,26 @@ class UniPoly:
         return divmod(self, other)[1]
 
     def pow_truncated(self, e: int, degcap: int) -> "UniPoly":
-        """self^e with every intermediate truncated past degree degcap."""
+        """self^e with every intermediate truncated past degree degcap.
+
+        The square-and-multiply runs on bare coefficient arrays; only the
+        result is trimmed into a UniPoly.
+        """
         if e < 0:
             raise ValueError("exponent must be nonnegative")
-        acc = UniPoly.from_int_coeffs(self.ctx, [1])
-        base = self.truncate(degcap)
+        ctx = self.ctx
+        if self.is_zero() or degcap < 0:
+            return UniPoly.from_int_coeffs(ctx, [1 if e == 0 else 0])
+        n = degcap + 1
+        a0, a1 = np.ones(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+        b0, b1 = self.c0[:n], self.c1[:n]
         while e:
             if e & 1:
-                acc = (acc * base).truncate(degcap)
+                a0, a1 = (c[:n] for c in _conv_fq(ctx, a0, a1, b0, b1))
             e >>= 1
             if e:
-                base = (base * base).truncate(degcap)
-        return acc
+                b0, b1 = (c[:n] for c in _conv_fq(ctx, b0, b1, b0, b1))
+        return UniPoly(ctx, a0, a1)
 
     def pow_mod(self, e: int, modulus: "UniPoly") -> "UniPoly":
         """self^e mod modulus, by square-and-multiply.
@@ -685,6 +705,32 @@ class MobiusMap:
 
     def __repr__(self) -> str:
         return "MobiusMap(%r, %r, %r, %r)" % (self.a, self.b, self.c, self.d)
+
+
+def _mul_arrays(ctx: FieldCtx, x0, x1, y0, y1) -> tuple:
+    """Elementwise F_{p^2} product of (c0, c1) int64 arrays with entries in [0, p)."""
+    p = ctx.p
+    return (x0 * y0 + ctx.r * x1 * y1) % p, (x0 * y1 + x1 * y0) % p
+
+
+def mobius_eval_array(ctx: FieldCtx, maps: Sequence[MobiusMap], x0, x1) -> tuple:
+    """Every map at every finite point (x0[j], x1[j]), in one array pass.
+
+    Returns (y0, y1, finite), each of shape (len(maps), len(x0)).  Where a
+    denominator vanishes the image is INF: finite is False and y0 = y1 = 0.
+    The quotient is num * conj(den) / norm(den), the norm inverted through
+    ctx.inv_table().
+    """
+    p = ctx.p
+    coef = np.array([m.a + m.b + m.c + m.d for m in maps], dtype=np.int64)
+    a0, a1, b0, b1, c0, c1, d0, d1 = coef.reshape(-1, 8).T[:, :, None]
+    n0, n1 = _mul_arrays(ctx, a0, a1, x0, x1)
+    e0, e1 = _mul_arrays(ctx, c0, c1, x0, x1)
+    n0, n1 = (n0 + b0) % p, (n1 + b1) % p
+    e0, e1 = (e0 + d0) % p, (e1 + d1) % p
+    ninv = ctx.inv_table()[(e0 * e0 - ctx.r * e1 * e1) % p]
+    y0, y1 = _mul_arrays(ctx, n0, n1, e0 * ninv % p, -e1 * ninv % p)
+    return y0, y1, (e0 | e1) != 0
 
 
 def cross_ratio_map(ctx: FieldCtx, r: ProjPoint, s: ProjPoint, t: ProjPoint) -> MobiusMap:

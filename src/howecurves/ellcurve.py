@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .arith import (
     INF,
     FieldCtx,
@@ -115,13 +117,18 @@ def _translate_poly(f: UniPoly, c: FqElem) -> UniPoly:
 
 
 class SupersingularLambdaSet:
-    """The supersingular lambda-invariants of characteristic p, as a set."""
+    """The supersingular lambda-invariants of characteristic p, as a set.
 
-    __slots__ = ("ctx", "values", "_set")
+    codes holds c0 * p + c1 for each value, an int64 array in the order of
+    values (both sort ascending), for array membership tests.
+    """
+
+    __slots__ = ("ctx", "values", "codes", "_set")
 
     def __init__(self, ctx: FieldCtx, values: list):
         self.ctx = ctx
         self.values = tuple(sorted(values))
+        self.codes = np.array([c0 * ctx.p + c1 for c0, c1 in self.values], dtype=np.int64)
         self._set = frozenset(values)
 
     def __contains__(self, lam: FqElem) -> bool:

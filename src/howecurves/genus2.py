@@ -460,13 +460,23 @@ class SuperspecialList:
 
 
 def _glue_seeds(ctx: FieldCtx, classes: list) -> Iterator[Genus2Curve]:
-    """Glued curves over all unordered pairs of supersingular classes and matchings."""
-    triples = [two_torsion_roots(E) for E in classes]
+    """Glued curves over all unordered pairs of supersingular classes and matchings.
+
+    Each class's 2-torsion roots are found when a pair first needs them, so
+    a consumer that stops after a few seeds roots only a few classes.
+    """
+    triples = {}
+
+    def roots(i: int) -> tuple:
+        if i not in triples:
+            triples[i] = two_torsion_roots(classes[i])
+        return triples[i]
+
     for i in range(len(classes)):
         for j in range(i, len(classes)):
-            s = triples[i]
+            s, u = roots(i), roots(j)
             for perm in itertools.permutations(range(3)):
-                t = tuple(triples[j][k] for k in perm)
+                t = tuple(u[k] for k in perm)
                 C = glue_elliptic_pair(ctx, s, t)
                 if C is not None:
                     yield C

@@ -112,55 +112,6 @@ def howe_isomorphic(H1: HoweData, H2: HoweData) -> Optional[MobiusMap]:
     return None
 
 
-@dataclass(frozen=True)
-class CanonicalModel:
-    """Genus-4 canonical image in P^3: a quadric and a cubic surface.
-
-    The quadric is w^2 = q(x, y) with q a binary quadratic form, and the cubic
-    is z^2 y = c(x, y) with c the homogenization of a cubic in x; here
-    q * y equals the difference of the two homogenized cubics.
-    """
-
-    ctx: FieldCtx
-    quadric: tuple  # (c2, c1, c0): q = c2 x^2 + c1 x y + c0 y^2
-    cubic: tuple  # (1, e2, e1, e0): c = x^3 + e2 x^2 y + e1 x y^2 + e0 y^3
-
-
-def quadric_from_cubics(ctx: FieldCtx, f1: UniPoly, f2: UniPoly) -> tuple:
-    """Binary quadratic form q with q * y^1 = homog(f1) - homog(f2).
-
-    Both inputs must be monic cubics, so the x^3 terms cancel.
-    """
-    if f1.degree != 3 or f2.degree != 3:
-        raise ValueError("need two cubics")
-    if f1.leading() != ctx.one or f2.leading() != ctx.one:
-        raise ValueError("need monic cubics")
-    d = f1 - f2
-    return (d.coeff(2), d.coeff(1), d.coeff(0))
-
-
-def canonical_model(H: HoweData) -> CanonicalModel:
-    """Quadric-and-cubic presentation of the genus-4 curve.
-
-    Normalizes b to infinity first (by x -> 1/(x - b), which refreshes the
-    roots), then reads the two monic cubics off the split.
-    """
-    ctx = H.curve.ctx
-    if H.b is INF:
-        w1, w2 = H.split
-    else:
-        def move(rt):
-            return ctx.inv(ctx.sub(rt, H.b))
-
-        w1 = tuple(sorted(move(rt) for rt in H.split[0]))
-        w2 = tuple(sorted(move(rt) for rt in H.split[1]))
-    f1 = UniPoly.from_roots(ctx, w1)
-    f2 = UniPoly.from_roots(ctx, w2)
-    quad = quadric_from_cubics(ctx, f1, f2)
-    cubic = (ctx.one, f1.coeff(2), f1.coeff(1), f1.coeff(0))
-    return CanonicalModel(ctx, quad, cubic)
-
-
 def special_family(ctx: FieldCtx, a: FqElem) -> HoweData:
     """The curve y^2 = (x^3 + 1)(x^3 + a), split by the cubics, b = infinity.
 

@@ -13,7 +13,7 @@ triples looks for a fourth branch point b that makes both cubic halves
 supersingular.  The b values are the supersingular lambda set pulled back
 through the first half's cross-ratio map and tested through one composed
 Mobius map for the second half, so each split costs O(p) instead of a p^2
-scan.
+scan, and the 10 splits of a curve share one array pass.
 
 Both engines return the same report shape and must agree; the second is far
 faster and is the one behind the table and CLI defaults.
@@ -26,7 +26,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, List, Optional, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .arith import (
     ProjPoint,
     UniPoly,
     cross_ratio_map,
+    mobius_eval_array,
     poly_gcd,
     poly_roots_in_fq,
     sort_key,
@@ -45,6 +46,7 @@ from .ellcurve import (
     EllipticCurve,
     SupersingularLambdaSet,
     enumerate_supersingular_classes,
+    lambda_of_quartic,
     quartic_is_supersingular,
     supersingular_lambda_set,
     two_torsion_roots,
@@ -352,21 +354,30 @@ def enumerate_a_bruteforce(ctx: FieldCtx) -> EnumReport:
 
 
 def supersingular_b_values(ctx: FieldCtx, lset: SupersingularLambdaSet,
-                           split: tuple) -> list:
-    """The b making both halves y^2 = (x-b)(x-t_i1)(x-t_i2)(x-t_i3) supersingular.
+                           splits: Sequence[tuple]) -> list:
+    """For each split (T1, T2), the b making both quartic halves supersingular.
 
-    The Legendre invariant of the half on T = (t1, t2, t3) is the cross-ratio
-    (b, t1; t2, t3), a Mobius function M_T of b, so the good b for the first
-    half are the preimages under M1 = M_T1 of the lambda set; one composed
-    map N = M2 M1^-1 tests the second half on each of them.  Which of the six
-    cross-ratio orderings is used does not matter: the lambda set is stable
-    under all of them.  No lambda is 0, 1 or INF, so no b is a root.  Sorted
-    by the projective sort key, INF last.
+    The half on T = (t1, t2, t3) is y^2 = (x-b)(x-t1)(x-t2)(x-t3).  Its
+    Legendre invariant is the cross-ratio (b, t1; t2, t3), a Mobius function
+    M_T of b, so the good b for the first half are the preimages under
+    M1 = M_T1 of the lambda set; one composed map N = M2 M1^-1 tests the
+    second half on each of them.  Which of the six cross-ratio orderings is
+    used does not matter: the lambda set is stable under all of them.  The
+    maps N of all splits run over the whole lambda array in one pass,
+    membership is a search in lset.codes, and only the hits are pulled back
+    through M1^-1.  No lambda is 0, 1 or INF, so no b is a root.  Each list
+    is sorted by the projective sort key, INF last.
     """
-    T1, T2 = split
-    back = cross_ratio_map(ctx, *T1).inverse()
-    N = cross_ratio_map(ctx, *T2).compose(back)
-    return sorted((back(lam) for lam in lset.values if N(lam) in lset), key=sort_key)
+    p = ctx.p
+    backs = [cross_ratio_map(ctx, *T1).inverse() for T1, _ in splits]
+    maps = [cross_ratio_map(ctx, *T2).compose(back) for (_, T2), back in zip(splits, backs)]
+    codes = lset.codes
+    y0, y1, finite = mobius_eval_array(ctx, maps, codes // p, codes % p)
+    images = y0 * p + y1
+    pos = np.minimum(np.searchsorted(codes, images), len(codes) - 1)
+    hits = finite & (codes[pos] == images)
+    return [sorted((back(lset.values[j]) for j in np.flatnonzero(row)), key=sort_key)
+            for back, row in zip(backs, hits)]
 
 
 def iter_howe_fits(ctx: FieldCtx, lset: SupersingularLambdaSet,
@@ -374,13 +385,16 @@ def iter_howe_fits(ctx: FieldCtx, lset: SupersingularLambdaSet,
     """(T1, T2, b) with both quartic halves supersingular, raw (no dedup).
 
     Each of the 10 splits is visited once, through the triple T1 holding the
-    first root; its complement T2 carries the same b values.
+    first root; its complement T2 carries the same b values.  The b values of
+    all 10 splits come from one supersingular_b_values call.
     """
     roots = C.roots
+    splits = []
     for pair in itertools.combinations(roots[1:], 2):
         T1 = (roots[0],) + pair
-        T2 = tuple(rt for rt in roots if rt not in T1)
-        for b in supersingular_b_values(ctx, lset, (T1, T2)):
+        splits.append((T1, tuple(rt for rt in roots if rt not in T1)))
+    for (T1, T2), bs in zip(splits, supersingular_b_values(ctx, lset, splits)):
+        for b in bs:
             yield T1, T2, b
 
 
@@ -497,15 +511,24 @@ def _verify_representatives(ctx: FieldCtx, reps: List[HoweData]) -> None:
     Uses the direct criterion (quartic Legendre invariants through the Hasse
     polynomial, Cartier-Manin entries of the sextic), not the search path
     that produced the representative.  Representatives sharing a genus-2
-    curve share its Cartier-Manin test, which runs once per curve.
+    curve share its Cartier-Manin test, which runs once per curve, and
+    quartics sharing a Legendre invariant (their cross-ratio, computed here
+    afresh) share its Hasse test, which runs once per lambda.
     """
     curve_ok = {}
+    lam_ok = {}
+
+    def supersingular(Q) -> bool:
+        lam = lambda_of_quartic(Q)
+        if lam not in lam_ok:
+            lam_ok[lam] = quartic_is_supersingular(Q)
+        return lam_ok[lam]
+
     for H in reps:
         if H.curve.roots not in curve_ok:
             curve_ok[H.curve.roots] = is_superspecial(H.curve)
         q1, q2 = H.quartics()
-        if not (quartic_is_supersingular(q1) and quartic_is_supersingular(q2)
-                and curve_ok[H.curve.roots]):
+        if not (supersingular(q1) and supersingular(q2) and curve_ok[H.curve.roots]):
             raise VerificationError(
                 "representative %r at p=%d fails the superspeciality re-check"
                 % (howe_jsonable(H), ctx.p))

@@ -22,7 +22,16 @@ from howecurves import (
     poly_roots_in_fq,
     sort_key,
 )
-from howecurves.arith import MAX_P, _conv_fq, _newton_inverse, _reduce_newton
+import numpy as np
+
+from howecurves.arith import (
+    MAX_P,
+    _conv_fq,
+    _mul_arrays,
+    _newton_inverse,
+    _reduce_newton,
+    mobius_eval_array,
+)
 
 
 def _random_elem(ctx, rng):
@@ -163,6 +172,27 @@ def test_powmod_truncated_matches_repeated_multiplication():
         assert f.pow_truncated(e, cap) == full.truncate(cap)
 
 
+def test_powmod_truncated_edge_cases_and_a_larger_prime():
+    ctx = FieldCtx(7)
+    zero = UniPoly.zero(ctx)
+    one = UniPoly.from_int_coeffs(ctx, [1])
+    assert zero.pow_truncated(0, 5) == one and zero.pow_truncated(3, 5) == zero
+    x3 = UniPoly.x_power(ctx, 3)
+    assert x3.pow_truncated(2, 5) == zero  # every term truncated away
+    assert x3.pow_truncated(2, 6) == UniPoly.x_power(ctx, 6)
+    assert x3.pow_truncated(0, -1) == one and x3.pow_truncated(1, -1) == zero
+    ctx = FieldCtx(409)
+    rng = random.Random(409)
+    for _ in range(10):
+        f = _random_poly(ctx, rng, rng.randrange(0, 7)).scale(_random_elem(ctx, rng))
+        e = rng.randrange(0, 12)
+        cap = rng.randrange(0, 40)
+        full = UniPoly.from_coeffs(ctx, [ctx.one])
+        for _ in range(e):
+            full = full * f
+        assert f.pow_truncated(e, cap) == full.truncate(cap)
+
+
 def _pow_mod_by_division(f, e, m):
     """Reference: square-and-multiply with a schoolbook division per step."""
     acc = UniPoly.from_int_coeffs(f.ctx, [1]) % m
@@ -278,6 +308,50 @@ def test_int64_limit_at_the_largest_prime():
     g0, g1 = _newton_inverse(ctx, fp.c0[::-1], fp.c1[::-1], n - 1)
     rem0, rem1 = _reduce_newton(ctx, pp.c0, pp.c1, fp.c0, fp.c1, g0, g1)
     assert list(zip(rem0.tolist(), rem1.tolist())) == _ref_poly_rem(r, p, prod, f)
+
+
+@pytest.mark.parametrize("p", [5, 7, 13, 29989])
+def test_inverse_table_inverts_every_residue(p):
+    ctx = FieldCtx(p)
+    table = ctx.inv_table()
+    assert table is ctx.inv_table() and table.dtype == np.int64 and len(table) == p
+    assert table[0] == 0
+    assert np.all(table[1:] * np.arange(1, p) % p == 1)
+
+
+def test_array_arithmetic_at_the_largest_prime():
+    # the array layer against ctx.mul / ctx.div, with every coordinate p - 1
+    # among the points and the map coefficients, and with zero denominators
+    p = 29989
+    ctx = FieldCtx(p)
+    rng = random.Random(29989)
+    top = (p - 1, p - 1)
+    xs = [top, (p - 1, 0), (0, p - 1), ctx.zero, ctx.one, (1, p - 1)]
+    xs += [_random_elem(ctx, rng) for _ in range(40)]
+    x0 = np.array([x[0] for x in xs], dtype=np.int64)
+    x1 = np.array([x[1] for x in xs], dtype=np.int64)
+    y0, y1 = _mul_arrays(ctx, x0, x1, x0[::-1], x1[::-1])
+    assert list(zip(y0.tolist(), y1.tolist())) == [ctx.mul(x, y) for x, y in zip(xs, xs[::-1])]
+
+    maps = [MobiusMap(ctx, top, top, ctx.one, top),          # pole at x = 1
+            MobiusMap(ctx, ctx.zero, top, ctx.one, ctx.zero),  # top / x, pole at 0
+            MobiusMap(ctx, top, ctx.zero, ctx.zero, top),      # the identity
+            MobiusMap(ctx, top, ctx.one, (p - 1, 0), top)]
+    maps += [MobiusMap(ctx, *(_random_elem(ctx, rng) for _ in range(4))) for _ in range(4)]
+    y0, y1, finite = mobius_eval_array(ctx, maps, x0, x1)
+    assert y0.shape == y1.shape == finite.shape == (len(maps), len(xs))
+    poles = 0
+    for k, m in enumerate(maps):
+        for j, x in enumerate(xs):
+            num = ctx.add(ctx.mul(m.a, x), m.b)
+            den = ctx.add(ctx.mul(m.c, x), m.d)
+            if den == ctx.zero:
+                poles += 1
+                assert not finite[k, j] and y0[k, j] == y1[k, j] == 0
+            else:
+                assert finite[k, j]
+                assert (int(y0[k, j]), int(y1[k, j])) == ctx.div(num, den) == m(x)
+    assert poles >= 2
 
 
 def test_roots_pinned_small_cases():

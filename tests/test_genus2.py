@@ -24,6 +24,7 @@ from howecurves import (
     UniPoly,
     automorphisms,
     cartier_manin,
+    find_one,
     glue_elliptic_pair,
     igusa_key,
     iko_window,
@@ -299,6 +300,32 @@ def test_glue_produces_superspecial_curves_with_split_jacobian():
                     splitting_delta(ctx, sp) == ctx.zero for sp in quadratic_splittings(C)
                 )
     assert produced > 0
+
+
+def test_glue_seeds_root_each_class_once_on_first_use(monkeypatch):
+    calls = []
+    real = genus2.two_torsion_roots
+
+    def counting(E):
+        calls.append(E)
+        return real(E)
+
+    monkeypatch.setattr(genus2, "two_torsion_roots", counting)
+    # the order of the eager form: all classes rooted up front, then every
+    # unordered pair (i <= j) and matching of the second triple
+    ctx = FieldCtx(61)
+    classes = enumerate_supersingular_classes(ctx)
+    triples = [real(E) for E in classes]
+    want = [C.roots for i, j in itertools.combinations_with_replacement(range(len(classes)), 2)
+            for perm in itertools.permutations(range(3))
+            for C in [glue_elliptic_pair(ctx, triples[i], tuple(triples[j][k] for k in perm))]
+            if C is not None]
+    assert [C.roots for C in genus2._glue_seeds(ctx, classes)] == want
+    assert calls == classes
+    # an existence search that stops at its first witness roots one class of 34
+    calls.clear()
+    assert find_one(FieldCtx(409)) is not None
+    assert len(calls) == 1
 
 
 def test_glue_identity_matching_returns_none():

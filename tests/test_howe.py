@@ -1,4 +1,4 @@
-"""Genus-4 double-cover data: construction, isomorphism, canonical model.
+"""Genus-4 double-cover data: construction, isomorphism, the special family.
 
 The isomorphism test has two oracles.  On a single base curve, two choices
 of branch point give isomorphic data exactly when an automorphism of the
@@ -20,7 +20,6 @@ from howecurves import (
     MobiusMap,
     UniPoly,
     automorphisms,
-    canonical_model,
     howe_from_cubics,
     howe_isomorphic,
     is_superspecial,
@@ -29,7 +28,6 @@ from howecurves import (
     mobius_from_triples,
     normalize_split,
     poly_roots_in_fq,
-    quadric_from_cubics,
     quartic_is_supersingular,
     special_family,
     supersingular_lambda_set,
@@ -210,65 +208,6 @@ def test_howe_isomorphic_agrees_with_the_explicit_search(p, genus2_lists):
             m = _assert_howe_isomorphic_matches_oracle(H1, H2)
             hits += m is not None and H1 != H2
     assert hits > 0
-
-
-def test_quadric_from_cubics_identity():
-    ctx = FieldCtx(13)
-    rng = random.Random(33)
-    for _ in range(20):
-        roots = set()
-        while len(roots) < 6:
-            roots.add(ctx.elem(rng.randrange(13), rng.randrange(13)))
-        roots = sorted(roots)
-        f1 = UniPoly.from_roots(ctx, roots[:3])
-        f2 = UniPoly.from_roots(ctx, roots[3:])
-        c2, c1, c0 = quadric_from_cubics(ctx, f1, f2)
-        d = f1 - f2
-        assert d.degree <= 2
-        assert (c2, c1, c0) == (d.coeff(2), d.coeff(1), d.coeff(0))
-    with pytest.raises(ValueError):
-        quadric_from_cubics(ctx, UniPoly.from_int_coeffs(ctx, [1, 1]), f2)
-    with pytest.raises(ValueError):
-        quadric_from_cubics(ctx, f1.scale(ctx.elem(2)), f2)
-
-
-def test_canonical_model_of_special_family():
-    # y^2 = (x^3 + 1)(x^3 + a): quadric degenerates to the constant form
-    # (1 - a) y^2, cubic is x^3 + 1 or x^3 + a depending on split order.
-    ctx = FieldCtx(11)
-    a = ctx.elem(-1)
-    H = special_family(ctx, a)
-    M = canonical_model(H)
-    assert M.quadric[0] == ctx.zero and M.quadric[1] == ctx.zero
-    diff = ctx.sub(ctx.one, a)
-    assert M.quadric[2] in (diff, ctx.neg(diff))
-    assert M.cubic[0] == ctx.one
-    assert M.cubic[1] == ctx.zero and M.cubic[2] == ctx.zero
-    assert M.cubic[3] in (ctx.one, a)
-
-
-def test_canonical_model_recovers_both_cubics():
-    # q*y = f1 - f2 by construction, so f2 = f1 - q must vanish on the
-    # image of the second split part.
-    ctx = FieldCtx(11)
-    _, H0 = _cube_root_data(11)
-    for b0 in (None, 2, 7):
-        b = INF if b0 is None else ctx.elem(b0)
-        if b is not INF and b in H0.curve.roots:
-            continue
-        H = HoweData(H0.curve, H0.split, b)
-        M = canonical_model(H)
-        f1 = UniPoly.from_coeffs(ctx, [M.cubic[3], M.cubic[2], M.cubic[1], M.cubic[0]])
-        q = UniPoly.from_coeffs(ctx, [M.quadric[2], M.quadric[1], M.quadric[0]])
-        f2 = f1 - q
-        if b is INF:
-            w2 = H.split[1]
-        else:
-            w2 = tuple(ctx.inv(ctx.sub(rt, b)) for rt in H.split[1])
-        vanishes = [f2.eval(rt) == ctx.zero for rt in w2]
-        f1_vanishes = [f1.eval(rt) == ctx.zero for rt in w2]
-        # one of the two cubics carries the second part
-        assert all(vanishes) or all(f1_vanishes)
 
 
 def test_special_family_membership_and_errors():

@@ -3,13 +3,16 @@
 Strategy (a)'s oracle expands every fiber's sextic power with no shared
 search code; strategy (b)'s branch-point solver is checked against a scan
 of the whole projective line using the Hasse-coefficient supersingularity
-test instead of the preimage formula.
+test instead of the preimage formula, and against the per-split scalar
+solver that its array pass replaced.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from howecurves import (
     INF,
@@ -27,16 +30,20 @@ from howecurves import (
     howe_isomorphic,
     howe_jsonable,
     howe_type_points,
+    is_prime,
     is_superspecial_howe,
     iter_howe_fits,
+    lambda_of_quartic,
     match_representatives,
     normalize_split,
     quartic_is_supersingular,
+    sort_key,
     supersingular_b_values,
     supersingular_lambda_set,
     two_torsion_roots,
 )
 from howecurves import ellcurve, genus2
+from howecurves.arith import cross_ratio_map
 from howecurves.ellcurve import enumerate_supersingular_classes
 from howecurves.genus2 import cartier_manin
 from howecurves.strategies import VerificationError, _fit_orbits, _verify_representatives
@@ -119,13 +126,29 @@ def test_no_howe_curve_at_p7():
     assert find_one(FieldCtx(7)) is None
 
 
+def _all_orientations(C):
+    """(T1, T2) for each of the 20 triples T1 of C's roots."""
+    return [(T1, tuple(rt for rt in C.roots if rt not in T1))
+            for T1 in itertools.combinations(C.roots, 3)]
+
+
+def _scalar_b_values(ctx, lset, split):
+    """The per-split solver the batched one replaced: N = M2 M1^-1 at each lambda."""
+    T1, T2 = split
+    back = cross_ratio_map(ctx, *T1).inverse()
+    N = cross_ratio_map(ctx, *T2).compose(back)
+    return sorted((back(lam) for lam in lset.values if N(lam) in lset), key=sort_key)
+
+
 def test_b_value_solver_matches_projective_scan(genus2_lists):
     for p in (11, 13):
         ctx = FieldCtx(p)
         lset = supersingular_lambda_set(ctx)
         for C in genus2_lists(p).curves:
-            for T1 in itertools.combinations(C.roots, 3):
-                T2 = tuple(rt for rt in C.roots if rt not in T1)
+            splits = _all_orientations(C)
+            got = supersingular_b_values(ctx, lset, splits)
+            assert len(got) == len(splits)
+            for (T1, T2), bs in zip(splits, got):
                 want = []
                 for b in sorted(ctx.elements()) + [INF]:
                     if b in C.roots:
@@ -134,8 +157,41 @@ def test_b_value_solver_matches_projective_scan(genus2_lists):
                     q2 = QuarticModel(ctx, b, T2)
                     if quartic_is_supersingular(q1) and quartic_is_supersingular(q2):
                         want.append(b)
-                got = supersingular_b_values(ctx, lset, (T1, T2))
-                assert got == want
+                assert bs == want
+
+
+@pytest.mark.parametrize("p", [q for q in range(7, 62) if is_prime(q)])
+def test_batched_solver_matches_the_scalar_oracle(p, genus2_lists):
+    ctx = FieldCtx(p)
+    lset = supersingular_lambda_set(ctx)
+    for C in genus2_lists(p).curves:
+        splits = _all_orientations(C)
+        want = [_scalar_b_values(ctx, lset, split) for split in splits]
+        assert supersingular_b_values(ctx, lset, splits) == want
+
+
+@st.composite
+def _random_curve_splits(draw):
+    """A prime below 1000, six distinct roots in random order, and splits of them.
+
+    Four primes, so the lambda-set memo computes each set once.
+    """
+    p = draw(st.sampled_from([7, 37, 409, 997]))
+    ctx = FieldCtx(p)
+    elem = st.builds(ctx.elem, st.integers(0, p - 1), st.integers(0, p - 1))
+    roots = draw(st.lists(elem, min_size=6, max_size=6, unique=True))
+    C = Genus2Curve(ctx, tuple(roots))
+    return ctx, C, [(tuple(roots[:3]), tuple(roots[3:]))] + _all_orientations(C)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_random_curve_splits())
+def test_batched_solver_matches_the_scalar_oracle_on_random_curves(case):
+    ctx, C, splits = case
+    lset = supersingular_lambda_set(ctx)
+    got = supersingular_b_values(ctx, lset, splits)
+    assert got == [_scalar_b_values(ctx, lset, split) for split in splits]
+    assert all(b not in C.roots for bs in got for b in bs)
 
 
 @pytest.mark.parametrize("p", [13, 17])
@@ -148,11 +204,10 @@ def test_fits_visit_each_split_once(p, genus2_lists):
         got = [(normalize_split(T1, T2), b) for T1, T2, b in fits]
         assert len(set(got)) == len(got)
         # no split is lost: both orientations of all 20 triples give the same fits
+        splits = _all_orientations(C)
         want = set()
-        for T1 in itertools.combinations(C.roots, 3):
-            T2 = tuple(rt for rt in C.roots if rt not in T1)
-            want.update((normalize_split(T1, T2), b)
-                        for b in supersingular_b_values(ctx, lset, (T1, T2)))
+        for (T1, T2), bs in zip(splits, supersingular_b_values(ctx, lset, splits)):
+            want.update((normalize_split(T1, T2), b) for b in bs)
         assert set(got) == want
 
 
@@ -163,12 +218,10 @@ def test_b_value_solver_is_symmetric_in_the_split(genus2_lists):
     C = genus2_lists(13).curves[0]
     T1 = tuple(C.roots[:3])
     T2 = tuple(C.roots[3:])
-    base = supersingular_b_values(ctx, lset, (T1, T2))
-    for _ in range(6):
-        p1 = tuple(rng.sample(T1, 3))
-        p2 = tuple(rng.sample(T2, 3))
-        assert supersingular_b_values(ctx, lset, (p1, p2)) == base
-    assert supersingular_b_values(ctx, lset, (T2, T1)) == base
+    [base] = supersingular_b_values(ctx, lset, [(T1, T2)])
+    orders = [(tuple(rng.sample(T1, 3)), tuple(rng.sample(T2, 3))) for _ in range(6)]
+    orders.append((T2, T1))
+    assert supersingular_b_values(ctx, lset, orders) == [base] * len(orders)
 
 
 def test_orbit_dedup_matches_naive_isomorphism_dedup(genus2_lists):
@@ -299,6 +352,40 @@ def test_verification_checks_each_genus2_curve_once(monkeypatch):
     bad = HoweData(H.curve, H.split, b)
     with pytest.raises(VerificationError, match="fails the superspeciality re-check"):
         _verify_representatives(ctx, reps + [bad])
+
+
+def test_verification_runs_one_hasse_test_per_lambda(monkeypatch, genus2_lists):
+    ctx = FieldCtx(53)
+    reps = enumerate_b(ctx, genus2=genus2_lists(53)).representatives
+    quartics = [Q for H in reps for Q in H.quartics()]
+    lams = {lambda_of_quartic(Q) for Q in quartics}
+    assert len(quartics) == 334 and len(lams) == 26
+    calls = []
+    real = ellcurve.is_supersingular
+
+    def counting(E):
+        calls.append(E)
+        return real(E)
+
+    monkeypatch.setattr(ellcurve, "is_supersingular", counting)
+    _verify_representatives(ctx, reps)
+    assert len(calls) == len(lams)
+
+    # a representative whose lambda is not supersingular, after good ones,
+    # is the first failure reported, with the same message as before
+    lset = supersingular_lambda_set(ctx)
+
+    def bad_after(H):
+        b = next(b for b in ctx.elements() if b not in H.curve.roots
+                 and lambda_of_quartic(QuarticModel(ctx, b, H.split[0])) not in lset)
+        return HoweData(H.curve, H.split, b)
+
+    first, second = bad_after(reps[3]), bad_after(reps[-1])
+    want = ("representative %r at p=53 fails the superspeciality re-check"
+            % (howe_jsonable(first),))
+    with pytest.raises(VerificationError) as err:
+        _verify_representatives(ctx, reps[:10] + [first] + reps[10:] + [second])
+    assert str(err.value) == want
 
 
 def test_report_jsonable_shape():
