@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional
 
-from .arith import FieldCtx, is_prime
+from .arith import MAX_P, FieldCtx, is_prime
 from .genus2 import (
     RationalityError,
     iko_window,
@@ -73,12 +73,20 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, "%s: error: %s\n" % (self.prog, message))
 
 
-def _field_for(p: int, min_p: int = 5) -> FieldCtx:
-    if not is_prime(p):
-        raise UsageError("p = %d is not prime" % p)
-    if p < min_p:
-        raise UsageError("p = %d is too small; need a prime >= %d" % (p, min_p))
-    return FieldCtx(p)
+def _checked_primes(what: str, primes: List[int], min_p: int) -> List[int]:
+    """The primes a command runs on, or a usage error before any work.
+
+    Each must be a prime in [min_p, MAX_P]; FieldCtx refuses larger ones.
+    """
+    for q in primes:
+        if not is_prime(q):
+            raise UsageError("p = %d is not prime" % q)
+    for bad, bound in (([q for q in primes if q < min_p], ">= %d" % min_p),
+                       ([q for q in primes if q > MAX_P], "<= %d" % MAX_P)):
+        if bad:
+            raise UsageError("%s needs primes %s; drop %s"
+                             % (what, bound, ", ".join(map(str, bad))))
+    return primes
 
 
 def _primes_in(pmin: int, pmax: int) -> List[int]:
@@ -146,9 +154,9 @@ def _field_header(ctx: FieldCtx) -> str:
 
 
 def cmd_enumerate(args) -> int:
-    ctx = _field_for(args.p)
+    ctx = FieldCtx(_checked_primes("enumerate", [args.p], 5)[0])
     strategies = ("a", "b") if args.strategy == "both" else (args.strategy,)
-    if "b" in strategies and ctx.p <= 5:
+    if "b" in strategies and ctx.p == 5:
         raise UsageError("strategy b needs p > 5; use --strategy a for p = 5")
     cdir = _cache_dir(args)
     genus2 = None
@@ -207,14 +215,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_table(args) -> int:
-    if args.pmin > args.pmax:
-        primes = []
-    else:
-        primes = _primes_in(args.pmin, args.pmax)
-    small = [q for q in primes if q < 7]
-    if small:
-        raise UsageError("table needs primes >= 7; drop %s from the range"
-                         % ", ".join(map(str, small)))
+    primes = _checked_primes("table", _primes_in(args.pmin, args.pmax), 7)
     cdir = _cache_dir(args)
     rows = []
     disagreements = []
@@ -297,18 +298,8 @@ def _exists_task(task: tuple) -> tuple:
 
 
 def cmd_exists(args) -> int:
-    if args.p is not None:
-        primes = [args.p] if is_prime(args.p) else []
-        if not primes:
-            raise UsageError("p = %d is not prime" % args.p)
-    elif args.pmin > args.pmax:
-        primes = []
-    else:
-        primes = _primes_in(args.pmin, args.pmax)
-    small = [q for q in primes if q < 5]
-    if small:
-        raise UsageError("exists needs primes >= 5; drop %s from the range"
-                         % ", ".join(map(str, small)))
+    primes = _checked_primes("exists", [args.p] if args.p is not None
+                             else _primes_in(args.pmin, args.pmax), 5)
 
     tasks = [(q, args.verify) for q in primes]
     if args.workers > 1 and len(tasks) > 1:
@@ -362,7 +353,7 @@ def cmd_exists(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    ctx = _field_for(args.p, min_p=7)
+    ctx = FieldCtx(_checked_primes("cache", [args.p], 7)[0])
     cdir = _cache_dir(args)
     if not cdir:
         raise UsageError("cache needs --cache DIR or the HOWE_CACHE environment variable")

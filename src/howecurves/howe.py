@@ -5,7 +5,8 @@ unordered split of its six Weierstrass roots into two triples {W1, W2}, and a
 seventh point b on the line distinct from the roots: the two covers branch at
 W1 + {b} and W2 + {b}, and the induced Klein-four diagram desingularizes to a
 curve of genus 4.  Two such triples give isomorphic genus-4 curves exactly
-when a Mobius map carries roots to roots, split to split, and b to b.
+when a Mobius map carries roots to roots, split to split, and b to b, that
+is, exactly when their howe_key values are equal.
 """
 
 from __future__ import annotations
@@ -110,6 +111,28 @@ def howe_isomorphic(H1: HoweData, H2: HoweData) -> Optional[MobiusMap]:
         if m(H1.b) == H2.b and {m(rt) for rt in H1.split[0]} in parts:
             return m
     return None
+
+
+def howe_key(H: HoweData) -> tuple:
+    """Canonical form of (split, b) under Mobius maps: the Howe-class identity.
+
+    b goes to INF by x -> 1/(x - b), leaving the affine maps; for each of the
+    12 ordered pairs (u, v) in one triple, x -> (x - u)/(v - u) sends that
+    triple to {0, 1, w}.  The key is the least (w, sorted image of the other
+    triple), so equal keys mean isomorphic data, roots going to roots.
+    """
+    ctx = H.curve.ctx
+    parts = H.split
+    if H.b is not INF:
+        parts = [[ctx.inv(ctx.sub(rt, H.b)) for rt in part] for part in parts]
+    keys = []
+    for (t1, t2, t3), other in ((parts[0], parts[1]), (parts[1], parts[0])):
+        for u, v, w in ((t1, t2, t3), (t1, t3, t2), (t2, t3, t1)):
+            s = ctx.inv(ctx.sub(v, u))
+            img = [ctx.mul(ctx.sub(x, u), s) for x in (w, *other)]
+            for im in (img, [ctx.sub(ctx.one, y) for y in img]):  # (v, u): 1 - image
+                keys.append((im[0], tuple(sorted(im[1:]))))
+    return min(keys)
 
 
 def special_family(ctx: FieldCtx, a: FqElem) -> HoweData:

@@ -15,8 +15,9 @@ through the first half's cross-ratio map and tested through one composed
 Mobius map for the second half, so each split costs O(p) instead of a p^2
 scan, and the 10 splits of a curve share one array pass.
 
-Both engines return the same report shape and must agree; the second is far
-faster and is the one behind the table and CLI defaults.
+Both engines keep the first hit of each howe_key, return the same report
+shape and must agree; the second is far faster and is the one behind the
+table and CLI defaults.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .ellcurve import (
 from .genus2 import (
     Genus2Curve,
     SuperspecialList,
-    automorphisms,
     closure_stream,
     igusa_key,
     is_superspecial,
@@ -63,6 +63,7 @@ from .genus2 import (
 from .howe import (
     HoweData,
     howe_isomorphic,
+    howe_key,
     is_superspecial_howe,
     normalize_split,
     special_family,
@@ -286,7 +287,7 @@ def enumerate_a(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
     torsion = [two_torsion_roots(E) for E in classes]
     pairs = [(i, j) for i in range(len(classes)) for j in range(i, len(classes))]
     raw = 0
-    buckets = {}
+    seen = set()
     reps: List[HoweData] = []
     if workers > 1:
         hit_lists = _pool_map_a(ctx.p, pairs, workers)
@@ -297,12 +298,10 @@ def enumerate_a(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
         for lam, mu in hits:
             raw += 1
             H = _howe_from_pair_hit(ctx, torsion[i], torsion[j], lam, mu)
-            key = igusa_key(ctx, H.curve.roots)
-            bucket = buckets.setdefault(key, [])
-            if any(howe_isomorphic(H, seen) is not None for seen in bucket):
-                continue
-            bucket.append(H)
-            reps.append(H)
+            key = howe_key(H)
+            if key not in seen:
+                seen.add(key)
+                reps.append(H)
     reps.sort(key=lambda H: H.sort_value())
     if verify:
         _verify_representatives(ctx, reps)
@@ -400,20 +399,20 @@ def iter_howe_fits(ctx: FieldCtx, lset: SupersingularLambdaSet,
 
 def _fit_orbits(ctx: FieldCtx, lset: SupersingularLambdaSet,
                 C: Genus2Curve) -> Tuple[int, list]:
-    """Representatives of (split, b) fits modulo the reduced automorphisms."""
-    auts = automorphisms(C)
+    """The raw fit count and the first (split, b) fit of each Howe key.
+
+    On one curve, equal keys mean one orbit under its reduced automorphisms.
+    """
     seen = set()
     reps = []
     raw = 0
     for T1, T2, b in iter_howe_fits(ctx, lset, C):
         raw += 1
-        key = (normalize_split(T1, T2), sort_key(b))
-        if key in seen:
-            continue
-        for g in auts:
-            gsplit = normalize_split([g(t) for t in T1], [g(t) for t in T2])
-            seen.add((gsplit, sort_key(g(b))))
-        reps.append((normalize_split(T1, T2), b))
+        H = HoweData(C, (T1, T2), b)
+        key = howe_key(H)
+        if key not in seen:
+            seen.add(key)
+            reps.append((H.split, b))
     return raw, reps
 
 
@@ -424,8 +423,7 @@ def enumerate_b(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
 
     Distinct list entries can never carry isomorphic Howe data (the genus-2
     quotient is an isomorphism invariant), so deduplication is local to each
-    curve: one orbit of (split, b) under its reduced automorphisms per Howe
-    curve.
+    curve: the first (split, b) fit of each Howe key.
     """
     t0 = time.perf_counter()
     L = genus2 if genus2 is not None else superspecial_genus2_list(ctx)
@@ -476,32 +474,18 @@ def match_representatives(reps1: List[HoweData], reps2: List[HoweData]
                           ) -> Optional[list]:
     """Pair the two representative lists class by class, or None if impossible.
 
-    Matching is by Howe-curve isomorphism, with the quotient's invariant key
-    cutting the candidate set first.  The return value maps each entry of the
-    first list to the index of its partner in the second.
+    Entries are paired by Howe key, and each pair is confirmed by an explicit
+    howe_isomorphic map.  The return value maps each entry of the first list
+    to the index of its partner in the second.
     """
     if len(reps1) != len(reps2):
         return None
-    if not reps1:
-        return []
-    ctx = reps1[0].curve.ctx
-    buckets = {}
-    for idx, K in enumerate(reps2):
-        buckets.setdefault(igusa_key(ctx, K.curve.roots), []).append(idx)
-    used = set()
-    pairing = []
-    for H in reps1:
-        found = None
-        for idx in buckets.get(igusa_key(ctx, H.curve.roots), ()):
-            if idx in used:
-                continue
-            if howe_isomorphic(H, reps2[idx]) is not None:
-                found = idx
-                break
-        if found is None:
-            return None
-        used.add(found)
-        pairing.append(found)
+    index = {howe_key(K): idx for idx, K in enumerate(reps2)}
+    pairing = [index.get(howe_key(H)) for H in reps1]
+    if None in pairing or len(set(pairing)) != len(pairing):
+        return None
+    if any(howe_isomorphic(H, reps2[idx]) is None for H, idx in zip(reps1, pairing)):
+        return None
     return pairing
 
 

@@ -100,6 +100,22 @@ def test_table_rejects_tiny_primes(capsys):
     assert "primes >= 7" in err
 
 
+@pytest.mark.parametrize("argv", [
+    "enumerate --p 30011",
+    "cache --p 30011",
+    "exists --p 30011",
+    "table --pmin 30000 --pmax 30020",
+    "exists --pmin 29990 --pmax 30020",
+])
+def test_primes_above_the_int64_limit_are_usage_errors(capsys, argv):
+    # refused before any work, also when smaller primes share the range
+    code, out, err = _run(capsys, argv.split())
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "<= 30000" in err
+
+
 def test_table_verify_flags_wrong_fixture(capsys, monkeypatch):
     import howecurves.cli as cli
 

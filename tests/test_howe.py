@@ -1,16 +1,19 @@
 """Genus-4 double-cover data: construction, isomorphism, the special family.
 
-The isomorphism test has two oracles.  On a single base curve, two choices
-of branch point give isomorphic data exactly when an automorphism of the
-curve preserving the split carries one choice to the other.  Across curves,
-an explicit search builds the 12 maps sending H1's first split part onto an
-ordered part of H2's split and checks the full incidence.
+The isomorphism test and the Howe key have two oracles.  On a single base
+curve, two choices of branch point give isomorphic data exactly when an
+automorphism of the curve preserving the split carries one choice to the
+other.  Across curves, an explicit search builds the 12 maps sending H1's
+first split part onto an ordered part of H2's split and checks the full
+incidence; equal keys must mean exactly that the search finds a map.
 """
 
 import itertools
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from howecurves import (
     INF,
@@ -22,12 +25,12 @@ from howecurves import (
     automorphisms,
     howe_from_cubics,
     howe_isomorphic,
+    howe_key,
     is_superspecial,
     is_superspecial_howe,
     iter_howe_fits,
     mobius_from_triples,
     normalize_split,
-    poly_roots_in_fq,
     quartic_is_supersingular,
     special_family,
     supersingular_lambda_set,
@@ -129,7 +132,9 @@ def _oracle_howe_isomorphic(H1, H2):
 
 def _assert_howe_isomorphic_matches_oracle(H1, H2):
     m = howe_isomorphic(H1, H2)
-    assert (m is None) == (_oracle_howe_isomorphic(H1, H2) is None)
+    want = _oracle_howe_isomorphic(H1, H2) is not None
+    assert (m is not None) == want
+    assert (howe_key(H1) == howe_key(H2)) == want
     if m is not None:
         assert m(H1.b) == H2.b
         img = normalize_split([m(rt) for rt in H1.split[0]], [m(rt) for rt in H1.split[1]])
@@ -156,6 +161,7 @@ def test_howe_isomorphic_is_reflexive_and_symmetric():
             tuple(m(rt) for rt in H.split[0]), tuple(m(rt) for rt in H.split[1])
         )
         H2 = HoweData(C2, split2, img_b)
+        assert howe_key(H2) == howe_key(H)
         fwd = _assert_howe_isomorphic_matches_oracle(H, H2)
         bwd = _assert_howe_isomorphic_matches_oracle(H2, H)
         assert fwd is not None and bwd is not None
@@ -208,6 +214,34 @@ def test_howe_isomorphic_agrees_with_the_explicit_search(p, genus2_lists):
             m = _assert_howe_isomorphic_matches_oracle(H1, H2)
             hits += m is not None and H1 != H2
     assert hits > 0
+
+
+@st.composite
+def _howe_data_and_mobius(draw):
+    """Howe data with b finite or INF, and a Mobius map keeping its roots finite.
+
+    Four primes, so the small fields make collisions likely and p = 409
+    exercises generic data.
+    """
+    ctx = FieldCtx(draw(st.sampled_from([7, 11, 13, 409])))
+    elem = st.builds(ctx.elem, st.integers(0, ctx.p - 1), st.integers(0, ctx.p - 1))
+    pts = draw(st.lists(elem, min_size=7, max_size=7, unique=True))
+    branch = draw(st.sampled_from([INF, pts[6]]))
+    H = HoweData(Genus2Curve(ctx, tuple(pts[:6])), (tuple(pts[:3]), tuple(pts[3:6])), branch)
+    a, b, c, d = (draw(elem) for _ in range(4))
+    assume(ctx.sub(ctx.mul(a, d), ctx.mul(b, c)) != ctx.zero)
+    g = MobiusMap(ctx, a, b, c, d)
+    assume(all(g(rt) is not INF for rt in H.curve.roots))
+    return H, g
+
+
+@settings(max_examples=150, deadline=None)
+@given(_howe_data_and_mobius())
+def test_howe_key_is_mobius_invariant(case):
+    H, g = case
+    image = HoweData(Genus2Curve(H.curve.ctx, tuple(g(rt) for rt in H.curve.roots)),
+                     tuple(tuple(g(rt) for rt in part) for part in H.split), g(H.b))
+    assert howe_key(image) == howe_key(H)
 
 
 def test_special_family_membership_and_errors():

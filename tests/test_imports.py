@@ -2,9 +2,9 @@
 
 No linter ships with the project, so this walks each module's syntax tree
 with the standard library.  A name bound by a top-level `import` or
-`from ... import` must appear as a name somewhere else in the module;
-`__init__.py` re-exports by importing and `from __future__` imports are
-directives, so both are exempt.  A private name (one leading underscore)
+`from ... import` in a package or test module must appear as a name
+somewhere else in the module; the package's `__init__.py` re-exports by
+importing and `from __future__` imports are directives, so both are exempt.  A private name (one leading underscore)
 bound at the top level of a module must be read somewhere in the package,
 as a name, an attribute or an imported name; binding it again does not
 count as a use.
@@ -15,8 +15,10 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "howecurves"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "howecurves"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+MODULES += sorted(TESTS.glob("*.py"))
 
 
 def unused_imports(source: str) -> list:

@@ -4,7 +4,8 @@ Strategy (a)'s oracle expands every fiber's sextic power with no shared
 search code; strategy (b)'s branch-point solver is checked against a scan
 of the whole projective line using the Hasse-coefficient supersingularity
 test instead of the preimage formula, and against the per-split scalar
-solver that its array pass replaced.
+solver that its array pass replaced; its Howe-key dedup is checked against
+the automorphism-orbit expansion it replaced.
 """
 
 import itertools
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 
 from howecurves import (
     INF,
-    EllipticCurve,
     FieldCtx,
     Genus2Curve,
     HoweData,
@@ -40,12 +40,11 @@ from howecurves import (
     sort_key,
     supersingular_b_values,
     supersingular_lambda_set,
-    two_torsion_roots,
 )
-from howecurves import ellcurve, genus2
+from howecurves import ellcurve, genus2, strategies
 from howecurves.arith import cross_ratio_map
 from howecurves.ellcurve import enumerate_supersingular_classes
-from howecurves.genus2 import cartier_manin
+from howecurves.genus2 import automorphisms, cartier_manin
 from howecurves.strategies import VerificationError, _fit_orbits, _verify_representatives
 
 
@@ -224,7 +223,33 @@ def test_b_value_solver_is_symmetric_in_the_split(genus2_lists):
     assert supersingular_b_values(ctx, lset, orders) == [base] * len(orders)
 
 
+def _orbit_oracle(ctx, lset, C):
+    """The first fit of each orbit under the reduced automorphisms of C."""
+    auts = automorphisms(C)
+    seen = set()
+    reps = []
+    raw = 0
+    for T1, T2, b in iter_howe_fits(ctx, lset, C):
+        raw += 1
+        key = (normalize_split(T1, T2), sort_key(b))
+        if key in seen:
+            continue
+        for g in auts:
+            gsplit = normalize_split([g(t) for t in T1], [g(t) for t in T2])
+            seen.add((gsplit, sort_key(g(b))))
+        reps.append((normalize_split(T1, T2), b))
+    return raw, reps
+
+
 def test_orbit_dedup_matches_naive_isomorphism_dedup(genus2_lists):
+    # the Howe-key dedup keeps exactly the orbit oracle's fits, in order, on
+    # every class at every prime up to 61
+    for p in (q for q in range(7, 62) if is_prime(q)):
+        ctx = FieldCtx(p)
+        lset = supersingular_lambda_set(ctx)
+        for C in genus2_lists(p).curves:
+            assert _fit_orbits(ctx, lset, C) == _orbit_oracle(ctx, lset, C), (p, C.roots)
+    # and as many as a pairwise howe_isomorphic dedup at p = 13
     ctx = FieldCtx(13)
     lset = supersingular_lambda_set(ctx)
     for C in genus2_lists(13).curves:
@@ -307,7 +332,7 @@ def test_lambda_set_is_computed_once_per_prime(monkeypatch):
     assert isinstance(lset.values, tuple)
 
 
-def test_match_representatives_edge_cases():
+def test_match_representatives_edge_cases(monkeypatch):
     ra = enumerate_b(FieldCtx(11))
     reps = ra.representatives
     assert match_representatives([], []) == []
@@ -317,6 +342,10 @@ def test_match_representatives_edge_cases():
     # a genuinely different list of the right length cannot match
     swapped = reps[:-1] + [reps[0]]
     assert match_representatives(reps, swapped) is None
+    assert match_representatives(swapped, reps) is None
+    # every key pairing is confirmed by an explicit map
+    monkeypatch.setattr(strategies, "howe_isomorphic", lambda H1, H2: None)
+    assert match_representatives(reps, list(reversed(reps))) is None
 
 
 def test_verification_rejects_bad_representative():
