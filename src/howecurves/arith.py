@@ -25,8 +25,11 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # 4p^2 len + r p^2 len < 2^63.  For p <= MAX_P the least non-residue r is at
 # most 29, so any len below 3 * 10^8 is exact, far beyond the longest operand
 # used (length 2p, in the Cartier-Manin powers).  The schoolbook division
-# accumulates at most (1 + r) p^2 per coefficient before reducing, and the
-# elementwise products of mobius_eval_array, at most (1 + r) p^2 < 2^35.
+# accumulates at most (1 + r) p^2 per coefficient before reducing.  The
+# elementwise products of _mul_arrays, behind mobius_eval_array and the
+# batched Igusa key (genus2.igusa_key), take operands in [0, p) and reduce
+# each product before the next, so no intermediate exceeds (1 + r) p^2 < 2^35;
+# the key's widest sum, the 60 terms of I6, each below p, stays below 2^21.
 MAX_P = 30000
 
 

@@ -89,7 +89,10 @@ def _checked_primes(what: str, primes: List[int], min_p: int) -> List[int]:
     return primes
 
 
-def _primes_in(pmin: int, pmax: int) -> List[int]:
+def _primes_in(what: str, pmin: int, pmax: int) -> List[int]:
+    """The primes in [pmin, pmax]; a pmax above MAX_P is refused before the scan."""
+    if pmax > MAX_P:
+        raise UsageError("%s needs primes <= %d; lower --pmax %d" % (what, MAX_P, pmax))
     return [q for q in range(max(pmin, 2), pmax + 1) if is_prime(q)]
 
 
@@ -215,7 +218,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_table(args) -> int:
-    primes = _checked_primes("table", _primes_in(args.pmin, args.pmax), 7)
+    primes = _checked_primes("table", _primes_in("table", args.pmin, args.pmax), 7)
     cdir = _cache_dir(args)
     rows = []
     disagreements = []
@@ -299,7 +302,7 @@ def _exists_task(task: tuple) -> tuple:
 
 def cmd_exists(args) -> int:
     primes = _checked_primes("exists", [args.p] if args.p is not None
-                             else _primes_in(args.pmin, args.pmax), 5)
+                             else _primes_in("exists", args.pmin, args.pmax), 5)
 
     tasks = [(q, args.verify) for q in primes]
     if args.workers > 1 and len(tasks) > 1:

@@ -74,18 +74,6 @@ def j_invariant(E: EllipticCurve) -> FqElem:
     return ctx.div(ctx.mul(ctx.elem(1728), a3), E.discriminant())
 
 
-def curve_from_j(ctx: FieldCtx, j: FqElem) -> EllipticCurve:
-    """One short Weierstrass model with the requested j-invariant."""
-    if j == ctx.zero:
-        return EllipticCurve(ctx, ctx.zero, ctx.one)
-    if j == ctx.elem(1728):
-        return EllipticCurve(ctx, ctx.one, ctx.zero)
-    k = ctx.sub(ctx.elem(1728), j)
-    A = ctx.mul(ctx.elem(3), ctx.mul(j, k))
-    B = ctx.mul(ctx.elem(2), ctx.mul(j, ctx.sqr(k)))
-    return EllipticCurve(ctx, A, B)
-
-
 def is_supersingular(E: EllipticCurve) -> bool:
     """Hasse invariant test: x^(p-1) coefficient of (x^3+Ax+B)^((p-1)/2)."""
     ctx = E.ctx
@@ -141,10 +129,23 @@ class SupersingularLambdaSet:
         return iter(self.values)
 
 
-# Recently computed lambda sets by p.  find_one, enumerate_b and the closure's
-# elliptic seeds all need the set for the same p; the entries are immutable.
+# Recently computed lambda sets and supersingular classes by p.  find_one,
+# both strategies, their pool workers and the closure's elliptic seeds all
+# need them for the same p; the entries are immutable.
 _LAMBDA_SETS: dict = {}
-_LAMBDA_SETS_KEPT = 4
+_CLASSES: dict = {}
+_KEPT = 4
+
+
+def _memo(table: dict, ctx: FieldCtx, compute):
+    """table[p], computed on first use and kept for the last few primes."""
+    value = table.get(ctx.p)
+    if value is None:
+        value = compute(ctx)
+        if len(table) >= _KEPT:
+            del table[next(iter(table))]
+        table[ctx.p] = value
+    return value
 
 
 def supersingular_lambda_set(ctx: FieldCtx) -> SupersingularLambdaSet:
@@ -152,13 +153,7 @@ def supersingular_lambda_set(ctx: FieldCtx) -> SupersingularLambdaSet:
 
     Computed once per p and kept for the last few primes asked for.
     """
-    lset = _LAMBDA_SETS.get(ctx.p)
-    if lset is None:
-        lset = _compute_lambda_set(ctx)
-        if len(_LAMBDA_SETS) >= _LAMBDA_SETS_KEPT:
-            del _LAMBDA_SETS[next(iter(_LAMBDA_SETS))]
-        _LAMBDA_SETS[ctx.p] = lset
-    return lset
+    return _memo(_LAMBDA_SETS, ctx, _compute_lambda_set)
 
 
 def _compute_lambda_set(ctx: FieldCtx) -> SupersingularLambdaSet:
@@ -200,14 +195,19 @@ def j_of_lambda(ctx: FieldCtx, lam: FqElem) -> FqElem:
     return ctx.div(num, den)
 
 
-def enumerate_supersingular_classes(ctx: FieldCtx) -> list:
+def enumerate_supersingular_classes(ctx: FieldCtx) -> tuple:
     """One Weierstrass model per supersingular j-invariant, sorted by j.
 
     Distills the (p-1)/2 supersingular lambda values down to their j-orbit
     representatives; the count always lands in [p/12, p/12 + 2].  Each model
     is derived from a Legendre curve, so its 2-torsion cubic splits over
-    F_{p^2}; a bare j-lift does not guarantee that.
+    F_{p^2}; a bare j-lift does not guarantee that.  Computed, with its
+    Hasse re-check, once per p and kept like the lambda set.
     """
+    return _memo(_CLASSES, ctx, _compute_classes)
+
+
+def _compute_classes(ctx: FieldCtx) -> tuple:
     lam_set = supersingular_lambda_set(ctx)
     by_j = {}
     for lam in lam_set.values:
@@ -217,7 +217,7 @@ def enumerate_supersingular_classes(ctx: FieldCtx) -> list:
     if not floor <= len(by_j) <= floor + 2:
         raise ArithmeticError("supersingular class count %d outside [%d, %d]"
                               % (len(by_j), floor, floor + 2))
-    curves = [_legendre_curve(ctx, by_j[j]) for j in sorted(by_j)]
+    curves = tuple(_legendre_curve(ctx, by_j[j]) for j in sorted(by_j))
     for E in curves:
         if not is_supersingular(E):
             raise ArithmeticError("lifted class with j=%r fails the Hasse test" % (j_invariant(E),))

@@ -20,7 +20,9 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .arith import (
     INF,
@@ -28,6 +30,7 @@ from .arith import (
     FqElem,
     MobiusMap,
     UniPoly,
+    _mul_arrays,
     cross_ratio_map,
     mobius_from_triples,
 )
@@ -90,24 +93,14 @@ def is_superspecial(C: Genus2Curve) -> bool:
 _PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
 
 
-def _pair_partitions():
-    """The 15 ways to split {0..5} into three unordered pairs."""
-    out = []
-
-    def rec(rem, acc):
-        if not rem:
-            out.append(tuple(acc))
-            return
-        first = rem[0]
-        for other in rem[1:]:
-            rest = [x for x in rem[1:] if x != other]
-            rec(rest, acc + [(first, other)])
-
-    rec(list(range(6)), [])
-    return out
-
-
-_PAIR_PARTITIONS = _pair_partitions()
+# The 15 ways to split {0..5} into three unordered pairs: 0 pairs with a,
+# the least remaining root b with c, and the last two pair up.
+_PAIR_PARTITIONS = [
+    ((0, a), (b, c), tuple(x for x in range(1, 6) if x not in (a, b, c)))
+    for a in range(1, 6)
+    for b in [min({1, 2, 3, 4, 5} - {a})]
+    for c in range(b + 1, 6) if c != a
+]
 _TRIPLE_PARTITIONS = [
     (tri, tuple(x for x in range(6) if x not in tri))
     for tri in itertools.combinations(range(6), 3)
@@ -116,73 +109,77 @@ _TRIPLE_PARTITIONS = [
 _BIJECTIONS = list(itertools.permutations(range(3)))
 
 
-def igusa_clebsch(ctx: FieldCtx, roots: tuple) -> tuple:
-    """Classical invariants (I2, I4, I6, I10) of weights (2, 4, 6, 10).
+def _pair(i: int, j: int) -> int:
+    return _PAIRS.index((min(i, j), max(i, j)))
 
-    Built as the symmetrized sums of products of squared root differences:
-    I2 over the 15 pair partitions, I4 over the 10 triple partitions, I6 over
-    the 60 (triple partition, cross-matching) terms, I10 the discriminant.
-    """
-    mul = ctx.mul
-    add = ctx.add
-    d2 = {}
-    for (i, j) in _PAIRS:
-        d = ctx.sub(roots[i], roots[j])
-        d2[(i, j)] = mul(d, d)
 
-    i2 = ctx.zero
-    for part in _PAIR_PARTITIONS:
-        term = ctx.one
-        for pr in part:
-            term = mul(term, d2[pr])
-        i2 = add(i2, term)
-
-    def triple_prod(tri):
-        a, b, c = sorted(tri)
-        return mul(d2[(a, b)], mul(d2[(a, c)], d2[(b, c)]))
-
-    i4 = ctx.zero
-    tp = {}
-    for tri, co in _TRIPLE_PARTITIONS:
-        tp[tri] = triple_prod(tri)
-        tp[co] = triple_prod(co)
-        i4 = add(i4, mul(tp[tri], tp[co]))
-
-    i6 = ctx.zero
-    for tri, co in _TRIPLE_PARTITIONS:
-        base = mul(tp[tri], tp[co])
-        for sigma in _BIJECTIONS:
-            cross = ctx.one
-            for k in range(3):
-                i, j = tri[k], co[sigma[k]]
-                cross = mul(cross, d2[(i, j) if i < j else (j, i)])
-            i6 = add(i6, mul(base, cross))
-
-    i10 = ctx.one
-    for pr in _PAIRS:
-        i10 = mul(i10, d2[pr])
-    return (i2, i4, i6, i10)
-
+_TRIPLES = list(itertools.combinations(range(6), 3))
+# Every Igusa-Clebsch term is built from products of three squared root
+# differences, gathered by one index table into the 15 pairs: the I2 terms
+# (pair partitions), the products over the pairs inside each root triple (an
+# I4 term multiplies those of a triple and its complement), the six
+# cross-matchings of each triple partition (an I6 term is an I4 term times
+# one of them) and five groups of three pairs (I10 is the product of all 15).
+_GATHER = np.array(
+    [[_pair(*pr) for pr in part] for part in _PAIR_PARTITIONS]
+    + [[_pair(a, b) for a, b in itertools.combinations(tri, 2)] for tri in _TRIPLES]
+    + [[_pair(tri[k], co[sigma[k]]) for k in range(3)]
+       for tri, co in _TRIPLE_PARTITIONS for sigma in _BIJECTIONS]
+    + [list(range(k, k + 3)) for k in range(0, 15, 3)]
+)
+_SECTIONS = np.cumsum([len(_PAIR_PARTITIONS), len(_TRIPLES), 6 * len(_TRIPLE_PARTITIONS)])
+_HALVES = np.array([[_TRIPLES.index(tri), _TRIPLES.index(co)] for tri, co in _TRIPLE_PARTITIONS]).T
+_FIRST, _SECOND = np.array(_PAIRS).T
 
 IgusaKey = tuple
 
 
-def igusa_key(ctx: FieldCtx, roots: tuple) -> IgusaKey:
+def igusa_key(ctx: FieldCtx, batch: Sequence[tuple]) -> list:
     """Canonical form of (I2:I4:I6:I10) under the weighted scaling action.
 
-    Two sextics have equal keys iff their invariant tuples agree up to the
-    scaling (s^2, s^4, s^6, s^10) over the algebraic closure, i.e. iff the
-    curves are Kbar-isomorphic.  Only weight-zero ratios are formed (no root
-    extraction), with a case split on the first nonvanishing invariant.
+    One key per root sextuple of the batch.  Two sextics have equal keys iff
+    their Igusa-Clebsch invariants agree up to the scaling (s^2, s^4, s^6,
+    s^10) over the algebraic closure, i.e. iff the curves are Kbar-isomorphic.
+    The invariants are sums of products of squared root differences (see
+    _GATHER), computed for the whole batch in one pass over int64 arrays
+    whose last axis holds (c0, c1): a fixed number of numpy calls whatever
+    the batch size (the int64 bound is argued next to arith.MAX_P).  Only
+    weight-zero ratios are formed, with a case split on the first nonvanishing
+    invariant; the rare rows with I2 = 0 are finished one at a time.
     """
-    i2, i4, i6, i10 = igusa_clebsch(ctx, roots)
+    p = ctx.p
+
+    def mul(x, y):
+        return np.stack(_mul_arrays(ctx, x[..., 0], x[..., 1], y[..., 0], y[..., 1]), axis=-1)
+
+    r = np.array(batch, dtype=np.int64).reshape(-1, 6, 2)
+    d = (r[:, _FIRST] - r[:, _SECOND]) % p
+    g = mul(d, d)[:, _GATHER]
+    pairings, insides, cross, groups = np.split(mul(mul(g[:, :, 0], g[:, :, 1]), g[:, :, 2]),
+                                                _SECTIONS, axis=1)
+    i4_terms = mul(insides[:, _HALVES[0]], insides[:, _HALVES[1]])
+    i6_terms = mul(i4_terms[:, :, None], cross.reshape(len(r), 10, 6, 2))
+    quads = mul(groups[:, 0:2], groups[:, 2:4])
+    invariants = np.stack([i4_terms.sum(axis=1), i6_terms.sum(axis=(1, 2)),
+                           mul(mul(quads[:, 0], quads[:, 1]), groups[:, 4])], axis=1) % p
+    i2 = pairings.sum(axis=1) % p
+    # s = 1/I2 through the norm, 0 where I2 = 0
+    ninv = ctx.inv_table()[(i2[:, 0] * i2[:, 0] - ctx.r * i2[:, 1] * i2[:, 1]) % p]
+    s = np.stack([i2[:, 0] * ninv, -i2[:, 1] * ninv], axis=-1) % p
+    s2 = mul(s, s)
+    s3 = mul(s2, s)
+    scaled = mul(invariants, np.stack([s2, s3, mul(s2, s3)], axis=1))
+    keys = []
+    for i2_row, key, rest in zip(i2.tolist(), scaled.tolist(), invariants.tolist()):
+        if any(i2_row):
+            keys.append((0,) + tuple(map(tuple, key)))
+        else:
+            keys.append(_key_without_i2(ctx, *map(tuple, rest)))
+    return keys
+
+
+def _key_without_i2(ctx: FieldCtx, i4: FqElem, i6: FqElem, i10: FqElem) -> IgusaKey:
     mul = ctx.mul
-    if i2 != ctx.zero:
-        s = ctx.inv(i2)
-        s2 = mul(s, s)
-        s3 = mul(s2, s)
-        s5 = mul(s2, s3)
-        return (0, mul(i4, s2), mul(i6, s3), mul(i10, s5))
     if i4 != ctx.zero:
         inv4 = ctx.inv(i4)
         w3 = ctx.pow(inv4, 3)
@@ -420,7 +417,7 @@ class SuperspecialList:
     the Igusa-Clebsch invariants classify genus-2 curves over the algebraic
     closure, so equal keys mean isomorphic curves and distinct keys distinct
     classes.  Models already seen are remembered, so a repeated model skips
-    the key.
+    the key.  Curves arrive in batches, each keyed in one array pass.
     """
 
     __slots__ = ("ctx", "curves", "keys", "_index", "_models")
@@ -440,11 +437,22 @@ class SuperspecialList:
     def __iter__(self) -> Iterator[Genus2Curve]:
         return iter(self.curves)
 
-    def add(self, C: Genus2Curve) -> Optional[int]:
-        """Insert C if its class is new; return the new index, else None."""
-        if C.roots in self._models:
-            return None
-        return self._add_keyed(C, igusa_key(self.ctx, C.roots))
+    def add(self, curves: Sequence[Genus2Curve]) -> list:
+        """Insert a batch in order; return the indices of the new classes.
+
+        The models not seen before are keyed in one igusa_key pass.  Then,
+        curve by curve, a model already seen is skipped, an equal key joins
+        its class, and any other key starts a new class.
+        """
+        fresh = list(dict.fromkeys(C.roots for C in curves if C.roots not in self._models))
+        keys = dict(zip(fresh, igusa_key(self.ctx, fresh)))
+        new = []
+        for C in curves:
+            if C.roots not in self._models:
+                idx = self._add_keyed(C, keys[C.roots])
+                if idx is not None:
+                    new.append(idx)
+        return new
 
     def _add_keyed(self, C: Genus2Curve, key: IgusaKey) -> Optional[int]:
         idx = self._index.get(key)
@@ -459,11 +467,12 @@ class SuperspecialList:
         return idx
 
 
-def _glue_seeds(ctx: FieldCtx, classes: list) -> Iterator[Genus2Curve]:
+def _glue_seeds(ctx: FieldCtx, classes: Sequence) -> Iterator[list]:
     """Glued curves over all unordered pairs of supersingular classes and matchings.
 
+    One list per pair of classes, holding its glued curves in matching order.
     Each class's 2-torsion roots are found when a pair first needs them, so
-    a consumer that stops after a few seeds roots only a few classes.
+    a consumer that stops after a few pairs roots only a few classes.
     """
     triples = {}
 
@@ -475,11 +484,9 @@ def _glue_seeds(ctx: FieldCtx, classes: list) -> Iterator[Genus2Curve]:
     for i in range(len(classes)):
         for j in range(i, len(classes)):
             s, u = roots(i), roots(j)
-            for perm in itertools.permutations(range(3)):
-                t = tuple(u[k] for k in perm)
-                C = glue_elliptic_pair(ctx, s, t)
-                if C is not None:
-                    yield C
+            glued = (glue_elliptic_pair(ctx, s, tuple(u[k] for k in perm))
+                     for perm in itertools.permutations(range(3)))
+            yield [C for C in glued if C is not None]
 
 
 def _rosenhain_seed(ctx: FieldCtx) -> Genus2Curve:
@@ -526,33 +533,34 @@ def closure_stream(
 
     Lazy form of superspecial_genus2_list: callers that only need the first
     few classes (existence searches) can stop consuming early.  The accumulator
-    may be supplied to observe the growing list alongside the stream.  A class
-    found beyond the upper end of iko_window raises ArithmeticError at once,
-    so a key that splits one class into several cannot make the walk run on.
+    may be supplied to observe the growing list alongside the stream.  The
+    seeds of each pair of elliptic classes, and the Richelot neighbours of
+    each class, are inserted as one batch.  A class found beyond the upper
+    end of iko_window raises ArithmeticError at once, so a key that splits
+    one class into several cannot make the walk run on.
     """
     if acc is None:
         acc = SuperspecialList(ctx)
     if seed_mode == "glue":
         seeds = _glue_seeds(ctx, enumerate_supersingular_classes(ctx))
     elif seed_mode == "rosenhain":
-        seeds = [_rosenhain_seed(ctx)]
+        seeds = [[_rosenhain_seed(ctx)]]
     else:
         raise ValueError("unknown seed mode %r" % (seed_mode,))
 
-    def candidates():
+    def batches():
         yield from seeds
         cursor = 0
         while cursor < len(acc.curves):
-            for _, D in richelot_codomains(acc.curves[cursor]):
-                yield D
+            yield [D for _, D in richelot_codomains(acc.curves[cursor])]
             cursor += 1
 
     hi = iko_window(ctx.p)[1]
-    for C in candidates():
-        if acc.add(C) is not None:
-            if len(acc) > hi:
-                raise _count_error(ctx.p, len(acc))
-            yield C
+    for batch in batches():
+        for idx in acc.add(batch):
+            if idx >= hi:
+                raise _count_error(ctx.p, idx + 1)
+            yield acc.curves[idx]
 
 
 def superspecial_genus2_list(ctx: FieldCtx, seed_mode: str = "glue") -> SuperspecialList:
@@ -600,44 +608,62 @@ def save_list(L: SuperspecialList, path: str) -> None:
         raise
 
 
+def _parse_record(ctx: FieldCtx, path: str, lineno: int, line: str) -> tuple:
+    """The curve and the stored key of one cache line."""
+    try:
+        left, right = line.split("|")
+        fields = left.split()
+        p = int(fields[0])
+        coords = [tuple(int(c) for c in f.split(",")) for f in fields[1:]]
+        keyfields = right.split()
+        key = (int(keyfields[0]),) + tuple(
+            tuple(int(c) for c in f.split(",")) for f in keyfields[1:]
+        )
+    except (ValueError, IndexError) as exc:
+        raise ValueError("cache record %d of %s is malformed: %s" % (lineno, path, exc))
+    if p != ctx.p:
+        raise ValueError("cache record %d of %s is for p=%d, expected %d"
+                         % (lineno, path, p, ctx.p))
+    if len(coords) != 6 or any(len(v) != 2 for v in coords):
+        raise ValueError("cache record %d of %s: want 6 roots as c0,c1 pairs"
+                         % (lineno, path))
+    if any(not (0 <= c < ctx.p) for v in coords for c in v):
+        raise ValueError("cache record %d of %s: coordinate out of range" % (lineno, path))
+    try:
+        return Genus2Curve(ctx, tuple(coords)), key
+    except ValueError as exc:
+        raise ValueError("cache record %d of %s: %s" % (lineno, path, exc))
+
+
 def load_list(ctx: FieldCtx, path: str) -> SuperspecialList:
-    """Reload a cached list, re-verifying superspeciality and keys per record."""
-    acc = SuperspecialList(ctx)
+    """Reload a cached list, re-verifying superspeciality and keys per record.
+
+    The records up to the first unreadable one are keyed in one igusa_key
+    pass; the error names the first faulty record in file order.
+    """
+    records = []
+    unreadable = None
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
-            if not line:
-                continue
-            try:
-                left, right = line.split("|")
-                fields = left.split()
-                p = int(fields[0])
-                coords = [tuple(int(c) for c in f.split(",")) for f in fields[1:]]
-                keyfields = right.split()
-                key = (int(keyfields[0]),) + tuple(
-                    tuple(int(c) for c in f.split(",")) for f in keyfields[1:]
-                )
-            except (ValueError, IndexError) as exc:
-                raise ValueError("cache record %d of %s is malformed: %s" % (lineno, path, exc))
-            if p != ctx.p:
-                raise ValueError("cache record %d of %s is for p=%d, expected %d"
-                                 % (lineno, path, p, ctx.p))
-            if len(coords) != 6 or any(len(v) != 2 for v in coords):
-                raise ValueError("cache record %d of %s: want 6 roots as c0,c1 pairs"
-                                 % (lineno, path))
-            if any(not (0 <= c < ctx.p) for v in coords for c in v):
-                raise ValueError("cache record %d of %s: coordinate out of range" % (lineno, path))
-            try:
-                C = Genus2Curve(ctx, tuple(coords))
-            except ValueError as exc:
-                raise ValueError("cache record %d of %s: %s" % (lineno, path, exc))
-            if igusa_key(ctx, C.roots) != key:
-                raise ValueError("cache record %d of %s: invariant key mismatch"
-                                 % (lineno, path))
-            if not is_superspecial(C):
-                raise ValueError("cache record %d of %s: curve is not superspecial"
-                                 % (lineno, path))
-            if acc._add_keyed(C, key) is None:
-                raise ValueError("cache record %d of %s duplicates an earlier class"
-                                 % (lineno, path))
+            if line:
+                try:
+                    records.append((lineno,) + _parse_record(ctx, path, lineno, line))
+                except ValueError as exc:
+                    unreadable = exc
+                    break
+    acc = SuperspecialList(ctx)
+    keys = igusa_key(ctx, [C.roots for _, C, _ in records])
+    for (lineno, C, key), computed in zip(records, keys):
+        if computed != key:
+            raise ValueError("cache record %d of %s: invariant key mismatch"
+                             % (lineno, path))
+        if not is_superspecial(C):
+            raise ValueError("cache record %d of %s: curve is not superspecial"
+                             % (lineno, path))
+        if acc._add_keyed(C, key) is None:
+            raise ValueError("cache record %d of %s duplicates an earlier class"
+                             % (lineno, path))
+    if unreadable is not None:
+        raise unreadable
     return acc

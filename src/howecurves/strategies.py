@@ -56,7 +56,6 @@ from .genus2 import (
     Genus2Curve,
     SuperspecialList,
     closure_stream,
-    igusa_key,
     is_superspecial,
     superspecial_genus2_list,
 )
@@ -307,44 +306,6 @@ def enumerate_a(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
         _verify_representatives(ctx, reps)
     return EnumReport(ctx.p, "a", len(reps), _ratio(ctx.p, len(reps)), raw,
                       None, seed, time.perf_counter() - t0, reps)
-
-
-def enumerate_a_bruteforce(ctx: FieldCtx) -> EnumReport:
-    """Reference scan of the whole (lam, mu) plane; small p only.
-
-    Tests the superspeciality of every fiber directly instead of factoring
-    entry gcds, so it shares no search logic with enumerate_a.
-    """
-    t0 = time.perf_counter()
-    classes = enumerate_supersingular_classes(ctx)
-    torsion = [two_torsion_roots(E) for E in classes]
-    raw = 0
-    buckets = {}
-    reps: List[HoweData] = []
-    for i in range(len(classes)):
-        for j in range(i, len(classes)):
-            for mu in ctx.elements():
-                if mu == ctx.zero:
-                    continue
-                for lam in ctx.elements():
-                    w1 = tuple(ctx.mul(mu, t) for t in torsion[i])
-                    w2 = tuple(ctx.add(lam, t) for t in torsion[j])
-                    if set(w1) & set(w2):
-                        continue
-                    H = HoweData(Genus2Curve(ctx, w1 + w2),
-                                 normalize_split(w1, w2), INF)
-                    if not is_superspecial_howe(H):
-                        continue
-                    raw += 1
-                    key = igusa_key(ctx, H.curve.roots)
-                    bucket = buckets.setdefault(key, [])
-                    if any(howe_isomorphic(H, seen) is not None for seen in bucket):
-                        continue
-                    bucket.append(H)
-                    reps.append(H)
-    reps.sort(key=lambda H: H.sort_value())
-    return EnumReport(ctx.p, "a-brute", len(reps), _ratio(ctx.p, len(reps)), raw,
-                      None, DEFAULT_SEED, time.perf_counter() - t0, reps)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ subprocess test exercises the installed module entry point end to end.
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -106,10 +107,15 @@ def test_table_rejects_tiny_primes(capsys):
     "exists --p 30011",
     "table --pmin 30000 --pmax 30020",
     "exists --pmin 29990 --pmax 30020",
+    "exists --pmin 8 --pmax 100000000000",
+    "table --pmin 8 --pmax 100000000000",
 ])
 def test_primes_above_the_int64_limit_are_usage_errors(capsys, argv):
-    # refused before any work, also when smaller primes share the range
+    # refused before any work, also when smaller primes share the range;
+    # a huge --pmax is refused before its range is scanned for primes
+    t0 = time.perf_counter()
     code, out, err = _run(capsys, argv.split())
+    assert time.perf_counter() - t0 < 5.0
     assert code == EXIT_USAGE
     assert out == ""
     assert err.startswith("error: ") and len(err.splitlines()) == 1

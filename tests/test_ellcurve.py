@@ -24,7 +24,8 @@ from howecurves import (
     supersingular_lambda_set,
     two_torsion_roots,
 )
-from howecurves.ellcurve import curve_from_j
+from howecurves import ellcurve
+from oracles import curve_from_j
 
 
 def test_j_invariant_pinned_values():
@@ -149,6 +150,24 @@ def test_class_enumeration_matches_j_scan():
         want = sorted(j for j in ctx.elements() if is_supersingular(curve_from_j(ctx, j)))
         assert got == want
         assert p // 12 <= len(got) <= p // 12 + 2
+
+
+def test_classes_are_computed_once_per_prime(monkeypatch):
+    # the Hasse re-check runs on the first call at a prime only, and the
+    # memo keeps as many primes as the lambda-set memo
+    calls = []
+    real = ellcurve.is_supersingular
+    monkeypatch.setattr(ellcurve, "is_supersingular", lambda E: calls.append(E) or real(E))
+    monkeypatch.setattr(ellcurve, "_CLASSES", {})  # cold memo
+    first = enumerate_supersingular_classes(FieldCtx(41))
+    assert isinstance(first, tuple) and calls == list(first)
+    calls.clear()
+    assert enumerate_supersingular_classes(FieldCtx(41)) is first
+    assert calls == []
+    later = [43, 47, 53, 59, 61, 67, 71, 73][:ellcurve._KEPT]
+    for q in later:
+        enumerate_supersingular_classes(FieldCtx(q))
+    assert sorted(ellcurve._CLASSES) == later
 
 
 def test_class_models_are_supersingular_with_split_two_torsion():

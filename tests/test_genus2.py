@@ -5,9 +5,11 @@ multiplication with no degree cap and reads the same four coefficients;
 the Mobius matcher behind isomorphic and automorphisms is checked against
 the explicit 120-map search it replaced; the closure construction is
 checked against the count window and against its own seeds, and the Mobius
-search is the oracle for its key-only class identity.
+search is the oracle for its key-only class identity.  The batched Igusa
+key is checked against the scalar igusa_clebsch oracle of tests/oracles.py.
 """
 
+import functools
 import itertools
 import random
 
@@ -43,6 +45,7 @@ from howecurves import (
 from howecurves import genus2
 from howecurves.arith import mobius_from_triples
 from howecurves.ellcurve import enumerate_supersingular_classes
+from oracles import igusa_clebsch, igusa_key_scalar
 
 
 def _curve(ctx, ints):
@@ -57,6 +60,10 @@ def _naive_entries(ctx, roots):
     for _ in range((p - 1) // 2):
         g = g * f
     return (g.coeff(p - 1), g.coeff(2 * p - 1), g.coeff(p - 2), g.coeff(2 * p - 2))
+
+
+def _key(ctx, roots):
+    return igusa_key(ctx, [roots])[0]
 
 
 def _random_sextic_roots(ctx, rng):
@@ -124,7 +131,7 @@ def test_isomorphic_and_igusa_keys_agree():
     C = _curve(ctx, (0, 1, 2, 3, 4, 5))
     D = _curve(ctx, (0, 1, 2, 3, 4, 6))
     assert isomorphic(C, C) is not None
-    assert igusa_key(ctx, C.roots) != igusa_key(ctx, D.roots) or isomorphic(C, D) is not None
+    assert _key(ctx, C.roots) != _key(ctx, D.roots) or isomorphic(C, D) is not None
 
     for _ in range(12):
         while True:
@@ -136,7 +143,7 @@ def test_isomorphic_and_igusa_keys_agree():
         if any(q is INF for q in img):
             continue
         C2 = Genus2Curve(ctx, tuple(img))
-        assert igusa_key(ctx, C2.roots) == igusa_key(ctx, C.roots)
+        assert _key(ctx, C2.roots) == _key(ctx, C.roots)
         mm = isomorphic(C, C2)
         assert mm is not None
         assert {mm(rt) for rt in C.roots} == set(C2.roots)
@@ -146,9 +153,10 @@ def test_distinct_keys_mean_no_isomorphism():
     ctx = FieldCtx(13)
     rng = random.Random(23)
     curves = [Genus2Curve(ctx, _random_sextic_roots(ctx, rng)) for _ in range(8)]
+    keys = igusa_key(ctx, [C.roots for C in curves])
     for i in range(len(curves)):
         for j in range(i + 1, len(curves)):
-            same_key = igusa_key(ctx, curves[i].roots) == igusa_key(ctx, curves[j].roots)
+            same_key = keys[i] == keys[j]
             assert same_key == (isomorphic(curves[i], curves[j]) is not None)
 
 
@@ -198,10 +206,10 @@ def test_matcher_agrees_with_the_explicit_search(p, genus2_lists):
     for C in L.curves:
         assert [m.key() for m in automorphisms(C)] == sorted(
             m.key() for m in _oracle_matches(C, C))
-        for _, D in richelot_codomains(C):
+        neighbours = [D for _, D in richelot_codomains(C)]
+        for D, key in zip(neighbours, igusa_key(C.ctx, [D.roots for D in neighbours])):
             _assert_isomorphic_matches_oracle(C, D)
-            _assert_isomorphic_matches_oracle(
-                L.curves[L.keys.index(igusa_key(C.ctx, D.roots))], D)
+            _assert_isomorphic_matches_oracle(L.curves[L.keys.index(key)], D)
     rng = random.Random(p)
     pairs = list(itertools.combinations(L.curves, 2))
     for C, D in rng.sample(pairs, min(len(pairs), 300)):
@@ -316,12 +324,14 @@ def test_glue_seeds_root_each_class_once_on_first_use(monkeypatch):
     ctx = FieldCtx(61)
     classes = enumerate_supersingular_classes(ctx)
     triples = [real(E) for E in classes]
-    want = [C.roots for i, j in itertools.combinations_with_replacement(range(len(classes)), 2)
-            for perm in itertools.permutations(range(3))
-            for C in [glue_elliptic_pair(ctx, triples[i], tuple(triples[j][k] for k in perm))]
-            if C is not None]
-    assert [C.roots for C in genus2._glue_seeds(ctx, classes)] == want
-    assert calls == classes
+    # with one batch per pair
+    want = [[C.roots for perm in itertools.permutations(range(3))
+             for C in [glue_elliptic_pair(ctx, triples[i], tuple(triples[j][k] for k in perm))]
+             if C is not None]
+            for i, j in itertools.combinations_with_replacement(range(len(classes)), 2)]
+    got = [[C.roots for C in batch] for batch in genus2._glue_seeds(ctx, classes)]
+    assert got == want
+    assert calls == list(classes)
     # an existence search that stops at its first witness roots one class of 34
     calls.clear()
     assert find_one(FieldCtx(409)) is not None
@@ -351,7 +361,18 @@ def test_superspecial_list_small_primes(genus2_lists):
                 assert isomorphic(L.curves[i], L.curves[j]) is None
 
 
-@pytest.mark.parametrize("p", [q for q in range(7, 62) if is_prime(q)])
+def _closure_candidates(L):
+    """Every model the closure keys: its glued seeds and each class's neighbours."""
+    ctx = L.ctx
+    seeds = [C for batch in genus2._glue_seeds(ctx, enumerate_supersingular_classes(ctx))
+             for C in batch]
+    return seeds + [D for C in L.curves for _, D in richelot_codomains(C)]
+
+
+_PRIMES_TO_61 = [q for q in range(7, 62) if is_prime(q)]
+
+
+@pytest.mark.parametrize("p", _PRIMES_TO_61)
 def test_key_names_an_isomorphic_class_for_every_candidate(p, genus2_lists):
     # the Mobius search is the oracle for key-only membership: every model
     # the closure tests is isomorphic to the class its key names
@@ -359,11 +380,72 @@ def test_key_names_an_isomorphic_class_for_every_candidate(p, genus2_lists):
     ctx = L.ctx
     index = {key: idx for idx, key in enumerate(L.keys)}
     assert len(index) == len(L)
-    seeds = list(genus2._glue_seeds(ctx, enumerate_supersingular_classes(ctx)))
-    neighbours = [D for C in L.curves for _, D in richelot_codomains(C)]
-    for D in seeds + neighbours:
-        C = L.curves[index[igusa_key(ctx, D.roots)]]
+    candidates = _closure_candidates(L)
+    for D, key in zip(candidates, igusa_key(ctx, [D.roots for D in candidates])):
+        C = L.curves[index[key]]
         assert isomorphic(C, D) is not None
+
+
+@pytest.mark.parametrize("p", _PRIMES_TO_61)
+def test_array_key_matches_the_scalar_oracle_for_every_candidate(p, genus2_lists):
+    L = genus2_lists(p)
+    ctx = L.ctx
+    batch = [D.roots for D in _closure_candidates(L)]
+    keys = igusa_key(ctx, batch)
+    assert keys == [igusa_key_scalar(ctx, roots) for roots in batch]
+    assert all(type(v) is int for key in keys for part in key[1:] for v in part)
+
+
+_PRIMES_TO_MAX = [q for q in range(7, 30000) if is_prime(q)]
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p):
+    return FieldCtx(p)
+
+
+@st.composite
+def _sextic_batches(draw):
+    """A prime up to 29989 and one to four sextics with distinct roots over it."""
+    ctx = _field(draw(st.sampled_from(_PRIMES_TO_MAX)))
+    elem = st.tuples(st.integers(0, ctx.p - 1), st.integers(0, ctx.p - 1))
+    sextic = st.lists(elem, min_size=6, max_size=6, unique=True).map(lambda r: tuple(sorted(r)))
+    return ctx, draw(st.lists(sextic, min_size=1, max_size=4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_sextic_batches())
+def test_array_key_matches_the_scalar_oracle_on_random_sextics(case):
+    ctx, batch = case
+    assert igusa_key(ctx, batch) == [igusa_key_scalar(ctx, roots) for roots in batch]
+
+
+def _scan_for_branch(p, branch):
+    """First sextic of a seeded scan over F_{p^2} whose key takes the branch."""
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    for _ in range(50):
+        batch = [_random_sextic_roots(ctx, rng) for _ in range(1000)]
+        for key, roots in zip(igusa_key(ctx, batch), batch):
+            if key[0] == branch:
+                return ctx, roots
+    raise AssertionError("no sextic with key branch %d at p=%d" % (branch, p))
+
+
+@pytest.mark.parametrize("p, branch", [(7, 1), (13, 2), (11, 3)])
+def test_array_key_matches_the_scalar_oracle_on_each_branch(p, branch):
+    # branch k: the first k of I2, I4, I6 vanish (I10 never does)
+    ctx, roots = _scan_for_branch(p, branch)
+    invariants = igusa_clebsch(ctx, roots)
+    assert [v == ctx.zero for v in invariants] == [k < branch for k in range(4)]
+    generic = _random_sextic_roots(ctx, random.Random(0))
+    batch = [generic, roots, generic]
+    assert igusa_key(ctx, batch) == [igusa_key_scalar(ctx, r) for r in batch]
+    # the key is constant on the class: x -> c x + 1 changes the invariants
+    # by the weights of c
+    c = ctx.elem(2, 1)
+    image = tuple(sorted(ctx.add(ctx.mul(c, rt), ctx.one) for rt in roots))
+    assert _key(ctx, image) == _key(ctx, roots)
 
 
 def test_superspecial_list_needs_p_over_5():
@@ -375,7 +457,7 @@ def test_closure_stops_once_the_count_passes_the_window(monkeypatch):
     # a key that tells every model apart turns each into a "class"; the
     # closure must fail at the first one past the window (hi = 3 at p = 11)
     # instead of walking on through every model
-    monkeypatch.setattr(genus2, "igusa_key", lambda ctx, roots: roots)
+    monkeypatch.setattr(genus2, "igusa_key", lambda ctx, batch: list(batch))
     with pytest.raises(ArithmeticError, match="count 4 at p=11 escapes"):
         superspecial_genus2_list(FieldCtx(11))
 

@@ -24,7 +24,6 @@ from howecurves import (
     UniPoly,
     cm_entry_polynomials,
     enumerate_a,
-    enumerate_a_bruteforce,
     enumerate_b,
     find_one,
     howe_isomorphic,
@@ -46,6 +45,7 @@ from howecurves.arith import cross_ratio_map
 from howecurves.ellcurve import enumerate_supersingular_classes
 from howecurves.genus2 import automorphisms, cartier_manin
 from howecurves.strategies import VerificationError, _fit_orbits, _verify_representatives
+from oracles import enumerate_a_bruteforce
 
 
 def _pair_sextic(ctx, E1, E2, lam, mu):
