@@ -30,7 +30,18 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # batched Igusa key (genus2.igusa_key), take operands in [0, p) and reduce
 # each product before the next, so no intermediate exceeds (1 + r) p^2 < 2^35;
 # the key's widest sum, the 60 terms of I6, each below p, stays below 2^21.
+# Strategy a's entry matrix product (matmul_fq) sums at most 3m + 1 <= 3p/2
+# products below p^2 in each of its four integer matrix products, so each
+# stays below 1.5 p^3 < 2^46 and the second component's sum of two below
+# 2^47; the first component's S1 T1 is reduced mod p before it is multiplied
+# by r.  The pseudo-remainder step of gcd_rows, lc(b) a - lc(a) x^s b, is two
+# elementwise products of operands in [0, p), each reduced below p, and one
+# difference.
 MAX_P = 30000
+
+# Row count of one block of the batched passes (strategy a's scales mu,
+# genus2.igusa_key's sextics): it bounds their temporaries at any batch size.
+ROW_BLOCK = 128
 
 
 def _restore_inf():
@@ -667,6 +678,15 @@ class MobiusMap:
         self.ctx = ctx
         self.a, self.b, self.c, self.d = a, b, c, d
 
+    @classmethod
+    def _invertible(cls, ctx: FieldCtx, a: FqElem, b: FqElem, c: FqElem, d: FqElem
+                    ) -> "MobiusMap":
+        """A map from a matrix known to be invertible, with no determinant test."""
+        out = cls.__new__(cls)
+        out.ctx = ctx
+        out.a, out.b, out.c, out.d = a, b, c, d
+        return out
+
     def __call__(self, pt: ProjPoint) -> ProjPoint:
         ctx = self.ctx
         if pt is INF:
@@ -686,10 +706,13 @@ class MobiusMap:
         b = ctx.add(m(self.a, other.b), m(self.b, other.d))
         c = ctx.add(m(self.c, other.a), m(self.d, other.c))
         d = ctx.add(m(self.c, other.b), m(self.d, other.d))
-        return MobiusMap(ctx, a, b, c, d)
+        # det(self) * det(other) != 0
+        return MobiusMap._invertible(ctx, a, b, c, d)
 
     def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.ctx, self.d, self.ctx.neg(self.b), self.ctx.neg(self.c), self.a)
+        # the adjugate has the same determinant
+        return MobiusMap._invertible(self.ctx, self.d, self.ctx.neg(self.b),
+                                     self.ctx.neg(self.c), self.a)
 
     def key(self) -> tuple:
         """Canonical projective normalization, usable as a dict key."""
@@ -714,6 +737,71 @@ def _mul_arrays(ctx: FieldCtx, x0, x1, y0, y1) -> tuple:
     """Elementwise F_{p^2} product of (c0, c1) int64 arrays with entries in [0, p)."""
     p = ctx.p
     return (x0 * y0 + ctx.r * x1 * y1) % p, (x0 * y1 + x1 * y0) % p
+
+
+def _mul_stacked(ctx: FieldCtx, x, y):
+    """_mul_arrays on arrays whose last axis holds (c0, c1); shapes broadcast."""
+    return np.stack(_mul_arrays(ctx, x[..., 0], x[..., 1], y[..., 0], y[..., 1]), axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# batched polynomial rows: (rows, n, 2) int64 arrays, ascending coefficients,
+# last axis (c0, c1), entries in [0, p)
+# ---------------------------------------------------------------------------
+
+
+def matmul_fq(ctx: FieldCtx, x, y):
+    """F_{p^2} matrix product of a (k, n, 2) and an (n, l, 2) array."""
+    p = ctx.p
+    x0, x1 = x[..., 0], x[..., 1]
+    y0, y1 = y[..., 0], y[..., 1]
+    return np.stack([(x0 @ y0 + ctx.r * (x1 @ y1 % p)) % p, (x0 @ y1 + x1 @ y0) % p], axis=-1)
+
+
+def row_degrees(rows):
+    """The degree of each polynomial row, -1 for the zero row."""
+    nonzero = (rows != 0).any(axis=-1)
+    last = nonzero.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
+    return np.where(nonzero.any(axis=1), last, -1)
+
+
+def gcd_rows(ctx: FieldCtx, a, b) -> tuple:
+    """Row by row, a gcd of two batches of polynomial rows, up to a unit.
+
+    Returns the gcd rows and their degrees: -1 where both rows are zero, 0
+    where the gcd is a unit.  Euclid runs on all rows in lockstep through
+    pseudo-remainder steps a <- lc(b) a - lc(a) x^s b, s = deg a - deg b,
+    which need no inverses and keep the gcd up to a unit.  A row's operands
+    are swapped whenever deg a < deg b, and a row leaves the loop once b is
+    zero (the gcd is a) or a nonzero constant (the gcd is a unit).
+    """
+    p = ctx.p
+    a = np.array(a, dtype=np.int64)
+    b = np.array(b, dtype=np.int64)
+    g = np.zeros_like(a)
+    deg = np.full(len(a), -1)
+    live = np.arange(len(a))
+    cols = np.arange(a.shape[1])
+    da, db = row_degrees(a), row_degrees(b)
+    while True:
+        swap = da < db
+        a[swap], b[swap] = b[swap], a[swap]
+        da, db = np.where(swap, db, da), np.where(swap, da, db)
+        done = db <= 0
+        unit = db[done] == 0
+        g[live[done]] = np.where(unit[:, None, None], b[done], a[done])
+        deg[live[done]] = np.where(unit, 0, da[done])
+        keep = ~done
+        live, a, b, da, db = live[keep], a[keep], b[keep], da[keep], db[keep]
+        if not len(live):
+            return g, deg
+        k = np.arange(len(live))
+        src = cols - (da - db)[:, None]
+        shifted = b[k[:, None], np.maximum(src, 0)]
+        shifted[src < 0] = 0
+        a = (_mul_stacked(ctx, b[k, db][:, None], a)
+             - _mul_stacked(ctx, a[k, da][:, None], shifted)) % p
+        da = row_degrees(a)
 
 
 def mobius_eval_array(ctx: FieldCtx, maps: Sequence[MobiusMap], x0, x1) -> tuple:

@@ -15,6 +15,7 @@ passes the mass-formula window.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
@@ -26,11 +27,12 @@ import numpy as np
 
 from .arith import (
     INF,
+    ROW_BLOCK,
     FieldCtx,
     FqElem,
     MobiusMap,
     UniPoly,
-    _mul_arrays,
+    _mul_stacked,
     cross_ratio_map,
     mobius_from_triples,
 )
@@ -141,17 +143,20 @@ def igusa_key(ctx: FieldCtx, batch: Sequence[tuple]) -> list:
     their Igusa-Clebsch invariants agree up to the scaling (s^2, s^4, s^6,
     s^10) over the algebraic closure, i.e. iff the curves are Kbar-isomorphic.
     The invariants are sums of products of squared root differences (see
-    _GATHER), computed for the whole batch in one pass over int64 arrays
-    whose last axis holds (c0, c1): a fixed number of numpy calls whatever
-    the batch size (the int64 bound is argued next to arith.MAX_P).  Only
-    weight-zero ratios are formed, with a case split on the first nonvanishing
-    invariant; the rare rows with I2 = 0 are finished one at a time.
+    _GATHER), computed in one pass per block of ROW_BLOCK rows over int64
+    arrays whose last axis holds (c0, c1): a fixed number of numpy calls per
+    block, and temporaries bounded whatever the batch size (the int64 bound
+    is argued next to arith.MAX_P).  Only weight-zero ratios are formed, with
+    a case split on the first nonvanishing invariant; the rare rows with
+    I2 = 0 are finished one at a time.
     """
+    return [key for start in range(0, len(batch), ROW_BLOCK)
+            for key in _igusa_key_block(ctx, batch[start:start + ROW_BLOCK])]
+
+
+def _igusa_key_block(ctx: FieldCtx, batch: Sequence[tuple]) -> list:
     p = ctx.p
-
-    def mul(x, y):
-        return np.stack(_mul_arrays(ctx, x[..., 0], x[..., 1], y[..., 0], y[..., 1]), axis=-1)
-
+    mul = functools.partial(_mul_stacked, ctx)
     r = np.array(batch, dtype=np.int64).reshape(-1, 6, 2)
     d = (r[:, _FIRST] - r[:, _SECOND]) % p
     g = mul(d, d)[:, _GATHER]
@@ -489,21 +494,6 @@ def _glue_seeds(ctx: FieldCtx, classes: Sequence) -> Iterator[list]:
             yield [C for C in glued if C is not None]
 
 
-def _rosenhain_seed(ctx: FieldCtx) -> Genus2Curve:
-    """Deterministic scan for one superspecial curve y^2 = x(x-1)(x-l)(x-m)(x-n).
-
-    The quintic branches at infinity as well, so each candidate is moved to a
-    six-finite-roots model before the Cartier-Manin test.
-    """
-    pool = [x for x in ctx.elements() if x not in ((0, 0), (1, 0))]
-    for lam, mu, nu in itertools.combinations(pool, 3):
-        pts = [ctx.zero, ctx.one, lam, mu, nu, INF]
-        C = Genus2Curve(ctx, _renormalize_infinite(ctx, pts))
-        if is_superspecial(C):
-            return C
-    raise ArithmeticError("no superspecial genus-2 curve found at p=%d" % ctx.p)
-
-
 def iko_window(p: int) -> tuple:
     """Inclusive integer range the superspecial class count must land in.
 
@@ -524,11 +514,8 @@ def _count_error(p: int, count: int) -> ArithmeticError:
         % (count, p, lo, hi))
 
 
-def closure_stream(
-    ctx: FieldCtx,
-    seed_mode: str = "glue",
-    acc: Optional[SuperspecialList] = None,
-) -> Iterator[Genus2Curve]:
+def closure_stream(ctx: FieldCtx, acc: Optional[SuperspecialList] = None
+                   ) -> Iterator[Genus2Curve]:
     """Yield superspecial genus-2 classes as the Richelot closure discovers them.
 
     Lazy form of superspecial_genus2_list: callers that only need the first
@@ -541,15 +528,9 @@ def closure_stream(
     """
     if acc is None:
         acc = SuperspecialList(ctx)
-    if seed_mode == "glue":
-        seeds = _glue_seeds(ctx, enumerate_supersingular_classes(ctx))
-    elif seed_mode == "rosenhain":
-        seeds = [[_rosenhain_seed(ctx)]]
-    else:
-        raise ValueError("unknown seed mode %r" % (seed_mode,))
 
     def batches():
-        yield from seeds
+        yield from _glue_seeds(ctx, enumerate_supersingular_classes(ctx))
         cursor = 0
         while cursor < len(acc.curves):
             yield [D for _, D in richelot_codomains(acc.curves[cursor])]
@@ -563,17 +544,16 @@ def closure_stream(
             yield acc.curves[idx]
 
 
-def superspecial_genus2_list(ctx: FieldCtx, seed_mode: str = "glue") -> SuperspecialList:
+def superspecial_genus2_list(ctx: FieldCtx) -> SuperspecialList:
     """Every superspecial genus-2 curve over F_bar_p, one model per class.
 
     Seeds the list with curves (2,2)-isogenous to products of supersingular
-    elliptic curves (or, with seed_mode="rosenhain", with a single scanned
-    curve) and closes under Richelot neighbours; connectivity of the
-    superspecial (2,2)-graph makes the closure exhaustive.  The count is
+    elliptic curves and closes under Richelot neighbours; connectivity of
+    the superspecial (2,2)-graph makes the closure exhaustive.  The count is
     checked against the exact interval around (p-1)(p^2+25p+166)/2880.
     """
     acc = SuperspecialList(ctx)
-    for _ in closure_stream(ctx, seed_mode, acc):
+    for _ in closure_stream(ctx, acc):
         pass
     lo, hi = iko_window(ctx.p)
     if not lo <= len(acc) <= hi:

@@ -5,7 +5,9 @@ of the fiber product is pinned down by two field parameters: a scale mu
 applied to the first cubic and a translation lam applied to the second, the
 third projective parameter being normalized to 1.  For each mu the four
 Cartier-Manin entries of y^2 = f1*f2 become polynomials in lam, and their
-gcd hands over exactly the superspecial fibers.
+gcd hands over exactly the superspecial fibers.  The scales run in blocks:
+one F_{p^2} matrix product gives a block's entry polynomials, and one
+lockstep Euclid over the block's rows gives their gcds.
 
 Strategy "b" walks the complete list of superspecial genus-2 curves instead,
 and for each of the 10 splits of a curve's Weierstrass points into two
@@ -33,14 +35,18 @@ import numpy as np
 
 from .arith import (
     INF,
+    ROW_BLOCK,
     FieldCtx,
     FqElem,
     ProjPoint,
     UniPoly,
+    _mul_stacked,
     cross_ratio_map,
+    gcd_rows,
+    matmul_fq,
     mobius_eval_array,
-    poly_gcd,
     poly_roots_in_fq,
+    row_degrees,
     sort_key,
 )
 from .ellcurve import (
@@ -151,121 +157,118 @@ def _binomials_mod_p(p: int):
     return binom
 
 
-def _shifted_power_rows(ctx: FieldCtx, E: EllipticCurve) -> list:
+def _cubic_power(ctx: FieldCtx, E: EllipticCurve):
+    """Coefficients of (x^3 + Ax + B)^m, m = (p-1)/2, as a (3m+1, 2) array."""
+    m = (ctx.p - 1) // 2
+    g = UniPoly.from_coeffs(ctx, [E.B, E.A, ctx.zero, ctx.one]).pow_truncated(m, 3 * m)
+    out = np.zeros((3 * m + 1, 2), dtype=np.int64)
+    out[: g.c0.size, 0] = g.c0
+    out[: g.c1.size, 1] = g.c1
+    return out
+
+
+def _shifted_power_rows(ctx: FieldCtx, E: EllipticCurve):
     """Coefficient rows of g(x - lam)^m in lam, for g = x^3 + Ax + B.
 
-    Row j holds the x^j coefficient of g(x-lam)^m as a polynomial in lam:
+    Row j of the (3m+1, 3m+1, 2) result holds the x^j coefficient of
+    g(x-lam)^m as a polynomial in lam, zero-padded to degree 3m:
     sum_k c_{j+k} * C(j+k, j) * (-1)^k * lam^k, with c the coefficients of
-    g^m.  Rows are (c0, c1) int64 array pairs ready for accumulation.
+    g^m.
     """
     p = ctx.p
-    m = (p - 1) // 2
-    g = UniPoly.from_coeffs(ctx, [E.B, E.A, ctx.zero, ctx.one])
-    gm = g.pow_truncated(m, 3 * m)
-    c0 = np.zeros(3 * m + 1, dtype=np.int64)
-    c1 = np.zeros(3 * m + 1, dtype=np.int64)
-    c0[: gm.c0.size] = gm.c0
-    c1[: gm.c1.size] = gm.c1
+    c = _cubic_power(ctx, E)
+    n = len(c)
     binom = _binomials_mod_p(p)
-    rows = []
-    for j in range(3 * m + 1):
-        length = 3 * m - j + 1
+    rows = np.zeros((n, n, 2), dtype=np.int64)
+    for j in range(n):
+        length = n - j
         signs = np.ones(length, dtype=np.int64)
         signs[1::2] = p - 1
         b = np.fromiter((binom(j + k, j) for k in range(length)), dtype=np.int64,
                         count=length)
-        w = signs * b % p
-        rows.append((c0[j:] * w % p, c1[j:] * w % p))
+        rows[j, :length] = c[j:] * (signs * b % p)[:, None] % p
     return rows
 
 
-class _PairEntryKernel:
-    """Shared tables behind the four entry polynomials of one curve pair.
+class _PairEntries:
+    """The four entry polynomials of one curve pair, for blocks of scales mu.
 
-    The shifted-power rows of the second cubic and the power of the first are
-    built once, so the per-mu entry assembly inside the full scan stays cheap.
+    With f1 = x^3 + A1 mu^2 x + B1 mu^3, the x^i coefficient of f1^m is
+    hm[i] mu^(3m-i), hm that of the unscaled cubic's power.  So the x^j
+    coefficient of (f1 f2)^m is sum_i hm[i] mu^(3m-i) rows[j-i], rows from
+    _shifted_power_rows of the second cubic: for a block of mu, the scale
+    matrix S[mu, i] = hm[i] mu^(3m-i) times a Toeplitz table, the rows
+    j-i taken down the diagonal.  The entries are the coefficients of
+    x^(p-1), x^(2p-1), x^(p-2) and x^(2p-2), each built on demand.
     """
 
     def __init__(self, ctx: FieldCtx, E1: EllipticCurve, E2: EllipticCurve):
         self.ctx = ctx
         p = ctx.p
-        self.m = (p - 1) // 2
-        self.targets = (p - 1, 2 * p - 1, p - 2, 2 * p - 2)
-        self.rows = _shifted_power_rows(ctx, E2)
-        h = UniPoly.from_coeffs(ctx, [E1.B, E1.A, ctx.zero, ctx.one])
-        hm = h.pow_truncated(self.m, 3 * self.m)
-        self.h0 = np.zeros(3 * self.m + 1, dtype=np.int64)
-        self.h1 = np.zeros(3 * self.m + 1, dtype=np.int64)
-        self.h0[: hm.c0.size] = hm.c0
-        self.h1[: hm.c1.size] = hm.c1
+        top = 3 * ((p - 1) // 2)
+        self.hm = _cubic_power(ctx, E1)
+        rows = _shifted_power_rows(ctx, E2)
+        self.tables = []
+        for j in (p - 1, 2 * p - 1, p - 2, 2 * p - 2):
+            lo, hi = max(0, j - top), min(top, j)
+            self.tables.append((lo, hi + 1, rows[j - hi: j - lo + 1][::-1]))
 
-    def entries(self, mu: FqElem) -> list:
-        ctx = self.ctx
-        p = ctx.p
-        r = ctx.r
-        m = self.m
-        mu_pow = [ctx.one]
-        for _ in range(3 * m):
-            mu_pow.append(ctx.mul(mu_pow[-1], mu))
-        out = []
-        for j in self.targets:
-            acc0 = np.zeros(3 * m + 1, dtype=np.int64)
-            acc1 = np.zeros(3 * m + 1, dtype=np.int64)
-            for i in range(max(0, j - 3 * m), min(3 * m, j) + 1):
-                # x^i coefficient of f1^m is hm[i] * mu^(3m - i)
-                w = mu_pow[3 * m - i]
-                s0 = (self.h0[i] * w[0] + r * self.h1[i] * w[1]) % p
-                s1 = (self.h0[i] * w[1] + self.h1[i] * w[0]) % p
-                if s0 == 0 and s1 == 0:
-                    continue
-                a0, a1 = self.rows[j - i]
-                n = a0.size
-                acc0[:n] += (s0 * a0 + r * s1 * a1) % p
-                acc1[:n] += (s0 * a1 + s1 * a0) % p
-            out.append(UniPoly(ctx, acc0 % p, acc1 % p))
-        return out
+    def scales(self, mus: Sequence[FqElem]):
+        """The (len(mus), 3m+1, 2) scale matrix S."""
+        x = np.array(mus, dtype=np.int64)
+        powers = [np.broadcast_to(np.array([1, 0], dtype=np.int64), x.shape)]
+        for _ in range(len(self.hm) - 1):
+            powers.append(_mul_stacked(self.ctx, powers[-1], x))
+        return _mul_stacked(self.ctx, self.hm, np.stack(powers[::-1], axis=1))
+
+    def entry(self, scales, k: int):
+        """Entry polynomial k for every row of the scale matrix."""
+        lo, hi, table = self.tables[k]
+        return matmul_fq(self.ctx, scales[:, lo:hi], table)
 
 
-def cm_entry_polynomials(ctx: FieldCtx, E1: EllipticCurve, E2: EllipticCurve,
-                         mu: FqElem) -> list:
-    """The four superspeciality entries of y^2 = f1*f2, as polynomials in lam.
+def _entry_gcds(ctx: FieldCtx, entry, count: int) -> tuple:
+    """A gcd of the four entry polynomials of each of count rows, and its degree.
 
-    f1 = x^3 + A1 mu^2 x + B1 mu^3 and f2 = (x-lam)^3 + A2 (x-lam) + B2.
-    Specializing the four at lam = lam0 (any value keeping the sextic
-    squarefree) reproduces the Cartier-Manin entries of that curve, and each
-    polynomial has degree at most 3(p-1)/2.
+    entry(k, rows) gives entry polynomial k of the chosen rows.  Entries 2-4
+    are built only for the rows whose gcd is not yet a unit, and a zero entry
+    leaves the gcd as it is.
     """
-    if mu == ctx.zero:
-        raise ValueError("the scale mu must be nonzero")
-    return _PairEntryKernel(ctx, E1, E2).entries(mu)
+    g = entry(0, np.arange(count))
+    deg = row_degrees(g)
+    for k in (1, 2, 3):
+        rows = np.flatnonzero(deg != 0)
+        if not len(rows):
+            break
+        g[rows], deg[rows] = gcd_rows(ctx, g[rows], entry(k, rows))
+    if (deg < 0).any():
+        raise ArithmeticError("all four entry polynomials vanished identically")
+    return g, deg
 
 
 def howe_type_points(ctx: FieldCtx, E1: EllipticCurve, E2: EllipticCurve
                      ) -> Iterator[Tuple[FqElem, FqElem]]:
     """All (lam, mu) in F_{p^2} x F_{p^2}* making y^2 = f1*f2 superspecial.
 
-    For fixed mu the four Cartier-Manin entries of the sextic are polynomials
-    in lam; their gcd is computed with an early exit once it collapses to a
-    unit, and its rational roots are the hits.  The third projective
+    f1 = x^3 + A1 mu^2 x + B1 mu^3 and f2 = (x-lam)^3 + A2 (x-lam) + B2.  For
+    fixed mu the four Cartier-Manin entries of the sextic are polynomials in
+    lam of degree at most 3(p-1)/2, and the rational roots of their gcd are
+    the hits.  The nonzero mu run in blocks of ROW_BLOCK: a block's entry
+    polynomials come from one F_{p^2} matrix product (_PairEntries), and
+    their gcds from a lockstep Euclid (arith.gcd_rows).  Hits come in
+    ctx.elements() order of mu, each mu's lam sorted.  The third projective
     parameter of the branch data is normalized to 1 throughout.
     """
-    kernel = _PairEntryKernel(ctx, E1, E2)
-    for mu in ctx.elements():
-        if mu == ctx.zero:
-            continue
-        g = None
-        for e in kernel.entries(mu):
-            if e.is_zero():
-                continue
-            g = e if g is None else poly_gcd(g, e)
-            if g.degree == 0:
-                break
-        if g is None:
-            raise ArithmeticError("all four entry polynomials vanished identically")
-        if g.degree == 0:
-            continue
-        for lam in poly_roots_in_fq(g):
-            yield lam, mu
+    pair = _PairEntries(ctx, E1, E2)
+    mus = [mu for mu in ctx.elements() if mu != ctx.zero]
+    for start in range(0, len(mus), ROW_BLOCK):
+        block = mus[start:start + ROW_BLOCK]
+        scales = pair.scales(block)
+        g, deg = _entry_gcds(ctx, lambda k, rows: pair.entry(scales[rows], k), len(block))
+        for i in np.flatnonzero(deg > 0):
+            poly = UniPoly(ctx, g[i, :, 0], g[i, :, 1]).monic()
+            for lam in poly_roots_in_fq(poly):
+                yield lam, block[i]
 
 
 def _howe_from_pair_hit(ctx: FieldCtx, rho1: tuple, rho2: tuple,

@@ -2,12 +2,17 @@
 
 Each oracle here is the straightforward form of a computation the package
 does another way: the scalar Igusa-Clebsch invariants behind the batched
-Igusa key, the whole-plane scan behind strategy a, and a direct model for
-each j-invariant behind the supersingular class list.  The tests compare
-the two.
+Igusa key, the per-mu entry polynomials and scalar gcd fold behind the
+batched strategy a, the whole-plane scan behind strategy a, a direct model
+for each j-invariant behind the supersingular class list, and a closure
+from one scanned Rosenhain curve behind the glued-seed closure.  The tests
+compare the two.
 """
 
+import itertools
 import time
+
+import numpy as np
 
 from howecurves import (
     DEFAULT_SEED,
@@ -16,14 +21,25 @@ from howecurves import (
     EnumReport,
     Genus2Curve,
     HoweData,
+    UniPoly,
     enumerate_supersingular_classes,
     howe_isomorphic,
+    is_superspecial,
     is_superspecial_howe,
     normalize_split,
+    poly_gcd,
+    poly_roots_in_fq,
+    richelot_codomains,
     two_torsion_roots,
 )
-from howecurves.genus2 import _BIJECTIONS, _PAIR_PARTITIONS, _PAIRS, _TRIPLE_PARTITIONS
-from howecurves.strategies import _ratio
+from howecurves.genus2 import (
+    _BIJECTIONS,
+    _PAIR_PARTITIONS,
+    _PAIRS,
+    _TRIPLE_PARTITIONS,
+    _renormalize_infinite,
+)
+from howecurves.strategies import _cubic_power, _ratio, _shifted_power_rows
 
 
 def igusa_clebsch(ctx, roots):
@@ -144,3 +160,112 @@ def curve_from_j(ctx, j):
     A = ctx.mul(ctx.elem(3), ctx.mul(j, k))
     B = ctx.mul(ctx.elem(2), ctx.mul(j, ctx.sqr(k)))
     return EllipticCurve(ctx, A, B)
+
+
+class _ScalarPairEntries:
+    """The entry polynomials of one curve pair, one scale mu at a time.
+
+    The shifted-power rows of the second cubic and the power of the first
+    are built once; each mu then costs 3m scalar products for its powers and
+    one array accumulation per nonzero coefficient of f1^m.
+    """
+
+    def __init__(self, ctx, E1, E2):
+        self.ctx = ctx
+        p = ctx.p
+        self.m = (p - 1) // 2
+        self.targets = (p - 1, 2 * p - 1, p - 2, 2 * p - 2)
+        self.rows = _shifted_power_rows(ctx, E2)
+        self.hm = _cubic_power(ctx, E1).tolist()
+
+    def entries(self, mu):
+        ctx = self.ctx
+        p = ctx.p
+        r = ctx.r
+        m = self.m
+        mu_pow = [ctx.one]
+        for _ in range(3 * m):
+            mu_pow.append(ctx.mul(mu_pow[-1], mu))
+        out = []
+        for j in self.targets:
+            acc0 = np.zeros(3 * m + 1, dtype=np.int64)
+            acc1 = np.zeros(3 * m + 1, dtype=np.int64)
+            for i in range(max(0, j - 3 * m), min(3 * m, j) + 1):
+                # x^i coefficient of f1^m is hm[i] * mu^(3m - i)
+                s0, s1 = ctx.mul(tuple(self.hm[i]), mu_pow[3 * m - i])
+                if s0 == 0 and s1 == 0:
+                    continue
+                a0, a1 = self.rows[j - i].T
+                acc0 += (s0 * a0 + r * s1 * a1) % p
+                acc1 += (s0 * a1 + s1 * a0) % p
+            out.append(UniPoly(ctx, acc0 % p, acc1 % p))
+        return out
+
+
+def cm_entry_polynomials(ctx, E1, E2, mu):
+    """The four superspeciality entries of y^2 = f1*f2, as polynomials in lam.
+
+    f1 = x^3 + A1 mu^2 x + B1 mu^3 and f2 = (x-lam)^3 + A2 (x-lam) + B2.
+    Specializing the four at lam = lam0 (any value keeping the sextic
+    squarefree) reproduces the Cartier-Manin entries of that curve, and each
+    polynomial has degree at most 3(p-1)/2.
+    """
+    if mu == ctx.zero:
+        raise ValueError("the scale mu must be nonzero")
+    return _ScalarPairEntries(ctx, E1, E2).entries(mu)
+
+
+def howe_type_points_scalar(ctx, E1, E2):
+    """howe_type_points one mu at a time, folding the entries by poly_gcd.
+
+    The fold skips zero entries and stops once the gcd is a unit.
+    """
+    pair = _ScalarPairEntries(ctx, E1, E2)
+    for mu in ctx.elements():
+        if mu == ctx.zero:
+            continue
+        g = None
+        for e in pair.entries(mu):
+            if e.is_zero():
+                continue
+            g = e if g is None else poly_gcd(g, e)
+            if g.degree == 0:
+                break
+        if g is None:
+            raise ArithmeticError("all four entry polynomials vanished identically")
+        if g.degree == 0:
+            continue
+        for lam in poly_roots_in_fq(g):
+            yield lam, mu
+
+
+def rosenhain_seed(ctx):
+    """Deterministic scan for one superspecial curve y^2 = x(x-1)(x-l)(x-m)(x-n).
+
+    The quintic branches at infinity as well, so each candidate is moved to a
+    six-finite-roots model before the Cartier-Manin test.
+    """
+    pool = [x for x in ctx.elements() if x not in ((0, 0), (1, 0))]
+    for lam, mu, nu in itertools.combinations(pool, 3):
+        pts = [ctx.zero, ctx.one, lam, mu, nu, INF]
+        C = Genus2Curve(ctx, _renormalize_infinite(ctx, pts))
+        if is_superspecial(C):
+            return C
+    raise ArithmeticError("no superspecial genus-2 curve found at p=%d" % ctx.p)
+
+
+def rosenhain_closure(ctx):
+    """The classes reached from rosenhain_seed by Richelot steps, breadth first.
+
+    One curve per igusa_key_scalar, in the order the walk finds them.
+    """
+    seed = rosenhain_seed(ctx)
+    seen = {igusa_key_scalar(ctx, seed.roots)}
+    classes = [seed]
+    for C in classes:
+        for _, D in richelot_codomains(C):
+            key = igusa_key_scalar(ctx, D.roots)
+            if key not in seen:
+                seen.add(key)
+                classes.append(D)
+    return classes

@@ -8,7 +8,11 @@ the handful of pinned small-field values that double as regression anchors.
 import pickle
 import random
 
+import functools
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from howecurves import (
     INF,
@@ -30,6 +34,8 @@ from howecurves.arith import (
     _mul_arrays,
     _newton_inverse,
     _reduce_newton,
+    gcd_rows,
+    matmul_fq,
     mobius_eval_array,
 )
 
@@ -429,6 +435,92 @@ def test_gcd_divides_both_operands():
         assert (d % common.monic()).is_zero()
 
 
+def _rows(polys, n):
+    """Zero-padded (len(polys), n, 2) coefficient rows."""
+    out = np.zeros((len(polys), n, 2), dtype=np.int64)
+    for k, f in enumerate(polys):
+        out[k, : len(f.c0), 0] = f.c0
+        out[k, : len(f.c1), 1] = f.c1
+    return out
+
+
+def _check_gcd_rows(ctx, pairs):
+    """gcd_rows on the pairs, row by row against poly_gcd after making both monic."""
+    n = max([1] + [len(f.c0) for pair in pairs for f in pair])
+    g, deg = gcd_rows(ctx, _rows([f for f, _ in pairs], n), _rows([h for _, h in pairs], n))
+    assert g.shape == (len(pairs), n, 2) and deg.shape == (len(pairs),)
+    for (f, h), row, d in zip(pairs, g, deg):
+        got = UniPoly(ctx, row[:, 0], row[:, 1])
+        assert got.degree == d
+        if f.is_zero() and h.is_zero():
+            assert d == -1
+        else:
+            assert got.monic() == poly_gcd(f, h)
+    return deg.tolist()
+
+
+def test_gcd_rows_on_explicit_rows():
+    ctx = FieldCtx(11)
+    zero = UniPoly.zero(ctx)
+    const = UniPoly.from_coeffs(ctx, [ctx.elem(3, 4)])
+    f = UniPoly.from_roots(ctx, [ctx.elem(1), ctx.elem(2), ctx.elem(0, 3)]).scale(ctx.elem(5, 1))
+    h = UniPoly.from_roots(ctx, [ctx.elem(2), ctx.elem(0, 3)])
+    pairs = [(zero, zero), (zero, f), (f, zero), (const, f), (f, const), (const, const),
+             (f, f), (h, f), (f, h), (h, f.scale(ctx.elem(0, 1)))]
+    assert _check_gcd_rows(ctx, pairs) == [-1, 3, 3, 0, 0, 0, 3, 2, 2, 2]
+    assert _check_gcd_rows(ctx, []) == []
+
+
+def test_gcd_rows_with_every_coefficient_p_minus_1():
+    p = 29989
+    ctx = FieldCtx(p)
+    top = (p - 1, p - 1)
+    full = [UniPoly.from_coeffs(ctx, [top] * k) for k in range(1, 9)]
+    pairs = [(a, b) for a in full for b in full]
+    pairs += [(a * b, a * c) for a, b, c in zip(full, full[1:], full[2:])]
+    _check_gcd_rows(ctx, pairs)
+
+
+def test_matmul_fq_at_the_largest_prime():
+    # strategy a's longest inner product, 3m + 1 terms, every entry p - 1
+    p = 29989
+    ctx = FieldCtx(p)
+    n = 3 * ((p - 1) // 2) + 1
+    x = np.full((2, n, 2), p - 1, dtype=np.int64)
+    x[1, :, 1] = 0
+    y = np.full((n, 3, 2), p - 1, dtype=np.int64)
+    y[:, 1, 0] = 1
+    got = matmul_fq(ctx, x, y)
+    for i in range(2):
+        for j in range(3):
+            a0, a1 = x[i, 0].tolist()
+            b0, b1 = y[0, j].tolist()
+            want = (n * (a0 * b0 + ctx.r * a1 * b1) % p, n * (a0 * b1 + a1 * b0) % p)
+            assert tuple(got[i, j].tolist()) == want
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p):
+    return FieldCtx(p)
+
+
+@st.composite
+def _gcd_row_batches(draw):
+    """A prime up to 29989 and one to six pairs (c f, c h) with a drawn common c."""
+    ctx = _field(draw(st.sampled_from([5, 7, 13, 409, 4003, 29989])))
+    elem = st.tuples(st.integers(0, ctx.p - 1), st.integers(0, ctx.p - 1))
+    poly = st.lists(elem, max_size=5).map(lambda cs: UniPoly.from_coeffs(ctx, cs))
+    triples = draw(st.lists(st.tuples(poly, poly, poly), min_size=1, max_size=6))
+    return ctx, [(c * f, c * h) for c, f, h in triples]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_gcd_row_batches())
+def test_gcd_rows_matches_poly_gcd_on_random_batches(case):
+    ctx, pairs = case
+    _check_gcd_rows(ctx, pairs)
+
+
 # ---------------------------------------------------------------------------
 # projective line
 # ---------------------------------------------------------------------------
@@ -573,6 +665,26 @@ def test_mobius_rejects_singular_matrix():
     ctx = FieldCtx(11)
     with pytest.raises(ValueError):
         MobiusMap(ctx, ctx.one, ctx.one, ctx.one, ctx.one)
+
+
+def test_compose_and_inverse_skip_the_determinant(monkeypatch):
+    # ad - bc is the only subtraction a Mobius map makes; maps built from
+    # invertible ones are invertible, so compose and inverse never test it
+    ctx = FieldCtx(11)
+    m = MobiusMap(ctx, ctx.elem(2), ctx.one, ctx.elem(3, 1), ctx.elem(5))
+    k = MobiusMap(ctx, ctx.zero, ctx.elem(4, 7), ctx.one, ctx.elem(1, 1))
+
+    def no_sub(self, x, y):
+        raise AssertionError("determinant recomputed")
+
+    monkeypatch.setattr(FieldCtx, "sub", no_sub)
+    back, both = m.inverse(), m.compose(k)
+    with pytest.raises(AssertionError, match="determinant recomputed"):
+        MobiusMap(ctx, ctx.one, ctx.zero, ctx.zero, ctx.one)
+    monkeypatch.undo()
+    for x in [INF, ctx.zero, ctx.one, ctx.elem(5, 9), ctx.elem(0, 3)]:
+        assert back(m(x)) == x
+        assert both(x) == m(k(x))
 
 
 def test_is_prime_small_table():

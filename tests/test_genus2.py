@@ -43,9 +43,9 @@ from howecurves import (
     two_torsion_roots,
 )
 from howecurves import genus2
-from howecurves.arith import mobius_from_triples
+from howecurves.arith import ROW_BLOCK, mobius_from_triples
 from howecurves.ellcurve import enumerate_supersingular_classes
-from oracles import igusa_clebsch, igusa_key_scalar
+from oracles import igusa_clebsch, igusa_key_scalar, rosenhain_closure
 
 
 def _curve(ctx, ints):
@@ -396,6 +396,19 @@ def test_array_key_matches_the_scalar_oracle_for_every_candidate(p, genus2_lists
     assert all(type(v) is int for key in keys for part in key[1:] for v in part)
 
 
+def test_batches_longer_than_one_block_key_like_single_rows(genus2_lists, monkeypatch):
+    L = genus2_lists(61)
+    batch = [D.roots for D in _closure_candidates(L)][: 2 * ROW_BLOCK + 1]
+    assert len(batch) == 2 * ROW_BLOCK + 1
+    singles = [_key(L.ctx, roots) for roots in batch]
+    sizes = []
+    real = genus2._igusa_key_block
+    monkeypatch.setattr(genus2, "_igusa_key_block",
+                        lambda ctx, rows: sizes.append(len(rows)) or real(ctx, rows))
+    assert igusa_key(L.ctx, batch) == singles
+    assert sizes == [ROW_BLOCK, ROW_BLOCK, 1]
+
+
 _PRIMES_TO_MAX = [q for q in range(7, 30000) if is_prime(q)]
 
 
@@ -463,13 +476,14 @@ def test_closure_stops_once_the_count_passes_the_window(monkeypatch):
 
 
 def test_seed_modes_agree():
+    # the glued-seed closure and a closure from one scanned Rosenhain curve
     for p in (7, 11):
         ctx = FieldCtx(p)
-        a = superspecial_genus2_list(ctx, seed_mode="glue")
-        b = superspecial_genus2_list(ctx, seed_mode="rosenhain")
-        assert len(a.curves) == len(b.curves)
+        a = superspecial_genus2_list(ctx)
+        b = rosenhain_closure(ctx)
+        assert len(a.curves) == len(b)
         for C in a.curves:
-            assert any(isomorphic(C, D) is not None for D in b.curves)
+            assert any(isomorphic(C, D) is not None for D in b)
 
 
 def test_save_load_round_trip(tmp_path, genus2_lists):

@@ -1,7 +1,8 @@
 """Both enumeration engines, their oracles, and the existence search.
 
-Strategy (a)'s oracle expands every fiber's sextic power with no shared
-search code; strategy (b)'s branch-point solver is checked against a scan
+Strategy (a)'s batched pass is checked against the per-mu scalar entries
+and gcd fold it replaced, and against an oracle that expands every fiber's
+sextic power with no shared search code; strategy (b)'s branch-point solver is checked against a scan
 of the whole projective line using the Hasse-coefficient supersingularity
 test instead of the preimage formula, and against the per-split scalar
 solver that its array pass replaced; its Howe-key dedup is checked against
@@ -11,6 +12,7 @@ the automorphism-orbit expansion it replaced.
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +24,6 @@ from howecurves import (
     HoweData,
     QuarticModel,
     UniPoly,
-    cm_entry_polynomials,
     enumerate_a,
     enumerate_b,
     find_one,
@@ -44,8 +45,14 @@ from howecurves import ellcurve, genus2, strategies
 from howecurves.arith import cross_ratio_map
 from howecurves.ellcurve import enumerate_supersingular_classes
 from howecurves.genus2 import automorphisms, cartier_manin
-from howecurves.strategies import VerificationError, _fit_orbits, _verify_representatives
-from oracles import enumerate_a_bruteforce
+from howecurves.strategies import (
+    VerificationError,
+    _entry_gcds,
+    _fit_orbits,
+    _PairEntries,
+    _verify_representatives,
+)
+from oracles import cm_entry_polynomials, enumerate_a_bruteforce, howe_type_points_scalar
 
 
 def _pair_sextic(ctx, E1, E2, lam, mu):
@@ -109,6 +116,83 @@ def test_pair_hit_search_matches_plane_scan():
                             want.add((lam, mu))
                 got = set(howe_type_points(ctx, classes[i], classes[j]))
                 assert got == want
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 17, 19])
+def test_batched_hits_match_the_scalar_oracle(p):
+    # the same (lam, mu) list, in order, for every pair of classes
+    ctx = FieldCtx(p)
+    classes = enumerate_supersingular_classes(ctx)
+    for i in range(len(classes)):
+        for j in range(i, len(classes)):
+            got = list(howe_type_points(ctx, classes[i], classes[j]))
+            assert got == list(howe_type_points_scalar(ctx, classes[i], classes[j])), (i, j)
+
+
+def _entry_rows(polys, n):
+    """The (4, n, 2) coefficient rows of four UniPolys, zero-padded."""
+    out = np.zeros((len(polys), n, 2), dtype=np.int64)
+    for k, f in enumerate(polys):
+        out[k, : f.degree + 1, 0] = f.c0
+        out[k, : f.degree + 1, 1] = f.c1
+    return out
+
+
+def _check_entry_rows(ctx, E1, E2, mus):
+    pair = _PairEntries(ctx, E1, E2)
+    scales = pair.scales(mus)
+    got = np.stack([pair.entry(scales, k) for k in range(4)], axis=1)
+    n = 3 * ((ctx.p - 1) // 2) + 1
+    assert got.shape == (len(mus), 4, n, 2)
+    for mu, rows in zip(mus, got):
+        assert np.array_equal(rows, _entry_rows(cm_entry_polynomials(ctx, E1, E2, mu), n)), mu
+
+
+def test_batched_entry_rows_match_the_scalar_oracle():
+    # every mu for p <= 13, random mu (more than one block) for p up to 61
+    rng = random.Random(61)
+    for p in (q for q in range(5, 62) if is_prime(q)):
+        ctx = FieldCtx(p)
+        classes = enumerate_supersingular_classes(ctx)
+        if p <= 13:
+            nonzero = [mu for mu in ctx.elements() if mu != ctx.zero]
+            for E1, E2 in itertools.product(classes, repeat=2):
+                _check_entry_rows(ctx, E1, E2, nonzero)
+        else:
+            mus = [ctx.elem(rng.randrange(p), rng.randrange(1, p)) for _ in range(150)]
+            mus[:2] = [ctx.one, ctx.elem(p - 1, p - 1)]
+            _check_entry_rows(ctx, rng.choice(classes), rng.choice(classes), mus)
+
+
+def test_entry_fold_matches_poly_gcd_and_rejects_vanishing_entries():
+    ctx = FieldCtx(11)
+    x = UniPoly.from_roots
+    polys = [
+        # gcd (x - 1)(x - 2) from the first two entries
+        [x(ctx, [ctx.one, ctx.elem(2), ctx.elem(3)]), x(ctx, [ctx.one, ctx.elem(2)]),
+         UniPoly.zero(ctx), x(ctx, [ctx.elem(2), ctx.one, ctx.elem(5)])],
+        # only the last entry is nonzero, and not monic
+        [UniPoly.zero(ctx)] * 3 + [x(ctx, [ctx.elem(4)]).scale(ctx.elem(3, 1))],
+        # a unit after two entries: the last two are never asked for
+        [x(ctx, [ctx.one]), x(ctx, [ctx.elem(2)]), None, None],
+    ]
+    rows = np.stack([_entry_rows([f if f is not None else UniPoly.zero(ctx) for f in row], 6)
+                     for row in polys])
+    asked = []
+
+    def entry(k, which):
+        asked.append((k, which.tolist()))
+        return rows[which, k]
+
+    g, deg = _entry_gcds(ctx, entry, len(rows))
+    assert deg.tolist() == [2, 1, 0]
+    assert asked == [(0, [0, 1, 2]), (1, [0, 1, 2]), (2, [0, 1]), (3, [0, 1])]
+    for row, d, want in zip(g, deg, [x(ctx, [ctx.one, ctx.elem(2)]), x(ctx, [ctx.elem(4)])]):
+        assert UniPoly(ctx, row[:, 0], row[:, 1]).monic() == want and want.degree == d
+    zero = np.zeros((3, 4, 6, 2), dtype=np.int64)
+    zero[0, :, 0, 0] = 1
+    with pytest.raises(ArithmeticError, match="vanished identically"):
+        _entry_gcds(ctx, lambda k, which: zero[which, k], 3)
 
 
 def test_strategy_a_agrees_with_its_bruteforce():
