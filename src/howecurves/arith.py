@@ -5,6 +5,11 @@ Elements of F_{p^2} = F_p[t]/(t^2 - r) are plain tuples (c0, c1) of ints in
 hashable and cheap to sort; all operations live on the FieldCtx.  Polynomials
 hold their coefficients as a pair of int64 numpy arrays (one per component) so
 that products run through exact integer convolution.
+
+Polynomials with coefficients in F_p have a root finder of their own,
+fp_poly_roots, that works on one bare int64 array per polynomial and splits
+by the Frobenius x -> x^p; it serves the supersingular lambda set.
+poly_roots_in_fq is the general F_{p^2} root finder and its test oracle.
 """
 
 from __future__ import annotations
@@ -36,7 +41,12 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # 2^47; the first component's S1 T1 is reduced mod p before it is multiplied
 # by r.  The pseudo-remainder step of gcd_rows, lc(b) a - lc(a) x^s b, is two
 # elementwise products of operands in [0, p), each reduced below p, and one
-# difference.
+# difference.  The F_p products of fp_poly_roots (_mul_p, the Newton inverse
+# and reduction) are single np.convolve calls on entries in [0, p): a sum of
+# len products below p^2, len the shorter operand.  On the lambda set's
+# operands, shorter than p/2, that is below p^3/2 < 2^45; any len below
+# 10^10 stays exact.  Its schoolbook division (_divmod_p) reduces after every
+# axpy step, so no entry leaves (-p^2, p).
 MAX_P = 30000
 
 # Row count of one block of the batched passes (strategy a's scales mu,
@@ -659,6 +669,179 @@ def _quadratic_roots(ctx: FieldCtx, g: UniPoly) -> list:
     r1 = ctx.mul(ctx.sub(s, b), half)
     r2 = ctx.mul(ctx.sub(ctx.neg(s), b), half)
     return [r1] if r1 == r2 else [r1, r2]
+
+
+# ---------------------------------------------------------------------------
+# root finding over F_p: one int64 array per polynomial, ascending
+# coefficients in [0, p), no zero leading term (the zero polynomial is empty)
+# ---------------------------------------------------------------------------
+
+
+def fp_poly_roots(ctx: FieldCtx, coeffs: Sequence[int], rng: Optional[random.Random] = None
+                  ) -> list:
+    """Distinct roots in F_{p^2}, sorted canonically, of a polynomial over F_p.
+
+    coeffs are ascending integers in the int64 range.  The polynomial must
+    be a nonzero product of distinct irreducible factors of degree <= 2 over
+    F_p; anything else (an irreducible factor of degree >= 3, a repeated
+    factor, the zero polynomial) raises ArithmeticError.  With h the monic
+    input and xp = x^p mod h:
+
+    1. lin = gcd(xp - x, h) collects the F_p roots and quad = h / lin the rest.
+    2. Guard: quad must divide x^(p^2) - x, tested as (xp mod quad)^p = x mod
+       quad, and gcd(xp - x, quad) must be 1.  Then quad is a product of
+       distinct irreducible quadratics.
+    3. lin splits by gcd((x + d)^((p-1)/2) - 1, g) for d in F_p.
+    4. quad splits by the norm probe: on a factor with root a, the residue
+       ((xp mod g) + d)(x + d) mod g is N(a + d) in F_p, so
+       gcd(N^((p-1)/2) - 1, g) collects the factors with N(a + d) a square.
+       This is the usual probe (x + d)^((p^2-1)/2) = N(x + d)^((p-1)/2),
+       taken to the exponent (p-1)/2 on one F_p array.  xp mod g is carried
+       down the recursion, and quadratic leaves finish by _quadratic_roots.
+
+    Every split terminates, because some d in F_p separates any two factors.
+    Two linear factors with roots a != b: sum_d chi((a+d)(b+d)) = -1, so
+    (p-1)/2 values of d give a residue on one side and a non-residue on the
+    other.  Two quadratic factors with roots a and b: for p >= 13,
+    N(a+d) N(b+d) is a squarefree quartic in d without roots in F_p, so by the
+    Weil bound |sum_d chi| <= 3 sqrt(p) < p and some d gives chi = -1; for
+    p = 5, 7, 11 every pair of irreducible quadratics is separated (checked
+    exhaustively in the tests).  The guard of step 2 ensures that the inputs
+    reaching the probes are of this form.  The root set does not depend on
+    rng, which only picks the d tried.
+    """
+    p = ctx.p
+    h = _trim_p(np.asarray(coeffs, dtype=np.int64) % p)
+    if not len(h):
+        raise ArithmeticError("the zero polynomial has every element as a root")
+    h = _monic_p(h, p)
+    if len(h) == 1:
+        return []
+    if rng is None:
+        rng = random.Random(0xC0FFEE)
+    x = np.array([0, 1], dtype=np.int64)
+    xp = _powmod_p(x, p, h, p)
+    lin = _gcd_p(_sub_p(xp, x, p), h, p)
+    quad = _divmod_p(h, lin, p)[0]
+    xq = _divmod_p(xp, quad, p)[1]
+    if len(quad) > 1:
+        frob2 = _sub_p(_powmod_p(xq, p, quad, p), x, p)
+        if len(_divmod_p(frob2, quad, p)[1]) or len(_gcd_p(_sub_p(xq, x, p), quad, p)) > 1:
+            raise ArithmeticError("not a product of distinct factors of degree <= 2 over F_p")
+    roots = []
+    stack = [(lin, None), (quad, xq)]
+    while stack:
+        g, xg = stack.pop()
+        n = len(g) - 1
+        if n == 1:
+            roots.append((int(-g[0] % p), 0))
+        elif n == 2:
+            roots.extend(_quadratic_roots(ctx, UniPoly.from_int_coeffs(ctx, g)))
+        elif n > 2:
+            while True:
+                probe = np.array([rng.randrange(p), 1], dtype=np.int64)
+                if xg is not None:
+                    probe = _divmod_p(_mul_p(_add_const_p(xg, probe[0], p), probe, p), g, p)[1]
+                s = _powmod_p(probe, (p - 1) // 2, g, p)
+                d = _gcd_p(_add_const_p(s, p - 1, p), g, p)
+                if 1 < len(d) < len(g):
+                    for f in (d, _divmod_p(g, d, p)[0]):
+                        stack.append((f, None if xg is None else _divmod_p(xg, f, p)[1]))
+                    break
+    roots.sort()
+    return roots
+
+
+def _trim_p(a: np.ndarray) -> np.ndarray:
+    nonzero = np.flatnonzero(a)
+    return a[: nonzero[-1] + 1] if len(nonzero) else a[:0]
+
+
+def _monic_p(a: np.ndarray, p: int) -> np.ndarray:
+    return a * pow(int(a[-1]), p - 2, p) % p
+
+
+def _add_const_p(a: np.ndarray, c: int, p: int) -> np.ndarray:
+    out = np.zeros(max(len(a), 1), dtype=np.int64)
+    out[: len(a)] = a
+    out[0] = (out[0] + c) % p
+    return _trim_p(out)
+
+
+def _sub_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    out = np.zeros(max(len(a), len(b)), dtype=np.int64)
+    out[: len(a)] = a
+    out[: len(b)] -= b
+    return _trim_p(out % p)
+
+
+def _mul_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Product of two nonzero polynomials."""
+    return np.convolve(a, b) % p
+
+
+def _divmod_p(a: np.ndarray, d: np.ndarray, p: int) -> tuple:
+    """Quotient and remainder of a by a monic d, schoolbook, reduced at every step."""
+    dn = len(d) - 1
+    if len(a) <= dn:
+        return a[:0], a
+    rem = a.copy()
+    q = np.zeros(len(a) - dn, dtype=np.int64)
+    tail = d[:-1]
+    for k in range(len(a) - 1, dn - 1, -1):
+        c = rem[k]
+        if c:
+            j = k - dn
+            q[j] = c
+            rem[j:k] = (rem[j:k] - c * tail) % p
+    return q, _trim_p(rem[:dn])
+
+
+def _gcd_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """Monic gcd by Euclid's algorithm; b must be nonzero."""
+    while len(b):
+        b = _monic_p(b, p)
+        a, b = b, _divmod_p(a, b, p)[1]
+    return a
+
+
+def _powmod_p(b: np.ndarray, e: int, f: np.ndarray, p: int) -> np.ndarray:
+    """b^e mod a monic f of degree >= 1, each product reduced by Newton (see pow_mod)."""
+    n = len(f) - 1
+    g = _newton_inverse_p(f[::-1], n - 1, p)
+    b = _divmod_p(b, f, p)[1]
+    if not len(b):
+        return b if e else np.ones(1, dtype=np.int64)
+    acc = np.ones(1, dtype=np.int64)
+    while e:
+        if e & 1:
+            acc = _reduce_newton_p(_mul_p(acc, b, p), f, g, p)
+        e >>= 1
+        if e:
+            b = _reduce_newton_p(_mul_p(b, b, p), f, g, p)
+    return _trim_p(acc)
+
+
+def _newton_inverse_p(h: np.ndarray, k: int, p: int) -> np.ndarray:
+    """Inverse of h modulo x^k for h[0] = 1, by Newton iteration g <- g(2 - hg)."""
+    g = np.ones(1, dtype=np.int64)
+    prec = 1
+    while prec < k:
+        prec = min(2 * prec, k)
+        e = -np.convolve(h[:prec], g)[:prec] % p
+        e[0] = (e[0] + 2) % p
+        g = np.convolve(g, e)[:prec] % p
+    return g[:k]
+
+
+def _reduce_newton_p(a: np.ndarray, f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """a mod f for monic f of degree n, len(a) <= 2n - 1, g = rev(f)^-1 mod x^(n-1)."""
+    n = len(f) - 1
+    k = len(a) - n
+    if k <= 0:
+        return a
+    rq = np.convolve(a[n:][::-1], g[:k])[:k] % p
+    return (a[:n] - np.convolve(rq[::-1], f[:n])[:n]) % p
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from .arith import (
     ProjPoint,
     UniPoly,
     cross_ratio,
+    fp_poly_roots,
     poly_roots_in_fq,
 )
 
@@ -151,12 +152,19 @@ def _memo(table: dict, ctx: FieldCtx, compute):
 def supersingular_lambda_set(ctx: FieldCtx) -> SupersingularLambdaSet:
     """All lambda with y^2 = x(x-1)(x-lambda) supersingular; always (p-1)/2 values.
 
+    These are the roots of the Deuring polynomial (see _compute_lambda_set).
     Computed once per p and kept for the last few primes asked for.
     """
     return _memo(_LAMBDA_SETS, ctx, _compute_lambda_set)
 
 
 def _compute_lambda_set(ctx: FieldCtx) -> SupersingularLambdaSet:
+    """Roots of H_p = sum_i binom(m, i)^2 lambda^i, m = (p-1)/2, in F_{p^2}.
+
+    H_p has F_p coefficients and splits into distinct factors of degree <= 2
+    over F_p, so fp_poly_roots finds its roots in F_p arithmetic.  The root
+    count and the absence of 0 and 1 are checked here.
+    """
     p = ctx.p
     m = (p - 1) // 2
     coeffs = []
@@ -164,8 +172,7 @@ def _compute_lambda_set(ctx: FieldCtx) -> SupersingularLambdaSet:
     for i in range(m + 1):
         coeffs.append(c * c % p)
         c = c * (m - i) % p * pow(i + 1, p - 2, p) % p
-    h = UniPoly.from_int_coeffs(ctx, coeffs)
-    values = poly_roots_in_fq(h)
+    values = fp_poly_roots(ctx, coeffs)
     if len(values) != m:
         raise ArithmeticError("supersingular polynomial failed to split: %d of %d roots"
                               % (len(values), m))

@@ -5,6 +5,7 @@ shared machinery: scanning every j in F_{p^2} and testing its standard
 model directly via the Hasse-invariant coefficient.
 """
 
+import math
 import random
 
 import pytest
@@ -25,6 +26,7 @@ from howecurves import (
     two_torsion_roots,
 )
 from howecurves import ellcurve
+from howecurves.arith import UniPoly, fp_poly_roots, is_prime, poly_roots_in_fq
 from oracles import curve_from_j
 
 
@@ -82,6 +84,20 @@ def test_lambda_set_size_and_exclusions():
             assert ctx.inv(lam) in lset
             assert ctx.sub(ctx.one, lam) in lset
     assert FieldCtx(7).elem(6) in supersingular_lambda_set(FieldCtx(7))
+
+
+@pytest.mark.parametrize("p", [q for q in range(5, 212) if is_prime(q)] + [409, 997])
+def test_lambda_set_matches_the_generic_root_finder(monkeypatch, p):
+    # the F_p root finder on the Deuring polynomial against the F_{p^2} one
+    ctx = FieldCtx(p)
+    m = (p - 1) // 2
+    deuring = [math.comb(m, i) ** 2 % p for i in range(m + 1)]
+    want = poly_roots_in_fq(UniPoly.from_int_coeffs(ctx, deuring))
+    assert fp_poly_roots(ctx, deuring) == want
+    monkeypatch.setattr(ellcurve, "_LAMBDA_SETS", {})  # cold memo
+    lset = supersingular_lambda_set(ctx)
+    assert lset.values == tuple(want)
+    assert lset.codes.tolist() == [c0 * p + c1 for c0, c1 in want]
 
 
 def test_lambda_set_matches_legendre_models():

@@ -398,14 +398,14 @@ def test_find_one_returns_verified_witnesses():
 def test_lambda_set_is_computed_once_per_prime(monkeypatch):
     p = 37
     calls = []
-    real = ellcurve.poly_roots_in_fq
+    real = ellcurve.fp_poly_roots
 
-    def counting(f, *args, **kwargs):
-        if f.degree == (p - 1) // 2:
-            calls.append(f.degree)
-        return real(f, *args, **kwargs)
+    def counting(ctx, coeffs, *args, **kwargs):
+        if len(coeffs) - 1 == (p - 1) // 2:
+            calls.append(len(coeffs) - 1)
+        return real(ctx, coeffs, *args, **kwargs)
 
-    monkeypatch.setattr(ellcurve, "poly_roots_in_fq", counting)
+    monkeypatch.setattr(ellcurve, "fp_poly_roots", counting)
     for run in (find_one, enumerate_b):
         monkeypatch.setattr(ellcurve, "_LAMBDA_SETS", {})  # cold memo
         calls.clear()
