@@ -806,12 +806,12 @@ def _gcd_p(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
 
 
 def _powmod_p(b: np.ndarray, e: int, f: np.ndarray, p: int) -> np.ndarray:
-    """b^e mod a monic f of degree >= 1, each product reduced by Newton (see pow_mod)."""
+    """b^e mod a monic f of degree >= 1, e >= 1, each product reduced by Newton (see pow_mod)."""
     n = len(f) - 1
     g = _newton_inverse_p(f[::-1], n - 1, p)
     b = _divmod_p(b, f, p)[1]
     if not len(b):
-        return b if e else np.ones(1, dtype=np.int64)
+        return b
     acc = np.ones(1, dtype=np.int64)
     while e:
         if e & 1:

@@ -487,8 +487,9 @@ def test_fp_roots_small_cases():
     assert fp_poly_roots(ctx, [0, 5]) == [ctx.zero]
     ctx11 = FieldCtx(11)
     assert fp_poly_roots(ctx11, [1, 0, 1]) == poly_roots_in_fq(UniPoly.from_int_coeffs(ctx11, [1, 0, 1]))
-    with pytest.raises(ArithmeticError):
-        fp_poly_roots(ctx, [0, 0])
+    for zero_or_square in ([0, 0], [0, 0, 1], [0, 0, 3, 1]):  # 0, x^2, x^2 (x + 3)
+        with pytest.raises(ArithmeticError):
+            fp_poly_roots(ctx, zero_or_square)
 
 
 @pytest.mark.parametrize("p", [5, 7])
