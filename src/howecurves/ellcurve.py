@@ -3,10 +3,11 @@
 A curve appears in one of two shapes: a short Weierstrass model y^2 = x^3 +
 Ax + B, or a branch configuration (b; a1, a2, a3) describing the double cover
 of the line ramified at those four points.  Supersingularity is decided by the
-vanishing of the x^(p-1) coefficient of f^((p-1)/2), and the full supply of
-supersingular classes comes from the roots of the degree-(p-1)/2 polynomial
-sum_i binom((p-1)/2, i)^2 * z^i whose roots are exactly the supersingular
-lambda-invariants of Legendre curves y^2 = x(x-1)(x-lambda).
+vanishing of the x^(p-1) coefficient of f^((p-1)/2).  The supersingular
+lambda-invariants of Legendre curves y^2 = x(x-1)(x-lambda) are the roots of
+the Deuring polynomial H_p = sum_i binom((p-1)/2, i)^2 z^i; they are found by
+a 2-isogeny walk from one CM seed, and H_p is only evaluated, to certify the
+seed and the class representatives.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from .arith import (
     ProjPoint,
     UniPoly,
     cross_ratio,
-    fp_poly_roots,
     poly_roots_in_fq,
 )
 
@@ -159,27 +159,102 @@ def supersingular_lambda_set(ctx: FieldCtx) -> SupersingularLambdaSet:
 
 
 def _compute_lambda_set(ctx: FieldCtx) -> SupersingularLambdaSet:
-    """Roots of H_p = sum_i binom(m, i)^2 lambda^i, m = (p-1)/2, in F_{p^2}.
+    """The roots of H_p in F_{p^2}, by a breadth-first 2-isogeny walk.
 
-    H_p has F_p coefficients and splits into distinct factors of degree <= 2
-    over F_p, so fp_poly_roots finds its roots in F_p arithmetic.  The root
-    count and the absence of 0 and 1 are checked here.
+    The walk starts at one certified supersingular lambda (_seed_lambda) and
+    takes lambda to 1 - lambda and 1/lambda, which relabel the 2-torsion, and
+    to ((1 + s)/(1 - s))^2 with s^2 = lambda.  That is the Legendre invariant
+    of the quotient by the 2-torsion point (0, 0): y^2 = x(x^2 + ax + b) goes
+    to y^2 = x(x^2 - 2ax + a^2 - 4b) (Silverman, The Arithmetic of Elliptic
+    Curves, III.4.5), here with roots 0, -(1 - s)^2 and -(1 + s)^2 (Landen).
+
+    The certificate: a curve isogenous to a supersingular one is
+    supersingular, so the walk stays among the roots of H_p, and every
+    supersingular lambda is a square in F_{p^2} (Auer and Top, J. Number
+    Theory 95, 2002), so a missing square root is an error, never skipped.
+    The supersingular 2-isogeny graph is connected (Mestre, La methode des
+    graphes, 1986; Pizer, Bull. AMS 23, 1990), and with the two relabelings
+    each j reached brings all its lambda, so the walk reaches every root.
+    H_p has exactly (p-1)/2 distinct roots, none of them 0 or 1 (Silverman,
+    V.4.1(b)); any other count, or 0 or 1 among the values, raises.
     """
-    p = ctx.p
-    m = (p - 1) // 2
-    coeffs = []
-    c = 1
-    for i in range(m + 1):
-        coeffs.append(c * c % p)
-        c = c * (m - i) % p * pow(i + 1, p - 2, p) % p
-    values = fp_poly_roots(ctx, coeffs)
-    if len(values) != m:
-        raise ArithmeticError("supersingular polynomial failed to split: %d of %d roots"
-                              % (len(values), m))
-    bad = {ctx.zero, ctx.one}
-    if bad & set(values):
+    m = (ctx.p - 1) // 2
+    seen = {_seed_lambda(ctx)}
+    frontier = list(seen)
+    while frontier:
+        step = []
+        for lam in frontier:
+            s = ctx.sqrt(lam)
+            if s is None:
+                raise ArithmeticError("supersingular walk met a non-square lambda %r" % (lam,))
+            landen = ctx.sqr(ctx.div(ctx.add(ctx.one, s), ctx.sub(ctx.one, s)))
+            for mu in (ctx.sub(ctx.one, lam), ctx.inv(lam), landen):
+                if mu not in seen:
+                    seen.add(mu)
+                    step.append(mu)
+        frontier = step
+    if len(seen) != m:
+        raise ArithmeticError("supersingular walk reached %d of %d lambda values"
+                              % (len(seen), m))
+    if {ctx.zero, ctx.one} & seen:
         raise ArithmeticError("degenerate lambda among supersingular values")
-    return SupersingularLambdaSet(ctx, values)
+    return SupersingularLambdaSet(ctx, list(seen))
+
+
+# j-invariants of the imaginary quadratic orders of class number 1, by
+# discriminant D.  A curve with CM by such an order is supersingular at every
+# prime inert in Q(sqrt(D)), that is with (D/p) = -1 (Deuring).
+_CM_J = ((-3, 0), (-4, 1728), (-7, -3375), (-8, 8000), (-11, -32768), (-19, -884736),
+         (-43, -884736000), (-67, -147197952000), (-163, -262537412640768000))
+# The Hilbert class polynomial of discriminant -15 (class number 2),
+# ascending.  Below MAX_P, 15073 and 18313 are inert in none of the fields
+# above, and both are inert in Q(sqrt(-15)).
+_HILBERT_MINUS_15 = (-121287375, 191025, 1)
+
+
+def _seed_lambda(ctx: FieldCtx) -> FqElem:
+    """One supersingular lambda: a Legendre invariant of a CM j, checked on H_p.
+
+    The j comes from the first D of _CM_J inert at p, else from a root of
+    the Hilbert polynomial of -15 when p is inert there; lambda is the least
+    root of 256 (l^2 - l + 1)^3 - j l^2 (l - 1)^2, which is 256 at l = 0
+    and 1.  Raises ArithmeticError if there is no seed or if H_p does not
+    vanish at it.
+    """
+    js = [ctx.elem(j) for D, j in _CM_J if ctx.legendre_fp(D) == -1]
+    if not js and ctx.legendre_fp(-15) == -1:
+        js = poly_roots_in_fq(UniPoly.from_int_coeffs(ctx, _HILBERT_MINUS_15))
+    if not js:
+        raise ArithmeticError("no CM seed for the supersingular walk at p=%d" % ctx.p)
+    q = UniPoly.from_int_coeffs(ctx, [1, -1, 1])
+    sextic = (q * q * q).scale(ctx.elem(256)) - UniPoly.from_int_coeffs(
+        ctx, [0, 0, 1, -2, 1]).scale(js[0])
+    lams = poly_roots_in_fq(sextic)
+    if not lams or not _deuring_vanishes(ctx, lams[:1])[0]:
+        raise ArithmeticError("CM seed j=%r is not supersingular at p=%d" % (js[0], ctx.p))
+    return lams[0]
+
+
+def _deuring_vanishes(ctx: FieldCtx, lams: list) -> np.ndarray:
+    """H_p(lambda) == 0 for each lambda, as a bool array.
+
+    This is the Hasse test of y^2 = x(x-1)(x-lambda), whose Hasse invariant
+    is (-1)^m H_p(lambda) with m = (p-1)/2 (Silverman, V.4.1(b)), run as one
+    Horner pass over int64 arrays (the bound is argued at arith.MAX_P).
+    binom(m, k) = binom(m, m - k), so the coefficients are produced in the
+    order Horner reads them.
+    """
+    p, r = ctx.p, ctx.r
+    m = (p - 1) // 2
+    x0 = np.array([lam[0] for lam in lams], dtype=np.int64)
+    x1 = np.array([lam[1] for lam in lams], dtype=np.int64)
+    v0 = np.zeros_like(x0)
+    v1 = np.zeros_like(x1)
+    c = 1  # binom(m, k) mod p
+    for k in range(m + 1):
+        v0, v1 = (v0 * x0 + r * v1 * x1 + c * c % p) % p, (v0 * x1 + v1 * x0) % p
+        c = c * (m - k) % p * pow(k + 1, p - 2, p) % p
+    return (v0 == 0) & (v1 == 0)
 
 
 def lambda_of_quartic(Q: QuarticModel) -> FqElem:
@@ -224,11 +299,12 @@ def _compute_classes(ctx: FieldCtx) -> tuple:
     if not floor <= len(by_j) <= floor + 2:
         raise ArithmeticError("supersingular class count %d outside [%d, %d]"
                               % (len(by_j), floor, floor + 2))
-    curves = tuple(_legendre_curve(ctx, by_j[j]) for j in sorted(by_j))
-    for E in curves:
-        if not is_supersingular(E):
-            raise ArithmeticError("lifted class with j=%r fails the Hasse test" % (j_invariant(E),))
-    return curves
+    lams = [by_j[j] for j in sorted(by_j)]
+    ok = _deuring_vanishes(ctx, lams)
+    if not ok.all():
+        raise ArithmeticError("class with lambda=%r fails the Hasse test"
+                              % (lams[int(np.argmin(ok))],))
+    return tuple(_legendre_curve(ctx, lam) for lam in lams)
 
 
 def two_torsion_roots(E: EllipticCurve) -> tuple:

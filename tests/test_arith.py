@@ -5,12 +5,9 @@ one exists (naive polynomial powering, exhaustive root evaluation), plus
 the handful of pinned small-field values that double as regression anchors.
 """
 
-import contextlib
 import functools
 import pickle
 import random
-import signal
-import time
 
 import pytest
 from hypothesis import given, settings
@@ -33,14 +30,8 @@ import numpy as np
 from howecurves.arith import (
     MAX_P,
     _conv_fq,
-    _divmod_p,
+    _divmod_monic,
     _mul_arrays,
-    _mul_p,
-    _newton_inverse,
-    _newton_inverse_p,
-    _reduce_newton,
-    _reduce_newton_p,
-    fp_poly_roots,
     gcd_rows,
     matmul_fq,
     mobius_eval_array,
@@ -254,20 +245,6 @@ def test_pow_mod_of_a_multiple_of_the_modulus():
         f.pow_mod(-1, m)
 
 
-@pytest.mark.parametrize("p", [5, 13, 409, 29989])
-def test_newton_inverse_inverts_the_series(p):
-    ctx = FieldCtx(p)
-    rng = random.Random(p + 1)
-    for k in (0, 1, 2, 3, 7, 64, 200):
-        coeffs = [ctx.one] + [_random_elem(ctx, rng) for _ in range(k + 2)]
-        h = UniPoly.from_coeffs(ctx, coeffs)
-        g0, g1 = _newton_inverse(ctx, h.c0, h.c1, k)
-        assert len(g0) == len(g1) == k
-        if k:
-            prod = (h * UniPoly(ctx, g0, g1)).truncate(k - 1)
-            assert prod == UniPoly.from_int_coeffs(ctx, [1])
-
-
 # Pure-Python big-int reference arithmetic for the int64 limit test: no
 # numpy, no fixed-width integers, reduction only at the very end.
 
@@ -318,8 +295,7 @@ def test_int64_limit_at_the_largest_prime():
     fp = UniPoly.from_coeffs(ctx, f)
     prod = [top] * (2 * n - 1)
     pp = UniPoly.from_coeffs(ctx, prod)
-    g0, g1 = _newton_inverse(ctx, fp.c0[::-1], fp.c1[::-1], n - 1)
-    rem0, rem1 = _reduce_newton(ctx, pp.c0, pp.c1, fp.c0, fp.c1, g0, g1)
+    rem0, rem1 = _divmod_monic(ctx, pp.c0, pp.c1, fp.c0, fp.c1)[2:]
     assert list(zip(rem0.tolist(), rem1.tolist())) == _ref_poly_rem(r, p, prod, f)
 
 
@@ -345,29 +321,18 @@ def test_bigint_reference_product():
         assert _bigint_poly_mul(a, b) == want
 
 
-def test_fp_int64_limit_at_the_largest_prime():
-    # the longest F_p operands of the root finder at MAX_P: the lambda set's
-    # modulus has degree n = (p-1)/2, so remainders have n coefficients and
-    # their products 2n - 1; every coefficient is p - 1
+def test_conv_fq_long_product_at_the_largest_prime():
+    # operands of length (p-1)/2 with every coefficient (p - 1, p - 1),
+    # against the three component products in big integers
     p = 29989
     n = (p - 1) // 2
+    ctx = FieldCtx(p)
     top = np.full(n, p - 1, dtype=np.int64)
-    want = [c % p for c in _bigint_poly_mul([p - 1] * n, [p - 1] * n)]
-    prod = _mul_p(top, top, p)
-    assert prod.tolist() == want
-
-    # the product reduced modulo the monic f whose other coefficients are all
-    # p - 1: the Newton reduction agrees with the schoolbook division, and
-    # their quotient and remainder satisfy prod = q f + rem in big integers
-    f = np.append(top, 1)
-    g = _newton_inverse_p(f[::-1], n - 1, p)
-    rem = _reduce_newton_p(prod, f, g, p)
-    q, rem2 = _divmod_p(prod, f, p)
-    assert rem.tolist() == rem2.tolist() and len(rem) == n
-    qf = _bigint_poly_mul(q.tolist(), f.tolist())
-    rem_list = rem.tolist()
-    assert all((qf[k] + (rem_list[k] if k < n else 0) - want[k]) % p == 0
-               for k in range(2 * n - 1))
+    got0, got1 = _conv_fq(ctx, top, top, top, top)
+    m0 = _bigint_poly_mul([p - 1] * n, [p - 1] * n)
+    m1 = _bigint_poly_mul([2 * p - 2] * n, [2 * p - 2] * n)
+    assert got0.tolist() == [(1 + ctx.r) * c % p for c in m0]
+    assert got1.tolist() == [(c - 2 * c0) % p for c, c0 in zip(m1, m0)]
 
 
 @pytest.mark.parametrize("p", [5, 7, 13, 29989])
@@ -454,129 +419,6 @@ def test_roots_are_rng_independent():
     a = poly_roots_in_fq(f, rng=random.Random(1))
     b = poly_roots_in_fq(f, rng=random.Random(999))
     assert a == b == sorted([ctx.elem(2), ctx.elem(5), ctx.elem(0, 1), ctx.elem(7, 3)])
-
-
-# ---------------------------------------------------------------------------
-# root finding over F_p
-# ---------------------------------------------------------------------------
-
-
-def _fp_product(p, factors, lead=1):
-    """lead times the product of the ascending coefficient lists, on Python ints."""
-    out = [lead % p]
-    for f in factors:
-        prod = [0] * (len(out) + len(f) - 1)
-        for i, x in enumerate(out):
-            for j, y in enumerate(f):
-                prod[i + j] = (prod[i + j] + x * y) % p
-        out = prod
-    return out
-
-
-def _min_poly(p, r, gamma):
-    """Minimal polynomial x^2 - 2 c0 x + N(gamma) of gamma = (c0, c1), c1 != 0."""
-    c0, c1 = gamma
-    return [(c0 * c0 - r * c1 * c1) % p, -2 * c0 % p, 1]
-
-
-def test_fp_roots_small_cases():
-    ctx = FieldCtx(13)
-    assert fp_poly_roots(ctx, [7]) == []
-    assert fp_poly_roots(ctx, [1, 0, 1]) == [ctx.elem(5), ctx.elem(8)]
-    assert fp_poly_roots(ctx, [3, 0, 0]) == []  # a constant with zero padding
-    assert fp_poly_roots(ctx, [0, 5]) == [ctx.zero]
-    ctx11 = FieldCtx(11)
-    assert fp_poly_roots(ctx11, [1, 0, 1]) == poly_roots_in_fq(UniPoly.from_int_coeffs(ctx11, [1, 0, 1]))
-    for zero_or_square in ([0, 0], [0, 0, 1], [0, 0, 3, 1]):  # 0, x^2, x^2 (x + 3)
-        with pytest.raises(ArithmeticError):
-            fp_poly_roots(ctx, zero_or_square)
-
-
-@pytest.mark.parametrize("p", [5, 7])
-def test_fp_roots_of_x_to_the_p_squared_minus_x_are_the_whole_field(p):
-    ctx = FieldCtx(p)
-    coeffs = [0, p - 1] + [0] * (p * p - 2) + [1]
-    assert fp_poly_roots(ctx, coeffs) == list(ctx.elements())
-
-
-@pytest.mark.parametrize("p", [5, 7, 11])
-def test_norm_probe_separates_every_pair_of_quadratics(p):
-    # the small primes below the Weil-bound argument of fp_poly_roots: for
-    # any two irreducible monic quadratics g1 != g2 some d in F_p makes one
-    # of g1(-d) = N(a + d), g2(-d) = N(b + d) a square and the other not
-    ctx = FieldCtx(p)
-    irreducible = [(b, c) for b in range(p) for c in range(p)
-                   if all((t * t + b * t + c) % p for t in range(p))]
-    assert len(irreducible) == p * (p - 1) // 2
-    chi = [[ctx.legendre_fp(t * t + b * t + c) for t in range(p)] for b, c in irreducible]
-    for i in range(len(chi)):
-        for j in range(i + 1, len(chi)):
-            assert chi[i] != chi[j]
-
-
-@st.composite
-def _fp_split_products(draw):
-    """A prime up to 29989 and a scaled product of distinct factors of degree <= 2."""
-    ctx = _field(draw(st.sampled_from([5, 7, 11, 13, 409, 4003, 29989])))
-    p, r = ctx.p, ctx.r
-    lin = draw(st.lists(st.integers(0, p - 1), max_size=6, unique=True))
-    gammas = draw(st.lists(st.tuples(st.integers(0, p - 1), st.integers(1, (p - 1) // 2)),
-                           max_size=5, unique=True))
-    factors = [[-a % p, 1] for a in lin] + [_min_poly(p, r, g) for g in gammas]
-    want = sorted([(a, 0) for a in lin] + [(c0, c1) for c0, c1 in gammas]
-                  + [(c0, p - c1) for c0, c1 in gammas])
-    lead = draw(st.integers(1, p - 1))
-    return ctx, _fp_product(p, draw(st.permutations(factors)), lead), want
-
-
-@settings(max_examples=150, deadline=None)
-@given(_fp_split_products(), st.integers(0, 2 ** 32), st.integers(0, 2 ** 32))
-def test_fp_roots_recover_the_constructed_roots(case, seed1, seed2):
-    ctx, coeffs, want = case
-    assert fp_poly_roots(ctx, coeffs, random.Random(seed1)) == want
-    assert fp_poly_roots(ctx, coeffs, random.Random(seed2)) == want
-
-
-def _irreducible_cubic(p, rng):
-    """A monic cubic over F_p without roots (so irreducible), by a seeded scan."""
-    t = np.arange(p, dtype=np.int64)
-    while True:
-        a, b, c = (rng.randrange(p) for _ in range(3))
-        if np.all((((t + a) * t % p + b) * t + c) % p):
-            return [c, b, a, 1]
-
-
-@contextlib.contextmanager
-def _alarm(seconds):
-    """Turn a hang inside the block into a TimeoutError after the given time."""
-    def expire(signum, frame):
-        raise TimeoutError("still running after %g s" % seconds)
-
-    previous = signal.signal(signal.SIGALRM, expire)
-    signal.setitimer(signal.ITIMER_REAL, seconds)
-    try:
-        yield
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, previous)
-
-
-@pytest.mark.parametrize("p", [7, 13, 409, 29989])
-@pytest.mark.parametrize("kind", ["irreducible cubic", "repeated linear", "repeated quadratic"])
-def test_fp_roots_reject_other_factorizations(p, kind):
-    ctx = FieldCtx(p)
-    rng = random.Random(p)
-    quad = _min_poly(p, ctx.r, (1, 1))
-    quad2 = _min_poly(p, ctx.r, (2, 1))
-    good = [[p - 3, 1], [p - 5, 1], quad]
-    bad = {"irreducible cubic": [_irreducible_cubic(p, rng)],
-           "repeated linear": [[p - 3, 1]],
-           "repeated quadratic": [quad]}[kind]
-    coeffs = _fp_product(p, good + bad + [quad2], lead=2)
-    t0 = time.perf_counter()
-    with _alarm(5.0), pytest.raises(ArithmeticError):
-        fp_poly_roots(ctx, coeffs)
-    assert time.perf_counter() - t0 < 5.0
 
 
 def test_gcd_pinned_cases():

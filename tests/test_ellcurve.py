@@ -5,10 +5,14 @@ shared machinery: scanning every j in F_{p^2} and testing its standard
 model directly via the Hasse-invariant coefficient.
 """
 
+import functools
 import math
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from howecurves import (
     INF,
@@ -26,7 +30,7 @@ from howecurves import (
     two_torsion_roots,
 )
 from howecurves import ellcurve
-from howecurves.arith import UniPoly, fp_poly_roots, is_prime, poly_roots_in_fq
+from howecurves.arith import MAX_P, UniPoly, is_prime, poly_roots_in_fq
 from oracles import curve_from_j
 
 
@@ -86,18 +90,139 @@ def test_lambda_set_size_and_exclusions():
     assert FieldCtx(7).elem(6) in supersingular_lambda_set(FieldCtx(7))
 
 
+def _deuring_roots(ctx):
+    """The oracle: roots of H_p = sum_i binom(m, i)^2 z^i, m = (p-1)/2, by poly_roots_in_fq."""
+    m = (ctx.p - 1) // 2
+    deuring = [math.comb(m, i) ** 2 % ctx.p for i in range(m + 1)]
+    return poly_roots_in_fq(UniPoly.from_int_coeffs(ctx, deuring))
+
+
 @pytest.mark.parametrize("p", [q for q in range(5, 212) if is_prime(q)] + [409, 997])
 def test_lambda_set_matches_the_generic_root_finder(monkeypatch, p):
-    # the F_p root finder on the Deuring polynomial against the F_{p^2} one
+    # the 2-isogeny walk against the F_{p^2} root finder on the Deuring polynomial
     ctx = FieldCtx(p)
-    m = (p - 1) // 2
-    deuring = [math.comb(m, i) ** 2 % p for i in range(m + 1)]
-    want = poly_roots_in_fq(UniPoly.from_int_coeffs(ctx, deuring))
-    assert fp_poly_roots(ctx, deuring) == want
+    want = _deuring_roots(ctx)
     monkeypatch.setattr(ellcurve, "_LAMBDA_SETS", {})  # cold memo
     lset = supersingular_lambda_set(ctx)
     assert lset.values == tuple(want)
     assert lset.codes.tolist() == [c0 * p + c1 for c0, c1 in want]
+
+
+# ---------------------------------------------------------------------------
+# the 2-isogeny walk: its CM seed, the Horner certificate and the failure paths
+# ---------------------------------------------------------------------------
+
+
+def _inert(D, p):
+    return pow(D % p, (p - 1) // 2, p) == p - 1
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_deuring_horner_vanishes_exactly_where_the_hasse_test_holds(p):
+    ctx = FieldCtx(p)
+    lams = [x for x in ctx.elements() if x not in (ctx.zero, ctx.one)]
+    want = [is_supersingular(ellcurve._legendre_curve(ctx, lam)) for lam in lams]
+    assert ellcurve._deuring_vanishes(ctx, lams).tolist() == want
+    assert sum(want) == (p - 1) // 2
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p):
+    return FieldCtx(p)
+
+
+@st.composite
+def _lambdas(draw):
+    """A prime up to 29989 and a lambda other than 0 and 1, supersingular or not."""
+    ctx = _field(draw(st.sampled_from([17, 409, 4003, 29989])))
+    if draw(st.booleans()):
+        values = supersingular_lambda_set(ctx).values
+        return ctx, values[draw(st.integers(0, len(values) - 1))]
+    lam = (draw(st.integers(0, ctx.p - 1)), draw(st.integers(0, ctx.p - 1)))
+    return ctx, lam if lam not in (ctx.zero, ctx.one) else ctx.elem(2)
+
+
+@settings(max_examples=12, deadline=None)
+@given(_lambdas())
+def test_deuring_horner_agrees_with_the_hasse_test_on_drawn_lambdas(case):
+    # up to the largest prime, where the int64 bound of the pass is tightest
+    ctx, lam = case
+    want = is_supersingular(ellcurve._legendre_curve(ctx, lam))
+    assert ellcurve._deuring_vanishes(ctx, [lam]).tolist() == [want]
+
+
+def test_every_prime_up_to_max_p_has_a_cm_seed():
+    # Legendre symbols only, no walk: some D of the table is inert at p, and
+    # at the two primes where none is, -15 is
+    no_table = []
+    for p in range(5, MAX_P + 1):
+        if is_prime(p) and not any(_inert(D, p) for D, _ in ellcurve._CM_J):
+            no_table.append(p)
+            assert _inert(-15, p), p
+    assert no_table == [15073, 18313]
+
+
+_MINUS_15_INERT = [q for q in range(7, 200) if is_prime(q) and _inert(-15, q)]
+
+
+@pytest.mark.parametrize("p", _MINUS_15_INERT[:8])
+def test_the_minus_15_seed_gives_the_same_set(monkeypatch, p):
+    monkeypatch.setattr(ellcurve, "_CM_J", ())
+    ctx = FieldCtx(p)
+    assert ellcurve._compute_lambda_set(ctx).values == tuple(_deuring_roots(ctx))
+
+
+def test_every_seed_up_to_997_passes_the_hasse_test(monkeypatch):
+    primes = [q for q in range(5, 998) if is_prime(q)]
+    for p in primes:
+        ctx = FieldCtx(p)
+        assert is_supersingular(ellcurve._legendre_curve(ctx, ellcurve._seed_lambda(ctx))), p
+    # and the D = -15 seed at every prime inert in Q(sqrt(-15))
+    monkeypatch.setattr(ellcurve, "_CM_J", ())
+    for p in (q for q in primes if _inert(-15, q)):
+        ctx = FieldCtx(p)
+        assert is_supersingular(ellcurve._legendre_curve(ctx, ellcurve._seed_lambda(ctx))), p
+
+
+@pytest.mark.parametrize("p", [11, 13, 409, 997])
+def test_an_ordinary_seed_raises(monkeypatch, p):
+    ctx = FieldCtx(p)
+    lset = ellcurve._compute_lambda_set(ctx)
+    lam = next(ctx.elem(c) for c in range(2, p) if ctx.elem(c) not in lset)
+    # an ordinary j for an inert D: the Horner certificate rejects it
+    D = next(D for D, _ in ellcurve._CM_J if _inert(D, p))
+    monkeypatch.setattr(ellcurve, "_CM_J", ((D, ellcurve.j_of_lambda(ctx, lam)[0]),))
+    with pytest.raises(ArithmeticError, match="not supersingular"):
+        ellcurve._compute_lambda_set(ctx)
+    # an ordinary lambda past the certificate: the walk itself raises
+    monkeypatch.setattr(ellcurve, "_seed_lambda", lambda ctx: lam)
+    with pytest.raises(ArithmeticError):
+        ellcurve._compute_lambda_set(ctx)
+
+
+def test_no_seed_raises(monkeypatch):
+    monkeypatch.setattr(ellcurve, "_CM_J", ())
+    # 17 splits in Q(sqrt(-15)): the -15 path is not taken
+    assert not _inert(-15, 17)
+    with pytest.raises(ArithmeticError, match="no CM seed"):
+        ellcurve._compute_lambda_set(FieldCtx(17))
+    # 7 is inert, but a Hilbert polynomial without roots gives no j
+    monkeypatch.setattr(ellcurve, "_HILBERT_MINUS_15", (1,))
+    with pytest.raises(ArithmeticError, match="no CM seed"):
+        ellcurve._compute_lambda_set(FieldCtx(7))
+
+
+def test_walk_reaches_the_whole_set_at_large_primes():
+    # 15073 and 18313 take the D = -15 seed, and 29989 is the largest prime
+    # allowed.  Measured at about 1 s in total on a 2-vCPU x86-64 host; the
+    # budget leaves room for a slower machine.
+    t0 = time.perf_counter()
+    for p in (15073, 18313, 29989):
+        ctx = FieldCtx(p)
+        lset = ellcurve._compute_lambda_set(ctx)
+        assert len(lset) == (p - 1) // 2
+        assert ctx.zero not in lset and ctx.one not in lset
+    assert time.perf_counter() - t0 < 10.0
 
 
 def test_lambda_set_matches_legendre_models():
@@ -169,14 +294,19 @@ def test_class_enumeration_matches_j_scan():
 
 
 def test_classes_are_computed_once_per_prime(monkeypatch):
-    # the Hasse re-check runs on the first call at a prime only, and the
-    # memo keeps as many primes as the lambda-set memo
+    # the Hasse re-check (one Horner pass over the class lambdas) runs on the
+    # first call at a prime only, and the memo keeps as many primes as the
+    # lambda-set memo
+    ctx = FieldCtx(41)
+    supersingular_lambda_set(ctx)  # the walk's seed check is not counted here
     calls = []
-    real = ellcurve.is_supersingular
-    monkeypatch.setattr(ellcurve, "is_supersingular", lambda E: calls.append(E) or real(E))
+    real = ellcurve._deuring_vanishes
+    monkeypatch.setattr(ellcurve, "_deuring_vanishes",
+                        lambda ctx, lams: calls.append(lams) or real(ctx, lams))
     monkeypatch.setattr(ellcurve, "_CLASSES", {})  # cold memo
-    first = enumerate_supersingular_classes(FieldCtx(41))
-    assert isinstance(first, tuple) and calls == list(first)
+    first = enumerate_supersingular_classes(ctx)
+    assert isinstance(first, tuple) and len(calls) == 1
+    assert [ellcurve._legendre_curve(ctx, lam) for lam in calls[0]] == list(first)
     calls.clear()
     assert enumerate_supersingular_classes(FieldCtx(41)) is first
     assert calls == []
@@ -184,6 +314,20 @@ def test_classes_are_computed_once_per_prime(monkeypatch):
     for q in later:
         enumerate_supersingular_classes(FieldCtx(q))
     assert sorted(ellcurve._CLASSES) == later
+
+
+def test_class_recheck_rejects_an_ordinary_lambda(monkeypatch):
+    # one ordinary lambda slipped into the set adds a class whose count still
+    # fits the window at p = 13; the Horner re-check must refuse it
+    ctx = FieldCtx(13)
+    values = list(supersingular_lambda_set(ctx).values)
+    ordinary = ctx.elem(2)
+    assert ordinary not in values
+    monkeypatch.setattr(ellcurve, "_LAMBDA_SETS",
+                        {13: ellcurve.SupersingularLambdaSet(ctx, values + [ordinary])})
+    monkeypatch.setattr(ellcurve, "_CLASSES", {})
+    with pytest.raises(ArithmeticError, match="fails the Hasse test"):
+        enumerate_supersingular_classes(ctx)
 
 
 def test_class_models_are_supersingular_with_split_two_torsion():

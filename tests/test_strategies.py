@@ -398,14 +398,13 @@ def test_find_one_returns_verified_witnesses():
 def test_lambda_set_is_computed_once_per_prime(monkeypatch):
     p = 37
     calls = []
-    real = ellcurve.fp_poly_roots
+    real = ellcurve._compute_lambda_set
 
-    def counting(ctx, coeffs, *args, **kwargs):
-        if len(coeffs) - 1 == (p - 1) // 2:
-            calls.append(len(coeffs) - 1)
-        return real(ctx, coeffs, *args, **kwargs)
+    def counting(ctx):
+        calls.append(ctx.p)
+        return real(ctx)
 
-    monkeypatch.setattr(ellcurve, "fp_poly_roots", counting)
+    monkeypatch.setattr(ellcurve, "_compute_lambda_set", counting)
     for run in (find_one, enumerate_b):
         monkeypatch.setattr(ellcurve, "_LAMBDA_SETS", {})  # cold memo
         calls.clear()
