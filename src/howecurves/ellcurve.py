@@ -85,24 +85,18 @@ def is_supersingular(E: EllipticCurve) -> bool:
 
 
 def _legendre_curve(ctx: FieldCtx, lam: FqElem) -> EllipticCurve:
-    """Short Weierstrass model of y^2 = x(x-1)(x-lambda) (shift by the mean)."""
-    roots = [ctx.zero, ctx.one, lam]
-    f = UniPoly.from_roots(ctx, roots)
-    third = ctx.inv(ctx.elem(3))
-    shift = ctx.mul(third, f.coeff(2))  # x -> x - e2/3 kills the square term
-    g = _translate_poly(f, ctx.neg(shift))
-    assert g.coeff(2) == ctx.zero
-    return EllipticCurve(ctx, g.coeff(1), g.coeff(0))
+    """Short Weierstrass model of y^2 = x(x-1)(x-lambda), shifted by the mean root.
 
-
-def _translate_poly(f: UniPoly, c: FqElem) -> UniPoly:
-    """f(x + c), by Horner on the coefficient list."""
-    ctx = f.ctx
-    out = UniPoly.zero(ctx)
-    xc = UniPoly.from_coeffs(ctx, [c, ctx.one])
-    for i in range(f.degree, -1, -1):
-        out = out * xc + UniPoly.from_coeffs(ctx, [f.coeff(i)])
-    return out
+    x -> x + (1 + lambda)/3 gives A = -(lambda^2 - lambda + 1)/3 and
+    B = -(lambda + 1)(lambda - 2)(2 lambda - 1)/27.
+    """
+    p = ctx.p
+    one = ctx.one
+    e = ctx.add(ctx.sub(ctx.sqr(lam), lam), one)
+    f = ctx.mul(ctx.mul(ctx.add(lam, one), ctx.sub(lam, ctx.elem(2))),
+                ctx.sub(ctx.add(lam, lam), one))
+    return EllipticCurve(ctx, ctx.mul(e, (-pow(3, p - 2, p) % p, 0)),
+                         ctx.mul(f, (-pow(27, p - 2, p) % p, 0)))
 
 
 class SupersingularLambdaSet:

@@ -235,12 +235,14 @@ def _entry_gcds(ctx: FieldCtx, entry, count: int) -> tuple:
     leaves the gcd as it is.
     """
     g = entry(0, np.arange(count))
-    deg = row_degrees(g)
+    deg = row_degrees(g[..., 0], g[..., 1])
     for k in (1, 2, 3):
         rows = np.flatnonzero(deg != 0)
         if not len(rows):
             break
-        g[rows], deg[rows] = gcd_rows(ctx, g[rows], entry(k, rows))
+        # while every row is live, g itself saves a block-sized copy
+        g[rows], deg[rows] = gcd_rows(ctx, g if len(rows) == count else g[rows],
+                                      entry(k, rows))
     if (deg < 0).any():
         raise ArithmeticError("all four entry polynomials vanished identically")
     return g, deg
@@ -253,16 +255,20 @@ def howe_type_points(ctx: FieldCtx, E1: EllipticCurve, E2: EllipticCurve
     f1 = x^3 + A1 mu^2 x + B1 mu^3 and f2 = (x-lam)^3 + A2 (x-lam) + B2.  For
     fixed mu the four Cartier-Manin entries of the sextic are polynomials in
     lam of degree at most 3(p-1)/2, and the rational roots of their gcd are
-    the hits.  The nonzero mu run in blocks of ROW_BLOCK: a block's entry
-    polynomials come from one F_{p^2} matrix product (_PairEntries), and
-    their gcds from a lockstep Euclid (arith.gcd_rows).  Hits come in
-    ctx.elements() order of mu, each mu's lam sorted.  The third projective
-    parameter of the branch data is normalized to 1 throughout.
+    the hits.  The nonzero mu run in blocks of at most ROW_BLOCK**2
+    coefficients, rows times 3m + 1, and never fewer than ROW_BLOCK rows:
+    for p <= 19 that is one block per pair, and the temporaries stay
+    bounded at any p.  A block's entry polynomials come from one F_{p^2}
+    matrix product (_PairEntries), and their gcds from a lockstep Euclid
+    (arith.gcd_rows).  Hits come in ctx.elements() order of mu, each mu's
+    lam sorted.  The third projective parameter of the branch data is
+    normalized to 1 throughout.
     """
     pair = _PairEntries(ctx, E1, E2)
     mus = [mu for mu in ctx.elements() if mu != ctx.zero]
-    for start in range(0, len(mus), ROW_BLOCK):
-        block = mus[start:start + ROW_BLOCK]
+    size = max(ROW_BLOCK, ROW_BLOCK ** 2 // len(pair.hm))
+    for start in range(0, len(mus), size):
+        block = mus[start:start + size]
         scales = pair.scales(block)
         g, deg = _entry_gcds(ctx, lambda k, rows: pair.entry(scales[rows], k), len(block))
         for i in np.flatnonzero(deg > 0):

@@ -4,9 +4,10 @@ Each oracle here is the straightforward form of a computation the package
 does another way: the scalar Igusa-Clebsch invariants behind the batched
 Igusa key, the per-mu entry polynomials and scalar gcd fold behind the
 batched strategy a, the whole-plane scan behind strategy a, a direct model
-for each j-invariant behind the supersingular class list, and a closure
-from one scanned Rosenhain curve behind the glued-seed closure.  The tests
-compare the two.
+for each j-invariant behind the supersingular class list, a translated
+polynomial behind the closed-form Legendre model, and a closure from one
+scanned Rosenhain curve behind the glued-seed closure.  The tests compare
+the two.
 """
 
 import itertools
@@ -148,6 +149,22 @@ def enumerate_a_bruteforce(ctx):
     reps.sort(key=lambda H: H.sort_value())
     return EnumReport(ctx.p, "a-brute", len(reps), _ratio(ctx.p, len(reps)), raw,
                       None, DEFAULT_SEED, time.perf_counter() - t0, reps)
+
+
+def legendre_curve_by_translation(ctx, lam):
+    """Short Weierstrass model of y^2 = x(x-1)(x-lambda), built as polynomials.
+
+    The cubic comes from its roots and is moved by the mean root through a
+    Horner translation, with no closed form in lambda.
+    """
+    f = UniPoly.from_roots(ctx, [ctx.zero, ctx.one, lam])
+    c = ctx.mul(ctx.inv(ctx.elem(3)), f.coeff(2))
+    g = UniPoly.zero(ctx)
+    xc = UniPoly.from_coeffs(ctx, [ctx.neg(c), ctx.one])
+    for i in range(f.degree, -1, -1):
+        g = g * xc + UniPoly.from_coeffs(ctx, [f.coeff(i)])
+    assert g.coeff(2) == ctx.zero
+    return EllipticCurve(ctx, g.coeff(1), g.coeff(0))
 
 
 def curve_from_j(ctx, j):

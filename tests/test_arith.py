@@ -27,10 +27,12 @@ from howecurves import (
 )
 import numpy as np
 
+from howecurves import arith
 from howecurves.arith import (
     MAX_P,
     _conv_fq,
     _divmod_monic,
+    _make_monic,
     _mul_arrays,
     gcd_rows,
     matmul_fq,
@@ -84,6 +86,70 @@ def test_field_axioms_on_samples():
         if a != ctx.zero:
             assert ctx.mul(a, ctx.inv(a)) == ctx.one
         assert ctx.mul(a, ctx.conj(a)) == (ctx.norm(a) % ctx.p, 0)
+
+
+_FIELD_PRIMES = [5, 7, 11, 13, 409, 4003, 10009, 19993, 29989]
+
+
+def _big_mul(r, p, x, y):
+    """(x0 + x1 t)(y0 + y1 t) with t^2 = r in unbounded integers, reduced once."""
+    return ((x[0] * y[0] + r * x[1] * y[1]) % p, (x[0] * y[1] + x[1] * y[0]) % p)
+
+
+def _big_pow(r, p, x, e):
+    acc = (1, 0)
+    for bit in bin(e)[2:]:
+        acc = _big_mul(r, p, acc, acc)
+        if bit == "1":
+            acc = _big_mul(r, p, acc, x)
+    return acc
+
+
+@st.composite
+def _field_elements(draw):
+    """A prime up to 29989 and three drawn elements of its F_{p^2}."""
+    ctx = _field(draw(st.sampled_from(_FIELD_PRIMES)))
+    elem = st.tuples(st.integers(0, ctx.p - 1), st.integers(0, ctx.p - 1))
+    return ctx, draw(elem), draw(elem), draw(elem)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_field_elements())
+def test_field_laws_against_big_integers(case):
+    ctx, a, b, c = case
+    p, r = ctx.p, ctx.r
+    mul, add = ctx.mul, ctx.add
+    assert mul(a, b) == _big_mul(r, p, a, b) == mul(b, a)
+    assert mul(mul(a, b), c) == mul(a, mul(b, c)) == _big_mul(r, p, _big_mul(r, p, a, b), c)
+    assert mul(a, add(b, c)) == add(mul(a, b), mul(a, c))
+    assert mul(a, ctx.one) == a and add(a, ctx.neg(a)) == ctx.zero
+    assert _big_mul(r, p, a, ctx.conj(a)) == (ctx.norm(a), 0)
+    if a == ctx.zero:
+        with pytest.raises(ZeroDivisionError):
+            ctx.inv(a)
+    else:
+        # Lagrange in the multiplicative group of order p^2 - 1
+        assert ctx.inv(a) == _big_pow(r, p, a, p * p - 2)
+        assert _big_mul(r, p, a, ctx.inv(a)) == ctx.one
+
+
+@settings(max_examples=60, deadline=None)
+@given(_field_elements(), st.integers(1, 4))
+def test_array_inverse_makes_rows_monic(case, width):
+    # conj(lc) * inv_table[norm(lc)], the inverse behind gcd_rows' monic divisors
+    ctx, a, b, c = case
+    p, r = ctx.p, ctx.r
+    rows = [row[:width] for row in ([a, b, c, a], [b, c, a, b]) if row[0] != ctx.zero]
+    rows.append([ctx.zero] * width)
+    x0 = np.array([[e[0] for e in row] for row in rows], dtype=np.int64)
+    x1 = np.array([[e[1] for e in row] for row in rows], dtype=np.int64)
+    _make_monic(ctx, x0, x1)
+    got = [list(zip(y0, y1)) for y0, y1 in zip(x0.tolist(), x1.tolist())]
+    assert got[-1] == rows[-1]
+    for row, monic in zip(rows[:-1], got):
+        inv = _big_pow(r, p, row[0], p * p - 2)
+        assert monic == [_big_mul(r, p, e, inv) for e in row]
+        assert monic[0] == ctx.one
 
 
 def test_sqrt_inverts_squaring():
@@ -498,6 +564,55 @@ def test_gcd_rows_with_every_coefficient_p_minus_1():
     pairs = [(a, b) for a in full for b in full]
     pairs += [(a * b, a * c) for a, b, c in zip(full, full[1:], full[2:])]
     _check_gcd_rows(ctx, pairs)
+
+
+def test_gcd_rows_on_one_batch_of_mixed_degrees(monkeypatch):
+    # strategy a's row length at p = 19 (3m + 1 = 28 coefficients), gcds of
+    # every degree 0..27 and operands of every degree up to 27: rows leave at
+    # different steps, and each step reads only the columns still live
+    ctx = FieldCtx(19)
+    n = 28
+    rng = random.Random(28)
+    pairs = [(UniPoly.zero(ctx), UniPoly.zero(ctx))]
+    for d in range(n):
+        common = _random_poly(ctx, rng, d).scale(ctx.elem(rng.randrange(1, 19), rng.randrange(19)))
+        for _ in range(2):
+            f = common * _random_poly(ctx, rng, rng.randrange(0, n - d))
+            h = common * _random_poly(ctx, rng, rng.randrange(0, n - d))
+            pairs.append((f, h.scale(ctx.elem(0, 1))))
+    pairs.append((UniPoly.zero(ctx), pairs[-1][1]))
+    shapes = []
+    eliminate = arith._eliminate
+
+    def spy(ctx, a0, a1, b0, b1):
+        shapes.append(a0.shape)
+        eliminate(ctx, a0, a1, b0, b1)
+
+    monkeypatch.setattr(arith, "_eliminate", spy)
+    deg = _check_gcd_rows(ctx, pairs)
+    assert set(deg) == {-1} | set(range(n))
+    live = [k for k, _ in shapes]
+    widths = [w for _, w in shapes]
+    assert live == sorted(live, reverse=True) and len(set(live)) > 10
+    assert widths == sorted(widths, reverse=True)
+    assert widths[0] == n and widths[-1] <= 3
+
+
+def test_gcd_rows_with_divisors_led_by_a_second_component():
+    # monic divisors need lc^-1 = conj(lc) / norm(lc); here c1 of lc is
+    # nonzero and every other coefficient is p - 1 in both components
+    p = 29989
+    ctx = FieldCtx(p)
+    top = (p - 1, p - 1)
+    pairs = []
+    for lc in [(0, p - 1), (p - 1, p - 1), (1, p - 1)]:
+        for k in range(1, 7):
+            b = UniPoly.from_coeffs(ctx, [top] * k + [lc])
+            q = UniPoly.from_coeffs(ctx, [top] * (8 - k) + [lc])
+            pairs += [(b * q, b), (b, b * q), (b * q + UniPoly.from_coeffs(ctx, [top]), b),
+                      (b * q, b * UniPoly.from_coeffs(ctx, [top, lc]))]
+    deg = _check_gcd_rows(ctx, pairs)
+    assert deg.count(0) >= 6 and max(deg) == 6
 
 
 def test_matmul_fq_at_the_largest_prime():

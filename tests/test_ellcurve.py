@@ -31,7 +31,7 @@ from howecurves import (
 )
 from howecurves import ellcurve
 from howecurves.arith import MAX_P, UniPoly, is_prime, poly_roots_in_fq
-from oracles import curve_from_j
+from oracles import curve_from_j, legendre_curve_by_translation
 
 
 def test_j_invariant_pinned_values():
@@ -149,6 +149,24 @@ def test_deuring_horner_agrees_with_the_hasse_test_on_drawn_lambdas(case):
     ctx, lam = case
     want = is_supersingular(ellcurve._legendre_curve(ctx, lam))
     assert ellcurve._deuring_vanishes(ctx, [lam]).tolist() == [want]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13])
+def test_legendre_model_matches_the_translated_cubic(p):
+    ctx = FieldCtx(p)
+    for lam in ctx.elements():
+        if lam in (ctx.zero, ctx.one):
+            with pytest.raises(ValueError):
+                ellcurve._legendre_curve(ctx, lam)
+            continue
+        assert ellcurve._legendre_curve(ctx, lam) == legendre_curve_by_translation(ctx, lam)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_lambdas())
+def test_legendre_model_matches_the_translated_cubic_on_drawn_lambdas(case):
+    ctx, lam = case
+    assert ellcurve._legendre_curve(ctx, lam) == legendre_curve_by_translation(ctx, lam)
 
 
 def test_every_prime_up_to_max_p_has_a_cm_seed():

@@ -129,6 +129,29 @@ def test_batched_hits_match_the_scalar_oracle(p):
             assert got == list(howe_type_points_scalar(ctx, classes[i], classes[j])), (i, j)
 
 
+def test_block_boundaries_leave_the_hits_unchanged(monkeypatch):
+    # at p = 19 a pair's 360 scales fit in one block of ROW_BLOCK**2 entries;
+    # a smaller ROW_BLOCK splits them, and the hits stay the same, in order
+    ctx = FieldCtx(19)
+    classes = enumerate_supersingular_classes(ctx)
+    pairs = [(E1, E2) for i, E1 in enumerate(classes) for E2 in classes[i:]]
+    sizes = []
+
+    def spy(ctx, entry, count):
+        sizes.append(count)
+        return _entry_gcds(ctx, entry, count)
+
+    monkeypatch.setattr(strategies, "_entry_gcds", spy)
+    whole = [list(howe_type_points(ctx, E1, E2)) for E1, E2 in pairs]
+    assert sizes == [360] * len(pairs)
+    sizes.clear()
+    # max(64, 64**2 // 28) = 146 scales per block
+    monkeypatch.setattr(strategies, "ROW_BLOCK", 64)
+    split = [list(howe_type_points(ctx, E1, E2)) for E1, E2 in pairs]
+    assert sizes == [146, 146, 68] * len(pairs)
+    assert split == whole and any(whole)
+
+
 def _entry_rows(polys, n):
     """The (4, n, 2) coefficient rows of four UniPolys, zero-padded."""
     out = np.zeros((len(polys), n, 2), dtype=np.int64)
