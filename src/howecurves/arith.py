@@ -42,10 +42,14 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # stays above -2 p^2 until it is reduced.  Making a row monic multiplies it
 # by conj(lc) inv_table[norm(lc)] the same way, in sums of two products
 # below p^2, and the norm c0^2 - r c1^2 stays within (1 + r) p^2 < 2^35.
-# The Horner pass of the Deuring polynomial (ellcurve's _deuring_vanishes)
+# The Horner pass of the Deuring polynomial (ellcurve.deuring_vanishes)
 # multiplies an accumulator in [0, p) by a lambda in [0, p) and adds a
 # coefficient below p, reducing after every step, so no intermediate
-# exceeds (1 + r) p^2 + p < 2^35.
+# exceeds (1 + r) p^2 + p < 2^35.  The batched Cartier-Manin recurrence
+# (genus2.cartier_manin_rows) builds each sextic one root at a time and
+# multiplies f_i / f_0 by g_(k-i), all in [0, p), so every product stays
+# below (1 + r) p^2 until it is reduced; each step's weighted sum of six
+# reduced products, with weights below p, stays below 6 p^2 < 2^33.
 MAX_P = 30000
 
 # Row count of one block of genus2.igusa_key's sextics; strategy a's blocks

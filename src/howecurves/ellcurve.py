@@ -7,7 +7,7 @@ vanishing of the x^(p-1) coefficient of f^((p-1)/2).  The supersingular
 lambda-invariants of Legendre curves y^2 = x(x-1)(x-lambda) are the roots of
 the Deuring polynomial H_p = sum_i binom((p-1)/2, i)^2 z^i; they are found by
 a 2-isogeny walk from one CM seed, and H_p is only evaluated, to certify the
-seed and the class representatives.
+seed, the class representatives and the quartics that --verify re-checks.
 """
 
 from __future__ import annotations
@@ -224,19 +224,20 @@ def _seed_lambda(ctx: FieldCtx) -> FqElem:
     sextic = (q * q * q).scale(ctx.elem(256)) - UniPoly.from_int_coeffs(
         ctx, [0, 0, 1, -2, 1]).scale(js[0])
     lams = poly_roots_in_fq(sextic)
-    if not lams or not _deuring_vanishes(ctx, lams[:1])[0]:
+    if not lams or not deuring_vanishes(ctx, lams[:1])[0]:
         raise ArithmeticError("CM seed j=%r is not supersingular at p=%d" % (js[0], ctx.p))
     return lams[0]
 
 
-def _deuring_vanishes(ctx: FieldCtx, lams: list) -> np.ndarray:
+def deuring_vanishes(ctx: FieldCtx, lams: list) -> np.ndarray:
     """H_p(lambda) == 0 for each lambda, as a bool array.
 
     This is the Hasse test of y^2 = x(x-1)(x-lambda), whose Hasse invariant
     is (-1)^m H_p(lambda) with m = (p-1)/2 (Silverman, V.4.1(b)), run as one
-    Horner pass over int64 arrays (the bound is argued at arith.MAX_P).
-    binom(m, k) = binom(m, m - k), so the coefficients are produced in the
-    order Horner reads them.
+    Horner pass over int64 arrays (the bound is argued at arith.MAX_P):
+    O(p) array steps, whatever the number of lambdas.  binom(m, k) =
+    binom(m, m - k), so the coefficients are produced in the order Horner
+    reads them.
     """
     p, r = ctx.p, ctx.r
     m = (p - 1) // 2
@@ -294,7 +295,7 @@ def _compute_classes(ctx: FieldCtx) -> tuple:
         raise ArithmeticError("supersingular class count %d outside [%d, %d]"
                               % (len(by_j), floor, floor + 2))
     lams = [by_j[j] for j in sorted(by_j)]
-    ok = _deuring_vanishes(ctx, lams)
+    ok = deuring_vanishes(ctx, lams)
     if not ok.all():
         raise ArithmeticError("class with lambda=%r fails the Hasse test"
                               % (lams[int(np.argmin(ok))],))

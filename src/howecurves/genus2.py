@@ -3,7 +3,8 @@
 Curves are carried as the sorted 6-tuple of Weierstrass x-coordinates of a
 monic sextic model y^2 = prod (x - root); every construction in this package
 keeps those roots inside F_{p^2}.  The module provides the Cartier-Manin
-matrix entries, Kbar-isomorphism machinery (the canonical Igusa key, which
+matrix entries (one curve at a time, or a whole batch by the recurrence
+f g' = m f' g), Kbar-isomorphism machinery (the canonical Igusa key, which
 identifies a class for p > 5, and mobius_matches, the one Mobius matcher
 behind isomorphic, automorphisms and howe.howe_isomorphic, which tests the
 120 candidate maps on tabulated cross-ratios and builds only the maps that
@@ -32,6 +33,7 @@ from .arith import (
     FqElem,
     MobiusMap,
     UniPoly,
+    _mul_arrays,
     _mul_stacked,
     cross_ratio_map,
     mobius_from_triples,
@@ -72,7 +74,9 @@ def cartier_manin(C: Genus2Curve) -> CartierManinEntries:
     With g = f^((p-1)/2) for the sextic f, the matrix is built from the
     coefficients of x^(p-1), x^(2p-1), x^(p-2), x^(2p-2) in g; the curve is
     superspecial exactly when all four vanish, so the p-th powers that enter
-    the literal matrix are irrelevant here and never taken.
+    the literal matrix are irrelevant here and never taken.  One truncated
+    power per curve: the test for a single curve, and the oracle of the
+    batched cartier_manin_rows.
     """
     ctx = C.ctx
     p = ctx.p
@@ -85,6 +89,87 @@ def cartier_manin(C: Genus2Curve) -> CartierManinEntries:
 def is_superspecial(C: Genus2Curve) -> bool:
     z = C.ctx.zero
     return cartier_manin(C) == (z, z, z, z)
+
+
+def _sextic_planes(ctx: FieldCtx, r0, r1) -> tuple:
+    """The coefficients f_0..f_6 of prod (x - root), one row per row of roots.
+
+    r0 and r1 are the (rows, 6) planes of the roots; the two (rows, 7)
+    planes returned ascend in degree, entries in [0, p).
+    """
+    p = ctx.p
+    c0 = np.zeros((len(r0), 7), dtype=np.int64)
+    c1 = np.zeros_like(c0)
+    c0[:, 0] = 1
+    for k in range(6):
+        # (x - a) c has coefficient c_(j-1) - a c_j at x^j; c_6 = 0 until
+        # the last factor, so the roll brings a zero round to x^0
+        m0, m1 = _mul_arrays(ctx, c0, c1, r0[:, k:k + 1], r1[:, k:k + 1])
+        c0, c1 = (np.roll(c0, 1, axis=1) - m0) % p, (np.roll(c1, 1, axis=1) - m1) % p
+    return c0, c1
+
+
+def _pow_arrays(ctx: FieldCtx, x0, x1, e: int) -> tuple:
+    """x^e elementwise for the F_{p^2} planes (x0, x1), by square-and-multiply."""
+    a0, a1 = np.ones_like(x0), np.zeros_like(x1)
+    for bit in bin(e)[2:]:
+        a0, a1 = _mul_arrays(ctx, a0, a1, a0, a1)
+        if bit == "1":
+            a0, a1 = _mul_arrays(ctx, a0, a1, x0, x1)
+    return a0, a1
+
+
+def cartier_manin_rows(ctx: FieldCtx, batch: Sequence[tuple]) -> np.ndarray:
+    """The Cartier-Manin entries of every root sextuple of the batch at once.
+
+    Row i of the (len(batch), 4, 2) int64 result holds the entries (a, b, c,
+    d) of cartier_manin, as (c0, c1) pairs, for the curve with roots
+    batch[i]; the curve is superspecial exactly when its row is zero.
+
+    g = f^m, m = (p-1)/2, satisfies f g' = m f' g, that is
+    k f_0 g_k = sum_(i=1..6) (m i - k + i) f_i g_(k-i) with g_0 = f_0^m
+    (Bostan, Gaudry and Schost, SIAM J. Comput. 36, 2007); k < p is a unit
+    up to k = p - 1, where the recurrence stops.  Run forward it reaches
+    x^(p-2) and x^(p-1).  The reversed sextic x^6 f(1/x) has constant term 1
+    and power x^(6m) g(1/x), so its coefficients p - 2 and p - 1 are those
+    of x^(2p-1) and x^(2p-2) in g.  A root at 0 makes f_0 = 0; then f = x h
+    with h(0) != 0, g = x^m h^m, and the forward entries are coefficients
+    m and m - 1 of h^m.  The forward and reversed rows of every curve take
+    each step k together, on (6, rows) planes of the last six g_j, so the
+    temporaries grow with the batch and not with p (the int64 bound is
+    argued at arith.MAX_P).
+    """
+    p, r = ctx.p, ctx.r
+    m = (p - 1) // 2
+    n = len(batch)
+    roots = np.array(batch, dtype=np.int64).reshape(n, 6, 2)
+    f0, f1 = _sextic_planes(ctx, roots[..., 0], roots[..., 1])
+    zero = ((f0[:, 0] == 0) & (f1[:, 0] == 0))[:, None]
+    # the forward rows, with x factored out where f_0 = 0, then the reversed
+    # rows; column j of F holds the x^j coefficients of all rows
+    F0 = np.concatenate([np.where(zero, np.roll(f0, -1, axis=1), f0), f0[:, ::-1]]).T
+    F1 = np.concatenate([np.where(zero, np.roll(f1, -1, axis=1), f1), f1[:, ::-1]]).T
+    inv = ctx.inv_table()[(F0[0] * F0[0] - r * F1[0] * F1[0]) % p]
+    # f_i / f_0 for i = 6..1, to meet g_(k-6)..g_(k-1) in the window
+    h0, h1 = _mul_arrays(ctx, F0[:0:-1], F1[:0:-1], F0[0] * inv % p, -F1[0] * inv % p)
+    w0 = np.zeros((6, 2 * n), dtype=np.int64)
+    w1 = np.zeros_like(w0)
+    w0[-1], w1[-1] = _pow_arrays(ctx, F0[0], F1[0], m)
+    steps = np.arange(6, 0, -1)
+    kept = {}
+    for k in range(1, p):
+        # (m i - k + i) / k for i = 6..1; each product is reduced before
+        # it is weighted
+        weights = ((m + 1) * steps - k) * pow(k, p - 2, p) % p
+        s0 = weights @ ((h0 * w0 + r * (h1 * w1)) % p) % p
+        s1 = weights @ ((h0 * w1 + h1 * w0) % p) % p
+        w0[:-1], w1[:-1] = w0[1:], w1[1:]
+        w0[-1], w1[-1] = s0, s1
+        if k in (m - 1, m, p - 2, p - 1):
+            kept[k] = np.stack([s0, s1], axis=-1)
+    top, below = kept[p - 1], kept[p - 2]
+    return np.stack([np.where(zero, kept[m][:n], top[:n]), below[n:],
+                     np.where(zero, kept[m - 1][:n], below[:n]), top[n:]], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -619,7 +704,9 @@ def load_list(ctx: FieldCtx, path: str) -> SuperspecialList:
     """Reload a cached list, re-verifying superspeciality and keys per record.
 
     The records up to the first unreadable one are keyed in one igusa_key
-    pass; the error names the first faulty record in file order.
+    pass and tested in one cartier_manin_rows pass; the error names the
+    first faulty record in file order, checked for its key, then its
+    Cartier-Manin entries, then a repeated class.
     """
     records = []
     unreadable = None
@@ -633,12 +720,14 @@ def load_list(ctx: FieldCtx, path: str) -> SuperspecialList:
                     unreadable = exc
                     break
     acc = SuperspecialList(ctx)
-    keys = igusa_key(ctx, [C.roots for _, C, _ in records])
-    for (lineno, C, key), computed in zip(records, keys):
+    batch = [C.roots for _, C, _ in records]
+    keys = igusa_key(ctx, batch)
+    nonzero = cartier_manin_rows(ctx, batch).any(axis=(1, 2))
+    for (lineno, C, key), computed, bad in zip(records, keys, nonzero):
         if computed != key:
             raise ValueError("cache record %d of %s: invariant key mismatch"
                              % (lineno, path))
-        if not is_superspecial(C):
+        if bad:
             raise ValueError("cache record %d of %s: curve is not superspecial"
                              % (lineno, path))
         if acc._add_keyed(C, key) is None:

@@ -52,17 +52,17 @@ from .arith import (
 from .ellcurve import (
     EllipticCurve,
     SupersingularLambdaSet,
+    deuring_vanishes,
     enumerate_supersingular_classes,
     lambda_of_quartic,
-    quartic_is_supersingular,
     supersingular_lambda_set,
     two_torsion_roots,
 )
 from .genus2 import (
     Genus2Curve,
     SuperspecialList,
+    cartier_manin_rows,
     closure_stream,
-    is_superspecial,
     superspecial_genus2_list,
 )
 from .howe import (
@@ -464,25 +464,19 @@ def _verify_representatives(ctx: FieldCtx, reps: List[HoweData]) -> None:
 
     Uses the direct criterion (quartic Legendre invariants through the Hasse
     polynomial, Cartier-Manin entries of the sextic), not the search path
-    that produced the representative.  Representatives sharing a genus-2
-    curve share its Cartier-Manin test, which runs once per curve, and
-    quartics sharing a Legendre invariant (their cross-ratio, computed here
-    afresh) share its Hasse test, which runs once per lambda.
+    that produced the representative.  The distinct genus-2 curves are
+    tested in one cartier_manin_rows pass, and the distinct Legendre
+    invariants of the quartics (their cross-ratios, computed here afresh)
+    in one deuring_vanishes pass, each in first-seen order; the error names
+    the first representative that fails, in list order.
     """
-    curve_ok = {}
-    lam_ok = {}
-
-    def supersingular(Q) -> bool:
-        lam = lambda_of_quartic(Q)
-        if lam not in lam_ok:
-            lam_ok[lam] = quartic_is_supersingular(Q)
-        return lam_ok[lam]
-
-    for H in reps:
-        if H.curve.roots not in curve_ok:
-            curve_ok[H.curve.roots] = is_superspecial(H.curve)
-        q1, q2 = H.quartics()
-        if not (supersingular(q1) and supersingular(q2) and curve_ok[H.curve.roots]):
+    lams = [tuple(lambda_of_quartic(Q) for Q in H.quartics()) for H in reps]
+    curves = list(dict.fromkeys(H.curve.roots for H in reps))
+    distinct = list(dict.fromkeys(lam for pair in lams for lam in pair))
+    curve_ok = dict(zip(curves, ~cartier_manin_rows(ctx, curves).any(axis=(1, 2))))
+    lam_ok = dict(zip(distinct, deuring_vanishes(ctx, distinct)))
+    for H, (lam1, lam2) in zip(reps, lams):
+        if not (lam_ok[lam1] and lam_ok[lam2] and curve_ok[H.curve.roots]):
             raise VerificationError(
                 "representative %r at p=%d fails the superspeciality re-check"
                 % (howe_jsonable(H), ctx.p))

@@ -163,6 +163,49 @@ def test_sqrt_inverts_squaring():
         assert ctx.sqr(r) == s
 
 
+@settings(max_examples=150, deadline=None)
+@given(_field_elements())
+def test_sqrt_against_the_norm_criterion(case):
+    # x != 0 is a square of F_{p^2} exactly when its norm is a square of F_p;
+    # squares are checked against big-integer products
+    ctx, a, x, _ = case
+    p, r = ctx.p, ctx.r
+    square = _big_mul(r, p, a, a)
+    root = ctx.sqrt(square)
+    assert root is not None and _big_mul(r, p, root, root) == square
+    residue = pow((x[0] * x[0] - r * x[1] * x[1]) % p, (p - 1) // 2, p) != p - 1
+    got = ctx.sqrt(x)
+    assert (got is None) == (not residue)
+    if got is not None:
+        assert _big_mul(r, p, got, got) == x
+
+
+@st.composite
+def _division_cases(draw):
+    """A prime up to 29989, a dividend and a nonzero divisor of degree at most 8."""
+    ctx = _field(draw(st.sampled_from(_FIELD_PRIMES)))
+    elem = st.tuples(st.integers(0, ctx.p - 1), st.integers(0, ctx.p - 1))
+    a = draw(st.lists(elem, max_size=16))
+    b = draw(st.lists(elem, min_size=1, max_size=9).filter(lambda cs: any(map(any, cs))))
+    return ctx, UniPoly.from_coeffs(ctx, a), UniPoly.from_coeffs(ctx, b)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_division_cases())
+def test_divmod_identity(case):
+    # a = q b + r with deg r < deg b, the product q b rebuilt in big integers
+    ctx, a, b = case
+    p = ctx.p
+    q, rem = divmod(a, b)
+    assert rem.degree < b.degree
+    qb = _ref_poly_mul(ctx.r, q.coeffs(), b.coeffs())
+    width = max(len(qb), a.degree + 1)
+    qb += [(0, 0)] * (width - len(qb))
+    total = [((x + rem.coeff(i)[0]) % p, (y + rem.coeff(i)[1]) % p)
+             for i, (x, y) in enumerate(qb)]
+    assert total == [a.coeff(i) for i in range(width)]
+
+
 def test_fq_pow_pinned_values():
     ctx = FieldCtx(11)
     assert ctx.pow(ctx.one, 10 ** 9) == ctx.one

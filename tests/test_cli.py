@@ -4,7 +4,9 @@ Most cases drive main() in process and read captured stdout/stderr; one
 subprocess test exercises the installed module entry point end to end.
 """
 
+import collections
 import json
+import random
 import subprocess
 import sys
 import time
@@ -247,6 +249,47 @@ def test_cache_detects_tampering(tmp_path, capsys):
     code, out, err = _run(capsys, ["cache", "--p", "13", "--cache", cdir])
     assert code == EXIT_MISMATCH
     assert "verification failed" in err and "record 1" in err
+
+
+def _mutate(data: bytes, rng: random.Random) -> bytes:
+    """One byte of data flipped, inserted or deleted, at a drawn position."""
+    out = bytearray(data)
+    pos = rng.randrange(len(out))
+    kind = rng.choice(("flip", "insert", "delete"))
+    if kind == "flip":
+        out[pos] ^= rng.randrange(1, 256)
+    elif kind == "insert":
+        out.insert(pos, rng.randrange(256))
+    else:
+        del out[pos]
+    return bytes(out)
+
+
+def test_mutated_caches_exit_2_or_load_the_same_values(tmp_path, capsys):
+    # an edit that keeps every value (a space, a leading zero, a newline) may
+    # load; anything else is a verification failure on one stderr line
+    clean_dir = tmp_path / "clean"
+    assert _run(capsys, ["cache", "--p", "13", "--cache", str(clean_dir)])[0] == EXIT_OK
+    clean = (clean_dir / "genus2_p13.cache").read_bytes()
+    argv = ["enumerate", "--p", "13", "--format", "json", "--cache"]
+    code, clean_out, _ = _run(capsys, argv + [str(clean_dir)])
+    assert code == EXIT_OK
+    rng = random.Random(13)
+    codes = collections.Counter()
+    for k in range(1500):
+        cdir = tmp_path / ("m%d" % k)
+        cdir.mkdir()
+        (cdir / "genus2_p13.cache").write_bytes(_mutate(clean, rng))
+        code, out, err = _run(capsys, argv + [str(cdir)])
+        codes[code] += 1
+        assert "Traceback" not in err
+        if code == EXIT_OK:
+            assert out == clean_out and err == ""
+        else:
+            assert code == EXIT_MISMATCH, err
+            assert out == "" and len(err.splitlines()) == 1
+            assert err.startswith("verification failed: ")
+    assert codes[EXIT_MISMATCH] >= 1400
 
 
 def test_cache_honors_environment_variable(tmp_path, capsys, monkeypatch):

@@ -6,7 +6,9 @@ the Mobius matcher behind isomorphic and automorphisms is checked against
 the explicit 120-map search it replaced; the closure construction is
 checked against the count window and against its own seeds, and the Mobius
 search is the oracle for its key-only class identity.  The batched Igusa
-key is checked against the scalar igusa_clebsch oracle of tests/oracles.py.
+key is checked against the scalar igusa_clebsch oracle of tests/oracles.py,
+and the batched Cartier-Manin recurrence against the scalar cartier_manin
+and, at the largest prime, against the recurrence in big integers.
 """
 
 import functools
@@ -14,7 +16,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from howecurves import (
@@ -113,6 +115,123 @@ def test_superspeciality_is_isomorphism_invariant():
         shifted = tuple(ctx.add(rt, ctx.elem(c)) for rt in roots)
         assert is_superspecial(Genus2Curve(ctx, shifted))
         assert isomorphic(C, Genus2Curve(ctx, shifted)) is not None
+
+
+def _rows(ctx, batch):
+    return [tuple(map(tuple, row)) for row in genus2.cartier_manin_rows(ctx, batch).tolist()]
+
+
+def _scalar_rows(ctx, batch):
+    return [tuple(cartier_manin(Genus2Curve(ctx, roots))) for roots in batch]
+
+
+def _translate(ctx, roots, c):
+    return tuple(ctx.sub(x, c) for x in roots)
+
+
+@pytest.mark.parametrize("p", [q for q in range(7, 62) if is_prime(q)])
+def test_batched_entries_match_cartier_manin_at_every_class(p, genus2_lists):
+    # every class, each class moved to put a root at 0, and perturbed controls:
+    # one root of a class moved, then half of them moved to put a root at 0
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    classes = [C.roots for C in genus2_lists(p).curves]
+    at_zero = [_translate(ctx, roots, roots[rng.randrange(6)]) for roots in classes]
+    controls = []
+    for k in range(10):
+        moved = list(classes[k % len(classes)])
+        while len(set(moved)) < 6 or moved == list(classes[k % len(classes)]):
+            moved[rng.randrange(6)] = _random_sextic_roots(ctx, rng)[0]
+        controls.append(_translate(ctx, moved, moved[0]) if k % 2 else tuple(moved))
+    batch = classes + at_zero + controls
+    rows = _rows(ctx, batch)
+    assert rows == _scalar_rows(ctx, batch)
+    zero = (ctx.zero,) * 4
+    assert rows[:2 * len(classes)] == [zero] * (2 * len(classes))
+    assert any(row != zero for row in rows[2 * len(classes):])
+
+
+def test_batched_entries_of_an_empty_batch():
+    assert genus2.cartier_manin_rows(FieldCtx(13), []).shape == (0, 4, 2)
+
+
+@st.composite
+def _cartier_manin_batches(draw):
+    """A prime up to 4003 and one to four sextics, some with a root at 0."""
+    ctx = _field(draw(st.sampled_from([5, 7, 11, 13, 61, 409, 4003])))
+    elem = st.tuples(st.integers(0, ctx.p - 1), st.integers(0, ctx.p - 1))
+    sextic = st.lists(elem, min_size=6, max_size=6, unique=True)
+    batch = draw(st.lists(sextic, min_size=1, max_size=4))
+    return ctx, [_translate(ctx, roots, roots[0]) if draw(st.booleans()) else tuple(roots)
+                 for roots in batch]
+
+
+_TOP = (29988, 29988)
+
+
+# the largest prime costs the scalar oracle about 8 s a sextic, so it is one
+# explicit example, with every coordinate at its largest
+@settings(max_examples=40, deadline=None)
+@given(_cartier_manin_batches())
+@example((FieldCtx(29989), [((0, 0), _TOP, (29988, 0), (0, 29988), (1, 29988), (29988, 1))]))
+def test_batched_entries_match_cartier_manin_on_drawn_sextics(case):
+    ctx, batch = case
+    assert _rows(ctx, batch) == _scalar_rows(ctx, batch)
+
+
+def _bigint_entries(p, r, roots):
+    """The four entries by the recurrence in unbounded integers, each g_k reduced once."""
+    m = (p - 1) // 2
+
+    def mul(x, y):
+        return (x[0] * y[0] + r * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def power(x, e):
+        acc = (1, 0)
+        for bit in bin(e)[2:]:
+            acc = tuple(c % p for c in mul(acc, acc))
+            if bit == "1":
+                acc = tuple(c % p for c in mul(acc, x))
+        return acc
+
+    f = [(1, 0)]
+    for a in roots:
+        f = [tuple((lo - hi) % p for lo, hi in zip(low, mul(a, high)))
+             for low, high in zip([(0, 0)] + f, f + [(0, 0)])]
+
+    def coeffs(f, top):
+        # k f_0 g_k = sum_i (m i - k + i) f_i g_(k-i), g_0 = f_0^m
+        g = [power(f[0], m)]
+        inv = power(f[0], p * p - 2)
+        for k in range(1, top + 1):
+            s0 = s1 = 0
+            for i in range(1, min(k, len(f) - 1) + 1):
+                t = mul(f[i], g[k - i])
+                s0 += (m * i - k + i) * t[0]
+                s1 += (m * i - k + i) * t[1]
+            g.append(tuple(c * pow(k, p - 2, p) % p for c in mul((s0, s1), inv)))
+        return g
+
+    if f[0] == (0, 0):
+        fwd = coeffs(f[1:], m)
+        a, c = fwd[m], fwd[m - 1]
+    else:
+        fwd = coeffs(f, p - 1)
+        a, c = fwd[p - 1], fwd[p - 2]
+    rev = coeffs(f[::-1], p - 1)
+    return (a, rev[p - 2], c, rev[p - 1])
+
+
+def test_batched_entries_at_the_largest_prime_against_big_integers():
+    p = 29989
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    batch = [
+        ((0, 0), _TOP, (29988, 0), (0, 29988), (1, 29988), (29988, 1)),
+        (_TOP, (29987, 29988), (29988, 29987), (29986, 29988), (29988, 29986), (29987, 29987)),
+        _random_sextic_roots(ctx, rng),
+    ]
+    assert _rows(ctx, batch) == [_bigint_entries(p, ctx.r, roots) for roots in batch]
 
 
 def test_genus2_constructor_validation():
@@ -549,6 +668,58 @@ def test_load_rejects_tampered_records(tmp_path, genus2_lists):
     (tmp_path / "bad2.cache").write_text("\n".join([swapped] + lines[1:]) + "\n")
     with pytest.raises(ValueError):
         load_list(FieldCtx(13), str(tmp_path / "bad2.cache"))
+
+
+def _cache_lines(tmp_path, ctx, curves):
+    """The lines save_list writes for pairwise non-isomorphic curves, keys recomputed."""
+    L = SuperspecialList(ctx)
+    L.add(curves)
+    assert len(L) == len(curves)
+    path = tmp_path / "lines.cache"
+    save_list(L, str(path))
+    return path.read_text().splitlines()
+
+
+def _not_superspecial(ctx, roots, rng):
+    """roots with one root moved so that the curve is not superspecial."""
+    while True:
+        moved = list(roots)
+        moved[rng.randrange(6)] = _random_sextic_roots(ctx, rng)[0]
+        if len(set(moved)) == 6 and not is_superspecial(Genus2Curve(ctx, tuple(moved))):
+            return Genus2Curve(ctx, tuple(moved))
+
+
+@pytest.mark.parametrize("where", [0, 1, 2], ids=["first", "middle", "last"])
+@pytest.mark.parametrize("fault", ["key", "cartier-manin", "duplicate"])
+def test_load_names_each_rejected_record(tmp_path, genus2_lists, fault, where):
+    # one bad record among the three classes at p = 13; the load stops at it
+    ctx = FieldCtx(13)
+    L = genus2_lists(13)
+    lines = _cache_lines(tmp_path, ctx, L.curves)
+    if fault == "key":
+        # a stored key that belongs to another class
+        other = lines[(where + 1) % 3].split("|")[1]
+        lines[where] = lines[where].split("|")[0] + "|" + other
+        number, reason = where + 1, "invariant key mismatch"
+    elif fault == "cartier-manin":
+        # a curve that is not superspecial, stored with its own key: only the
+        # Cartier-Manin test can reject it
+        C = _not_superspecial(ctx, L.curves[where].roots, random.Random(where))
+        assert _key(ctx, C.roots) not in L.keys
+        lines[where] = _cache_lines(tmp_path, ctx, [C])[0]
+        number, reason = where + 1, "curve is not superspecial"
+    else:
+        # a translated model of the first class, after it: the second of two
+        # records of one class is rejected
+        image = Genus2Curve(ctx, _translate(ctx, L.curves[0].roots, ctx.one))
+        lines.insert(where + 1, _cache_lines(tmp_path, ctx, [image])[0])
+        number, reason = where + 2, "duplicates an earlier class"
+    path = tmp_path / "g2.cache"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError) as err:
+        load_list(ctx, str(path))
+    sep = " " if fault == "duplicate" else ": "
+    assert str(err.value) == "cache record %d of %s%s%s" % (number, path, sep, reason)
 
 
 def test_iko_window_values():

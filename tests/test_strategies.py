@@ -44,7 +44,7 @@ from howecurves import (
 from howecurves import ellcurve, genus2, strategies
 from howecurves.arith import cross_ratio_map
 from howecurves.ellcurve import enumerate_supersingular_classes
-from howecurves.genus2 import automorphisms, cartier_manin
+from howecurves.genus2 import automorphisms
 from howecurves.strategies import (
     VerificationError,
     _entry_gcds,
@@ -470,15 +470,23 @@ def test_verification_checks_each_genus2_curve_once(monkeypatch):
     reps = enumerate_b(ctx).representatives
     curves = {H.curve.roots for H in reps}
     assert len(curves) < len(reps)
+    assert len(curves) == 5
     calls = []
+    real = strategies.cartier_manin_rows
 
-    def counting(C):
-        calls.append(C.roots)
-        return cartier_manin(C)
+    def counting(ctx, batch):
+        calls.append(list(batch))
+        return real(ctx, batch)
 
-    monkeypatch.setattr(genus2, "cartier_manin", counting)
+    # one batch, one row per distinct curve in first-seen order, and no
+    # scalar test
+    monkeypatch.setattr(strategies, "cartier_manin_rows", counting)
+    monkeypatch.setattr(genus2, "cartier_manin", None)
     _verify_representatives(ctx, reps)
-    assert sorted(calls) == sorted(curves)
+    assert len(calls) == 1
+    assert sorted(calls[0]) == sorted(curves)
+    assert calls[0] == list(dict.fromkeys(H.curve.roots for H in reps))
+    monkeypatch.undo()
 
     # a bad branch point on a curve that already passed is still caught
     H = reps[0]
@@ -496,15 +504,20 @@ def test_verification_runs_one_hasse_test_per_lambda(monkeypatch, genus2_lists):
     lams = {lambda_of_quartic(Q) for Q in quartics}
     assert len(quartics) == 334 and len(lams) == 26
     calls = []
-    real = ellcurve.is_supersingular
+    real = strategies.deuring_vanishes
 
-    def counting(E):
-        calls.append(E)
-        return real(E)
+    def counting(ctx, values):
+        calls.append(list(values))
+        return real(ctx, values)
 
-    monkeypatch.setattr(ellcurve, "is_supersingular", counting)
+    # one Horner pass over the distinct lambdas in first-seen order, and no
+    # scalar Hasse test
+    monkeypatch.setattr(strategies, "deuring_vanishes", counting)
+    monkeypatch.setattr(ellcurve, "is_supersingular", None)
     _verify_representatives(ctx, reps)
-    assert len(calls) == len(lams)
+    assert len(calls) == 1
+    assert len(calls[0]) == len(lams) and set(calls[0]) == lams
+    assert calls[0] == list(dict.fromkeys(lambda_of_quartic(Q) for Q in quartics))
 
     # a representative whose lambda is not supersingular, after good ones,
     # is the first failure reported, with the same message as before
