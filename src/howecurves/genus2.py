@@ -722,8 +722,8 @@ def load_list(ctx: FieldCtx, path: str) -> SuperspecialList:
     acc = SuperspecialList(ctx)
     batch = [C.roots for _, C, _ in records]
     keys = igusa_key(ctx, batch)
-    nonzero = cartier_manin_rows(ctx, batch).any(axis=(1, 2))
-    for (lineno, C, key), computed, bad in zip(records, keys, nonzero):
+    not_superspecial = cartier_manin_rows(ctx, batch).any(axis=(1, 2))
+    for (lineno, C, key), computed, bad in zip(records, keys, not_superspecial):
         if computed != key:
             raise ValueError("cache record %d of %s: invariant key mismatch"
                              % (lineno, path))
