@@ -28,7 +28,6 @@ from .ellcurve import (
     SupersingularLambdaSet,
     enumerate_supersingular_classes,
     is_supersingular,
-    j_invariant,
     lambda_of_quartic,
     quartic_is_supersingular,
     supersingular_lambda_set,
@@ -39,14 +38,12 @@ from .genus2 import (
     Genus2Curve,
     RationalityError,
     SuperspecialList,
-    automorphisms,
     cartier_manin,
     closure_stream,
     glue_elliptic_pair,
     igusa_key,
     iko_window,
     is_superspecial,
-    isomorphic,
     load_list,
     quadratic_splittings,
     richelot_codomains,
@@ -95,7 +92,6 @@ __all__ = [
     "SupersingularLambdaSet",
     "enumerate_supersingular_classes",
     "is_supersingular",
-    "j_invariant",
     "lambda_of_quartic",
     "quartic_is_supersingular",
     "supersingular_lambda_set",
@@ -104,14 +100,12 @@ __all__ = [
     "Genus2Curve",
     "RationalityError",
     "SuperspecialList",
-    "automorphisms",
     "cartier_manin",
     "closure_stream",
     "glue_elliptic_pair",
     "igusa_key",
     "iko_window",
     "is_superspecial",
-    "isomorphic",
     "load_list",
     "quadratic_splittings",
     "richelot_codomains",

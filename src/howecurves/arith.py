@@ -32,16 +32,13 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # batched Igusa key (genus2.igusa_key), take operands in [0, p) and reduce
 # each product before the next, so no intermediate exceeds (1 + r) p^2 < 2^35;
 # the key's widest sum, the 60 terms of I6, each below p, stays below 2^21.
-# Strategy a's entry matrix product (matmul_fq) sums at most 3m + 1 <= 3p/2
-# products below p^2 in each of its four integer matrix products, so each
-# stays below 1.5 p^3 < 2^46 and the second component's sum of two below
-# 2^47; the first component's S1 T1 is reduced mod p before it is multiplied
-# by r.  gcd_rows makes each divisor b monic, so one elimination step
-# a - lc(a) x^s b takes from a coefficient of a in [0, p) two products of
-# residues below p, c0 sb0 and (r c1 mod p) sb1 or c0 sb1 and c1 sb0, and
-# stays above -2 p^2 until it is reduced.  Making a row monic multiplies it
-# by conj(lc) inv_table[norm(lc)] the same way, in sums of two products
-# below p^2, and the norm c0^2 - r c1^2 stays within (1 + r) p^2 < 2^35.
+# Strategy a's evaluation search (strategies.howe_type_points) builds its
+# power table and scale rows by _mul_stacked, and its values by matmul_fq:
+# each of the four integer matrix products there, in T V and in S (T V),
+# sums at most 3m + 1 <= 3p/2 products below p^2, so each stays below
+# 1.5 p^3 < 2^46 and the second component's sum of two below 2^47; the
+# first component's x1 y1 is reduced mod p before it is multiplied by r.
+# The values at the zeros of entry 0 sum as many reduced products below p.
 # The Horner pass of the Deuring polynomial (ellcurve.deuring_vanishes)
 # multiplies an accumulator in [0, p) by a lambda in [0, p) and adds a
 # coefficient below p, reducing after every step, so no intermediate
@@ -53,8 +50,8 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 MAX_P = 30000
 
 # Row count of one block of genus2.igusa_key's sextics; strategy a's blocks
-# of scales mu hold up to ROW_BLOCK**2 coefficients.  Either way it bounds
-# the temporaries at any batch size.
+# of scales mu hold up to ROW_BLOCK**2 (mu, lam) values.  Either way it
+# bounds the temporaries at any batch size.
 ROW_BLOCK = 128
 
 
@@ -729,177 +726,12 @@ def _mul_stacked(ctx: FieldCtx, x, y):
     return np.stack(_mul_arrays(ctx, x[..., 0], x[..., 1], y[..., 0], y[..., 1]), axis=-1)
 
 
-# ---------------------------------------------------------------------------
-# batched polynomial rows: (rows, n, 2) int64 arrays, ascending coefficients,
-# last axis (c0, c1), entries in [0, p)
-# ---------------------------------------------------------------------------
-
-
 def matmul_fq(ctx: FieldCtx, x, y):
     """F_{p^2} matrix product of a (k, n, 2) and an (n, l, 2) array."""
     p = ctx.p
     x0, x1 = x[..., 0], x[..., 1]
     y0, y1 = y[..., 0], y[..., 1]
     return np.stack([(x0 @ y0 + ctx.r * (x1 @ y1 % p)) % p, (x0 @ y1 + x1 @ y0) % p], axis=-1)
-
-
-def row_degrees(c0, c1):
-    """The degree of each polynomial row of the planes (c0, c1), -1 for the zero row.
-
-    Coefficients ascend along axis 1.
-    """
-    nonzero = c0 != 0
-    nonzero |= c1 != 0
-    last = nonzero.shape[1] - 1 - np.argmax(nonzero[:, ::-1], axis=1)
-    return np.where(nonzero.any(axis=1), last, -1)
-
-
-# gcd_rows keeps its operands top-aligned: column j of a row of degree d holds
-# the x^(d - j) coefficient, and zeros follow.
-
-
-def _shift_left(x0, x1, shift):
-    """Row k moved left by shift[k] columns, zeros filling in at the right."""
-    w = x0.shape[1]
-    src = shift[:, None] + np.arange(w)
-    outside = src >= w
-    np.minimum(src, w - 1, out=src)
-    k = np.arange(len(x0))[:, None]
-    x0, x1 = x0[k, src], x1[k, src]
-    x0[outside] = 0
-    x1[outside] = 0
-    return x0, x1
-
-
-def _strip_rows(x0, x1, formal):
-    """Move top-aligned rows of degree at most formal left over their zero
-    leading terms, in place, and return their degrees (-1 for a zero row)."""
-    last = row_degrees(x0[:, ::-1], x1[:, ::-1])
-    shift = np.where(last < 0, 0, x0.shape[1] - 1 - last)
-    moved = np.flatnonzero(shift)
-    if len(moved):
-        x0[moved], x1[moved] = _shift_left(x0[moved], x1[moved], shift[moved])
-    return np.where(last < 0, -1, formal - shift)
-
-
-def _make_monic(ctx: FieldCtx, x0, x1) -> None:
-    """Divide top-aligned rows by their leading coefficients, in place.
-
-    The inverse of lc is conj(lc) / norm(lc), the norm inverted through
-    ctx.inv_table(); zero rows stay zero.
-    """
-    p = ctx.p
-    l0, l1 = x0[:, 0], x1[:, 0]
-    ninv = ctx.inv_table()[(l0 * l0 - ctx.r * l1 * l1) % p]
-    i0 = (l0 * ninv % p)[:, None]
-    i1 = ((p - l1) * ninv % p)[:, None]
-    t = x0 * i1
-    t += x1 * i0
-    x0 *= i0
-    x0 += ctx.r * i1 % p * x1
-    x0 %= p
-    np.remainder(t, p, out=x1)
-
-
-def _eliminate(ctx: FieldCtx, a0, a1, b0, b1) -> None:
-    """a <- a - lc(a) x^(deg a - deg b) b on top-aligned rows, b monic, in place.
-
-    a0 and a1 are cut to the widest a.  Their column 0, the leading
-    coefficients, is left as it is: the step makes it zero and the caller
-    drops it.
-    """
-    p = ctx.p
-    w = a0.shape[1]
-    l0, l1 = a0[:, :1], a1[:, :1]
-    x0, x1 = a0[:, 1:], a1[:, 1:]
-    y0, y1 = b0[:, 1:w], b1[:, 1:w]
-    x0 -= l0 * y0
-    x0 -= ctx.r * l1 % p * y1
-    x0 %= p
-    x1 -= l0 * y1
-    x1 -= l1 * y0
-    x1 %= p
-
-
-def _swap(ctx: FieldCtx, rows, a0, a1, da, b0, b1, db) -> None:
-    """For the chosen rows, in place: a <- b, and b <- the remainder a made monic."""
-    r0, r1 = a0[rows], a1[rows]
-    dr = _strip_rows(r0, r1, da[rows])
-    _make_monic(ctx, r0, r1)
-    a0[rows], a1[rows], da[rows] = b0[rows], b1[rows], db[rows]
-    b0[rows], b1[rows], db[rows] = r0, r1, dr
-
-
-def _rebased(x):
-    """The rows x at the left of a zero buffer half as wide again."""
-    n = x.shape[1]
-    out = np.zeros((len(x), n + n // 2), dtype=np.int64)
-    out[:, :n] = x
-    return out
-
-
-def gcd_rows(ctx: FieldCtx, a, b) -> tuple:
-    """Row by row, a gcd of two batches of polynomial rows, up to a unit.
-
-    a and b are (rows, n, 2) arrays of ascending coefficients.  Returns the
-    gcd rows, of the same shape, and their degrees: -1 where both rows are
-    zero, 0 where the gcd is a unit.
-
-    Euclid runs on all rows in lockstep, on separate c0/c1 planes of
-    top-aligned rows.  The divisor b is made monic whenever a row's
-    operands swap, so each step a <- a - lc(a) x^(deg a - deg b) b is one
-    scalar-times-row product (_eliminate).  Top-aligned, x^(deg a - deg b) b
-    is b itself, and the step empties a's leading column in every row, so
-    a lives in a wider buffer and one column offset shared by all rows
-    moves right by one per step.  a's degree counts down by one per step,
-    through zero leading terms too; once it is below b's, the remainder,
-    moved over its zero leading terms, becomes the new monic b and b the
-    new a (_swap).  A row leaves once b is zero (the gcd is a) or a nonzero
-    constant (a unit), the live rows are then compacted, and each step
-    reads only the columns up to the live maximum degree.
-    """
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    rows, n = a.shape[:2]
-    higher = (row_degrees(a[..., 0], a[..., 1]) >= row_degrees(b[..., 0], b[..., 1]))[:, None]
-    a, b = a[:, ::-1], b[:, ::-1]
-    b0, b1 = np.where(higher, b[..., 0], a[..., 0]), np.where(higher, b[..., 1], a[..., 1])
-    db = _strip_rows(b0, b1, n - 1)
-    _make_monic(ctx, b0, b1)
-    A0, A1 = np.where(higher, a[..., 0], b[..., 0]), np.where(higher, a[..., 1], b[..., 1])
-    da = _strip_rows(A0, A1, n - 1)
-    A0, A1, off = _rebased(A0), _rebased(A1), 0
-    g0 = np.zeros((rows, n), dtype=np.int64)
-    g1 = np.zeros_like(g0)
-    deg = np.full(rows, -1)
-    live = np.arange(rows)
-    while len(live):
-        done = db <= 0
-        if done.any():
-            out = live[done]
-            unit = db[done] == 0
-            g0[out] = np.where(unit[:, None], b0[done], A0[done, off:off + n])
-            g1[out] = np.where(unit[:, None], b1[done], A1[done, off:off + n])
-            deg[out] = np.where(unit, 0, da[done])
-            keep = ~done
-            live, da, db, b0, b1 = live[keep], da[keep], db[keep], b0[keep], b1[keep]
-            if not len(live):
-                break
-            A0, A1, off = _rebased(A0[keep, off:off + n]), _rebased(A1[keep, off:off + n]), 0
-        elif off + n == A0.shape[1]:
-            A0, A1, off = _rebased(A0[:, off:]), _rebased(A1[:, off:]), 0
-        w = int(da.max()) + 1
-        _eliminate(ctx, A0[:, off:off + w], A1[:, off:off + w], b0, b1)
-        off += 1
-        da -= 1
-        swap = da < db
-        if swap.any():
-            _swap(ctx, np.flatnonzero(swap), A0[:, off:off + n], A1[:, off:off + n], da,
-                  b0, b1, db)
-    # back to ascending coefficients: reversed, a row of degree d starts at
-    # column n - 1 - d
-    g0, g1 = _shift_left(g0[:, ::-1], g1[:, ::-1], n - 1 - deg)
-    return np.stack([g0, g1], axis=-1), deg
 
 
 def mobius_eval_array(ctx: FieldCtx, maps: Sequence[MobiusMap], x0, x1) -> tuple:

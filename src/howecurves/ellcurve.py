@@ -68,13 +68,6 @@ class QuarticModel:
         object.__setattr__(self, "roots", tuple(sorted(self.roots)))
 
 
-def j_invariant(E: EllipticCurve) -> FqElem:
-    """j = 1728 * 4A^3 / (4A^3 + 27B^2)."""
-    ctx = E.ctx
-    a3 = ctx.mul((4, 0), ctx.pow(E.A, 3))
-    return ctx.div(ctx.mul(ctx.elem(1728), a3), E.discriminant())
-
-
 def is_supersingular(E: EllipticCurve) -> bool:
     """Hasse invariant test: x^(p-1) coefficient of (x^3+Ax+B)^((p-1)/2)."""
     ctx = E.ctx

@@ -6,9 +6,9 @@ keeps those roots inside F_{p^2}.  The module provides the Cartier-Manin
 matrix entries (one curve at a time, or a whole batch by the recurrence
 f g' = m f' g), Kbar-isomorphism machinery (the canonical Igusa key, which
 identifies a class for p > 5, and mobius_matches, the one Mobius matcher
-behind isomorphic, automorphisms and howe.howe_isomorphic, which tests the
-120 candidate maps on tabulated cross-ratios and builds only the maps that
-pass), the (2,2)-correspondence walk and its inverse gluing of elliptic
+behind howe.howe_isomorphic, which tests the 120 candidate maps on
+tabulated cross-ratios and builds only the maps that pass), the
+(2,2)-correspondence walk and its inverse gluing of elliptic
 pairs, and the closure routine producing every superspecial curve up to
 isomorphism, one class per key, which fails as soon as its class count
 passes the mass-formula window.
@@ -327,20 +327,6 @@ def mobius_matches(C: Genus2Curve, D: Genus2Curve) -> Iterator[MobiusMap]:
         else:
             t_dst = cross_ratio_map(ctx, roots[b], roots[a], roots[c])
             yield t_dst.inverse().compose(t_src)
-
-
-def isomorphic(C: Genus2Curve, D: Genus2Curve) -> Optional[MobiusMap]:
-    """A Mobius map carrying the root set of C onto that of D, if one exists.
-
-    The first of mobius_matches: the map sending C's first three roots to
-    the earliest ordered triple of D's roots that works.
-    """
-    return next(mobius_matches(C, D), None)
-
-
-def automorphisms(C: Genus2Curve) -> list:
-    """All Mobius maps preserving the root set of C (the reduced automorphisms)."""
-    return sorted(mobius_matches(C, C), key=lambda m: m.key())
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,11 @@ Strategy "a" walks pairs of supersingular elliptic curves.  The branch data
 of the fiber product is pinned down by two field parameters: a scale mu
 applied to the first cubic and a translation lam applied to the second, the
 third projective parameter being normalized to 1.  For each mu the four
-Cartier-Manin entries of y^2 = f1*f2 become polynomials in lam, and their
-gcd hands over exactly the superspecial fibers.  The scales run in blocks:
-one F_{p^2} matrix product gives a block's entry polynomials, and one
-lockstep Euclid over the block's rows gives their gcds.
+Cartier-Manin entries of y^2 = f1*f2 become polynomials in lam of degree
+below p^2, and their common zeros in F_{p^2} are exactly the superspecial
+fibers.  They are found by evaluation at every lam: F_{p^2} matrix
+products give the first entry's values on a block of scales, and the other
+three are evaluated only at its zeros.
 
 Strategy "b" walks the complete list of superspecial genus-2 curves instead,
 and for each of the 10 splits of a curve's Weierstrass points into two
@@ -42,11 +43,8 @@ from .arith import (
     UniPoly,
     _mul_stacked,
     cross_ratio_map,
-    gcd_rows,
     matmul_fq,
     mobius_eval_array,
-    poly_roots_in_fq,
-    row_degrees,
     sort_key,
 )
 from .ellcurve import (
@@ -191,15 +189,18 @@ def _shifted_power_rows(ctx: FieldCtx, E: EllipticCurve):
 
 
 class _PairEntries:
-    """The four entry polynomials of one curve pair, for blocks of scales mu.
+    """The four entry polynomials of one curve pair, evaluated at every lam.
 
     With f1 = x^3 + A1 mu^2 x + B1 mu^3, the x^i coefficient of f1^m is
     hm[i] mu^(3m-i), hm that of the unscaled cubic's power.  So the x^j
     coefficient of (f1 f2)^m is sum_i hm[i] mu^(3m-i) rows[j-i], rows from
-    _shifted_power_rows of the second cubic: for a block of mu, the scale
-    matrix S[mu, i] = hm[i] mu^(3m-i) times a Toeplitz table, the rows
-    j-i taken down the diagonal.  The entries are the coefficients of
-    x^(p-1), x^(2p-1), x^(p-2) and x^(2p-2), each built on demand.
+    _shifted_power_rows of the second cubic: the scale matrix
+    S[mu, i] = hm[i] mu^(3m-i) times a Toeplitz table T, the rows j-i taken
+    down the diagonal.  The entries are the coefficients of x^(p-1),
+    x^(2p-1), x^(p-2) and x^(2p-2).  One table of powers V[k, x] = x^k,
+    k <= 3m, x over F_{p^2} by code c0 p + c1, gives both the powers of mu
+    in S and each entry's values T V at every lam, so a block's values are
+    S (T V).
     """
 
     def __init__(self, ctx: FieldCtx, E1: EllipticCurve, E2: EllipticCurve):
@@ -207,45 +208,32 @@ class _PairEntries:
         p = ctx.p
         top = 3 * ((p - 1) // 2)
         self.hm = _cubic_power(ctx, E1)
+        x = np.stack(np.divmod(np.arange(p * p), p), axis=-1)
+        powers = [np.broadcast_to(np.array([1, 0], dtype=np.int64), x.shape)]
+        for _ in range(top):
+            powers.append(_mul_stacked(ctx, powers[-1], x))
+        self.powers = np.stack(powers)
         rows = _shifted_power_rows(ctx, E2)
         self.tables = []
         for j in (p - 1, 2 * p - 1, p - 2, 2 * p - 2):
             lo, hi = max(0, j - top), min(top, j)
-            self.tables.append((lo, hi + 1, rows[j - hi: j - lo + 1][::-1]))
+            table = matmul_fq(ctx, rows[j - hi: j - lo + 1][::-1], self.powers)
+            self.tables.append((lo, hi + 1, table))
 
-    def scales(self, mus: Sequence[FqElem]):
-        """The (len(mus), 3m+1, 2) scale matrix S."""
-        x = np.array(mus, dtype=np.int64)
-        powers = [np.broadcast_to(np.array([1, 0], dtype=np.int64), x.shape)]
-        for _ in range(len(self.hm) - 1):
-            powers.append(_mul_stacked(self.ctx, powers[-1], x))
-        return _mul_stacked(self.ctx, self.hm, np.stack(powers[::-1], axis=1))
+    def scales(self, codes):
+        """The (len(codes), 3m+1, 2) scale matrix S of the mu with these codes."""
+        return _mul_stacked(self.ctx, self.hm, self.powers[::-1, codes].swapaxes(0, 1))
 
-    def entry(self, scales, k: int):
-        """Entry polynomial k for every row of the scale matrix."""
+    def values(self, scales, k: int):
+        """Entry k of every row of the scale matrix at every lam, (rows, p^2, 2)."""
         lo, hi, table = self.tables[k]
         return matmul_fq(self.ctx, scales[:, lo:hi], table)
 
-
-def _entry_gcds(ctx: FieldCtx, entry, count: int) -> tuple:
-    """A gcd of the four entry polynomials of each of count rows, and its degree.
-
-    entry(k, rows) gives entry polynomial k of the chosen rows.  Entries 2-4
-    are built only for the rows whose gcd is not yet a unit, and a zero entry
-    leaves the gcd as it is.
-    """
-    g = entry(0, np.arange(count))
-    deg = row_degrees(g[..., 0], g[..., 1])
-    for k in (1, 2, 3):
-        rows = np.flatnonzero(deg != 0)
-        if not len(rows):
-            break
-        # while every row is live, g itself saves a block-sized copy
-        g[rows], deg[rows] = gcd_rows(ctx, g if len(rows) == count else g[rows],
-                                      entry(k, rows))
-    if (deg < 0).any():
-        raise ArithmeticError("all four entry polynomials vanished identically")
-    return g, deg
+    def values_at(self, scales, k: int, rows, lams):
+        """Entry k at the points (scale row rows[t], lam of code lams[t])."""
+        lo, hi, table = self.tables[k]
+        terms = _mul_stacked(self.ctx, scales[rows, lo:hi], table[:, lams].swapaxes(0, 1))
+        return terms.sum(axis=1) % self.ctx.p
 
 
 def howe_type_points(ctx: FieldCtx, E1: EllipticCurve, E2: EllipticCurve
@@ -254,27 +242,30 @@ def howe_type_points(ctx: FieldCtx, E1: EllipticCurve, E2: EllipticCurve
 
     f1 = x^3 + A1 mu^2 x + B1 mu^3 and f2 = (x-lam)^3 + A2 (x-lam) + B2.  For
     fixed mu the four Cartier-Manin entries of the sextic are polynomials in
-    lam of degree at most 3(p-1)/2, and the rational roots of their gcd are
-    the hits.  The nonzero mu run in blocks of at most ROW_BLOCK**2
-    coefficients, rows times 3m + 1, and never fewer than ROW_BLOCK rows:
-    for p <= 19 that is one block per pair, and the temporaries stay
-    bounded at any p.  A block's entry polynomials come from one F_{p^2}
-    matrix product (_PairEntries), and their gcds from a lockstep Euclid
-    (arith.gcd_rows).  Hits come in ctx.elements() order of mu, each mu's
-    lam sorted.  The third projective parameter of the branch data is
-    normalized to 1 throughout.
+    lam of degree at most 3(p-1)/2 < p^2, so the hits are their common zeros
+    in F_{p^2}, found by evaluation at every lam (_PairEntries), whose
+    tables take O(p^3) words.  Entry 0 is evaluated on blocks of nonzero
+    mu, at most ROW_BLOCK**2 (mu, lam) points each; entries 1-3 only at its
+    zeros.  A mu whose entries vanish at all p^2 points has four zero
+    entry polynomials, and raises.  Hits come in ctx.elements() order of
+    mu, each mu's lam ascending.  The third projective parameter of the
+    branch data is normalized to 1 throughout.
     """
+    p = ctx.p
+    q = p * p
     pair = _PairEntries(ctx, E1, E2)
-    mus = [mu for mu in ctx.elements() if mu != ctx.zero]
-    size = max(ROW_BLOCK, ROW_BLOCK ** 2 // len(pair.hm))
-    for start in range(0, len(mus), size):
-        block = mus[start:start + size]
-        scales = pair.scales(block)
-        g, deg = _entry_gcds(ctx, lambda k, rows: pair.entry(scales[rows], k), len(block))
-        for i in np.flatnonzero(deg > 0):
-            poly = UniPoly(ctx, g[i, :, 0], g[i, :, 1]).monic()
-            for lam in poly_roots_in_fq(poly):
-                yield lam, block[i]
+    size = max(1, ROW_BLOCK ** 2 // q)
+    for start in range(1, q, size):
+        codes = np.arange(start, min(start + size, q))
+        scales = pair.scales(codes)
+        rows, lams = np.nonzero(~pair.values(scales, 0).any(axis=-1))
+        for k in (1, 2, 3):
+            keep = ~pair.values_at(scales, k, rows, lams).any(axis=-1)
+            rows, lams = rows[keep], lams[keep]
+        if len(rows) and np.bincount(rows).max() == q:
+            raise ArithmeticError("all four entry polynomials vanished identically")
+        for mu, lam in zip(codes[rows].tolist(), lams.tolist()):
+            yield divmod(lam, p), divmod(mu, p)
 
 
 def _howe_from_pair_hit(ctx: FieldCtx, rho1: tuple, rho2: tuple,

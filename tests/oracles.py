@@ -2,14 +2,16 @@
 
 Each oracle here is the straightforward form of a computation the package
 does another way: the scalar Igusa-Clebsch invariants behind the batched
-Igusa key, the per-mu entry polynomials and scalar gcd fold behind the
-batched strategy a, the whole-plane scan behind strategy a, a direct model
-for each j-invariant behind the supersingular class list, a translated
-polynomial behind the closed-form Legendre model, and a closure from one
-scanned Rosenhain curve behind the glued-seed closure.  The tests compare
-the two.
+Igusa key, the per-mu entry polynomials and scalar gcd fold behind strategy
+a's evaluation search, the whole-plane scan behind strategy a, a direct
+model for each j-invariant behind the supersingular class list, a
+translated polynomial behind the closed-form Legendre model, and a closure
+from one scanned Rosenhain curve behind the glued-seed closure.  The tests
+compare the two.  isomorphic, automorphisms and j_invariant, which only
+the tests read, live here too.
 """
 
+import functools
 import itertools
 import time
 
@@ -39,6 +41,7 @@ from howecurves.genus2 import (
     _PAIRS,
     _TRIPLE_PARTITIONS,
     _renormalize_infinite,
+    mobius_matches,
 )
 from howecurves.strategies import _cubic_power, _ratio, _shifted_power_rows
 
@@ -113,11 +116,25 @@ def igusa_key_scalar(ctx, roots):
     return (3,)
 
 
+def isomorphic(C, D):
+    """A Mobius map carrying the root set of C onto that of D, if one exists.
+
+    The first of mobius_matches: the map sending C's first three roots to
+    the earliest ordered triple of D's roots that works.
+    """
+    return next(mobius_matches(C, D), None)
+
+
+def automorphisms(C):
+    """All Mobius maps preserving the root set of C (the reduced automorphisms)."""
+    return sorted(mobius_matches(C, C), key=lambda m: m.key())
+
+
 def enumerate_a_bruteforce(ctx):
     """Reference scan of the whole (lam, mu) plane; small p only.
 
-    Tests the superspeciality of every fiber directly instead of factoring
-    entry gcds, so it shares no search logic with enumerate_a.
+    Tests the superspeciality of every fiber directly instead of evaluating
+    entry polynomials, so it shares no search logic with enumerate_a.
     """
     t0 = time.perf_counter()
     classes = enumerate_supersingular_classes(ctx)
@@ -165,6 +182,13 @@ def legendre_curve_by_translation(ctx, lam):
         g = g * xc + UniPoly.from_coeffs(ctx, [f.coeff(i)])
     assert g.coeff(2) == ctx.zero
     return EllipticCurve(ctx, g.coeff(1), g.coeff(0))
+
+
+def j_invariant(E):
+    """j = 1728 * 4A^3 / (4A^3 + 27B^2)."""
+    ctx = E.ctx
+    a3 = ctx.mul((4, 0), ctx.pow(E.A, 3))
+    return ctx.div(ctx.mul(ctx.elem(1728), a3), E.discriminant())
 
 
 def curve_from_j(ctx, j):
@@ -219,17 +243,23 @@ class _ScalarPairEntries:
         return out
 
 
+@functools.lru_cache(maxsize=16)
+def _scalar_pair(ctx, E1, E2):
+    return _ScalarPairEntries(ctx, E1, E2)
+
+
 def cm_entry_polynomials(ctx, E1, E2, mu):
     """The four superspeciality entries of y^2 = f1*f2, as polynomials in lam.
 
     f1 = x^3 + A1 mu^2 x + B1 mu^3 and f2 = (x-lam)^3 + A2 (x-lam) + B2.
     Specializing the four at lam = lam0 (any value keeping the sextic
     squarefree) reproduces the Cartier-Manin entries of that curve, and each
-    polynomial has degree at most 3(p-1)/2.
+    polynomial has degree at most 3(p-1)/2.  The rows of a recent pair are
+    kept, so a loop over mu builds them once.
     """
     if mu == ctx.zero:
         raise ValueError("the scale mu must be nonzero")
-    return _ScalarPairEntries(ctx, E1, E2).entries(mu)
+    return _scalar_pair(ctx, E1, E2).entries(mu)
 
 
 def howe_type_points_scalar(ctx, E1, E2):

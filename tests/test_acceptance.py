@@ -28,7 +28,6 @@ from howecurves import (
     is_prime,
     is_superspecial,
     is_superspecial_howe,
-    isomorphic,
     match_representatives,
     normalize_split,
     quadratic_splittings,
@@ -43,6 +42,7 @@ from howecurves import (
 from howecurves.cli import main
 from howecurves.ellcurve import enumerate_supersingular_classes
 from howecurves.genus2 import cartier_manin, iko_window
+from oracles import isomorphic
 
 # class counts n(p) for the small-prime table check
 SMALL_COUNTS = {

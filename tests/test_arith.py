@@ -27,14 +27,11 @@ from howecurves import (
 )
 import numpy as np
 
-from howecurves import arith
 from howecurves.arith import (
     MAX_P,
     _conv_fq,
     _divmod_monic,
-    _make_monic,
     _mul_arrays,
-    gcd_rows,
     matmul_fq,
     mobius_eval_array,
 )
@@ -136,14 +133,18 @@ def test_field_laws_against_big_integers(case):
 @settings(max_examples=60, deadline=None)
 @given(_field_elements(), st.integers(1, 4))
 def test_array_inverse_makes_rows_monic(case, width):
-    # conj(lc) * inv_table[norm(lc)], the inverse behind gcd_rows' monic divisors
+    # conj(lc) * inv_table[norm(lc)], the array inverse of mobius_eval_array
+    # (here the map x -> 1/x at each leading coefficient), INF at zero
     ctx, a, b, c = case
     p, r = ctx.p, ctx.r
     rows = [row[:width] for row in ([a, b, c, a], [b, c, a, b]) if row[0] != ctx.zero]
     rows.append([ctx.zero] * width)
     x0 = np.array([[e[0] for e in row] for row in rows], dtype=np.int64)
     x1 = np.array([[e[1] for e in row] for row in rows], dtype=np.int64)
-    _make_monic(ctx, x0, x1)
+    flip = MobiusMap(ctx, ctx.zero, ctx.one, ctx.one, ctx.zero)
+    i0, i1, finite = mobius_eval_array(ctx, [flip], x0[:, 0], x1[:, 0])
+    assert finite[0].tolist() == [True] * (len(rows) - 1) + [False]
+    x0, x1 = _mul_arrays(ctx, x0, x1, i0[0][:, None], i1[0][:, None])
     got = [list(zip(y0, y1)) for y0, y1 in zip(x0.tolist(), x1.tolist())]
     assert got[-1] == rows[-1]
     for row, monic in zip(rows[:-1], got):
@@ -563,101 +564,6 @@ def test_gcd_divides_both_operands():
         assert (d % common.monic()).is_zero()
 
 
-def _rows(polys, n):
-    """Zero-padded (len(polys), n, 2) coefficient rows."""
-    out = np.zeros((len(polys), n, 2), dtype=np.int64)
-    for k, f in enumerate(polys):
-        out[k, : len(f.c0), 0] = f.c0
-        out[k, : len(f.c1), 1] = f.c1
-    return out
-
-
-def _check_gcd_rows(ctx, pairs):
-    """gcd_rows on the pairs, row by row against poly_gcd after making both monic."""
-    n = max([1] + [len(f.c0) for pair in pairs for f in pair])
-    g, deg = gcd_rows(ctx, _rows([f for f, _ in pairs], n), _rows([h for _, h in pairs], n))
-    assert g.shape == (len(pairs), n, 2) and deg.shape == (len(pairs),)
-    for (f, h), row, d in zip(pairs, g, deg):
-        got = UniPoly(ctx, row[:, 0], row[:, 1])
-        assert got.degree == d
-        if f.is_zero() and h.is_zero():
-            assert d == -1
-        else:
-            assert got.monic() == poly_gcd(f, h)
-    return deg.tolist()
-
-
-def test_gcd_rows_on_explicit_rows():
-    ctx = FieldCtx(11)
-    zero = UniPoly.zero(ctx)
-    const = UniPoly.from_coeffs(ctx, [ctx.elem(3, 4)])
-    f = UniPoly.from_roots(ctx, [ctx.elem(1), ctx.elem(2), ctx.elem(0, 3)]).scale(ctx.elem(5, 1))
-    h = UniPoly.from_roots(ctx, [ctx.elem(2), ctx.elem(0, 3)])
-    pairs = [(zero, zero), (zero, f), (f, zero), (const, f), (f, const), (const, const),
-             (f, f), (h, f), (f, h), (h, f.scale(ctx.elem(0, 1)))]
-    assert _check_gcd_rows(ctx, pairs) == [-1, 3, 3, 0, 0, 0, 3, 2, 2, 2]
-    assert _check_gcd_rows(ctx, []) == []
-
-
-def test_gcd_rows_with_every_coefficient_p_minus_1():
-    p = 29989
-    ctx = FieldCtx(p)
-    top = (p - 1, p - 1)
-    full = [UniPoly.from_coeffs(ctx, [top] * k) for k in range(1, 9)]
-    pairs = [(a, b) for a in full for b in full]
-    pairs += [(a * b, a * c) for a, b, c in zip(full, full[1:], full[2:])]
-    _check_gcd_rows(ctx, pairs)
-
-
-def test_gcd_rows_on_one_batch_of_mixed_degrees(monkeypatch):
-    # strategy a's row length at p = 19 (3m + 1 = 28 coefficients), gcds of
-    # every degree 0..27 and operands of every degree up to 27: rows leave at
-    # different steps, and each step reads only the columns still live
-    ctx = FieldCtx(19)
-    n = 28
-    rng = random.Random(28)
-    pairs = [(UniPoly.zero(ctx), UniPoly.zero(ctx))]
-    for d in range(n):
-        common = _random_poly(ctx, rng, d).scale(ctx.elem(rng.randrange(1, 19), rng.randrange(19)))
-        for _ in range(2):
-            f = common * _random_poly(ctx, rng, rng.randrange(0, n - d))
-            h = common * _random_poly(ctx, rng, rng.randrange(0, n - d))
-            pairs.append((f, h.scale(ctx.elem(0, 1))))
-    pairs.append((UniPoly.zero(ctx), pairs[-1][1]))
-    shapes = []
-    eliminate = arith._eliminate
-
-    def spy(ctx, a0, a1, b0, b1):
-        shapes.append(a0.shape)
-        eliminate(ctx, a0, a1, b0, b1)
-
-    monkeypatch.setattr(arith, "_eliminate", spy)
-    deg = _check_gcd_rows(ctx, pairs)
-    assert set(deg) == {-1} | set(range(n))
-    live = [k for k, _ in shapes]
-    widths = [w for _, w in shapes]
-    assert live == sorted(live, reverse=True) and len(set(live)) > 10
-    assert widths == sorted(widths, reverse=True)
-    assert widths[0] == n and widths[-1] <= 3
-
-
-def test_gcd_rows_with_divisors_led_by_a_second_component():
-    # monic divisors need lc^-1 = conj(lc) / norm(lc); here c1 of lc is
-    # nonzero and every other coefficient is p - 1 in both components
-    p = 29989
-    ctx = FieldCtx(p)
-    top = (p - 1, p - 1)
-    pairs = []
-    for lc in [(0, p - 1), (p - 1, p - 1), (1, p - 1)]:
-        for k in range(1, 7):
-            b = UniPoly.from_coeffs(ctx, [top] * k + [lc])
-            q = UniPoly.from_coeffs(ctx, [top] * (8 - k) + [lc])
-            pairs += [(b * q, b), (b, b * q), (b * q + UniPoly.from_coeffs(ctx, [top]), b),
-                      (b * q, b * UniPoly.from_coeffs(ctx, [top, lc]))]
-    deg = _check_gcd_rows(ctx, pairs)
-    assert deg.count(0) >= 6 and max(deg) == 6
-
-
 def test_matmul_fq_at_the_largest_prime():
     # strategy a's longest inner product, 3m + 1 terms, every entry p - 1
     p = 29989
@@ -679,23 +585,6 @@ def test_matmul_fq_at_the_largest_prime():
 @functools.lru_cache(maxsize=None)
 def _field(p):
     return FieldCtx(p)
-
-
-@st.composite
-def _gcd_row_batches(draw):
-    """A prime up to 29989 and one to six pairs (c f, c h) with a drawn common c."""
-    ctx = _field(draw(st.sampled_from([5, 7, 13, 409, 4003, 29989])))
-    elem = st.tuples(st.integers(0, ctx.p - 1), st.integers(0, ctx.p - 1))
-    poly = st.lists(elem, max_size=5).map(lambda cs: UniPoly.from_coeffs(ctx, cs))
-    triples = draw(st.lists(st.tuples(poly, poly, poly), min_size=1, max_size=6))
-    return ctx, [(c * f, c * h) for c, f, h in triples]
-
-
-@settings(max_examples=150, deadline=None)
-@given(_gcd_row_batches())
-def test_gcd_rows_matches_poly_gcd_on_random_batches(case):
-    ctx, pairs = case
-    _check_gcd_rows(ctx, pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from howecurves import (
     cross_ratio,
     enumerate_supersingular_classes,
     is_supersingular,
-    j_invariant,
     lambda_of_quartic,
     quartic_is_supersingular,
     supersingular_lambda_set,
@@ -31,7 +30,7 @@ from howecurves import (
 )
 from howecurves import ellcurve
 from howecurves.arith import MAX_P, UniPoly, is_prime, poly_roots_in_fq
-from oracles import curve_from_j, legendre_curve_by_translation
+from oracles import curve_from_j, j_invariant, legendre_curve_by_translation
 
 
 def test_j_invariant_pinned_values():

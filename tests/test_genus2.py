@@ -2,8 +2,9 @@
 
 The Cartier-Manin oracle recomputes f^((p-1)/2) by naive repeated
 multiplication with no degree cap and reads the same four coefficients;
-the Mobius matcher behind isomorphic and automorphisms is checked against
-the explicit 120-map search it replaced; the closure construction is
+the Mobius matcher, read through isomorphic and automorphisms of
+tests/oracles.py, is checked against the explicit 120-map search it
+replaced; the closure construction is
 checked against the count window and against its own seeds, and the Mobius
 search is the oracle for its key-only class identity.  The batched Igusa
 key is checked against the scalar igusa_clebsch oracle of tests/oracles.py,
@@ -26,7 +27,6 @@ from howecurves import (
     MobiusMap,
     SuperspecialList,
     UniPoly,
-    automorphisms,
     cartier_manin,
     find_one,
     glue_elliptic_pair,
@@ -34,7 +34,6 @@ from howecurves import (
     iko_window,
     is_prime,
     is_superspecial,
-    isomorphic,
     load_list,
     poly_roots_in_fq,
     quadratic_splittings,
@@ -47,7 +46,13 @@ from howecurves import (
 from howecurves import genus2
 from howecurves.arith import ROW_BLOCK, mobius_from_triples
 from howecurves.ellcurve import enumerate_supersingular_classes
-from oracles import igusa_clebsch, igusa_key_scalar, rosenhain_closure
+from oracles import (
+    automorphisms,
+    igusa_clebsch,
+    igusa_key_scalar,
+    isomorphic,
+    rosenhain_closure,
+)
 
 
 def _curve(ctx, ints):

@@ -22,7 +22,6 @@ from howecurves import (
     HoweData,
     MobiusMap,
     UniPoly,
-    automorphisms,
     howe_from_cubics,
     howe_isomorphic,
     howe_key,
@@ -35,6 +34,7 @@ from howecurves import (
     special_family,
     supersingular_lambda_set,
 )
+from oracles import automorphisms
 
 
 def _sextic_split(ctx, ints1, ints2):

@@ -7,7 +7,9 @@ somewhere else in the module; the package's `__init__.py` re-exports by
 importing and `from __future__` imports are directives, so both are exempt.  A private name (one leading underscore)
 bound at the top level of a module must be read somewhere in the package,
 as a name, an attribute or an imported name; binding it again does not
-count as a use.
+count as a use.  A public function or class defined at the top level of a
+package module must be read by some package module other than
+`__init__.py`, whose re-exports are not reads.
 """
 
 import ast
@@ -75,6 +77,21 @@ def unused_private_names(sources: dict) -> list:
                   if _is_private(name) and name not in read)
 
 
+def unread_public_names(sources: dict) -> list:
+    """(module, line, name) for each public top-level function or class that
+    no module other than __init__.py reads; __init__.py's re-exports do not
+    count as reads."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items() if mod != "__init__.py"}
+    read = set().union(*(_reads(tree) for tree in trees.values()))
+    out = []
+    for mod, tree in trees.items():
+        defined = {node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+        out += [(mod, line, name) for name, line in _top_level_bindings(tree).items()
+                if name in defined and not name.startswith("_") and name not in read]
+    return sorted(out)
+
+
 def test_checker_flags_an_unused_import():
     src = ("from __future__ import annotations\n"
            "import os\n"
@@ -103,6 +120,27 @@ def test_checker_flags_an_unused_private_name():
         ("a", 3, "_STATE"), ("a", 5, "_dead"), ("b", 2, "_Shape")]
 
 
+def test_checker_flags_an_unread_public_name():
+    sources = {
+        "__init__.py": ("from .a import dead, Shape, used, LIMIT\n"
+                        "__all__ = ['dead', 'Shape', 'used', 'LIMIT']\n"),
+        "a.py": ("LIMIT = 3\n"
+                 "def used(): return _helper()\n"
+                 "def _helper(): return LIMIT\n"
+                 "def dead(): pass\n"
+                 "class Shape: pass\n"
+                 "def recursive(n): return recursive(n - 1) if n else 0\n"),
+        "b.py": ("from .a import used\n"
+                 "import a\n"
+                 "x = a.recursive\n"
+                 "class Box:\n"
+                 "    def dead(self): pass\n"
+                 "def run(): return used()\n"),
+    }
+    assert unread_public_names(sources) == [
+        ("a.py", 4, "dead"), ("a.py", 5, "Shape"), ("b.py", 4, "Box"), ("b.py", 6, "run")]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
@@ -111,3 +149,8 @@ def test_module_has_no_unused_imports(path):
 def test_package_has_no_unused_private_names():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unused_private_names(sources) == []
+
+
+def test_package_has_no_unread_public_names():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unread_public_names(sources) == []

@@ -1,12 +1,13 @@
 """Both enumeration engines, their oracles, and the existence search.
 
-Strategy (a)'s batched pass is checked against the per-mu scalar entries
-and gcd fold it replaced, and against an oracle that expands every fiber's
-sextic power with no shared search code; strategy (b)'s branch-point solver is checked against a scan
-of the whole projective line using the Hasse-coefficient supersingularity
-test instead of the preimage formula, and against the per-split scalar
-solver that its array pass replaced; its Howe-key dedup is checked against
-the automorphism-orbit expansion it replaced.
+Strategy (a)'s evaluation search is checked against the per-mu scalar
+entries and gcd fold of the oracles, and against an oracle that expands
+every fiber's sextic power with no shared search code; strategy (b)'s
+branch-point solver is checked against a scan of the whole projective line
+using the Hasse-coefficient supersingularity test instead of the preimage
+formula, and against the per-split scalar solver that its array pass
+replaced; its Howe-key dedup is checked against the automorphism-orbit
+expansion it replaced.
 """
 
 import itertools
@@ -44,15 +45,18 @@ from howecurves import (
 from howecurves import ellcurve, genus2, strategies
 from howecurves.arith import cross_ratio_map
 from howecurves.ellcurve import enumerate_supersingular_classes
-from howecurves.genus2 import automorphisms
 from howecurves.strategies import (
     VerificationError,
-    _entry_gcds,
     _fit_orbits,
     _PairEntries,
     _verify_representatives,
 )
-from oracles import cm_entry_polynomials, enumerate_a_bruteforce, howe_type_points_scalar
+from oracles import (
+    automorphisms,
+    cm_entry_polynomials,
+    enumerate_a_bruteforce,
+    howe_type_points_scalar,
+)
 
 
 def _pair_sextic(ctx, E1, E2, lam, mu):
@@ -130,92 +134,101 @@ def test_batched_hits_match_the_scalar_oracle(p):
 
 
 def test_block_boundaries_leave_the_hits_unchanged(monkeypatch):
-    # at p = 19 a pair's 360 scales fit in one block of ROW_BLOCK**2 entries;
-    # a smaller ROW_BLOCK splits them, and the hits stay the same, in order
+    # at p = 19 entry 0 runs on blocks of 128**2 // 361 = 45 scales, eight
+    # per pair; a smaller ROW_BLOCK splits them further, down to one scale
+    # per block once ROW_BLOCK**2 < p^2, and the hits stay the same, in order
     ctx = FieldCtx(19)
     classes = enumerate_supersingular_classes(ctx)
     pairs = [(E1, E2) for i, E1 in enumerate(classes) for E2 in classes[i:]]
     sizes = []
+    values = _PairEntries.values
 
-    def spy(ctx, entry, count):
-        sizes.append(count)
-        return _entry_gcds(ctx, entry, count)
+    def spy(self, scales, k):
+        sizes.append(len(scales))
+        return values(self, scales, k)
 
-    monkeypatch.setattr(strategies, "_entry_gcds", spy)
+    monkeypatch.setattr(_PairEntries, "values", spy)
     whole = [list(howe_type_points(ctx, E1, E2)) for E1, E2 in pairs]
-    assert sizes == [360] * len(pairs)
-    sizes.clear()
-    # max(64, 64**2 // 28) = 146 scales per block
-    monkeypatch.setattr(strategies, "ROW_BLOCK", 64)
-    split = [list(howe_type_points(ctx, E1, E2)) for E1, E2 in pairs]
-    assert sizes == [146, 146, 68] * len(pairs)
-    assert split == whole and any(whole)
+    assert sizes == [45] * 8 * len(pairs)
+    for block, want in ((64, [11] * 32 + [8]), (16, [1] * 360)):
+        sizes.clear()
+        monkeypatch.setattr(strategies, "ROW_BLOCK", block)
+        split = [list(howe_type_points(ctx, E1, E2)) for E1, E2 in pairs]
+        assert sizes == want * len(pairs)
+        assert split == whole and any(whole)
 
 
-def _entry_rows(polys, n):
-    """The (4, n, 2) coefficient rows of four UniPolys, zero-padded."""
-    out = np.zeros((len(polys), n, 2), dtype=np.int64)
-    for k, f in enumerate(polys):
-        out[k, : f.degree + 1, 0] = f.c0
-        out[k, : f.degree + 1, 1] = f.c1
-    return out
+def _horner(ctx, f, codes):
+    """The UniPoly f at the elements of codes c0 p + c1, by Horner's rule."""
+    p, r = ctx.p, ctx.r
+    x0, x1 = np.divmod(np.asarray(codes, dtype=np.int64), p)
+    v0 = np.zeros(len(x0), dtype=np.int64)
+    v1 = np.zeros_like(v0)
+    for c0, c1 in reversed(f.coeffs()):
+        v0, v1 = (v0 * x0 + r * v1 * x1 + c0) % p, (v0 * x1 + v1 * x0 + c1) % p
+    return np.stack([v0, v1], axis=-1)
 
 
-def _check_entry_rows(ctx, E1, E2, mus):
+def _check_entry_values(ctx, E1, E2, mus, lams):
+    """The entries at every (mu, lam), mu and lam given by code, both from
+    the whole-row evaluation and at the points, against the scalar entry
+    polynomials of each mu evaluated by Horner's rule."""
     pair = _PairEntries(ctx, E1, E2)
     scales = pair.scales(mus)
-    got = np.stack([pair.entry(scales, k) for k in range(4)], axis=1)
-    n = 3 * ((ctx.p - 1) // 2) + 1
-    assert got.shape == (len(mus), 4, n, 2)
-    for mu, rows in zip(mus, got):
-        assert np.array_equal(rows, _entry_rows(cm_entry_polynomials(ctx, E1, E2, mu), n)), mu
+    rows, cols = np.repeat(np.arange(len(mus)), len(lams)), np.tile(lams, len(mus))
+    got = np.stack([pair.values(scales, k)[:, lams] for k in range(4)], axis=1)
+    at = np.stack([pair.values_at(scales, k, rows, cols).reshape(len(mus), len(lams), 2)
+                   for k in range(4)], axis=1)
+    assert got.shape == (len(mus), 4, len(lams), 2) and np.array_equal(got, at)
+    for mu, values in zip(mus.tolist(), got):
+        polys = cm_entry_polynomials(ctx, E1, E2, divmod(mu, ctx.p))
+        want = np.stack([_horner(ctx, f, lams) for f in polys])
+        assert np.array_equal(values, want), mu
 
 
 def test_batched_entry_rows_match_the_scalar_oracle():
-    # every mu for p <= 13, random mu (more than one block) for p up to 61
+    # every (mu, lam) for p <= 13; for p up to 61 a seeded sample of mu and
+    # lam, with the first and last codes of each
     rng = random.Random(61)
     for p in (q for q in range(5, 62) if is_prime(q)):
         ctx = FieldCtx(p)
+        q = p * p
         classes = enumerate_supersingular_classes(ctx)
         if p <= 13:
-            nonzero = [mu for mu in ctx.elements() if mu != ctx.zero]
             for E1, E2 in itertools.product(classes, repeat=2):
-                _check_entry_rows(ctx, E1, E2, nonzero)
+                _check_entry_values(ctx, E1, E2, np.arange(1, q), np.arange(q))
         else:
-            mus = [ctx.elem(rng.randrange(p), rng.randrange(1, p)) for _ in range(150)]
-            mus[:2] = [ctx.one, ctx.elem(p - 1, p - 1)]
-            _check_entry_rows(ctx, rng.choice(classes), rng.choice(classes), mus)
+            mus = np.array([1, q - 1] + rng.sample(range(2, q - 1), 30))
+            lams = np.array([0, q - 1] + rng.sample(range(1, q - 1), 60))
+            _check_entry_values(ctx, rng.choice(classes), rng.choice(classes), mus, lams)
 
 
-def test_entry_fold_matches_poly_gcd_and_rejects_vanishing_entries():
-    ctx = FieldCtx(11)
-    x = UniPoly.from_roots
-    polys = [
-        # gcd (x - 1)(x - 2) from the first two entries
-        [x(ctx, [ctx.one, ctx.elem(2), ctx.elem(3)]), x(ctx, [ctx.one, ctx.elem(2)]),
-         UniPoly.zero(ctx), x(ctx, [ctx.elem(2), ctx.one, ctx.elem(5)])],
-        # only the last entry is nonzero, and not monic
-        [UniPoly.zero(ctx)] * 3 + [x(ctx, [ctx.elem(4)]).scale(ctx.elem(3, 1))],
-        # a unit after two entries: the last two are never asked for
-        [x(ctx, [ctx.one]), x(ctx, [ctx.elem(2)]), None, None],
-    ]
-    rows = np.stack([_entry_rows([f if f is not None else UniPoly.zero(ctx) for f in row], 6)
-                     for row in polys])
-    asked = []
-
-    def entry(k, which):
-        asked.append((k, which.tolist()))
-        return rows[which, k]
-
-    g, deg = _entry_gcds(ctx, entry, len(rows))
-    assert deg.tolist() == [2, 1, 0]
-    assert asked == [(0, [0, 1, 2]), (1, [0, 1, 2]), (2, [0, 1]), (3, [0, 1])]
-    for row, d, want in zip(g, deg, [x(ctx, [ctx.one, ctx.elem(2)]), x(ctx, [ctx.elem(4)])]):
-        assert UniPoly(ctx, row[:, 0], row[:, 1]).monic() == want and want.degree == d
-    zero = np.zeros((3, 4, 6, 2), dtype=np.int64)
-    zero[0, :, 0, 0] = 1
+def test_evaluation_search_rejects_vanishing_entries(monkeypatch):
+    # zero shifted-power rows make all four entries of every mu vanish
+    ctx = FieldCtx(5)
+    E = enumerate_supersingular_classes(ctx)[0]
+    monkeypatch.setattr(strategies, "_shifted_power_rows",
+                        lambda ctx, E: np.zeros((7, 7, 2), dtype=np.int64))
     with pytest.raises(ArithmeticError, match="vanished identically"):
-        _entry_gcds(ctx, lambda k, which: zero[which, k], 3)
+        list(howe_type_points(ctx, E, E))
+    monkeypatch.undo()
+    # one vanishing mu, code 60 at p = 11, in a later block of one scale
+    # each: the hits of the scales before it come out first
+    ctx = FieldCtx(11)
+    E = enumerate_supersingular_classes(ctx)[0]
+    whole = list(howe_type_points(ctx, E, E))
+    scales = _PairEntries.scales
+
+    def vanish(self, codes):
+        return np.where((codes == 60)[:, None, None], 0, scales(self, codes))
+
+    monkeypatch.setattr(_PairEntries, "scales", vanish)
+    monkeypatch.setattr(strategies, "ROW_BLOCK", 10)
+    hits = howe_type_points(ctx, E, E)
+    before = [(lam, mu) for lam, mu in whole if mu[0] * 11 + mu[1] < 60]
+    assert [next(hits) for _ in before] == before and before
+    with pytest.raises(ArithmeticError, match="vanished identically"):
+        next(hits)
 
 
 def test_strategy_a_agrees_with_its_bruteforce():
