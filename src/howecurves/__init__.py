@@ -23,15 +23,11 @@ from .arith import (
     sort_key,
 )
 from .ellcurve import (
-    EllipticCurve,
     QuarticModel,
     SupersingularLambdaSet,
     enumerate_supersingular_classes,
-    is_supersingular,
     lambda_of_quartic,
-    quartic_is_supersingular,
     supersingular_lambda_set,
-    two_torsion_roots,
 )
 from .genus2 import (
     CartierManinEntries,
@@ -53,7 +49,6 @@ from .genus2 import (
 )
 from .howe import (
     HoweData,
-    howe_from_cubics,
     howe_isomorphic,
     howe_key,
     is_superspecial_howe,
@@ -87,15 +82,11 @@ __all__ = [
     "poly_gcd",
     "poly_roots_in_fq",
     "sort_key",
-    "EllipticCurve",
     "QuarticModel",
     "SupersingularLambdaSet",
     "enumerate_supersingular_classes",
-    "is_supersingular",
     "lambda_of_quartic",
-    "quartic_is_supersingular",
     "supersingular_lambda_set",
-    "two_torsion_roots",
     "CartierManinEntries",
     "Genus2Curve",
     "RationalityError",
@@ -113,7 +104,6 @@ __all__ = [
     "splitting_delta",
     "superspecial_genus2_list",
     "HoweData",
-    "howe_from_cubics",
     "howe_isomorphic",
     "howe_key",
     "is_superspecial_howe",

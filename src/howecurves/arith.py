@@ -6,9 +6,10 @@ hashable and cheap to sort; all operations live on the FieldCtx.  Polynomials
 hold their coefficients as a pair of int64 numpy arrays (one per component) so
 that products run through exact integer convolution.
 
-poly_roots_in_fq finds the roots in F_{p^2} of polynomials of small degree
-(cubics, the seed sextic of the supersingular lambda walk); the tests also
-use it as the oracle for the lambda set.
+poly_roots_in_fq finds the roots in F_{p^2} of polynomials of small degree;
+the package's only ones are the seed of the supersingular lambda walk (the
+D = -15 Hilbert quadratic and the j-lambda sextic).  The tests also use it
+as the oracle for the lambda set and the 2-torsion roots.
 """
 
 from __future__ import annotations
@@ -500,8 +501,8 @@ class UniPoly:
         The square-and-multiply runs on bare coefficient arrays: the modulus
         is made monic once and every product is reduced by the schoolbook
         _divmod_monic.  The package's moduli have degree at most 6 (the
-        root finder's cubics and the lambda walk's seed sextic), where this
-        beats a reduction by a precomputed inverse.
+        lambda walk's seed quadratic and sextic and their factors), where
+        this beats a reduction by a precomputed inverse.
         """
         if e < 0:
             raise ValueError("exponent must be nonnegative")

@@ -36,6 +36,7 @@ from .strategies import (
     find_one,
     howe_jsonable,
     match_representatives,
+    pool_size,
 )
 
 EXIT_OK = 0
@@ -151,6 +152,26 @@ def _field_header(ctx: FieldCtx) -> str:
             % (ctx.p, ctx.r))
 
 
+def _run_strategies(ctx: FieldCtx, args) -> tuple:
+    """The reports of args.strategy at one prime by name, and whether they agree.
+
+    Strategy a runs before b.  The genus-2 list goes through the cache
+    directory, before any enumeration, only when strategy b runs.  agree is
+    None unless both strategies ran.
+    """
+    names = ("a", "b") if args.strategy == "both" else (args.strategy,)
+    cdir = _cache_dir(args)
+    genus2 = _cached_genus2_list(ctx, cdir)[0] if cdir and "b" in names else None
+    common = {"seed": args.seed, "verify": args.verify, "workers": args.workers}
+    reports = {s: enumerate_a(ctx, **common) if s == "a"
+               else enumerate_b(ctx, genus2=genus2, **common) for s in names}
+    agree = None
+    if len(reports) == 2:
+        agree = match_representatives(reports["a"].representatives,
+                                      reports["b"].representatives) is not None
+    return reports, agree
+
+
 # ---------------------------------------------------------------------------
 # enumerate
 # ---------------------------------------------------------------------------
@@ -158,25 +179,9 @@ def _field_header(ctx: FieldCtx) -> str:
 
 def cmd_enumerate(args) -> int:
     ctx = FieldCtx(_checked_primes("enumerate", [args.p], 5)[0])
-    strategies = ("a", "b") if args.strategy == "both" else (args.strategy,)
-    if "b" in strategies and ctx.p == 5:
+    if args.strategy != "a" and ctx.p == 5:
         raise UsageError("strategy b needs p > 5; use --strategy a for p = 5")
-    cdir = _cache_dir(args)
-    genus2 = None
-    if "b" in strategies and cdir:
-        genus2, _ = _cached_genus2_list(ctx, cdir)
-    reports = {}
-    for s in strategies:
-        if s == "a":
-            reports["a"] = enumerate_a(ctx, seed=args.seed, verify=args.verify,
-                                       workers=args.workers)
-        else:
-            reports["b"] = enumerate_b(ctx, seed=args.seed, verify=args.verify,
-                                       workers=args.workers, genus2=genus2)
-    agree = None
-    if args.strategy == "both":
-        agree = match_representatives(reports["a"].representatives,
-                                      reports["b"].representatives) is not None
+    reports, agree = _run_strategies(ctx, args)
 
     if args.format == "json":
         doc = {
@@ -188,14 +193,11 @@ def cmd_enumerate(args) -> int:
         out = _dump_json(doc)
     elif args.format == "csv":
         lines = ["p,n,ratio"]
-        for s in strategies:
-            r = reports[s]
-            lines.append("%d,%d,%.6f" % (r.p, r.count, r.ratio))
+        lines.extend("%d,%d,%.6f" % (r.p, r.count, r.ratio) for r in reports.values())
         out = "\n".join(lines) + "\n"
     else:
         lines = [_field_header(ctx)]
-        for s in strategies:
-            r = reports[s]
+        for s, r in reports.items():
             extra = "" if r.genus2_classes is None else ", genus-2 classes %d" % r.genus2_classes
             lines.append("strategy %s: n = %d, ratio = %.6f (raw fits %d%s, %.1fs)"
                          % (s, r.count, r.ratio, r.raw_count, extra, r.elapsed))
@@ -219,24 +221,13 @@ def cmd_enumerate(args) -> int:
 
 def cmd_table(args) -> int:
     primes = _checked_primes("table", _primes_in("table", args.pmin, args.pmax), 7)
-    cdir = _cache_dir(args)
     rows = []
     disagreements = []
     for q in primes:
-        ctx = FieldCtx(q)
-        genus2 = _cached_genus2_list(ctx, cdir)[0] if cdir else None
-        if args.strategy == "a":
-            rep = enumerate_a(ctx, seed=args.seed, verify=args.verify,
-                              workers=args.workers)
-        else:
-            rep = enumerate_b(ctx, seed=args.seed, verify=args.verify,
-                              workers=args.workers, genus2=genus2)
-            if args.strategy == "both":
-                rep_a = enumerate_a(ctx, seed=args.seed, verify=args.verify,
-                                    workers=args.workers)
-                if match_representatives(rep_a.representatives,
-                                         rep.representatives) is None:
-                    disagreements.append(q)
+        reports, agree = _run_strategies(FieldCtx(q), args)
+        if agree is False:
+            disagreements.append(q)
+        rep = reports["a" if args.strategy == "a" else "b"]
         # the ratio is always recomputed from (p, n), never copied
         rows.append({"p": q, "n": rep.count, "ratio": round(rep.ratio, 3)})
 
@@ -306,7 +297,7 @@ def cmd_exists(args) -> int:
 
     tasks = [(q, args.verify) for q in primes]
     if args.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as ex:
+        with ProcessPoolExecutor(max_workers=pool_size(args.workers, len(tasks))) as ex:
             results = list(ex.map(_exists_task, tasks))
     else:
         results = [_exists_task(t) for t in tasks]

@@ -1,13 +1,13 @@
 """Supersingular elliptic curves over F_{p^2} seen through their branch data.
 
-A curve appears in one of two shapes: a short Weierstrass model y^2 = x^3 +
-Ax + B, or a branch configuration (b; a1, a2, a3) describing the double cover
-of the line ramified at those four points.  Supersingularity is decided by the
-vanishing of the x^(p-1) coefficient of f^((p-1)/2).  The supersingular
-lambda-invariants of Legendre curves y^2 = x(x-1)(x-lambda) are the roots of
-the Deuring polynomial H_p = sum_i binom((p-1)/2, i)^2 z^i; they are found by
-a 2-isogeny walk from one CM seed, and H_p is only evaluated, to certify the
-seed, the class representatives and the quartics that --verify re-checks.
+A curve is a branch configuration: the three roots of its 2-torsion cubic
+for a supersingular class, or (b; a1, a2, a3) for the double cover of the
+line ramified at those four points.  Both reduce to a Legendre invariant
+lambda, and the curve is supersingular exactly when lambda is a root of the
+Deuring polynomial H_p = sum_i binom((p-1)/2, i)^2 z^i.  The supersingular
+lambda are found by a 2-isogeny walk from one CM seed, and H_p is only
+evaluated, to certify the seed, the class representatives and the quartics
+of a Howe curve.
 """
 
 from __future__ import annotations
@@ -25,25 +25,6 @@ from .arith import (
     cross_ratio,
     poly_roots_in_fq,
 )
-
-
-@dataclass(frozen=True)
-class EllipticCurve:
-    """Short Weierstrass model y^2 = x^3 + A x + B over F_{p^2}."""
-
-    ctx: FieldCtx
-    A: FqElem
-    B: FqElem
-
-    def __post_init__(self):
-        if self.discriminant() == self.ctx.zero:
-            raise ValueError("singular cubic: 4A^3 + 27B^2 = 0")
-
-    def discriminant(self) -> FqElem:
-        ctx = self.ctx
-        a3 = ctx.mul((4, 0), ctx.pow(self.A, 3))
-        b2 = ctx.mul((27, 0), ctx.sqr(self.B))
-        return ctx.add(a3, b2)
 
 
 @dataclass(frozen=True)
@@ -66,30 +47,6 @@ class QuarticModel:
         if self.b is not INF and self.b in self.roots:
             raise ValueError("fourth branch point collides with a root")
         object.__setattr__(self, "roots", tuple(sorted(self.roots)))
-
-
-def is_supersingular(E: EllipticCurve) -> bool:
-    """Hasse invariant test: x^(p-1) coefficient of (x^3+Ax+B)^((p-1)/2)."""
-    ctx = E.ctx
-    m = (ctx.p - 1) // 2
-    f = UniPoly.from_coeffs(ctx, [E.B, E.A, ctx.zero, ctx.one])
-    g = f.pow_truncated(m, ctx.p - 1)
-    return g.coeff(ctx.p - 1) == ctx.zero
-
-
-def _legendre_curve(ctx: FieldCtx, lam: FqElem) -> EllipticCurve:
-    """Short Weierstrass model of y^2 = x(x-1)(x-lambda), shifted by the mean root.
-
-    x -> x + (1 + lambda)/3 gives A = -(lambda^2 - lambda + 1)/3 and
-    B = -(lambda + 1)(lambda - 2)(2 lambda - 1)/27.
-    """
-    p = ctx.p
-    one = ctx.one
-    e = ctx.add(ctx.sub(ctx.sqr(lam), lam), one)
-    f = ctx.mul(ctx.mul(ctx.add(lam, one), ctx.sub(lam, ctx.elem(2))),
-                ctx.sub(ctx.add(lam, lam), one))
-    return EllipticCurve(ctx, ctx.mul(e, (-pow(3, p - 2, p) % p, 0)),
-                         ctx.mul(f, (-pow(27, p - 2, p) % p, 0)))
 
 
 class SupersingularLambdaSet:
@@ -251,11 +208,6 @@ def lambda_of_quartic(Q: QuarticModel) -> FqElem:
     return cross_ratio(Q.ctx, Q.b, a1, a2, a3)
 
 
-def quartic_is_supersingular(Q: QuarticModel) -> bool:
-    """Supersingularity of the genus-1 cover, by the Hasse test on its Legendre form."""
-    return is_supersingular(_legendre_curve(Q.ctx, lambda_of_quartic(Q)))
-
-
 def j_of_lambda(ctx: FieldCtx, lam: FqElem) -> FqElem:
     """j = 256 (lambda^2 - lambda + 1)^3 / (lambda^2 (lambda - 1)^2)."""
     l2 = ctx.sqr(lam)
@@ -266,12 +218,13 @@ def j_of_lambda(ctx: FieldCtx, lam: FqElem) -> FqElem:
 
 
 def enumerate_supersingular_classes(ctx: FieldCtx) -> tuple:
-    """One Weierstrass model per supersingular j-invariant, sorted by j.
+    """One sorted 2-torsion root triple per supersingular j-invariant, sorted by j.
 
     Distills the (p-1)/2 supersingular lambda values down to their j-orbit
-    representatives; the count always lands in [p/12, p/12 + 2].  Each model
-    is derived from a Legendre curve, so its 2-torsion cubic splits over
-    F_{p^2}; a bare j-lift does not guarantee that.  Computed, with its
+    representatives; the count always lands in [p/12, p/12 + 2].  Each
+    triple holds the roots of the class's cubic x^3 + Ax + B, the Legendre
+    curve y^2 = x(x-1)(x-lambda) moved by its mean root (_legendre_roots),
+    so it is read off lambda with no root finding.  Computed, with its
     Hasse re-check, once per p and kept like the lambda set.
     """
     return _memo(_CLASSES, ctx, _compute_classes)
@@ -292,14 +245,14 @@ def _compute_classes(ctx: FieldCtx) -> tuple:
     if not ok.all():
         raise ArithmeticError("class with lambda=%r fails the Hasse test"
                               % (lams[int(np.argmin(ok))],))
-    return tuple(_legendre_curve(ctx, lam) for lam in lams)
+    return tuple(_legendre_roots(ctx, lam) for lam in lams)
 
 
-def two_torsion_roots(E: EllipticCurve) -> tuple:
-    """Sorted roots of x^3 + Ax + B over F_{p^2} (supersingular => all rational)."""
-    ctx = E.ctx
-    f = UniPoly.from_coeffs(ctx, [E.B, E.A, ctx.zero, ctx.one])
-    roots = poly_roots_in_fq(f)
-    if len(roots) != 3:
-        raise ArithmeticError("2-torsion cubic does not split over F_{p^2}")
-    return tuple(roots)
+def _legendre_roots(ctx: FieldCtx, lam: FqElem) -> tuple:
+    """Sorted roots {0, 1, lambda} - (1 + lambda)/3 of the translated Legendre cubic.
+
+    x -> x + (1 + lambda)/3 takes x(x-1)(x-lambda) to x^3 + Ax + B, whose
+    roots sum to 0.
+    """
+    mean = ctx.div(ctx.add(ctx.one, lam), ctx.elem(3))
+    return tuple(sorted(ctx.sub(x, mean) for x in (ctx.zero, ctx.one, lam)))

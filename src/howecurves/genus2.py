@@ -38,7 +38,7 @@ from .arith import (
     cross_ratio_map,
     mobius_from_triples,
 )
-from .ellcurve import enumerate_supersingular_classes, two_torsion_roots
+from .ellcurve import enumerate_supersingular_classes
 
 
 class RationalityError(ArithmeticError):
@@ -546,20 +546,12 @@ class SuperspecialList:
 def _glue_seeds(ctx: FieldCtx, classes: Sequence) -> Iterator[list]:
     """Glued curves over all unordered pairs of supersingular classes and matchings.
 
-    One list per pair of classes, holding its glued curves in matching order.
-    Each class's 2-torsion roots are found when a pair first needs them, so
-    a consumer that stops after a few pairs roots only a few classes.
+    classes holds one 2-torsion root triple per class.  One list per pair
+    of classes, holding its glued curves in matching order.
     """
-    triples = {}
-
-    def roots(i: int) -> tuple:
-        if i not in triples:
-            triples[i] = two_torsion_roots(classes[i])
-        return triples[i]
-
     for i in range(len(classes)):
         for j in range(i, len(classes)):
-            s, u = roots(i), roots(j)
+            s, u = classes[i], classes[j]
             glued = (glue_elliptic_pair(ctx, s, tuple(u[k] for k in perm))
                      for perm in itertools.permutations(range(3)))
             yield [C for C in glued if C is not None]

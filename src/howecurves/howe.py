@@ -14,17 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .arith import (
-    INF,
-    FieldCtx,
-    FqElem,
-    MobiusMap,
-    ProjPoint,
-    UniPoly,
-    poly_roots_in_fq,
-    sort_key,
-)
-from .ellcurve import QuarticModel, quartic_is_supersingular
+from .arith import INF, FieldCtx, FqElem, MobiusMap, ProjPoint, sort_key
+from .ellcurve import QuarticModel, deuring_vanishes, lambda_of_quartic
 from .genus2 import Genus2Curve, is_superspecial, mobius_matches
 
 WeierstrassSplit = tuple  # pair of sorted root triples, lexicographically ordered
@@ -66,35 +57,16 @@ class HoweData:
         return (self.curve.roots, self.split, sort_key(self.b))
 
 
-def howe_from_cubics(ctx: FieldCtx, f1: UniPoly, f2: UniPoly) -> HoweData:
-    """The curve with covers y^2 = f1 and y^2 = f2 joined at b = infinity.
-
-    Both cubics must split over F_{p^2} with six distinct roots in total;
-    a shared root would make the base curve singular.
-    """
-    if f1.degree != 3 or f2.degree != 3:
-        raise ValueError("both factors must be cubic")
-    r1 = poly_roots_in_fq(f1)
-    r2 = poly_roots_in_fq(f2)
-    if len(r1) != 3 or len(r2) != 3:
-        raise ValueError("cubic factor has a repeated or irrational root")
-    if set(r1) & set(r2):
-        raise ValueError("the two cubics share a root")
-    curve = Genus2Curve(ctx, tuple(r1 + r2))
-    return HoweData(curve, normalize_split(r1, r2), INF)
-
-
 def is_superspecial_howe(H: HoweData) -> bool:
     """Superspeciality of the genus-4 curve.
 
     Equivalent to: both genus-1 covers supersingular and the genus-2 quotient
     superspecial (the Jacobian splits accordingly up to isogeny of degree
-    prime to p).
+    prime to p).  The covers' Legendre invariants are tested in one
+    deuring_vanishes pass.
     """
-    q1, q2 = H.quartics()
-    if not quartic_is_supersingular(q1):
-        return False
-    if not quartic_is_supersingular(q2):
+    lams = [lambda_of_quartic(Q) for Q in H.quartics()]
+    if not deuring_vanishes(H.curve.ctx, lams).all():
         return False
     return is_superspecial(H.curve)
 
@@ -139,14 +111,23 @@ def special_family(ctx: FieldCtx, a: FqElem) -> HoweData:
     """The curve y^2 = (x^3 + 1)(x^3 + a), split by the cubics, b = infinity.
 
     Defined for p = 5 mod 6 and a in {-1, 1/4}, where it is always
-    superspecial; both cubics split over F_{p^2} because cubing is a
-    bijection on F_p and the cube roots of unity live in F_{p^2}.
+    superspecial.  The roots are in closed form: -{1, w, w^2} and
+    -c {1, w, w^2}, with w = (-1 + sqrt(-3))/2 a primitive cube root of
+    unity in F_{p^2} and c = a^((2p-1)/3) the cube root of a in F_p, which
+    is unique because p = 2 mod 3 makes cubing a bijection on F_p.
     """
-    if ctx.p % 6 != 5:
+    p = ctx.p
+    if p % 6 != 5:
         raise ValueError("the special family needs p = 5 mod 6")
     allowed = (ctx.elem(-1), ctx.inv(ctx.elem(4)))
     if a not in allowed:
         raise ValueError("a must be -1 or 1/4")
-    f1 = UniPoly.from_coeffs(ctx, [ctx.one, ctx.zero, ctx.zero, ctx.one])
-    f2 = UniPoly.from_coeffs(ctx, [a, ctx.zero, ctx.zero, ctx.one])
-    return howe_from_cubics(ctx, f1, f2)
+    s = ctx.sqrt(ctx.elem(-3))
+    if s is None:
+        raise ArithmeticError("-3 has no square root in F_{p^2} at p=%d" % p)
+    w = ctx.div(ctx.sub(s, ctx.one), ctx.elem(2))
+    units = (ctx.one, w, ctx.sqr(w))
+    c = ctx.pow(a, (2 * p - 1) // 3)
+    r1 = tuple(ctx.neg(u) for u in units)
+    r2 = tuple(ctx.neg(ctx.mul(c, u)) for u in units)
+    return HoweData(Genus2Curve(ctx, r1 + r2), normalize_split(r1, r2), INF)

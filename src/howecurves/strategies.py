@@ -26,6 +26,7 @@ table and CLI defaults.
 from __future__ import annotations
 
 import itertools
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -48,13 +49,11 @@ from .arith import (
     sort_key,
 )
 from .ellcurve import (
-    EllipticCurve,
     SupersingularLambdaSet,
     deuring_vanishes,
     enumerate_supersingular_classes,
     lambda_of_quartic,
     supersingular_lambda_set,
-    two_torsion_roots,
 )
 from .genus2 import (
     Genus2Curve,
@@ -155,18 +154,21 @@ def _binomials_mod_p(p: int):
     return binom
 
 
-def _cubic_power(ctx: FieldCtx, E: EllipticCurve):
-    """Coefficients of (x^3 + Ax + B)^m, m = (p-1)/2, as a (3m+1, 2) array."""
+def _cubic_power(ctx: FieldCtx, roots: tuple):
+    """Coefficients of g^m, m = (p-1)/2, as a (3m+1, 2) array.
+
+    g = x^3 + Ax + B is the cubic with these roots, which sum to 0.
+    """
     m = (ctx.p - 1) // 2
-    g = UniPoly.from_coeffs(ctx, [E.B, E.A, ctx.zero, ctx.one]).pow_truncated(m, 3 * m)
+    g = UniPoly.from_roots(ctx, roots).pow_truncated(m, 3 * m)
     out = np.zeros((3 * m + 1, 2), dtype=np.int64)
     out[: g.c0.size, 0] = g.c0
     out[: g.c1.size, 1] = g.c1
     return out
 
 
-def _shifted_power_rows(ctx: FieldCtx, E: EllipticCurve):
-    """Coefficient rows of g(x - lam)^m in lam, for g = x^3 + Ax + B.
+def _shifted_power_rows(ctx: FieldCtx, roots: tuple):
+    """Coefficient rows of g(x - lam)^m in lam, for the cubic g with these roots.
 
     Row j of the (3m+1, 3m+1, 2) result holds the x^j coefficient of
     g(x-lam)^m as a polynomial in lam, zero-padded to degree 3m:
@@ -174,7 +176,7 @@ def _shifted_power_rows(ctx: FieldCtx, E: EllipticCurve):
     g^m.
     """
     p = ctx.p
-    c = _cubic_power(ctx, E)
+    c = _cubic_power(ctx, roots)
     n = len(c)
     binom = _binomials_mod_p(p)
     rows = np.zeros((n, n, 2), dtype=np.int64)
@@ -189,9 +191,10 @@ def _shifted_power_rows(ctx: FieldCtx, E: EllipticCurve):
 
 
 class _PairEntries:
-    """The four entry polynomials of one curve pair, evaluated at every lam.
+    """The four entry polynomials of one class pair, evaluated at every lam.
 
-    With f1 = x^3 + A1 mu^2 x + B1 mu^3, the x^i coefficient of f1^m is
+    With f1 = x^3 + A1 mu^2 x + B1 mu^3, the first cubic with its roots
+    scaled by mu, the x^i coefficient of f1^m is
     hm[i] mu^(3m-i), hm that of the unscaled cubic's power.  So the x^j
     coefficient of (f1 f2)^m is sum_i hm[i] mu^(3m-i) rows[j-i], rows from
     _shifted_power_rows of the second cubic: the scale matrix
@@ -203,17 +206,17 @@ class _PairEntries:
     S (T V).
     """
 
-    def __init__(self, ctx: FieldCtx, E1: EllipticCurve, E2: EllipticCurve):
+    def __init__(self, ctx: FieldCtx, roots1: tuple, roots2: tuple):
         self.ctx = ctx
         p = ctx.p
         top = 3 * ((p - 1) // 2)
-        self.hm = _cubic_power(ctx, E1)
+        self.hm = _cubic_power(ctx, roots1)
         x = np.stack(np.divmod(np.arange(p * p), p), axis=-1)
         powers = [np.broadcast_to(np.array([1, 0], dtype=np.int64), x.shape)]
         for _ in range(top):
             powers.append(_mul_stacked(ctx, powers[-1], x))
         self.powers = np.stack(powers)
-        rows = _shifted_power_rows(ctx, E2)
+        rows = _shifted_power_rows(ctx, roots2)
         self.tables = []
         for j in (p - 1, 2 * p - 1, p - 2, 2 * p - 2):
             lo, hi = max(0, j - top), min(top, j)
@@ -236,11 +239,13 @@ class _PairEntries:
         return terms.sum(axis=1) % self.ctx.p
 
 
-def howe_type_points(ctx: FieldCtx, E1: EllipticCurve, E2: EllipticCurve
+def howe_type_points(ctx: FieldCtx, roots1: tuple, roots2: tuple
                      ) -> Iterator[Tuple[FqElem, FqElem]]:
     """All (lam, mu) in F_{p^2} x F_{p^2}* making y^2 = f1*f2 superspecial.
 
-    f1 = x^3 + A1 mu^2 x + B1 mu^3 and f2 = (x-lam)^3 + A2 (x-lam) + B2.  For
+    roots1 and roots2 are the 2-torsion triples of two classes, each the
+    roots of a cubic x^3 + Ax + B; f1 = x^3 + A1 mu^2 x + B1 mu^3 has roots
+    mu * roots1 and f2 = (x-lam)^3 + A2 (x-lam) + B2 has roots lam + roots2.  For
     fixed mu the four Cartier-Manin entries of the sextic are polynomials in
     lam of degree at most 3(p-1)/2 < p^2, so the hits are their common zeros
     in F_{p^2}, found by evaluation at every lam (_PairEntries), whose
@@ -253,7 +258,7 @@ def howe_type_points(ctx: FieldCtx, E1: EllipticCurve, E2: EllipticCurve
     """
     p = ctx.p
     q = p * p
-    pair = _PairEntries(ctx, E1, E2)
+    pair = _PairEntries(ctx, roots1, roots2)
     size = max(1, ROW_BLOCK ** 2 // q)
     for start in range(1, q, size):
         codes = np.arange(start, min(start + size, q))
@@ -283,7 +288,6 @@ def enumerate_a(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
     """Enumerate superspecial Howe curves by scanning elliptic pairs."""
     t0 = time.perf_counter()
     classes = enumerate_supersingular_classes(ctx)
-    torsion = [two_torsion_roots(E) for E in classes]
     pairs = [(i, j) for i in range(len(classes)) for j in range(i, len(classes))]
     raw = 0
     seen = set()
@@ -296,7 +300,7 @@ def enumerate_a(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
     for (i, j), hits in zip(pairs, hit_lists):
         for lam, mu in hits:
             raw += 1
-            H = _howe_from_pair_hit(ctx, torsion[i], torsion[j], lam, mu)
+            H = _howe_from_pair_hit(ctx, classes[i], classes[j], lam, mu)
             key = howe_key(H)
             if key not in seen:
                 seen.add(key)
@@ -499,13 +503,24 @@ def _pool_task_b(roots: tuple) -> tuple:
     return _fit_orbits(_POOL_CTX, _POOL_LSET, C)
 
 
+def pool_size(workers: int, tasks: int) -> int:
+    """Processes for a pool of tasks: at most workers, the tasks and the CPUs.
+
+    Results never depend on the count.  A pool under the fork start method
+    starts all its processes at the first submit, so an unbounded count
+    would fork that many.
+    """
+    return max(1, min(workers, tasks, os.cpu_count() or 1))
+
+
 def _pool_map_a(p: int, pairs: list, workers: int) -> list:
-    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                             initargs=(p, True)) as ex:
+    with ProcessPoolExecutor(max_workers=pool_size(workers, len(pairs)),
+                             initializer=_pool_init, initargs=(p, True)) as ex:
         return list(ex.map(_pool_task_a, pairs))
 
 
 def _pool_map_b(p: int, root_tuples: list, workers: int) -> list:
+    workers = pool_size(workers, len(root_tuples))
     chunk = max(1, len(root_tuples) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                              initargs=(p, False)) as ex:

@@ -5,23 +5,28 @@ does another way: the scalar Igusa-Clebsch invariants behind the batched
 Igusa key, the per-mu entry polynomials and scalar gcd fold behind strategy
 a's evaluation search, the whole-plane scan behind strategy a, a direct
 model for each j-invariant behind the supersingular class list, a
-translated polynomial behind the closed-form Legendre model, and a closure
-from one scanned Rosenhain curve behind the glued-seed closure.  The tests
-compare the two.  isomorphic, automorphisms and j_invariant, which only
-the tests read, live here too.
+translated Weierstrass model (EllipticCurve) whose cubic is root-found
+(two_torsion_roots) behind the closed-form 2-torsion triples, the scalar
+Hasse test of one curve (is_supersingular, quartic_is_supersingular,
+is_superspecial_howe_scalar) behind the Horner pass of the Deuring
+polynomial, root-found cubics (howe_from_cubics) behind the closed-form
+special family, and a closure from one scanned Rosenhain curve behind the
+glued-seed closure.  The tests compare the two.  isomorphic, automorphisms
+and j_invariant, which only the tests read, live here too.
 """
 
 import functools
 import itertools
 import time
+from dataclasses import dataclass
 
 import numpy as np
 
 from howecurves import (
     DEFAULT_SEED,
     INF,
-    EllipticCurve,
     EnumReport,
+    FieldCtx,
     Genus2Curve,
     HoweData,
     UniPoly,
@@ -29,11 +34,11 @@ from howecurves import (
     howe_isomorphic,
     is_superspecial,
     is_superspecial_howe,
+    lambda_of_quartic,
     normalize_split,
     poly_gcd,
     poly_roots_in_fq,
     richelot_codomains,
-    two_torsion_roots,
 )
 from howecurves.genus2 import (
     _BIJECTIONS,
@@ -44,6 +49,87 @@ from howecurves.genus2 import (
     mobius_matches,
 )
 from howecurves.strategies import _cubic_power, _ratio, _shifted_power_rows
+
+
+@dataclass(frozen=True)
+class EllipticCurve:
+    """Short Weierstrass model y^2 = x^3 + A x + B over F_{p^2}."""
+
+    ctx: FieldCtx
+    A: tuple
+    B: tuple
+
+    def __post_init__(self):
+        if self.discriminant() == self.ctx.zero:
+            raise ValueError("singular cubic: 4A^3 + 27B^2 = 0")
+
+    def discriminant(self):
+        ctx = self.ctx
+        a3 = ctx.mul((4, 0), ctx.pow(self.A, 3))
+        b2 = ctx.mul((27, 0), ctx.sqr(self.B))
+        return ctx.add(a3, b2)
+
+
+def is_supersingular(E):
+    """Hasse invariant test: x^(p-1) coefficient of (x^3+Ax+B)^((p-1)/2)."""
+    ctx = E.ctx
+    m = (ctx.p - 1) // 2
+    f = UniPoly.from_coeffs(ctx, [E.B, E.A, ctx.zero, ctx.one])
+    g = f.pow_truncated(m, ctx.p - 1)
+    return g.coeff(ctx.p - 1) == ctx.zero
+
+
+def two_torsion_roots(E):
+    """Sorted roots of x^3 + Ax + B over F_{p^2}, by the root finder."""
+    ctx = E.ctx
+    f = UniPoly.from_coeffs(ctx, [E.B, E.A, ctx.zero, ctx.one])
+    roots = poly_roots_in_fq(f)
+    if len(roots) != 3:
+        raise ArithmeticError("2-torsion cubic does not split over F_{p^2}")
+    return tuple(roots)
+
+
+def cubic_curve(ctx, roots):
+    """The Weierstrass model whose cubic has these roots, which sum to 0."""
+    f = UniPoly.from_roots(ctx, list(roots))
+    assert f.coeff(2) == ctx.zero
+    return EllipticCurve(ctx, f.coeff(1), f.coeff(0))
+
+
+def class_j(ctx, roots):
+    """The j-invariant of a supersingular class given by its 2-torsion triple."""
+    return j_invariant(cubic_curve(ctx, roots))
+
+
+def quartic_is_supersingular(Q):
+    """The Hasse test of one genus-1 cover, on the model of its Legendre invariant."""
+    return is_supersingular(legendre_curve_by_translation(Q.ctx, lambda_of_quartic(Q)))
+
+
+def is_superspecial_howe_scalar(H):
+    """Both quartics by the scalar Hasse test, then the genus-2 quotient."""
+    q1, q2 = H.quartics()
+    return (quartic_is_supersingular(q1) and quartic_is_supersingular(q2)
+            and is_superspecial(H.curve))
+
+
+def howe_from_cubics(ctx, f1, f2):
+    """The curve with covers y^2 = f1 and y^2 = f2 joined at b = infinity.
+
+    Both cubics must split over F_{p^2} with six distinct roots in total,
+    found by the root finder; a shared root would make the base curve
+    singular.
+    """
+    if f1.degree != 3 or f2.degree != 3:
+        raise ValueError("both factors must be cubic")
+    r1 = poly_roots_in_fq(f1)
+    r2 = poly_roots_in_fq(f2)
+    if len(r1) != 3 or len(r2) != 3:
+        raise ValueError("cubic factor has a repeated or irrational root")
+    if set(r1) & set(r2):
+        raise ValueError("the two cubics share a root")
+    curve = Genus2Curve(ctx, tuple(r1 + r2))
+    return HoweData(curve, normalize_split(r1, r2), INF)
 
 
 def igusa_clebsch(ctx, roots):
@@ -137,13 +223,12 @@ def enumerate_a_bruteforce(ctx):
     entry polynomials, so it shares no search logic with enumerate_a.
     """
     t0 = time.perf_counter()
-    classes = enumerate_supersingular_classes(ctx)
-    torsion = [two_torsion_roots(E) for E in classes]
+    torsion = enumerate_supersingular_classes(ctx)
     raw = 0
     buckets = {}
     reps = []
-    for i in range(len(classes)):
-        for j in range(i, len(classes)):
+    for i in range(len(torsion)):
+        for j in range(i, len(torsion)):
             for mu in ctx.elements():
                 if mu == ctx.zero:
                     continue
@@ -204,20 +289,20 @@ def curve_from_j(ctx, j):
 
 
 class _ScalarPairEntries:
-    """The entry polynomials of one curve pair, one scale mu at a time.
+    """The entry polynomials of one class pair, one scale mu at a time.
 
     The shifted-power rows of the second cubic and the power of the first
     are built once; each mu then costs 3m scalar products for its powers and
     one array accumulation per nonzero coefficient of f1^m.
     """
 
-    def __init__(self, ctx, E1, E2):
+    def __init__(self, ctx, roots1, roots2):
         self.ctx = ctx
         p = ctx.p
         self.m = (p - 1) // 2
         self.targets = (p - 1, 2 * p - 1, p - 2, 2 * p - 2)
-        self.rows = _shifted_power_rows(ctx, E2)
-        self.hm = _cubic_power(ctx, E1).tolist()
+        self.rows = _shifted_power_rows(ctx, roots2)
+        self.hm = _cubic_power(ctx, roots1).tolist()
 
     def entries(self, mu):
         ctx = self.ctx
@@ -244,14 +329,15 @@ class _ScalarPairEntries:
 
 
 @functools.lru_cache(maxsize=16)
-def _scalar_pair(ctx, E1, E2):
-    return _ScalarPairEntries(ctx, E1, E2)
+def _scalar_pair(ctx, roots1, roots2):
+    return _ScalarPairEntries(ctx, roots1, roots2)
 
 
-def cm_entry_polynomials(ctx, E1, E2, mu):
+def cm_entry_polynomials(ctx, roots1, roots2, mu):
     """The four superspeciality entries of y^2 = f1*f2, as polynomials in lam.
 
-    f1 = x^3 + A1 mu^2 x + B1 mu^3 and f2 = (x-lam)^3 + A2 (x-lam) + B2.
+    f1 = x^3 + A1 mu^2 x + B1 mu^3 and f2 = (x-lam)^3 + A2 (x-lam) + B2,
+    for the cubics x^3 + Ai x + Bi with the 2-torsion triples rootsi.
     Specializing the four at lam = lam0 (any value keeping the sextic
     squarefree) reproduces the Cartier-Manin entries of that curve, and each
     polynomial has degree at most 3(p-1)/2.  The rows of a recent pair are
@@ -259,15 +345,15 @@ def cm_entry_polynomials(ctx, E1, E2, mu):
     """
     if mu == ctx.zero:
         raise ValueError("the scale mu must be nonzero")
-    return _scalar_pair(ctx, E1, E2).entries(mu)
+    return _scalar_pair(ctx, roots1, roots2).entries(mu)
 
 
-def howe_type_points_scalar(ctx, E1, E2):
+def howe_type_points_scalar(ctx, roots1, roots2):
     """howe_type_points one mu at a time, folding the entries by poly_gcd.
 
     The fold skips zero entries and stops once the gcd is a unit.
     """
-    pair = _ScalarPairEntries(ctx, E1, E2)
+    pair = _ScalarPairEntries(ctx, roots1, roots2)
     for mu in ctx.elements():
         if mu == ctx.zero:
             continue

@@ -31,18 +31,16 @@ from howecurves import (
     match_representatives,
     normalize_split,
     quadratic_splittings,
-    quartic_is_supersingular,
     richelot_codomains,
     special_family,
     splitting_delta,
     supersingular_b_values,
     supersingular_lambda_set,
-    two_torsion_roots,
 )
 from howecurves.cli import main
 from howecurves.ellcurve import enumerate_supersingular_classes
 from howecurves.genus2 import cartier_manin, iko_window
-from oracles import isomorphic
+from oracles import cubic_curve, isomorphic, quartic_is_supersingular
 
 # class counts n(p) for the small-prime table check
 SMALL_COUNTS = {
@@ -199,7 +197,8 @@ def test_criterion_7_genus2_count_window(criterion, genus2_lists):
 # --- criterion 8: the six oracle suites -----------------------------------
 
 
-def _pair_sextic(ctx, E1, E2, lam, mu):
+def _pair_sextic(ctx, roots1, roots2, lam, mu):
+    E1, E2 = cubic_curve(ctx, roots1), cubic_curve(ctx, roots2)
     m2, m3 = ctx.sqr(mu), ctx.mul(mu, ctx.sqr(mu))
     f1 = UniPoly.from_coeffs(ctx, [ctx.mul(E1.B, m3), ctx.mul(E1.A, m2), ctx.zero, ctx.one])
     shifted = UniPoly.from_coeffs(ctx, [ctx.neg(lam), ctx.one])
@@ -299,10 +298,9 @@ def _suite_glue():
     ctx = FieldCtx(11)
     classes = enumerate_supersingular_classes(ctx)
     produced = 0
-    for E1 in classes:
-        s = two_torsion_roots(E1)
-        for E2 in classes:
-            for perm in itertools.permutations(two_torsion_roots(E2)):
+    for s in classes:
+        for t in classes:
+            for perm in itertools.permutations(t):
                 C = glue_elliptic_pair(ctx, s, perm)
                 if C is None:
                     continue

@@ -6,6 +6,7 @@ subprocess test exercises the installed module entry point end to end.
 
 import collections
 import json
+import os
 import random
 import subprocess
 import sys
@@ -76,6 +77,18 @@ def test_enumerate_json_is_deterministic(capsys):
     assert out1 == out2
 
 
+def test_seed_changes_nothing_but_its_echo(capsys):
+    docs = []
+    for seed in (7, 8):
+        code, out, _ = _run(capsys, ["enumerate", "--p", "13", "--strategy", "both",
+                                     "--seed", str(seed), "--format", "json"])
+        assert code == EXIT_OK
+        doc = json.loads(out)
+        assert [rep.pop("seed") for rep in doc["reports"].values()] == [seed, seed]
+        docs.append(doc)
+    assert docs[0] == docs[1]
+
+
 def test_enumerate_workers_match_serial(capsys):
     base = ["enumerate", "--p", "13", "--format", "json"]
     _, serial, _ = _run(capsys, base)
@@ -88,6 +101,21 @@ def test_table_small_range(capsys):
                                    "--format", "csv", "--verify"])
     assert code == EXIT_OK
     assert out.splitlines() == ["p,n,ratio", "11,4,3.462", "13,3,1.573"]
+
+
+def test_table_strategy_a_leaves_the_cache_untouched(tmp_path, capsys, monkeypatch):
+    # strategy a reads no genus-2 list, so neither --cache nor HOWE_CACHE
+    # makes one, and the rows are those of a run without a cache
+    argv = ["table", "--pmin", "11", "--pmax", "13", "--strategy", "a", "--format", "csv"]
+    monkeypatch.delenv("HOWE_CACHE", raising=False)
+    _, plain, _ = _run(capsys, argv)
+    assert plain.splitlines() == ["p,n,ratio", "11,4,3.462", "13,3,1.573"]
+    cdir = tmp_path / "cache"
+    cdir.mkdir()
+    assert _run(capsys, argv + ["--cache", str(cdir)])[:2] == (EXIT_OK, plain)
+    monkeypatch.setenv("HOWE_CACHE", str(cdir))
+    assert _run(capsys, argv)[:2] == (EXIT_OK, plain)
+    assert list(cdir.iterdir()) == []
 
 
 def test_table_empty_range(capsys):
@@ -154,6 +182,22 @@ def test_exists_range_finds_witnesses(capsys):
     assert doc["reverify_failures"] == []
 
 
+def test_exists_verifies_the_minus_15_seed_primes(capsys):
+    # 15073 and 18313 are the primes up to MAX_P whose lambda walk starts
+    # from the D = -15 Hilbert polynomial.  Measured at about 6 s for both
+    # on a 2-vCPU x86-64 host; the budget leaves room for a slower machine.
+    t0 = time.perf_counter()
+    for q in (15073, 18313):
+        code, out, err = _run(capsys, ["exists", "--verify", "--format", "json",
+                                       "--p", str(q)])
+        assert code == EXIT_OK, err
+        doc = json.loads(out)
+        assert [r["p"] for r in doc["results"]] == [q]
+        assert doc["results"][0]["witness"] is not None
+        assert doc["missing"] == [] and doc["reverify_failures"] == []
+    assert time.perf_counter() - t0 < 30.0
+
+
 def test_exists_workers(capsys):
     base = ["exists", "--pmin", "10", "--pmax", "20", "--format", "csv"]
     _, serial, _ = _run(capsys, base)
@@ -213,6 +257,47 @@ def test_a_dead_worker_exits_3_without_a_traceback(capsys, monkeypatch, module, 
     assert out == ""
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert "terminated abruptly" in err
+
+
+def _recording_pool(sizes):
+    """A process pool class that records its size and runs its tasks here."""
+
+    class Pool:
+        def __init__(self, max_workers=None, initializer=None, initargs=()):
+            sizes.append(max_workers)
+            if initializer is not None:
+                initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables, chunksize=1):
+            return map(fn, *iterables)
+
+    return Pool
+
+
+@pytest.mark.parametrize("cpus", [2, 64, None])
+def test_pools_never_exceed_the_tasks_or_the_cpus(capsys, monkeypatch, cpus):
+    # a huge --workers sizes each pool by its tasks and the CPUs (one if
+    # unknown), with the serial output; no real pool is started
+    sizes = []
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    for module in (cli, strategies):
+        monkeypatch.setattr(module, "ProcessPoolExecutor", _recording_pool(sizes))
+    # p = 13: one pair of elliptic classes, then three genus-2 curves;
+    # 10..20: four primes
+    cases = [(["enumerate", "--p", "13", "--strategy", "both", "--format", "json"], [1, 3]),
+             (["exists", "--pmin", "10", "--pmax", "20", "--format", "csv"], [4])]
+    for argv, tasks in cases:
+        _, serial, _ = _run(capsys, argv)
+        sizes.clear()
+        code, pooled, _ = _run(capsys, argv + ["--workers", "100000"])
+        assert code == EXIT_OK and pooled == serial
+        assert sizes == [min(t, cpus or 1) for t in tasks]
 
 
 def test_cache_round_trip(tmp_path, capsys):

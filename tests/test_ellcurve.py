@@ -2,7 +2,9 @@
 
 The class enumeration is cross-checked by the only oracle that needs no
 shared machinery: scanning every j in F_{p^2} and testing its standard
-model directly via the Hasse-invariant coefficient.
+model directly via the Hasse-invariant coefficient.  The closed-form
+2-torsion triples are checked against the root finder on the translated
+Weierstrass models of tests/oracles.py.
 """
 
 import functools
@@ -16,21 +18,27 @@ from hypothesis import strategies as st
 
 from howecurves import (
     INF,
-    EllipticCurve,
     FieldCtx,
     MobiusMap,
     QuarticModel,
     cross_ratio,
     enumerate_supersingular_classes,
-    is_supersingular,
     lambda_of_quartic,
-    quartic_is_supersingular,
     supersingular_lambda_set,
-    two_torsion_roots,
 )
 from howecurves import ellcurve
 from howecurves.arith import MAX_P, UniPoly, is_prime, poly_roots_in_fq
-from oracles import curve_from_j, j_invariant, legendre_curve_by_translation
+from oracles import (
+    EllipticCurve,
+    class_j,
+    cubic_curve,
+    curve_from_j,
+    is_supersingular,
+    j_invariant,
+    legendre_curve_by_translation,
+    quartic_is_supersingular,
+    two_torsion_roots,
+)
 
 
 def test_j_invariant_pinned_values():
@@ -120,7 +128,7 @@ def _inert(D, p):
 def test_deuring_horner_vanishes_exactly_where_the_hasse_test_holds(p):
     ctx = FieldCtx(p)
     lams = [x for x in ctx.elements() if x not in (ctx.zero, ctx.one)]
-    want = [is_supersingular(ellcurve._legendre_curve(ctx, lam)) for lam in lams]
+    want = [is_supersingular(legendre_curve_by_translation(ctx, lam)) for lam in lams]
     assert ellcurve.deuring_vanishes(ctx, lams).tolist() == want
     assert sum(want) == (p - 1) // 2
 
@@ -146,26 +154,27 @@ def _lambdas(draw):
 def test_deuring_horner_agrees_with_the_hasse_test_on_drawn_lambdas(case):
     # up to the largest prime, where the int64 bound of the pass is tightest
     ctx, lam = case
-    want = is_supersingular(ellcurve._legendre_curve(ctx, lam))
+    want = is_supersingular(legendre_curve_by_translation(ctx, lam))
     assert ellcurve.deuring_vanishes(ctx, [lam]).tolist() == [want]
 
 
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_legendre_model_matches_the_translated_cubic(p):
+    # the closed-form roots against the root finder on the translated cubic
     ctx = FieldCtx(p)
     for lam in ctx.elements():
         if lam in (ctx.zero, ctx.one):
-            with pytest.raises(ValueError):
-                ellcurve._legendre_curve(ctx, lam)
             continue
-        assert ellcurve._legendre_curve(ctx, lam) == legendre_curve_by_translation(ctx, lam)
+        want = two_torsion_roots(legendre_curve_by_translation(ctx, lam))
+        assert ellcurve._legendre_roots(ctx, lam) == want
 
 
 @settings(max_examples=25, deadline=None)
 @given(_lambdas())
 def test_legendre_model_matches_the_translated_cubic_on_drawn_lambdas(case):
     ctx, lam = case
-    assert ellcurve._legendre_curve(ctx, lam) == legendre_curve_by_translation(ctx, lam)
+    want = two_torsion_roots(legendre_curve_by_translation(ctx, lam))
+    assert ellcurve._legendre_roots(ctx, lam) == want
 
 
 def test_every_prime_up_to_max_p_has_a_cm_seed():
@@ -193,12 +202,14 @@ def test_every_seed_up_to_997_passes_the_hasse_test(monkeypatch):
     primes = [q for q in range(5, 998) if is_prime(q)]
     for p in primes:
         ctx = FieldCtx(p)
-        assert is_supersingular(ellcurve._legendre_curve(ctx, ellcurve._seed_lambda(ctx))), p
+        lam = ellcurve._seed_lambda(ctx)
+        assert is_supersingular(legendre_curve_by_translation(ctx, lam)), p
     # and the D = -15 seed at every prime inert in Q(sqrt(-15))
     monkeypatch.setattr(ellcurve, "_CM_J", ())
     for p in (q for q in primes if _inert(-15, q)):
         ctx = FieldCtx(p)
-        assert is_supersingular(ellcurve._legendre_curve(ctx, ellcurve._seed_lambda(ctx))), p
+        lam = ellcurve._seed_lambda(ctx)
+        assert is_supersingular(legendre_curve_by_translation(ctx, lam)), p
 
 
 @pytest.mark.parametrize("p", [11, 13, 409, 997])
@@ -294,17 +305,17 @@ def test_quartic_supersingularity_is_orbit_invariant():
 def test_class_enumeration_pinned_counts():
     ctx11 = FieldCtx(11)
     classes = enumerate_supersingular_classes(ctx11)
-    assert sorted(j_invariant(E) for E in classes) == [ctx11.zero, ctx11.elem(1)]
+    assert sorted(class_j(ctx11, roots) for roots in classes) == [ctx11.zero, ctx11.elem(1)]
 
     ctx13 = FieldCtx(13)
     classes13 = enumerate_supersingular_classes(ctx13)
-    assert [j_invariant(E) for E in classes13] == [ctx13.elem(5)]
+    assert [class_j(ctx13, roots) for roots in classes13] == [ctx13.elem(5)]
 
 
 def test_class_enumeration_matches_j_scan():
     for p in (5, 7, 11, 13, 17, 19, 23, 31):
         ctx = FieldCtx(p)
-        got = sorted(j_invariant(E) for E in enumerate_supersingular_classes(ctx))
+        got = sorted(class_j(ctx, roots) for roots in enumerate_supersingular_classes(ctx))
         want = sorted(j for j in ctx.elements() if is_supersingular(curve_from_j(ctx, j)))
         assert got == want
         assert p // 12 <= len(got) <= p // 12 + 2
@@ -323,7 +334,7 @@ def test_classes_are_computed_once_per_prime(monkeypatch):
     monkeypatch.setattr(ellcurve, "_CLASSES", {})  # cold memo
     first = enumerate_supersingular_classes(ctx)
     assert isinstance(first, tuple) and len(calls) == 1
-    assert [ellcurve._legendre_curve(ctx, lam) for lam in calls[0]] == list(first)
+    assert [ellcurve._legendre_roots(ctx, lam) for lam in calls[0]] == list(first)
     calls.clear()
     assert enumerate_supersingular_classes(FieldCtx(41)) is first
     assert calls == []
@@ -347,14 +358,44 @@ def test_class_recheck_rejects_an_ordinary_lambda(monkeypatch):
         enumerate_supersingular_classes(ctx)
 
 
+def _class_lambdas(ctx):
+    """The first lambda of each j, in the order of j: the classes' invariants."""
+    by_j = {}
+    for lam in supersingular_lambda_set(ctx).values:
+        by_j.setdefault(ellcurve.j_of_lambda(ctx, lam), lam)
+    return [by_j[j] for j in sorted(by_j)]
+
+
+def _check_class(ctx, lam, roots, hasse=True):
+    # the oracle roots the translated Weierstrass model of lam
+    assert roots == two_torsion_roots(legendre_curve_by_translation(ctx, lam))
+    assert not hasse or is_supersingular(cubic_curve(ctx, roots))
+    assert len(set(roots)) == 3
+    assert list(roots) == sorted(roots)
+
+
 def test_class_models_are_supersingular_with_split_two_torsion():
-    for p in (11, 13, 37, 101):
+    # every class at every prime up to 211
+    for p in (q for q in range(5, 212) if is_prime(q)):
         ctx = FieldCtx(p)
-        for E in enumerate_supersingular_classes(ctx):
-            assert is_supersingular(E)
-            roots = two_torsion_roots(E)
-            assert len(set(roots)) == 3
-            assert list(roots) == sorted(roots)
+        classes = enumerate_supersingular_classes(ctx)
+        lams = _class_lambdas(ctx)
+        assert len(lams) == len(classes)
+        for lam, roots in zip(lams, classes):
+            _check_class(ctx, lam, roots)
+
+
+def test_class_triples_match_the_root_finder_at_large_primes():
+    # a seeded sample of the classes; the scalar Hasse test only up to 4003,
+    # where its degree-(p-1) power is still cheap
+    rng = random.Random(15)
+    for p in (997, 4003, 15073, 19993):
+        ctx = FieldCtx(p)
+        classes = enumerate_supersingular_classes(ctx)
+        lams = _class_lambdas(ctx)
+        assert len(lams) == len(classes)
+        for k in sorted(rng.sample(range(len(classes)), 12)):
+            _check_class(ctx, lams[k], classes[k], hasse=p <= 4003)
 
 
 def test_two_torsion_failure_raises():

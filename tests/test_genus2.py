@@ -41,7 +41,6 @@ from howecurves import (
     save_list,
     splitting_delta,
     superspecial_genus2_list,
-    two_torsion_roots,
 )
 from howecurves import genus2
 from howecurves.arith import ROW_BLOCK, mobius_from_triples
@@ -418,10 +417,8 @@ def test_glue_produces_superspecial_curves_with_split_jacobian():
     ctx = FieldCtx(11)
     classes = enumerate_supersingular_classes(ctx)
     produced = 0
-    for E1 in classes:
-        s = two_torsion_roots(E1)
-        for E2 in classes:
-            t = two_torsion_roots(E2)
+    for s in classes:
+        for t in classes:
             for perm in itertools.permutations(t):
                 C = glue_elliptic_pair(ctx, s, perm)
                 if C is None:
@@ -434,38 +431,35 @@ def test_glue_produces_superspecial_curves_with_split_jacobian():
     assert produced > 0
 
 
-def test_glue_seeds_root_each_class_once_on_first_use(monkeypatch):
-    calls = []
-    real = genus2.two_torsion_roots
-
-    def counting(E):
-        calls.append(E)
-        return real(E)
-
-    monkeypatch.setattr(genus2, "two_torsion_roots", counting)
-    # the order of the eager form: all classes rooted up front, then every
-    # unordered pair (i <= j) and matching of the second triple
+def test_glue_seeds_come_one_batch_per_pair_in_order(monkeypatch):
+    # every unordered pair (i <= j) of class triples and every matching of
+    # the second triple, with one batch per pair
     ctx = FieldCtx(61)
-    classes = enumerate_supersingular_classes(ctx)
-    triples = [real(E) for E in classes]
-    # with one batch per pair
+    triples = enumerate_supersingular_classes(ctx)
     want = [[C.roots for perm in itertools.permutations(range(3))
              for C in [glue_elliptic_pair(ctx, triples[i], tuple(triples[j][k] for k in perm))]
              if C is not None]
-            for i, j in itertools.combinations_with_replacement(range(len(classes)), 2)]
-    got = [[C.roots for C in batch] for batch in genus2._glue_seeds(ctx, classes)]
+            for i, j in itertools.combinations_with_replacement(range(len(triples)), 2)]
+    got = [[C.roots for C in batch] for batch in genus2._glue_seeds(ctx, triples)]
     assert got == want
-    assert calls == list(classes)
-    # an existence search that stops at its first witness roots one class of 34
-    calls.clear()
+    # an existence search that stops at its first witness takes the seeds
+    # of one pair of classes, of 34 * 35 / 2
+    batches = []
+    real = genus2._glue_seeds
+
+    def counting(ctx, classes):
+        for batch in real(ctx, classes):
+            batches.append(batch)
+            yield batch
+
+    monkeypatch.setattr(genus2, "_glue_seeds", counting)
     assert find_one(FieldCtx(409)) is not None
-    assert len(calls) == 1
+    assert len(batches) == 1
 
 
 def test_glue_identity_matching_returns_none():
     ctx = FieldCtx(11)
-    E = enumerate_supersingular_classes(ctx)[0]
-    s = two_torsion_roots(E)
+    s = enumerate_supersingular_classes(ctx)[0]
     assert glue_elliptic_pair(ctx, s, s) is None
 
 

@@ -6,6 +6,9 @@ automorphism of the curve preserving the split carries one choice to the
 other.  Across curves, an explicit search builds the 12 maps sending H1's
 first split part onto an ordered part of H2's split and checks the full
 incidence; equal keys must mean exactly that the search finds a map.
+The closed-form special family is checked against root-found cubics, and
+the one-pass superspeciality test against the scalar Hasse tests of
+tests/oracles.py.
 """
 
 import itertools
@@ -21,20 +24,28 @@ from howecurves import (
     Genus2Curve,
     HoweData,
     MobiusMap,
+    QuarticModel,
     UniPoly,
-    howe_from_cubics,
+    find_one,
     howe_isomorphic,
     howe_key,
+    is_prime,
     is_superspecial,
     is_superspecial_howe,
     iter_howe_fits,
+    lambda_of_quartic,
     mobius_from_triples,
     normalize_split,
-    quartic_is_supersingular,
     special_family,
     supersingular_lambda_set,
 )
-from oracles import automorphisms
+from howecurves.arith import cross_ratio_map
+from oracles import (
+    automorphisms,
+    howe_from_cubics,
+    is_superspecial_howe_scalar,
+    quartic_is_supersingular,
+)
 
 
 def _sextic_split(ctx, ints1, ints2):
@@ -255,3 +266,42 @@ def test_special_family_membership_and_errors():
         special_family(FieldCtx(13), FieldCtx(13).elem(-1))
     with pytest.raises(ValueError):
         special_family(ctx11, ctx11.elem(2))
+
+
+def test_special_family_matches_the_root_found_cubics():
+    # the closed-form roots against the root finder on x^3 + 1 and x^3 + a
+    for p in (q for q in range(5, 1000, 6) if is_prime(q)):
+        ctx = FieldCtx(p)
+        f1 = UniPoly.from_int_coeffs(ctx, [1, 0, 0, 1])
+        for a in (ctx.elem(-1), ctx.inv(ctx.elem(4))):
+            f2 = UniPoly.from_coeffs(ctx, [a, ctx.zero, ctx.zero, ctx.one])
+            assert special_family(ctx, a) == howe_from_cubics(ctx, f1, f2), (p, a)
+
+
+def test_superspeciality_matches_the_scalar_oracle():
+    # every existence witness for 7 < p < 200, and controls with b moved and
+    # with one root moved, against two scalar Hasse tests and is_superspecial;
+    # where there is one, a moved b keeps one quartic supersingular and not
+    # the other, for each of the two
+    failed = halves = 0
+    for p in (q for q in range(8, 200) if is_prime(q)):
+        ctx = FieldCtx(p)
+        lset = supersingular_lambda_set(ctx)
+        H = find_one(ctx)
+        assert is_superspecial_howe(H) and is_superspecial_howe_scalar(H), p
+        free = [x for x in ctx.elements() if x not in H.curve.roots and x != H.b][:3]
+        w1, w2 = H.split
+        for part, other in ((w1, w2), (w2, w1)):
+            back = cross_ratio_map(ctx, *part).inverse()
+            half = [b for b in map(back, lset.values) if b not in H.curve.roots
+                    and lambda_of_quartic(QuarticModel(ctx, b, other)) not in lset]
+            free += half[:1]
+            halves += bool(half)
+        controls = [HoweData(H.curve, H.split, b) for b in free]
+        moved = (free[0],) + w1[1:]
+        controls.append(HoweData(Genus2Curve(ctx, moved + w2), (moved, w2), H.b))
+        for K in controls:
+            want = is_superspecial_howe_scalar(K)
+            assert is_superspecial_howe(K) == want, (p, K)
+            failed += not want
+    assert failed > 0 and halves > 40

@@ -37,7 +37,6 @@ from howecurves import (
     lambda_of_quartic,
     match_representatives,
     normalize_split,
-    quartic_is_supersingular,
     sort_key,
     supersingular_b_values,
     supersingular_lambda_set,
@@ -54,13 +53,17 @@ from howecurves.strategies import (
 from oracles import (
     automorphisms,
     cm_entry_polynomials,
+    cubic_curve,
     enumerate_a_bruteforce,
+    howe_from_cubics,
     howe_type_points_scalar,
+    quartic_is_supersingular,
 )
 
 
-def _pair_sextic(ctx, E1, E2, lam, mu):
+def _pair_sextic(ctx, roots1, roots2, lam, mu):
     """f1 * f2 for the scaled/shifted torsion cubics of the pair."""
+    E1, E2 = cubic_curve(ctx, roots1), cubic_curve(ctx, roots2)
     m2, m3 = ctx.sqr(mu), ctx.mul(mu, ctx.sqr(mu))
     f1 = UniPoly.from_coeffs(ctx, [ctx.mul(E1.B, m3), ctx.mul(E1.A, m2), ctx.zero, ctx.one])
     shifted = UniPoly.from_coeffs(ctx, [ctx.neg(lam), ctx.one])
@@ -83,13 +86,13 @@ def test_entry_polynomials_specialize_to_cartier_manin():
         classes = enumerate_supersingular_classes(ctx)
         bound = 3 * (p - 1) // 2
         for _ in range(7):
-            E1 = rng.choice(classes)
-            E2 = rng.choice(classes)
+            roots1 = rng.choice(classes)
+            roots2 = rng.choice(classes)
             mu = ctx.elem(rng.randrange(1, p), rng.randrange(p))
-            polys = cm_entry_polynomials(ctx, E1, E2, mu)
+            polys = cm_entry_polynomials(ctx, roots1, roots2, mu)
             assert all(g.degree <= bound for g in polys)
             lam = ctx.elem(rng.randrange(p), rng.randrange(p))
-            sextic = _pair_sextic(ctx, E1, E2, lam, mu)
+            sextic = _pair_sextic(ctx, roots1, roots2, lam, mu)
             want = _formal_entries(ctx, sextic)
             got = tuple(g.eval(lam) for g in polys)
             assert got == want
@@ -97,9 +100,9 @@ def test_entry_polynomials_specialize_to_cartier_manin():
 
 def test_entry_polynomials_reject_zero_scale():
     ctx = FieldCtx(7)
-    E = enumerate_supersingular_classes(ctx)[0]
+    roots = enumerate_supersingular_classes(ctx)[0]
     with pytest.raises(ValueError):
-        cm_entry_polynomials(ctx, E, E, ctx.zero)
+        cm_entry_polynomials(ctx, roots, roots, ctx.zero)
 
 
 def test_pair_hit_search_matches_plane_scan():
@@ -139,7 +142,7 @@ def test_block_boundaries_leave_the_hits_unchanged(monkeypatch):
     # per block once ROW_BLOCK**2 < p^2, and the hits stay the same, in order
     ctx = FieldCtx(19)
     classes = enumerate_supersingular_classes(ctx)
-    pairs = [(E1, E2) for i, E1 in enumerate(classes) for E2 in classes[i:]]
+    pairs = [(s, t) for i, s in enumerate(classes) for t in classes[i:]]
     sizes = []
     values = _PairEntries.values
 
@@ -148,12 +151,12 @@ def test_block_boundaries_leave_the_hits_unchanged(monkeypatch):
         return values(self, scales, k)
 
     monkeypatch.setattr(_PairEntries, "values", spy)
-    whole = [list(howe_type_points(ctx, E1, E2)) for E1, E2 in pairs]
+    whole = [list(howe_type_points(ctx, s, t)) for s, t in pairs]
     assert sizes == [45] * 8 * len(pairs)
     for block, want in ((64, [11] * 32 + [8]), (16, [1] * 360)):
         sizes.clear()
         monkeypatch.setattr(strategies, "ROW_BLOCK", block)
-        split = [list(howe_type_points(ctx, E1, E2)) for E1, E2 in pairs]
+        split = [list(howe_type_points(ctx, s, t)) for s, t in pairs]
         assert sizes == want * len(pairs)
         assert split == whole and any(whole)
 
@@ -169,11 +172,11 @@ def _horner(ctx, f, codes):
     return np.stack([v0, v1], axis=-1)
 
 
-def _check_entry_values(ctx, E1, E2, mus, lams):
+def _check_entry_values(ctx, roots1, roots2, mus, lams):
     """The entries at every (mu, lam), mu and lam given by code, both from
     the whole-row evaluation and at the points, against the scalar entry
     polynomials of each mu evaluated by Horner's rule."""
-    pair = _PairEntries(ctx, E1, E2)
+    pair = _PairEntries(ctx, roots1, roots2)
     scales = pair.scales(mus)
     rows, cols = np.repeat(np.arange(len(mus)), len(lams)), np.tile(lams, len(mus))
     got = np.stack([pair.values(scales, k)[:, lams] for k in range(4)], axis=1)
@@ -181,7 +184,7 @@ def _check_entry_values(ctx, E1, E2, mus, lams):
                    for k in range(4)], axis=1)
     assert got.shape == (len(mus), 4, len(lams), 2) and np.array_equal(got, at)
     for mu, values in zip(mus.tolist(), got):
-        polys = cm_entry_polynomials(ctx, E1, E2, divmod(mu, ctx.p))
+        polys = cm_entry_polynomials(ctx, roots1, roots2, divmod(mu, ctx.p))
         want = np.stack([_horner(ctx, f, lams) for f in polys])
         assert np.array_equal(values, want), mu
 
@@ -195,8 +198,8 @@ def test_batched_entry_rows_match_the_scalar_oracle():
         q = p * p
         classes = enumerate_supersingular_classes(ctx)
         if p <= 13:
-            for E1, E2 in itertools.product(classes, repeat=2):
-                _check_entry_values(ctx, E1, E2, np.arange(1, q), np.arange(q))
+            for roots1, roots2 in itertools.product(classes, repeat=2):
+                _check_entry_values(ctx, roots1, roots2, np.arange(1, q), np.arange(q))
         else:
             mus = np.array([1, q - 1] + rng.sample(range(2, q - 1), 30))
             lams = np.array([0, q - 1] + rng.sample(range(1, q - 1), 60))
@@ -206,17 +209,17 @@ def test_batched_entry_rows_match_the_scalar_oracle():
 def test_evaluation_search_rejects_vanishing_entries(monkeypatch):
     # zero shifted-power rows make all four entries of every mu vanish
     ctx = FieldCtx(5)
-    E = enumerate_supersingular_classes(ctx)[0]
+    roots = enumerate_supersingular_classes(ctx)[0]
     monkeypatch.setattr(strategies, "_shifted_power_rows",
-                        lambda ctx, E: np.zeros((7, 7, 2), dtype=np.int64))
+                        lambda ctx, roots: np.zeros((7, 7, 2), dtype=np.int64))
     with pytest.raises(ArithmeticError, match="vanished identically"):
-        list(howe_type_points(ctx, E, E))
+        list(howe_type_points(ctx, roots, roots))
     monkeypatch.undo()
     # one vanishing mu, code 60 at p = 11, in a later block of one scale
     # each: the hits of the scales before it come out first
     ctx = FieldCtx(11)
-    E = enumerate_supersingular_classes(ctx)[0]
-    whole = list(howe_type_points(ctx, E, E))
+    roots = enumerate_supersingular_classes(ctx)[0]
+    whole = list(howe_type_points(ctx, roots, roots))
     scales = _PairEntries.scales
 
     def vanish(self, codes):
@@ -224,7 +227,7 @@ def test_evaluation_search_rejects_vanishing_entries(monkeypatch):
 
     monkeypatch.setattr(_PairEntries, "scales", vanish)
     monkeypatch.setattr(strategies, "ROW_BLOCK", 10)
-    hits = howe_type_points(ctx, E, E)
+    hits = howe_type_points(ctx, roots, roots)
     before = [(lam, mu) for lam, mu in whole if mu[0] * 11 + mu[1] < 60]
     assert [next(hits) for _ in before] == before and before
     with pytest.raises(ArithmeticError, match="vanished identically"):
@@ -471,8 +474,6 @@ def test_verification_rejects_bad_representative():
     ctx = FieldCtx(13)
     f1 = UniPoly.from_int_coeffs(ctx, [-1, 0, 0, 1])
     f2 = UniPoly.from_int_coeffs(ctx, [1, 0, 0, 1])
-    from howecurves import howe_from_cubics
-
     bad = howe_from_cubics(ctx, f1, f2)  # not superspecial at p = 13
     with pytest.raises(VerificationError):
         _verify_representatives(ctx, [bad])
@@ -523,10 +524,8 @@ def test_verification_runs_one_hasse_test_per_lambda(monkeypatch, genus2_lists):
         calls.append(list(values))
         return real(ctx, values)
 
-    # one Horner pass over the distinct lambdas in first-seen order, and no
-    # scalar Hasse test
+    # one Horner pass over the distinct lambdas in first-seen order
     monkeypatch.setattr(strategies, "deuring_vanishes", counting)
-    monkeypatch.setattr(ellcurve, "is_supersingular", None)
     _verify_representatives(ctx, reps)
     assert len(calls) == 1
     assert len(calls[0]) == len(lams) and set(calls[0]) == lams
