@@ -15,7 +15,6 @@ from .arith import (
     FieldCtx,
     MobiusMap,
     UniPoly,
-    cross_ratio,
     is_prime,
     mobius_from_triples,
     poly_gcd,
@@ -26,7 +25,6 @@ from .ellcurve import (
     QuarticModel,
     SupersingularLambdaSet,
     enumerate_supersingular_classes,
-    lambda_of_quartic,
     supersingular_lambda_set,
 )
 from .genus2 import (
@@ -41,10 +39,8 @@ from .genus2 import (
     iko_window,
     is_superspecial,
     load_list,
-    quadratic_splittings,
     richelot_codomains,
     save_list,
-    splitting_delta,
     superspecial_genus2_list,
 )
 from .howe import (
@@ -76,7 +72,6 @@ __all__ = [
     "FieldCtx",
     "MobiusMap",
     "UniPoly",
-    "cross_ratio",
     "is_prime",
     "mobius_from_triples",
     "poly_gcd",
@@ -85,7 +80,6 @@ __all__ = [
     "QuarticModel",
     "SupersingularLambdaSet",
     "enumerate_supersingular_classes",
-    "lambda_of_quartic",
     "supersingular_lambda_set",
     "CartierManinEntries",
     "Genus2Curve",
@@ -98,10 +92,8 @@ __all__ = [
     "iko_window",
     "is_superspecial",
     "load_list",
-    "quadratic_splittings",
     "richelot_codomains",
     "save_list",
-    "splitting_delta",
     "superspecial_genus2_list",
     "HoweData",
     "howe_isomorphic",

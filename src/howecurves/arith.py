@@ -47,7 +47,12 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # (genus2.cartier_manin_rows) builds each sextic one root at a time and
 # multiplies f_i / f_0 by g_(k-i), all in [0, p), so every product stays
 # below (1 + r) p^2 until it is reduced; each step's weighted sum of six
-# reduced products, with weights below p, stays below 6 p^2 < 2^33.
+# reduced products, with weights below p, stays below 6 p^2 < 2^33.  The
+# array inverses and square roots (_inv_stacked, _sqrt_stacked) form norms
+# x0^2 - r (x1^2 mod p) < (1 + r) p^2 and index tables of length p; the
+# batched Richelot step (genus2.richelot_codomains) and Howe key
+# (howe.howe_key) reduce every product before the next, and the key packs
+# two point codes below p^2 into one int64 below p^4 < 2^60.
 MAX_P = 30000
 
 # Row count of one block of genus2.igusa_key's sextics; strategy a's blocks
@@ -108,7 +113,8 @@ def is_prime(n: int) -> bool:
 class FieldCtx:
     """Carrier for a prime p > 3 and the extension F_{p^2} = F_p(t), t^2 = r."""
 
-    __slots__ = ("p", "r", "zero", "one", "_half", "_nonsquare", "_ts_params", "_inv_table")
+    __slots__ = ("p", "r", "zero", "one", "_half", "_nonsquare", "_ts_params", "_inv_table",
+                 "_sqrt_table")
 
     def __init__(self, p: int):
         if not is_prime(p) or p <= 3:
@@ -123,6 +129,7 @@ class FieldCtx:
         self._nonsquare: Optional[FqElem] = None
         self._ts_params: Optional[tuple] = None
         self._inv_table: Optional[np.ndarray] = None
+        self._sqrt_table: Optional[np.ndarray] = None
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldCtx) and other.p == self.p
@@ -195,6 +202,16 @@ class FieldCtx:
                 t[i] = -(p // i) * t[p % i] % p
             self._inv_table = np.array(t, dtype=np.int64)
         return self._inv_table
+
+    def sqrt_table(self) -> np.ndarray:
+        """A square root of each of 0, 1, ..., p-1 in F_p, -1 for the non-residues."""
+        if self._sqrt_table is None:
+            p = self.p
+            t = np.full(p, -1, dtype=np.int64)
+            roots = np.arange(p, dtype=np.int64)
+            t[roots * roots % p] = roots
+            self._sqrt_table = t
+        return self._sqrt_table
 
     def pow(self, x: FqElem, e: int) -> FqElem:
         if e < 0:
@@ -735,24 +752,61 @@ def matmul_fq(ctx: FieldCtx, x, y):
     return np.stack([(x0 @ y0 + ctx.r * (x1 @ y1 % p)) % p, (x0 @ y1 + x1 @ y0) % p], axis=-1)
 
 
-def mobius_eval_array(ctx: FieldCtx, maps: Sequence[MobiusMap], x0, x1) -> tuple:
-    """Every map at every finite point (x0[j], x1[j]), in one array pass.
+def _inv_stacked(ctx: FieldCtx, x):
+    """Elementwise inverse of a stacked array, conj(x) / norm(x); 0 where x = 0."""
+    p = ctx.p
+    x0, x1 = x[..., 0], x[..., 1]
+    ninv = ctx.inv_table()[(x0 * x0 - ctx.r * (x1 * x1 % p)) % p]
+    return np.stack([x0 * ninv % p, -x1 * ninv % p], axis=-1)
 
-    Returns (y0, y1, finite), each of shape (len(maps), len(x0)).  Where a
-    denominator vanishes the image is INF: finite is False and y0 = y1 = 0.
-    The quotient is num * conj(den) / norm(den), the norm inverted through
-    ctx.inv_table().
+
+def _sqrt_stacked(ctx: FieldCtx, x) -> tuple:
+    """A square root of each element of a stacked array, and where one exists.
+
+    x = x0 + x1 t is a square exactly when its norm n = x0^2 - r x1^2 is a
+    square in F_p.  Then for x1 != 0 one of (x0 +- sqrt(n)) / 2 is a nonzero
+    square h in F_p (their product r x1^2 / 4 is not), and a + b t with
+    a = sqrt(h), b = x1 / (2a) squares to x; for x1 = 0 the root is sqrt(x0)
+    or, for a non-residue x0, t sqrt(x0 / r).  Square roots in F_p come from
+    ctx.sqrt_table(), so the sign of a root is whatever the table holds.
+    Where x is not a square the root is meaningless.
     """
     p = ctx.p
-    coef = np.array([m.a + m.b + m.c + m.d for m in maps], dtype=np.int64)
-    a0, a1, b0, b1, c0, c1, d0, d1 = coef.reshape(-1, 8).T[:, :, None]
+    table = ctx.sqrt_table()
+    x0, x1 = x[..., 0], x[..., 1]
+    n = table[(x0 * x0 - ctx.r * (x1 * x1 % p)) % p]
+    half = (p + 1) // 2
+    h = (x0 + n) * half % p
+    h = np.where(table[h] >= 0, h, (x0 - n) * half % p)
+    a = table[h] % p
+    b = x1 * ctx.inv_table()[2 * a % p] % p
+    real = table[x0]
+    imag = table[x0 * ctx.inv_table()[ctx.r] % p]
+    flat = x1 == 0
+    root = np.stack([np.where(flat, np.maximum(real, 0), a),
+                     np.where(flat, np.where(real >= 0, 0, imag), b)], axis=-1)
+    return root, n >= 0
+
+
+def mobius_eval_array(ctx: FieldCtx, coef, x0, x1) -> tuple:
+    """Maps at finite points, broadcast elementwise, in one array pass.
+
+    coef[..., k, :] holds coefficient k of (a, b, c, d) of x -> (a x + b) /
+    (c x + d) as a (c0, c1) pair; its leading axes broadcast against those
+    of x0 and x1, so coef[:, None] against a line of points evaluates every
+    map at every point.  Returns (y0, y1, finite) of the broadcast shape.
+    Where a denominator vanishes the image is INF: finite is False and
+    y0 = y1 = 0.
+    """
+    p = ctx.p
+    coef = coef.reshape(coef.shape[:-2] + (8,))
+    a0, a1, b0, b1, c0, c1, d0, d1 = np.moveaxis(coef, -1, 0)
     n0, n1 = _mul_arrays(ctx, a0, a1, x0, x1)
     e0, e1 = _mul_arrays(ctx, c0, c1, x0, x1)
-    n0, n1 = (n0 + b0) % p, (n1 + b1) % p
-    e0, e1 = (e0 + d0) % p, (e1 + d1) % p
-    ninv = ctx.inv_table()[(e0 * e0 - ctx.r * e1 * e1) % p]
-    y0, y1 = _mul_arrays(ctx, n0, n1, e0 * ninv % p, -e1 * ninv % p)
-    return y0, y1, (e0 | e1) != 0
+    num = np.stack([(n0 + b0) % p, (n1 + b1) % p], axis=-1)
+    den = np.stack([(e0 + d0) % p, (e1 + d1) % p], axis=-1)
+    y = _mul_stacked(ctx, num, _inv_stacked(ctx, den))
+    return y[..., 0], y[..., 1], den.any(axis=-1)
 
 
 def cross_ratio_map(ctx: FieldCtx, r: ProjPoint, s: ProjPoint, t: ProjPoint) -> MobiusMap:
@@ -768,16 +822,6 @@ def cross_ratio_map(ctx: FieldCtx, r: ProjPoint, s: ProjPoint, t: ProjPoint) -> 
     u = ctx.sub(r, t)
     v = ctx.sub(r, s)
     return MobiusMap(ctx, u, ctx.neg(ctx.mul(s, u)), v, ctx.neg(ctx.mul(t, v)))
-
-
-def cross_ratio(ctx: FieldCtx, q: ProjPoint, r: ProjPoint, s: ProjPoint, t: ProjPoint) -> FqElem:
-    """Cross-ratio (q, r; s, t) of four distinct points of P^1(F_{p^2})."""
-    pts = [q, r, s, t]
-    for i in range(4):
-        for j in range(i + 1, 4):
-            if pts[i] is pts[j] or pts[i] == pts[j]:
-                raise ValueError("cross-ratio requires four distinct points")
-    return cross_ratio_map(ctx, r, s, t)(q)
 
 
 def mobius_from_triples(ctx: FieldCtx, src: Sequence[ProjPoint], dst: Sequence[ProjPoint]) -> MobiusMap:

@@ -22,7 +22,6 @@ from .arith import (
     FqElem,
     ProjPoint,
     UniPoly,
-    cross_ratio,
     poly_roots_in_fq,
 )
 
@@ -200,12 +199,6 @@ def deuring_vanishes(ctx: FieldCtx, lams: list) -> np.ndarray:
         v0, v1 = (v0 * x0 + r * v1 * x1 + c * c % p) % p, (v0 * x1 + v1 * x0) % p
         c = c * (m - k) % p * pow(k + 1, p - 2, p) % p
     return (v0 == 0) & (v1 == 0)
-
-
-def lambda_of_quartic(Q: QuarticModel) -> FqElem:
-    """Legendre invariant of the cover: the cross-ratio (b, a1; a2, a3)."""
-    a1, a2, a3 = Q.roots
-    return cross_ratio(Q.ctx, Q.b, a1, a2, a3)
 
 
 def j_of_lambda(ctx: FieldCtx, lam: FqElem) -> FqElem:

@@ -33,8 +33,10 @@ from .arith import (
     FqElem,
     MobiusMap,
     UniPoly,
+    _inv_stacked,
     _mul_arrays,
     _mul_stacked,
+    _sqrt_stacked,
     cross_ratio_map,
     mobius_from_triples,
 )
@@ -253,9 +255,7 @@ def _igusa_key_block(ctx: FieldCtx, batch: Sequence[tuple]) -> list:
     invariants = np.stack([i4_terms.sum(axis=1), i6_terms.sum(axis=(1, 2)),
                            mul(mul(quads[:, 0], quads[:, 1]), groups[:, 4])], axis=1) % p
     i2 = pairings.sum(axis=1) % p
-    # s = 1/I2 through the norm, 0 where I2 = 0
-    ninv = ctx.inv_table()[(i2[:, 0] * i2[:, 0] - ctx.r * i2[:, 1] * i2[:, 1]) % p]
-    s = np.stack([i2[:, 0] * ninv, -i2[:, 1] * ninv], axis=-1) % p
+    s = _inv_stacked(ctx, i2)  # 0 where I2 = 0
     s2 = mul(s, s)
     s3 = mul(s2, s)
     scaled = mul(invariants, np.stack([s2, s3, mul(s2, s3)], axis=1))
@@ -333,110 +333,82 @@ def mobius_matches(C: Genus2Curve, D: Genus2Curve) -> Iterator[MobiusMap]:
 # Richelot correspondences
 # ---------------------------------------------------------------------------
 
-QuadraticSplitting = tuple  # three pairs of roots, canonically ordered
-
 _SPLITTINGS = [
     tuple(sorted((tuple(sorted(pr)) for pr in part)))
     for part in _PAIR_PARTITIONS
 ]
 
+def richelot_codomains(ctx: FieldCtx, curves: Sequence[Genus2Curve]) -> list:
+    """The (2,2)-correspondence neighbours of each curve, one per nonsplit splitting.
 
-def quadratic_splittings(C: Genus2Curve) -> list:
-    """All 15 groupings of the six roots into three unordered pairs."""
-    out = []
-    for part in _SPLITTINGS:
-        out.append(tuple(tuple(C.roots[i] for i in pr) for pr in part))
-    return out
+    For each grouping {g1, g2, g3} of a curve's roots into monic quadratics
+    (in _SPLITTINGS order) with delta = det of their coefficient matrix
+    nonzero, the neighbour is delta * y^2 = h1 h2 h3 with
+    h_i = g_j' g_k - g_j g_k'; its six branch points are returned as a monic
+    rational-roots model.  If some h_i drops to degree one, its second root
+    is INF, and the points are moved by x -> 1/(x - c), c the first element
+    of F_{p^2} in canonical order that is not one of them: one of
+    (0, 0)..(0, 5), since p > 5.  Splittings with delta = 0 present
+    elliptic products, not curves, and are omitted.  Returns one list of
+    (splitting, neighbour) pairs per curve.
 
-
-def splitting_delta(ctx: FieldCtx, splitting: QuadraticSplitting) -> FqElem:
-    """det of the 3x3 coefficient matrix of the three monic quadratics."""
-    rows = []
-    for (u, v) in splitting:
-        rows.append((ctx.one, ctx.neg(ctx.add(u, v)), ctx.mul(u, v)))
-    m = ctx.mul
-    s = ctx.sub
-    det = ctx.zero
-    for sign, (i, j, k) in (((1), (0, 1, 2)), ((-1), (1, 0, 2)), ((1), (2, 0, 1))):
-        minor = s(m(rows[j][1], rows[k][2]), m(rows[j][2], rows[k][1]))
-        term = m(rows[i][0], minor)
-        det = ctx.add(det, term if sign > 0 else ctx.neg(term))
-    return det
-
-
-def _h_quadratic(ctx: FieldCtx, gj: tuple, gk: tuple) -> tuple:
-    """Coefficients (c2, c1, c0) of g_j' g_k - g_j g_k' for monic quadratics."""
-    _, j1, j0 = gj
-    _, k1, k0 = gk
-    c2 = ctx.sub(k1, j1)
-    c1 = ctx.mul((2, 0), ctx.sub(k0, j0))
-    c0 = ctx.sub(ctx.mul(j1, k0), ctx.mul(j0, k1))
-    return (c2, c1, c0)
-
-
-def _quadratic_point_roots(ctx: FieldCtx, coeffs: tuple) -> list:
-    """Roots in P^1 of c2 x^2 + c1 x + c0, counted without multiplicity."""
-    c2, c1, c0 = coeffs
-    if c2 == ctx.zero:
-        if c1 == ctx.zero:
-            raise RationalityError("degenerate correspondence factor")
-        return [ctx.neg(ctx.div(c0, c1)), INF]
-    disc = ctx.sub(ctx.sqr(c1), ctx.mul((4, 0), ctx.mul(c2, c0)))
-    s = ctx.sqrt(disc)
-    if s is None:
-        raise RationalityError("rationality invariant violated: non-square discriminant")
-    half = ctx.inv(ctx.mul((2, 0), c2))
-    r1 = ctx.mul(ctx.sub(s, c1), half)
-    r2 = ctx.mul(ctx.sub(ctx.neg(s), c1), half)
-    return [r1] if r1 == r2 else [r1, r2]
-
-
-def _renormalize_infinite(ctx: FieldCtx, pts: list) -> tuple:
-    """Pull a six-point set off infinity with x -> 1/(x - c), canonical c."""
-    finite = [q for q in pts if q is not INF]
-    taken = set(finite)
-    c = None
-    for cand in ctx.elements():
-        if cand not in taken:
-            c = cand
-            break
-    out = []
-    for q in pts:
-        out.append(ctx.zero if q is INF else ctx.inv(ctx.sub(q, c)))
-    return tuple(sorted(out))
-
-
-def richelot_codomains(C: Genus2Curve) -> list:
-    """The (2,2)-correspondence neighbours of C, one per nonsplit splitting.
-
-    For each quadratic splitting {g1, g2, g3} with delta != 0, the neighbour
-    is the curve delta * y^2 = h1 h2 h3 with h_i = g_j' g_k - g_j g_k'; its
-    six branch points are returned as a monic rational-roots model (after a
-    canonical change of coordinate if some h_i drops to degree one).
-    Splittings with delta = 0 present elliptic products, not curves, and are
-    omitted.  Returns (splitting, neighbour) pairs in canonical order.
+    All splittings of all curves run in one pass over int64 arrays of shape
+    (curves, 15, ...): the quadratic formula takes its square roots through
+    the norm (arith._sqrt_stacked), and a point is carried as its code
+    c0 p + c1, INF as p^2.  RationalityError is raised for the first curve,
+    and its first splitting, where an h_i vanishes to degree zero, has a
+    non-square discriminant or a double root, or the six points repeat.
     """
-    ctx = C.ctx
+    p = ctx.p
+    q = p * p
+    mul = functools.partial(_mul_stacked, ctx)
+    pos = np.array(_SPLITTINGS)
+    r = np.array([C.roots for C in curves], dtype=np.int64).reshape(-1, 6, 2)
+    u, v = r[:, pos[..., 0]], r[:, pos[..., 1]]
+    # g_i = x^2 + e_i x + f_i; h for (j, k) = (1, 2), (2, 0), (0, 1) has
+    # coefficients (e_k - e_j, 2 (f_k - f_j), e_j f_k - f_j e_k), and delta
+    # is the sum of the last
+    e, f = -(u + v) % p, mul(u, v)
+    j, k = [1, 2, 0], [2, 0, 1]
+    c2 = (e[:, :, k] - e[:, :, j]) % p
+    c1 = 2 * (f[:, :, k] - f[:, :, j]) % p
+    c0 = (mul(e[:, :, j], f[:, :, k]) - mul(f[:, :, j], e[:, :, k])) % p
+    kept = (c0.sum(axis=2) % p).any(axis=-1)
+    linear = ~c2.any(axis=-1)
+    root, square = _sqrt_stacked(ctx, (mul(c1, c1) - 4 * mul(c2, c0)) % p)
+    half = _inv_stacked(ctx, 2 * c2 % p)
+    # where c2 = 0 the roots are -c0/c1 and INF
+    first = np.where(linear[..., None], mul(-c0 % p, _inv_stacked(ctx, c1)),
+                     mul((root - c1) % p, half))
+    second = mul((-root - c1) % p, half)
+    pts = np.concatenate([first[..., 0] * p + first[..., 1],
+                          np.where(linear, q, second[..., 0] * p + second[..., 1])], axis=-1)
+    # x -> 1/(x - (0, c)) on the rows holding INF, which goes to 0
+    shifted = np.stack(np.divmod(pts, p), axis=-1)
+    shifted[..., 1] -= np.argmin((pts[..., None] == np.arange(6)).any(axis=2), axis=-1)[..., None]
+    moved = _inv_stacked(ctx, shifted % p)
+    moved = np.where(pts == q, 0, moved[..., 0] * p + moved[..., 1])
+    pts = np.sort(np.where((pts == q).any(axis=-1, keepdims=True), moved, pts), axis=-1)
+    # the first failing factor h of each splitting, else a singular model
+    factor = np.where(linear & ~c1.any(axis=-1), 1, np.where(~linear & ~square, 2, 0))
+    failed = np.take_along_axis(factor, np.argmax(factor > 0, axis=-1)[..., None], -1)[..., 0]
+    double = (~linear & ~root.any(axis=-1)).any(axis=-1)
+    singular = double | (pts[..., 1:] == pts[..., :-1]).any(axis=-1)
+    errors = np.where(kept, np.where(failed > 0, failed, 3 * singular), 0).ravel()
+    if errors.any():
+        raise RationalityError((
+            "degenerate correspondence factor",
+            "rationality invariant violated: non-square discriminant",
+            "correspondence produced a singular model",
+        )[errors[np.flatnonzero(errors)[0]] - 1])
+    neighbours = np.stack(np.divmod(pts, p), axis=-1).tolist()
     out = []
-    for splitting in quadratic_splittings(C):
-        delta = splitting_delta(ctx, splitting)
-        if delta == ctx.zero:
-            continue
-        quads = []
-        for (u, v) in splitting:
-            quads.append((ctx.one, ctx.neg(ctx.add(u, v)), ctx.mul(u, v)))
-        pts = []
-        for (j, k) in ((1, 2), (2, 0), (0, 1)):
-            pts.extend(_quadratic_point_roots(ctx, _h_quadratic(ctx, quads[j], quads[k])))
-        if len(pts) != 6:
-            raise RationalityError("correspondence produced a singular model")
-        if any(q is INF for q in pts):
-            roots = _renormalize_infinite(ctx, pts)
-        else:
-            roots = tuple(sorted(pts))
-        if len(set(roots)) != 6:
-            raise RationalityError("correspondence produced a singular model")
-        out.append((splitting, Genus2Curve(ctx, roots)))
+    for C, kept_row, rows in zip(curves, kept.tolist(), neighbours):
+        x = C.roots
+        out.append([(((x[i0], x[i1]), (x[i2], x[i3]), (x[i4], x[i5])),
+                     Genus2Curve(ctx, tuple(map(tuple, row))))
+                    for ((i0, i1), (i2, i3), (i4, i5)), keep, row
+                    in zip(_SPLITTINGS, kept_row, rows) if keep])
     return out
 
 
@@ -596,8 +568,11 @@ def closure_stream(ctx: FieldCtx, acc: Optional[SuperspecialList] = None
         yield from _glue_seeds(ctx, enumerate_supersingular_classes(ctx))
         cursor = 0
         while cursor < len(acc.curves):
-            yield [D for _, D in richelot_codomains(acc.curves[cursor])]
-            cursor += 1
+            # the classes not yet expanded, up to ROW_BLOCK splitting rows
+            block = acc.curves[cursor:cursor + ROW_BLOCK // len(_SPLITTINGS)]
+            cursor += len(block)
+            for pairs in richelot_codomains(ctx, block):
+                yield [D for _, D in pairs]
 
     hi = iko_window(ctx.p)[1]
     for batch in batches():

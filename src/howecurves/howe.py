@@ -11,11 +11,25 @@ is, exactly when their howe_key values are equal.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
-from .arith import INF, FieldCtx, FqElem, MobiusMap, ProjPoint, sort_key
-from .ellcurve import QuarticModel, deuring_vanishes, lambda_of_quartic
+import numpy as np
+
+from .arith import (
+    INF,
+    ROW_BLOCK,
+    FieldCtx,
+    FqElem,
+    MobiusMap,
+    ProjPoint,
+    _inv_stacked,
+    _mul_stacked,
+    sort_key,
+)
+from .ellcurve import QuarticModel, deuring_vanishes
 from .genus2 import Genus2Curve, is_superspecial, mobius_matches
 
 WeierstrassSplit = tuple  # pair of sorted root triples, lexicographically ordered
@@ -57,16 +71,36 @@ class HoweData:
         return (self.curve.roots, self.split, sort_key(self.b))
 
 
+def quartic_lambdas(ctx: FieldCtx, data: Sequence[HoweData]) -> list:
+    """The Legendre invariants of both genus-1 covers of each datum, in one array pass.
+
+    The cover branched at b and the sorted triple (a1, a2, a3) has the
+    invariant (b, a1; a2, a3) = (b - a2)(a1 - a3) / ((b - a3)(a1 - a2)),
+    which is (a1 - a3) / (a1 - a2) for b = INF.  One (lambda1, lambda2)
+    pair per datum, for its two split parts in order.
+    """
+    p = ctx.p
+    mul = functools.partial(_mul_stacked, ctx)
+    a = np.array([H.split[0] + H.split[1] for H in data], dtype=np.int64).reshape(-1, 2, 3, 2)
+    finite = np.array([H.b is not INF for H in data], dtype=bool).reshape(-1, 1, 1)
+    b = np.array([(0, 0) if H.b is INF else H.b for H in data], dtype=np.int64).reshape(-1, 1, 2)
+    one = np.array([1, 0])
+    a1, a2, a3 = a[:, :, 0], a[:, :, 1], a[:, :, 2]
+    num = mul(np.where(finite, (b - a2) % p, one), (a1 - a3) % p)
+    den = mul(np.where(finite, (b - a3) % p, one), (a1 - a2) % p)
+    return [tuple(map(tuple, pair)) for pair in mul(num, _inv_stacked(ctx, den)).tolist()]
+
+
 def is_superspecial_howe(H: HoweData) -> bool:
     """Superspeciality of the genus-4 curve.
 
     Equivalent to: both genus-1 covers supersingular and the genus-2 quotient
     superspecial (the Jacobian splits accordingly up to isogeny of degree
-    prime to p).  The covers' Legendre invariants are tested in one
-    deuring_vanishes pass.
+    prime to p).  The covers' Legendre invariants (quartic_lambdas) are
+    tested in one deuring_vanishes pass.
     """
-    lams = [lambda_of_quartic(Q) for Q in H.quartics()]
-    if not deuring_vanishes(H.curve.ctx, lams).all():
+    ctx = H.curve.ctx
+    if not deuring_vanishes(ctx, list(quartic_lambdas(ctx, [H])[0])).all():
         return False
     return is_superspecial(H.curve)
 
@@ -85,26 +119,43 @@ def howe_isomorphic(H1: HoweData, H2: HoweData) -> Optional[MobiusMap]:
     return None
 
 
-def howe_key(H: HoweData) -> tuple:
+def howe_key(ctx: FieldCtx, fits: Sequence[tuple]) -> list:
     """Canonical form of (split, b) under Mobius maps: the Howe-class identity.
 
-    b goes to INF by x -> 1/(x - b), leaving the affine maps; for each of the
-    12 ordered pairs (u, v) in one triple, x -> (x - u)/(v - u) sends that
-    triple to {0, 1, w}.  The key is the least (w, sorted image of the other
-    triple), so equal keys mean isomorphic data, roots going to roots.
+    One key per (split, b) of fits, split being two root triples in any
+    order.  b goes to INF by x -> 1/(x - b), leaving the affine maps; for
+    each of the 12 ordered pairs (u, v) in one triple, x -> (x - u)/(v - u)
+    sends that triple to {0, 1, w}.  The key is the least (w, sorted image
+    of the other triple), so equal keys mean isomorphic data, roots going
+    to roots.  The 12 normalizations of up to ROW_BLOCK fits run in one
+    array pass; points are compared by their codes c0 p + c1, two codes to
+    an int64 (the bound is argued at arith.MAX_P).
     """
-    ctx = H.curve.ctx
-    parts = H.split
-    if H.b is not INF:
-        parts = [[ctx.inv(ctx.sub(rt, H.b)) for rt in part] for part in parts]
-    keys = []
-    for (t1, t2, t3), other in ((parts[0], parts[1]), (parts[1], parts[0])):
-        for u, v, w in ((t1, t2, t3), (t1, t3, t2), (t2, t3, t1)):
-            s = ctx.inv(ctx.sub(v, u))
-            img = [ctx.mul(ctx.sub(x, u), s) for x in (w, *other)]
-            for im in (img, [ctx.sub(ctx.one, y) for y in img]):  # (v, u): 1 - image
-                keys.append((im[0], tuple(sorted(im[1:]))))
-    return min(keys)
+    return [key for start in range(0, len(fits), ROW_BLOCK)
+            for key in _howe_key_block(ctx, fits[start:start + ROW_BLOCK])]
+
+
+def _howe_key_block(ctx: FieldCtx, fits: Sequence[tuple]) -> list:
+    p = ctx.p
+    q = p * p
+    x = np.array([w1 + w2 for (w1, w2), _ in fits], dtype=np.int64).reshape(-1, 6, 2)
+    finite = np.array([b is not INF for _, b in fits], dtype=bool).reshape(-1, 1, 1)
+    b = np.array([(0, 0) if b is INF else b for _, b in fits], dtype=np.int64).reshape(-1, 1, 2)
+    x = np.where(finite, _inv_stacked(ctx, (x - b) % p), x)
+    # each ordered pair (u, v) of a triple, then its third point w and the
+    # other triple
+    pos = np.array([(u, v, sum(tri) - u - v) + other
+                    for tri, other in (((0, 1, 2), (3, 4, 5)), ((3, 4, 5), (0, 1, 2)))
+                    for u, v in itertools.permutations(tri, 2)])
+    base = x[:, pos[:, :1]]
+    scale = _inv_stacked(ctx, (x[:, pos[:, 1:2]] - base) % p)
+    img = _mul_stacked(ctx, (x[:, pos[:, 2:]] - base) % p, scale)
+    codes = img[..., 0] * p + img[..., 1]
+    codes[..., 1:].sort(axis=-1)
+    hi, lo = codes[..., 0] * q + codes[..., 1], codes[..., 2] * q + codes[..., 3]
+    best = np.lexsort((lo, hi), axis=-1)[:, 0]
+    least = np.stack(np.divmod(codes[np.arange(len(codes)), best], p), axis=-1).tolist()
+    return [(tuple(w), (tuple(o1), tuple(o2), tuple(o3))) for w, o1, o2, o3 in least]
 
 
 def special_family(ctx: FieldCtx, a: FqElem) -> HoweData:

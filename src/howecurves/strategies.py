@@ -16,7 +16,8 @@ triples looks for a fourth branch point b that makes both cubic halves
 supersingular.  The b values are the supersingular lambda set pulled back
 through the first half's cross-ratio map and tested through one composed
 Mobius map for the second half, so each split costs O(p) instead of a p^2
-scan, and the 10 splits of a curve share one array pass.
+scan.  The curves go in blocks of 12, whose 120 splits share one array pass
+for their b values and one for the Howe keys of their fits.
 
 Both engines keep the first hit of each howe_key, return the same report
 shape and must agree; the second is far faster and is the one behind the
@@ -43,16 +44,13 @@ from .arith import (
     ProjPoint,
     UniPoly,
     _mul_stacked,
-    cross_ratio_map,
     matmul_fq,
     mobius_eval_array,
-    sort_key,
 )
 from .ellcurve import (
     SupersingularLambdaSet,
     deuring_vanishes,
     enumerate_supersingular_classes,
-    lambda_of_quartic,
     supersingular_lambda_set,
 )
 from .genus2 import (
@@ -68,6 +66,7 @@ from .howe import (
     howe_key,
     is_superspecial_howe,
     normalize_split,
+    quartic_lambdas,
     special_family,
 )
 
@@ -289,7 +288,6 @@ def enumerate_a(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
     t0 = time.perf_counter()
     classes = enumerate_supersingular_classes(ctx)
     pairs = [(i, j) for i in range(len(classes)) for j in range(i, len(classes))]
-    raw = 0
     seen = set()
     reps: List[HoweData] = []
     if workers > 1:
@@ -297,24 +295,34 @@ def enumerate_a(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
     else:
         hit_lists = ([(lam, mu) for lam, mu in howe_type_points(ctx, classes[i], classes[j])]
                      for i, j in pairs)
-    for (i, j), hits in zip(pairs, hit_lists):
-        for lam, mu in hits:
-            raw += 1
-            H = _howe_from_pair_hit(ctx, classes[i], classes[j], lam, mu)
-            key = howe_key(H)
-            if key not in seen:
-                seen.add(key)
-                reps.append(H)
+    data = [_howe_from_pair_hit(ctx, classes[i], classes[j], lam, mu)
+            for (i, j), hits in zip(pairs, hit_lists) for lam, mu in hits]
+    for H, key in zip(data, howe_key(ctx, [(H.split, H.b) for H in data])):
+        if key not in seen:
+            seen.add(key)
+            reps.append(H)
     reps.sort(key=lambda H: H.sort_value())
     if verify:
         _verify_representatives(ctx, reps)
-    return EnumReport(ctx.p, "a", len(reps), _ratio(ctx.p, len(reps)), raw,
+    return EnumReport(ctx.p, "a", len(reps), _ratio(ctx.p, len(reps)), len(data),
                       None, seed, time.perf_counter() - t0, reps)
 
 
 # ---------------------------------------------------------------------------
 # strategy (b): genus-2 first
 # ---------------------------------------------------------------------------
+
+
+def _cross_ratio_maps(ctx: FieldCtx, triples):
+    """The coefficients (a, b, c, d) of cross_ratio_map(t1, t2, t3) per finite triple.
+
+    triples is a (..., 3, 2) array; the map is q -> (u q - t2 u)/(v q - t3 v)
+    with u = t1 - t3 and v = t1 - t2, returned as a (..., 4, 2) array.
+    """
+    p = ctx.p
+    t1, t2, t3 = triples[..., 0, :], triples[..., 1, :], triples[..., 2, :]
+    u, v = (t1 - t3) % p, (t1 - t2) % p
+    return np.stack([u, -_mul_stacked(ctx, t2, u) % p, v, -_mul_stacked(ctx, t3, v) % p], axis=-2)
 
 
 def supersingular_b_values(ctx: FieldCtx, lset: SupersingularLambdaSet,
@@ -327,21 +335,42 @@ def supersingular_b_values(ctx: FieldCtx, lset: SupersingularLambdaSet,
     M1 = M_T1 of the lambda set; one composed map N = M2 M1^-1 tests the
     second half on each of them.  Which of the six cross-ratio orderings is
     used does not matter: the lambda set is stable under all of them.  The
-    maps N of all splits run over the whole lambda array in one pass,
+    matrices of M1^-1 (the adjugate) and N of all splits are built as
+    arrays, every N runs over the whole lambda array in one pass,
     membership is a search in lset.codes, and only the hits are pulled back
-    through M1^-1.  No lambda is 0, 1 or INF, so no b is a root.  Each list
-    is sorted by the projective sort key, INF last.
+    through M1^-1, to INF where its denominator vanishes.  No lambda is 0,
+    1 or INF, so no b is a root.  Each list is sorted by the projective sort
+    key, INF last.
     """
     p = ctx.p
-    backs = [cross_ratio_map(ctx, *T1).inverse() for T1, _ in splits]
-    maps = [cross_ratio_map(ctx, *T2).compose(back) for (_, T2), back in zip(splits, backs)]
+    q = p * p
+    triples = np.array([T1 + T2 for T1, T2 in splits], dtype=np.int64).reshape(-1, 2, 3, 2)
+    m1 = _cross_ratio_maps(ctx, triples[:, 0])
+    back = np.stack([m1[:, 3], -m1[:, 1] % p, -m1[:, 2] % p, m1[:, 0]], axis=1)
+    # N = M2 M1^-1 as 2x2 matrices: entry (i, j) sums over k the products of
+    # M2's (i, k) and M1^-1's (k, j)
+    terms = _mul_stacked(ctx, _cross_ratio_maps(ctx, triples[:, 1]).reshape(-1, 2, 2, 1, 2),
+                         back.reshape(-1, 1, 2, 2, 2))
+    maps = (terms.sum(axis=2) % p).reshape(-1, 4, 2)
     codes = lset.codes
-    y0, y1, finite = mobius_eval_array(ctx, maps, codes // p, codes % p)
+    y0, y1, finite = mobius_eval_array(ctx, maps[:, None], codes // p, codes % p)
     images = y0 * p + y1
     pos = np.minimum(np.searchsorted(codes, images), len(codes) - 1)
-    hits = finite & (codes[pos] == images)
-    return [sorted((back(lset.values[j]) for j in np.flatnonzero(row)), key=sort_key)
-            for back, row in zip(backs, hits)]
+    rows, cols = np.nonzero(finite & (codes[pos] == images))
+    b0, b1, finite = mobius_eval_array(ctx, back[rows], codes[cols] // p, codes[cols] % p)
+    found = np.where(finite, b0 * p + b1, q)
+    order = np.lexsort((found, rows))
+    out = [[] for _ in splits]
+    for row, code in zip(rows[order].tolist(), found[order].tolist()):
+        out[row].append(INF if code == q else divmod(code, p))
+    return out
+
+
+def _curve_splits(C: Genus2Curve) -> list:
+    """The 10 splits (T1, T2) of C's roots, T1 holding the first root."""
+    roots = C.roots
+    return [((roots[0],) + pair, tuple(rt for rt in roots[1:] if rt not in pair))
+            for pair in itertools.combinations(roots[1:], 2)]
 
 
 def iter_howe_fits(ctx: FieldCtx, lset: SupersingularLambdaSet,
@@ -352,33 +381,35 @@ def iter_howe_fits(ctx: FieldCtx, lset: SupersingularLambdaSet,
     first root; its complement T2 carries the same b values.  The b values of
     all 10 splits come from one supersingular_b_values call.
     """
-    roots = C.roots
-    splits = []
-    for pair in itertools.combinations(roots[1:], 2):
-        T1 = (roots[0],) + pair
-        splits.append((T1, tuple(rt for rt in roots if rt not in T1)))
+    splits = _curve_splits(C)
     for (T1, T2), bs in zip(splits, supersingular_b_values(ctx, lset, splits)):
         for b in bs:
             yield T1, T2, b
 
 
 def _fit_orbits(ctx: FieldCtx, lset: SupersingularLambdaSet,
-                C: Genus2Curve) -> Tuple[int, list]:
-    """The raw fit count and the first (split, b) fit of each Howe key.
+                curves: Sequence[Genus2Curve]) -> list:
+    """The raw fit count and the first (split, b) fit of each Howe key, per curve.
 
     On one curve, equal keys mean one orbit under its reduced automorphisms.
+    The b values of all splits of the block come from one
+    supersingular_b_values call and the keys of all its fits from one
+    howe_key call.
     """
+    splits = [split for C in curves for split in _curve_splits(C)]
+    fits, owners = [], []
+    for idx, (split, bs) in enumerate(zip(splits, supersingular_b_values(ctx, lset, splits))):
+        fits.extend((split, b) for b in bs)
+        owners.extend([idx // 10] * len(bs))
+    raw = [0] * len(curves)
+    reps = [[] for _ in curves]
     seen = set()
-    reps = []
-    raw = 0
-    for T1, T2, b in iter_howe_fits(ctx, lset, C):
-        raw += 1
-        H = HoweData(C, (T1, T2), b)
-        key = howe_key(H)
-        if key not in seen:
-            seen.add(key)
-            reps.append((H.split, b))
-    return raw, reps
+    for i, (split, b), key in zip(owners, fits, howe_key(ctx, fits)):
+        raw[i] += 1
+        if (i, key) not in seen:
+            seen.add((i, key))
+            reps[i].append((normalize_split(*split), b))
+    return list(zip(raw, reps))
 
 
 def enumerate_b(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
@@ -388,25 +419,25 @@ def enumerate_b(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
 
     Distinct list entries can never carry isomorphic Howe data (the genus-2
     quotient is an isomorphism invariant), so deduplication is local to each
-    curve: the first (split, b) fit of each Howe key.
+    curve: the first (split, b) fit of each Howe key.  The curves go to
+    _fit_orbits in blocks of up to ROW_BLOCK split rows, 10 per curve, in
+    this process or in a pool.
     """
     t0 = time.perf_counter()
     L = genus2 if genus2 is not None else superspecial_genus2_list(ctx)
     lset = supersingular_lambda_set(ctx)
+    step = ROW_BLOCK // 10
+    blocks = [L.curves[start:start + step] for start in range(0, len(L), step)]
+    if workers > 1:
+        results = _pool_map_b(ctx.p, [[C.roots for C in block] for block in blocks], workers)
+    else:
+        results = (_fit_orbits(ctx, lset, block) for block in blocks)
     raw = 0
     reps: List[HoweData] = []
-    if workers > 1:
-        results = _pool_map_b(ctx.p, [C.roots for C in L.curves], workers)
-        for C, (raw_c, fits) in zip(L.curves, results):
+    for block, orbits in zip(blocks, results):
+        for C, (raw_c, fits) in zip(block, orbits):
             raw += raw_c
-            for split, b in fits:
-                reps.append(HoweData(C, split, b))
-    else:
-        for C in L.curves:
-            raw_c, fits = _fit_orbits(ctx, lset, C)
-            raw += raw_c
-            for split, b in fits:
-                reps.append(HoweData(C, split, b))
+            reps.extend(HoweData(C, split, b) for split, b in fits)
     reps.sort(key=lambda H: H.sort_value())
     if verify:
         _verify_representatives(ctx, reps)
@@ -445,8 +476,11 @@ def match_representatives(reps1: List[HoweData], reps2: List[HoweData]
     """
     if len(reps1) != len(reps2):
         return None
-    index = {howe_key(K): idx for idx, K in enumerate(reps2)}
-    pairing = [index.get(howe_key(H)) for H in reps1]
+    if not reps1:
+        return []
+    ctx = reps1[0].curve.ctx
+    index = {key: idx for idx, key in enumerate(howe_key(ctx, [(K.split, K.b) for K in reps2]))}
+    pairing = [index.get(key) for key in howe_key(ctx, [(H.split, H.b) for H in reps1])]
     if None in pairing or len(set(pairing)) != len(pairing):
         return None
     if any(howe_isomorphic(H, reps2[idx]) is None for H, idx in zip(reps1, pairing)):
@@ -465,7 +499,7 @@ def _verify_representatives(ctx: FieldCtx, reps: List[HoweData]) -> None:
     in one deuring_vanishes pass, each in first-seen order; the error names
     the first representative that fails, in list order.
     """
-    lams = [tuple(lambda_of_quartic(Q) for Q in H.quartics()) for H in reps]
+    lams = quartic_lambdas(ctx, reps)
     curves = list(dict.fromkeys(H.curve.roots for H in reps))
     distinct = list(dict.fromkeys(lam for pair in lams for lam in pair))
     curve_ok = dict(zip(curves, ~cartier_manin_rows(ctx, curves).any(axis=(1, 2))))
@@ -498,9 +532,8 @@ def _pool_task_a(pair: tuple) -> list:
     return list(howe_type_points(_POOL_CTX, _POOL_CLASSES[i], _POOL_CLASSES[j]))
 
 
-def _pool_task_b(roots: tuple) -> tuple:
-    C = Genus2Curve(_POOL_CTX, roots)
-    return _fit_orbits(_POOL_CTX, _POOL_LSET, C)
+def _pool_task_b(block: list) -> list:
+    return _fit_orbits(_POOL_CTX, _POOL_LSET, [Genus2Curve(_POOL_CTX, roots) for roots in block])
 
 
 def pool_size(workers: int, tasks: int) -> int:
@@ -519,9 +552,9 @@ def _pool_map_a(p: int, pairs: list, workers: int) -> list:
         return list(ex.map(_pool_task_a, pairs))
 
 
-def _pool_map_b(p: int, root_tuples: list, workers: int) -> list:
-    workers = pool_size(workers, len(root_tuples))
-    chunk = max(1, len(root_tuples) // (8 * workers))
+def _pool_map_b(p: int, blocks: list, workers: int) -> list:
+    workers = pool_size(workers, len(blocks))
+    chunk = max(1, len(blocks) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
                              initargs=(p, False)) as ex:
-        return list(ex.map(_pool_task_b, root_tuples, chunksize=chunk))
+        return list(ex.map(_pool_task_b, blocks, chunksize=chunk))

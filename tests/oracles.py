@@ -11,8 +11,14 @@ Hasse test of one curve (is_supersingular, quartic_is_supersingular,
 is_superspecial_howe_scalar) behind the Horner pass of the Deuring
 polynomial, root-found cubics (howe_from_cubics) behind the closed-form
 special family, and a closure from one scanned Rosenhain curve behind the
-glued-seed closure.  The tests compare the two.  isomorphic, automorphisms
-and j_invariant, which only the tests read, live here too.
+glued-seed closure.  The Richelot step one splitting at a time
+(richelot_codomains_scalar, with quadratic_splittings and splitting_delta)
+stands behind the batched richelot_codomains, the Howe key one datum at a
+time (howe_key_scalar) behind the batched howe_key, the b-value map loop
+(b_values_scalar) behind supersingular_b_values, and the cross-ratio of one
+quartic (lambda_of_quartic, through cross_ratio) behind quartic_lambdas.
+The tests compare the two.  isomorphic, automorphisms and j_invariant,
+which only the tests read, live here too.
 """
 
 import functools
@@ -29,23 +35,24 @@ from howecurves import (
     FieldCtx,
     Genus2Curve,
     HoweData,
+    RationalityError,
     UniPoly,
     enumerate_supersingular_classes,
     howe_isomorphic,
     is_superspecial,
     is_superspecial_howe,
-    lambda_of_quartic,
     normalize_split,
     poly_gcd,
     poly_roots_in_fq,
-    richelot_codomains,
+    sort_key,
 )
+from howecurves.arith import cross_ratio_map
 from howecurves.genus2 import (
     _BIJECTIONS,
     _PAIR_PARTITIONS,
     _PAIRS,
+    _SPLITTINGS,
     _TRIPLE_PARTITIONS,
-    _renormalize_infinite,
     mobius_matches,
 )
 from howecurves.strategies import _cubic_power, _ratio, _shifted_power_rows
@@ -68,6 +75,22 @@ class EllipticCurve:
         a3 = ctx.mul((4, 0), ctx.pow(self.A, 3))
         b2 = ctx.mul((27, 0), ctx.sqr(self.B))
         return ctx.add(a3, b2)
+
+
+def cross_ratio(ctx, q, r, s, t):
+    """Cross-ratio (q, r; s, t) of four distinct points of P^1(F_{p^2})."""
+    pts = [q, r, s, t]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            if pts[i] is pts[j] or pts[i] == pts[j]:
+                raise ValueError("cross-ratio requires four distinct points")
+    return cross_ratio_map(ctx, r, s, t)(q)
+
+
+def lambda_of_quartic(Q):
+    """Legendre invariant of the cover: the cross-ratio (b, a1; a2, a3)."""
+    a1, a2, a3 = Q.roots
+    return cross_ratio(Q.ctx, Q.b, a1, a2, a3)
 
 
 def is_supersingular(E):
@@ -381,7 +404,7 @@ def rosenhain_seed(ctx):
     pool = [x for x in ctx.elements() if x not in ((0, 0), (1, 0))]
     for lam, mu, nu in itertools.combinations(pool, 3):
         pts = [ctx.zero, ctx.one, lam, mu, nu, INF]
-        C = Genus2Curve(ctx, _renormalize_infinite(ctx, pts))
+        C = Genus2Curve(ctx, renormalize_infinite(ctx, pts))
         if is_superspecial(C):
             return C
     raise ArithmeticError("no superspecial genus-2 curve found at p=%d" % ctx.p)
@@ -396,9 +419,115 @@ def rosenhain_closure(ctx):
     seen = {igusa_key_scalar(ctx, seed.roots)}
     classes = [seed]
     for C in classes:
-        for _, D in richelot_codomains(C):
+        for _, D in richelot_codomains_scalar(C):
             key = igusa_key_scalar(ctx, D.roots)
             if key not in seen:
                 seen.add(key)
                 classes.append(D)
     return classes
+
+
+def quadratic_splittings(C):
+    """All 15 groupings of the six roots into three unordered pairs."""
+    return [tuple(tuple(C.roots[i] for i in pr) for pr in part) for part in _SPLITTINGS]
+
+
+def splitting_delta(ctx, splitting):
+    """det of the 3x3 coefficient matrix of the three monic quadratics."""
+    rows = []
+    for (u, v) in splitting:
+        rows.append((ctx.one, ctx.neg(ctx.add(u, v)), ctx.mul(u, v)))
+    m = ctx.mul
+    s = ctx.sub
+    det = ctx.zero
+    for sign, (i, j, k) in (((1), (0, 1, 2)), ((-1), (1, 0, 2)), ((1), (2, 0, 1))):
+        minor = s(m(rows[j][1], rows[k][2]), m(rows[j][2], rows[k][1]))
+        term = m(rows[i][0], minor)
+        det = ctx.add(det, term if sign > 0 else ctx.neg(term))
+    return det
+
+
+def h_quadratic(ctx, gj, gk):
+    """Coefficients (c2, c1, c0) of g_j' g_k - g_j g_k' for monic quadratics."""
+    _, j1, j0 = gj
+    _, k1, k0 = gk
+    c2 = ctx.sub(k1, j1)
+    c1 = ctx.mul((2, 0), ctx.sub(k0, j0))
+    c0 = ctx.sub(ctx.mul(j1, k0), ctx.mul(j0, k1))
+    return (c2, c1, c0)
+
+
+def quadratic_point_roots(ctx, coeffs):
+    """Roots in P^1 of c2 x^2 + c1 x + c0, counted without multiplicity."""
+    c2, c1, c0 = coeffs
+    if c2 == ctx.zero:
+        if c1 == ctx.zero:
+            raise RationalityError("degenerate correspondence factor")
+        return [ctx.neg(ctx.div(c0, c1)), INF]
+    disc = ctx.sub(ctx.sqr(c1), ctx.mul((4, 0), ctx.mul(c2, c0)))
+    s = ctx.sqrt(disc)
+    if s is None:
+        raise RationalityError("rationality invariant violated: non-square discriminant")
+    half = ctx.inv(ctx.mul((2, 0), c2))
+    r1 = ctx.mul(ctx.sub(s, c1), half)
+    r2 = ctx.mul(ctx.sub(ctx.neg(s), c1), half)
+    return [r1] if r1 == r2 else [r1, r2]
+
+
+def renormalize_infinite(ctx, pts):
+    """Pull a six-point set off infinity with x -> 1/(x - c), canonical c."""
+    taken = {q for q in pts if q is not INF}
+    c = next(cand for cand in ctx.elements() if cand not in taken)
+    return tuple(sorted(ctx.zero if q is INF else ctx.inv(ctx.sub(q, c)) for q in pts))
+
+
+def richelot_codomains_scalar(C):
+    """The Richelot neighbours of one curve, one splitting and one F_{p^2} operation at a time.
+
+    For each splitting with delta != 0, the roots of h_i = g_j' g_k - g_j g_k'
+    by the quadratic formula with ctx.sqrt, pulled off INF by
+    renormalize_infinite; (splitting, neighbour) pairs in _SPLITTINGS order.
+    """
+    ctx = C.ctx
+    out = []
+    for splitting in quadratic_splittings(C):
+        if splitting_delta(ctx, splitting) == ctx.zero:
+            continue
+        quads = [(ctx.one, ctx.neg(ctx.add(u, v)), ctx.mul(u, v)) for u, v in splitting]
+        pts = []
+        for (j, k) in ((1, 2), (2, 0), (0, 1)):
+            pts.extend(quadratic_point_roots(ctx, h_quadratic(ctx, quads[j], quads[k])))
+        if len(pts) != 6:
+            raise RationalityError("correspondence produced a singular model")
+        if any(q is INF for q in pts):
+            roots = renormalize_infinite(ctx, pts)
+        else:
+            roots = tuple(sorted(pts))
+        if len(set(roots)) != 6:
+            raise RationalityError("correspondence produced a singular model")
+        out.append((splitting, Genus2Curve(ctx, roots)))
+    return out
+
+
+def howe_key_scalar(H):
+    """The Howe key of one datum: its 12 affine normalizations by scalar operations."""
+    ctx = H.curve.ctx
+    parts = H.split
+    if H.b is not INF:
+        parts = [[ctx.inv(ctx.sub(rt, H.b)) for rt in part] for part in parts]
+    keys = []
+    for (t1, t2, t3), other in ((parts[0], parts[1]), (parts[1], parts[0])):
+        for u, v, w in ((t1, t2, t3), (t1, t3, t2), (t2, t3, t1)):
+            s = ctx.inv(ctx.sub(v, u))
+            img = [ctx.mul(ctx.sub(x, u), s) for x in (w, *other)]
+            for im in (img, [ctx.sub(ctx.one, y) for y in img]):  # (v, u): 1 - image
+                keys.append((im[0], tuple(sorted(im[1:]))))
+    return min(keys)
+
+
+def b_values_scalar(ctx, lset, split):
+    """The b of one split by scalar Mobius maps: N = M2 M1^-1 at each lambda."""
+    T1, T2 = split
+    back = cross_ratio_map(ctx, *T1).inverse()
+    N = cross_ratio_map(ctx, *T2).compose(back)
+    return sorted((back(lam) for lam in lset.values if N(lam) in lset), key=sort_key)

@@ -18,7 +18,6 @@ from howecurves import (
     FieldCtx,
     MobiusMap,
     UniPoly,
-    cross_ratio,
     is_prime,
     mobius_from_triples,
     poly_gcd,
@@ -32,9 +31,16 @@ from howecurves.arith import (
     _conv_fq,
     _divmod_monic,
     _mul_arrays,
+    _sqrt_stacked,
     matmul_fq,
     mobius_eval_array,
 )
+from oracles import cross_ratio
+
+
+def _coefs(maps):
+    """The (len(maps), 4, 2) coefficient array of mobius_eval_array."""
+    return np.array([(m.a, m.b, m.c, m.d) for m in maps], dtype=np.int64)
 
 
 def _random_elem(ctx, rng):
@@ -142,7 +148,7 @@ def test_array_inverse_makes_rows_monic(case, width):
     x0 = np.array([[e[0] for e in row] for row in rows], dtype=np.int64)
     x1 = np.array([[e[1] for e in row] for row in rows], dtype=np.int64)
     flip = MobiusMap(ctx, ctx.zero, ctx.one, ctx.one, ctx.zero)
-    i0, i1, finite = mobius_eval_array(ctx, [flip], x0[:, 0], x1[:, 0])
+    i0, i1, finite = mobius_eval_array(ctx, _coefs([flip])[:, None], x0[:, 0], x1[:, 0])
     assert finite[0].tolist() == [True] * (len(rows) - 1) + [False]
     x0, x1 = _mul_arrays(ctx, x0, x1, i0[0][:, None], i1[0][:, None])
     got = [list(zip(y0, y1)) for y0, y1 in zip(x0.tolist(), x1.tolist())]
@@ -179,6 +185,46 @@ def test_sqrt_against_the_norm_criterion(case):
     assert (got is None) == (not residue)
     if got is not None:
         assert _big_mul(r, p, got, got) == x
+
+
+def _check_array_sqrt(ctx, xs):
+    """_sqrt_stacked at the elements xs against ctx.sqrt and big-integer squares."""
+    x = np.array(xs, dtype=np.int64).reshape(-1, 2)
+    root, square = _sqrt_stacked(ctx, x)
+    assert root.shape == x.shape and square.shape == (len(xs),)
+    for elem, got, flag in zip(xs, root.tolist(), square.tolist()):
+        want = ctx.sqrt(elem)
+        assert flag == (want is not None), elem
+        if flag:
+            # either sign: the square round-trips and matches ctx.sqrt up to sign
+            assert _big_mul(ctx.r, ctx.p, tuple(got), tuple(got)) == tuple(elem)
+            assert tuple(got) in (want, ctx.neg(want))
+
+
+@pytest.mark.parametrize("p", [q for q in range(5, 32) if is_prime(q)])
+def test_array_sqrt_on_the_whole_field(p):
+    ctx = FieldCtx(p)
+    _check_array_sqrt(ctx, list(ctx.elements()))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_field_elements())
+def test_array_sqrt_on_drawn_elements(case):
+    # a drawn element, its square, and both on the real and imaginary axes
+    ctx, a, x, y = case
+    p, r = ctx.p, ctx.r
+    xs = [x, _big_mul(r, p, a, a), (y[0], 0), (0, y[1]), _big_mul(r, p, (0, y[1]), (0, y[1]))]
+    _check_array_sqrt(ctx, xs)
+    table = ctx.sqrt_table()
+    assert table is ctx.sqrt_table() and len(table) == p
+
+
+def test_array_sqrt_at_the_largest_prime():
+    ctx = FieldCtx(MAX_P - 11)
+    assert ctx.p == 29989
+    top = ctx.p - 1
+    xs = [(0, 0), (1, 0), (top, 0), (0, top), (top, top), (ctx.r, 0), (0, 1)]
+    _check_array_sqrt(ctx, xs + [_big_mul(ctx.r, ctx.p, x, x) for x in xs])
 
 
 @st.composite
@@ -473,8 +519,13 @@ def test_array_arithmetic_at_the_largest_prime():
             MobiusMap(ctx, top, ctx.zero, ctx.zero, top),      # the identity
             MobiusMap(ctx, top, ctx.one, (p - 1, 0), top)]
     maps += [MobiusMap(ctx, *(_random_elem(ctx, rng) for _ in range(4))) for _ in range(4)]
-    y0, y1, finite = mobius_eval_array(ctx, maps, x0, x1)
+    y0, y1, finite = mobius_eval_array(ctx, _coefs(maps)[:, None], x0, x1)
     assert y0.shape == y1.shape == finite.shape == (len(maps), len(xs))
+    # elementwise: map k at point k
+    d0, d1, dfinite = mobius_eval_array(ctx, _coefs(maps), x0[:len(maps)], x1[:len(maps)])
+    k = np.arange(len(maps))
+    assert np.array_equal(d0, y0[k, k]) and np.array_equal(d1, y1[k, k])
+    assert np.array_equal(dfinite, finite[k, k])
     poles = 0
     for k, m in enumerate(maps):
         for j, x in enumerate(xs):

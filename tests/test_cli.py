@@ -5,6 +5,7 @@ subprocess test exercises the installed module entry point end to end.
 """
 
 import collections
+import hashlib
 import json
 import os
 import random
@@ -24,6 +25,36 @@ def _run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# sha256 digests of outputs pinned before the Richelot step and the fit phase
+# were batched: the 14 cache files of `table --pmin 11 --pmax 61 --strategy b`,
+# each hashed as its file name then its bytes in order of p, and the stdout of
+# `enumerate --p q --strategy b --verify --format json --seed 1`
+PINNED_CACHES = "ae838b8ccfce9708d9163639265e1022bccec5f03ca4752c25a89460c9e3500b"
+PINNED_ENUMERATE = {
+    53: "bd2f59561eae98c4b03ed7087238cd323cafa8b79ae68fac9699441df2d9164e",
+    61: "3bf0560ae70dbc5ba4a6f67a94deae6ed3ee5d31b5af4963c7d0b12a6bf8ef88",
+}
+
+
+def test_outputs_match_their_pinned_digests(capsys, tmp_path):
+    code, _, _ = _run(capsys, ["table", "--pmin", "11", "--pmax", "61", "--strategy", "b",
+                               "--cache", str(tmp_path)])
+    assert code == EXIT_OK
+    digest = hashlib.sha256()
+    for q in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61):
+        name = "genus2_p%d.cache" % q
+        digest.update(name.encode())
+        digest.update((tmp_path / name).read_bytes())
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        "genus2_p%d.cache" % q for q in (11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61))
+    assert digest.hexdigest() == PINNED_CACHES
+    for q, want in PINNED_ENUMERATE.items():
+        code, out, err = _run(capsys, ["enumerate", "--p", str(q), "--strategy", "b", "--verify",
+                                       "--format", "json", "--seed", "1"])
+        assert code == EXIT_OK and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == want, q
 
 
 def test_enumerate_counts_p11(capsys):
@@ -288,9 +319,10 @@ def test_pools_never_exceed_the_tasks_or_the_cpus(capsys, monkeypatch, cpus):
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     for module in (cli, strategies):
         monkeypatch.setattr(module, "ProcessPoolExecutor", _recording_pool(sizes))
-    # p = 13: one pair of elliptic classes, then three genus-2 curves;
-    # 10..20: four primes
-    cases = [(["enumerate", "--p", "13", "--strategy", "both", "--format", "json"], [1, 3]),
+    # p = 13: one pair of elliptic classes; p = 41: 40 genus-2 curves in four
+    # blocks of up to 12; 10..20: four primes
+    cases = [(["enumerate", "--p", "13", "--strategy", "a", "--format", "json"], [1]),
+             (["enumerate", "--p", "41", "--strategy", "b", "--format", "json"], [4]),
              (["exists", "--pmin", "10", "--pmax", "20", "--format", "csv"], [4])]
     for argv, tasks in cases:
         _, serial, _ = _run(capsys, argv)

@@ -21,9 +21,7 @@ from howecurves import (
     FieldCtx,
     MobiusMap,
     QuarticModel,
-    cross_ratio,
     enumerate_supersingular_classes,
-    lambda_of_quartic,
     supersingular_lambda_set,
 )
 from howecurves import ellcurve
@@ -31,10 +29,12 @@ from howecurves.arith import MAX_P, UniPoly, is_prime, poly_roots_in_fq
 from oracles import (
     EllipticCurve,
     class_j,
+    cross_ratio,
     cubic_curve,
     curve_from_j,
     is_supersingular,
     j_invariant,
+    lambda_of_quartic,
     legendre_curve_by_translation,
     quartic_is_supersingular,
     two_torsion_roots,

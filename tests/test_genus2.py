@@ -9,9 +9,13 @@ checked against the count window and against its own seeds, and the Mobius
 search is the oracle for its key-only class identity.  The batched Igusa
 key is checked against the scalar igusa_clebsch oracle of tests/oracles.py,
 and the batched Cartier-Manin recurrence against the scalar cartier_manin
-and, at the largest prime, against the recurrence in big integers.
+and, at the largest prime, against the recurrence in big integers.  The
+batched Richelot step is checked against the scalar one of
+tests/oracles.py, on every class, on Mobius-moved models of the classes and
+on drawn sextics that are not superspecial, where both must raise alike.
 """
 
+import collections
 import functools
 import itertools
 import random
@@ -25,6 +29,7 @@ from howecurves import (
     FieldCtx,
     Genus2Curve,
     MobiusMap,
+    RationalityError,
     SuperspecialList,
     UniPoly,
     cartier_manin,
@@ -36,10 +41,8 @@ from howecurves import (
     is_superspecial,
     load_list,
     poly_roots_in_fq,
-    quadratic_splittings,
     richelot_codomains,
     save_list,
-    splitting_delta,
     superspecial_genus2_list,
 )
 from howecurves import genus2
@@ -50,7 +53,10 @@ from oracles import (
     igusa_clebsch,
     igusa_key_scalar,
     isomorphic,
+    quadratic_splittings,
+    richelot_codomains_scalar,
     rosenhain_closure,
+    splitting_delta,
 )
 
 
@@ -326,10 +332,10 @@ def _assert_isomorphic_matches_oracle(C, D):
 @pytest.mark.parametrize("p", [11, 13, 29, 53])
 def test_matcher_agrees_with_the_explicit_search(p, genus2_lists):
     L = genus2_lists(p)
-    for C in L.curves:
+    for C, pairs in zip(L.curves, richelot_codomains(L.ctx, L.curves)):
         assert [m.key() for m in automorphisms(C)] == sorted(
             m.key() for m in _oracle_matches(C, C))
-        neighbours = [D for _, D in richelot_codomains(C)]
+        neighbours = [D for _, D in pairs]
         for D, key in zip(neighbours, igusa_key(C.ctx, [D.roots for D in neighbours])):
             _assert_isomorphic_matches_oracle(C, D)
             _assert_isomorphic_matches_oracle(L.curves[L.keys.index(key)], D)
@@ -402,15 +408,152 @@ def test_splitting_delta_detects_degenerate_splittings():
 def test_richelot_codomains_over_small_lists(genus2_lists):
     for p in (11, 13):
         L = genus2_lists(p)
-        for C in L.curves:
-            neigh = richelot_codomains(C)
+        for C, neigh in zip(L.curves, richelot_codomains(L.ctx, L.curves)):
             assert 0 < len(neigh) <= 15
-            for sp, D in neigh:
+            back = richelot_codomains(L.ctx, [D for _, D in neigh])
+            for (sp, D), pairs in zip(neigh, back):
                 assert splitting_delta(C.ctx, sp) != C.ctx.zero
                 assert len(set(D.roots)) == 6
                 assert is_superspecial(D)
                 # duality: some neighbour of D is isomorphic to C
-                assert any(isomorphic(E, C) is not None for _, E in richelot_codomains(D))
+                assert any(isomorphic(E, C) is not None for _, E in pairs)
+
+
+def _scalar_or_error(C):
+    try:
+        return richelot_codomains_scalar(C)
+    except RationalityError as exc:
+        return str(exc)
+
+
+def _batched_or_error(ctx, curves):
+    try:
+        return richelot_codomains(ctx, curves)
+    except RationalityError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("p", [q for q in range(11, 62) if is_prime(q)])
+def test_batched_richelot_matches_the_scalar_oracle_at_every_class(p, genus2_lists):
+    # every class in one batch, and the classes one at a time; the INF
+    # renormalization is reached at 23, 31, 47, 53, 59 and 61
+    L = genus2_lists(p)
+    want = [richelot_codomains_scalar(C) for C in L.curves]
+    assert richelot_codomains(L.ctx, L.curves) == want
+    assert [richelot_codomains(L.ctx, [C])[0] for C in L.curves] == want
+
+
+@pytest.mark.parametrize("p", [101, 199])
+def test_batched_richelot_matches_the_scalar_oracle_on_a_sample(p, genus2_lists):
+    L = genus2_lists(p)
+    sample = random.Random(p).sample(L.curves, 60)
+    assert richelot_codomains(L.ctx, sample) == [richelot_codomains_scalar(C) for C in sample]
+
+
+@st.composite
+def _moved_classes(draw):
+    """A superspecial class at p <= 31 moved by a Mobius map keeping its roots finite.
+
+    Every Richelot step of such a model is rational; two of its root pairs
+    often share a sum, which puts a neighbour's point at INF.
+    """
+    p = draw(st.sampled_from([q for q in range(11, 32) if is_prime(q)]))
+    ctx = _field(p)
+    C = draw(st.sampled_from(_small_classes(p)))
+    elem = st.builds(ctx.elem, st.integers(0, p - 1), st.integers(0, p - 1))
+    a, b, c, d = (draw(elem) for _ in range(4))
+    assume(ctx.sub(ctx.mul(a, d), ctx.mul(b, c)) != ctx.zero)
+    g = MobiusMap(ctx, a, b, c, d)
+    assume(all(g(rt) is not INF for rt in C.roots))
+    return Genus2Curve(ctx, tuple(g(rt) for rt in C.roots))
+
+
+@functools.lru_cache(maxsize=None)
+def _small_classes(p):
+    return superspecial_genus2_list(_field(p)).curves
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_moved_classes(), min_size=1, max_size=3))
+def test_batched_richelot_matches_the_scalar_oracle_on_moved_classes(curves):
+    ctx = curves[0].ctx
+    curves = [C for C in curves if C.ctx == ctx]
+    assert richelot_codomains(ctx, curves) == [richelot_codomains_scalar(C) for C in curves]
+
+
+@st.composite
+def _drawn_sextics(draw):
+    """Sextics over a prime up to 409, some with two root pairs of equal sum.
+
+    Such a pair makes one h_i linear, so its roots are -c0/c1 and INF; most
+    drawn sextics are not superspecial, and the first failing splitting
+    raises.
+    """
+    ctx = _field(draw(st.sampled_from([7, 11, 13, 101, 409])))
+    elem = st.tuples(st.integers(0, ctx.p - 1), st.integers(0, ctx.p - 1))
+    roots = draw(st.lists(elem, min_size=6, max_size=6, unique=True))
+    if draw(st.booleans()):
+        # roots[3] = roots[0] + roots[1] - roots[2]
+        roots[3] = ctx.sub(ctx.add(roots[0], roots[1]), roots[2])
+        assume(len(set(roots)) == 6)
+    return Genus2Curve(ctx, tuple(roots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_drawn_sextics(), min_size=1, max_size=3))
+def test_batched_richelot_raises_where_the_scalar_oracle_raises(curves):
+    # one batch raises with the message of the first curve the oracle
+    # rejects, and otherwise returns the oracle's neighbours
+    ctx = curves[0].ctx
+    curves = [C for C in curves if C.ctx == ctx]
+    want = [_scalar_or_error(C) for C in curves]
+    first_error = next((w for w in want if isinstance(w, str)), None)
+    assert _batched_or_error(ctx, curves) == (want if first_error is None else first_error)
+    for C, w in zip(curves, want):
+        assert _batched_or_error(ctx, [C]) == (w if isinstance(w, str) else [w])
+
+
+_RootTuple = collections.namedtuple("_RootTuple", "ctx roots")
+
+
+@pytest.mark.parametrize("p", [7, 11])
+def test_batched_richelot_raises_alike_on_repeated_roots(p):
+    # six roots drawn with repeats from five points: a shared root of two
+    # quadratics reaches the singular-model error, which sextics with
+    # distinct roots never do; both forms must agree on every tuple
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    pool = [ctx.elem(rng.randrange(p), rng.randrange(p)) for _ in range(5)]
+    outcomes = set()
+    for _ in range(600):
+        C = _RootTuple(ctx, tuple(sorted(rng.choice(pool) for _ in range(6))))
+        want = _scalar_or_error(C)
+        assert _batched_or_error(ctx, [C]) == (want if isinstance(want, str) else [want])
+        outcomes.add(want if isinstance(want, str) else "ok")
+    assert outcomes == {"ok", "correspondence produced a singular model",
+                        "rationality invariant violated: non-square discriminant"}
+
+
+def test_closure_expands_blocks_of_classes_in_order(monkeypatch):
+    # blocks of ROW_BLOCK // 15 = 8 unexpanded classes, and the same classes
+    # and keys, in order, as a closure expanding one class per call
+    ctx = FieldCtx(53)
+    sizes = []
+    real = genus2.richelot_codomains
+
+    def spy(ctx, curves):
+        sizes.append(len(curves))
+        return real(ctx, curves)
+
+    monkeypatch.setattr(genus2, "richelot_codomains", spy)
+    blocked = superspecial_genus2_list(ctx)
+    assert max(sizes) == ROW_BLOCK // 15 == 8 and sum(sizes) == len(blocked) == 78
+    sizes.clear()
+    monkeypatch.setattr(genus2, "ROW_BLOCK", 15)
+    single = superspecial_genus2_list(ctx)
+    assert set(sizes) == {1} and len(sizes) == 78
+    assert [C.roots for C in single] == [C.roots for C in blocked]
+    assert single.keys == blocked.keys
 
 
 def test_glue_produces_superspecial_curves_with_split_jacobian():
@@ -484,7 +627,7 @@ def _closure_candidates(L):
     ctx = L.ctx
     seeds = [C for batch in genus2._glue_seeds(ctx, enumerate_supersingular_classes(ctx))
              for C in batch]
-    return seeds + [D for C in L.curves for _, D in richelot_codomains(C)]
+    return seeds + [D for pairs in richelot_codomains(ctx, L.curves) for _, D in pairs]
 
 
 _PRIMES_TO_61 = [q for q in range(7, 62) if is_prime(q)]

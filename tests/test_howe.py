@@ -8,7 +8,8 @@ first split part onto an ordered part of H2's split and checks the full
 incidence; equal keys must mean exactly that the search finds a map.
 The closed-form special family is checked against root-found cubics, and
 the one-pass superspeciality test against the scalar Hasse tests of
-tests/oracles.py.
+tests/oracles.py.  The batched Howe key and Legendre invariants are checked
+against their one-datum oracles there.
 """
 
 import itertools
@@ -26,6 +27,7 @@ from howecurves import (
     MobiusMap,
     QuarticModel,
     UniPoly,
+    enumerate_b,
     find_one,
     howe_isomorphic,
     howe_key,
@@ -33,19 +35,25 @@ from howecurves import (
     is_superspecial,
     is_superspecial_howe,
     iter_howe_fits,
-    lambda_of_quartic,
     mobius_from_triples,
     normalize_split,
     special_family,
     supersingular_lambda_set,
 )
 from howecurves.arith import cross_ratio_map
+from howecurves.howe import quartic_lambdas
 from oracles import (
     automorphisms,
     howe_from_cubics,
+    howe_key_scalar,
     is_superspecial_howe_scalar,
+    lambda_of_quartic,
     quartic_is_supersingular,
 )
+
+
+def _key(H):
+    return howe_key(H.curve.ctx, [(H.split, H.b)])[0]
 
 
 def _sextic_split(ctx, ints1, ints2):
@@ -145,7 +153,7 @@ def _assert_howe_isomorphic_matches_oracle(H1, H2):
     m = howe_isomorphic(H1, H2)
     want = _oracle_howe_isomorphic(H1, H2) is not None
     assert (m is not None) == want
-    assert (howe_key(H1) == howe_key(H2)) == want
+    assert (_key(H1) == _key(H2)) == want
     if m is not None:
         assert m(H1.b) == H2.b
         img = normalize_split([m(rt) for rt in H1.split[0]], [m(rt) for rt in H1.split[1]])
@@ -172,7 +180,7 @@ def test_howe_isomorphic_is_reflexive_and_symmetric():
             tuple(m(rt) for rt in H.split[0]), tuple(m(rt) for rt in H.split[1])
         )
         H2 = HoweData(C2, split2, img_b)
-        assert howe_key(H2) == howe_key(H)
+        assert _key(H2) == _key(H)
         fwd = _assert_howe_isomorphic_matches_oracle(H, H2)
         bwd = _assert_howe_isomorphic_matches_oracle(H2, H)
         assert fwd is not None and bwd is not None
@@ -252,7 +260,36 @@ def test_howe_key_is_mobius_invariant(case):
     H, g = case
     image = HoweData(Genus2Curve(H.curve.ctx, tuple(g(rt) for rt in H.curve.roots)),
                      tuple(tuple(g(rt) for rt in part) for part in H.split), g(H.b))
-    assert howe_key(image) == howe_key(H)
+    assert _key(image) == _key(H)
+    # one batch against the oracle, the split given in either order
+    batch = [(H.split, H.b), (image.split[::-1], image.b), (image.split, image.b)]
+    got = howe_key(H.curve.ctx, batch)
+    assert got == [howe_key_scalar(H)] * 3 == [howe_key_scalar(image)] * 3
+
+
+@pytest.mark.parametrize("p", [q for q in range(7, 62) if is_prime(q)])
+def test_batched_howe_key_matches_the_scalar_oracle_on_every_fit(p, genus2_lists):
+    # every raw fit of every class in one batch, which spans several blocks
+    # of ROW_BLOCK fits from p = 47 on
+    ctx = FieldCtx(p)
+    lset = supersingular_lambda_set(ctx)
+    data = [HoweData(C, (T1, T2), b) for C in genus2_lists(p).curves
+            for T1, T2, b in iter_howe_fits(ctx, lset, C)]
+    assert howe_key(ctx, [(H.split, H.b) for H in data]) == [howe_key_scalar(H) for H in data]
+    assert howe_key(ctx, []) == []
+
+
+def test_quartic_lambdas_match_the_cross_ratio_oracle(genus2_lists):
+    # both quartics of every representative for p <= 61, and of data with
+    # b = INF, against lambda_of_quartic one quartic at a time
+    for p in (q for q in range(11, 62) if is_prime(q)):
+        ctx = FieldCtx(p)
+        reps = enumerate_b(ctx, genus2=genus2_lists(p)).representatives
+        reps += [HoweData(H.curve, H.split, INF) for H in reps[:5]]
+        assert any(H.b is INF for H in reps)
+        want = [tuple(lambda_of_quartic(Q) for Q in H.quartics()) for H in reps]
+        assert quartic_lambdas(ctx, reps) == want, p
+    assert quartic_lambdas(FieldCtx(11), []) == []
 
 
 def test_special_family_membership_and_errors():

@@ -7,7 +7,7 @@ branch-point solver is checked against a scan of the whole projective line
 using the Hasse-coefficient supersingularity test instead of the preimage
 formula, and against the per-split scalar solver that its array pass
 replaced; its Howe-key dedup is checked against the automorphism-orbit
-expansion it replaced.
+expansion it replaced, on blocks of curves of any length.
 """
 
 import itertools
@@ -34,7 +34,6 @@ from howecurves import (
     is_prime,
     is_superspecial_howe,
     iter_howe_fits,
-    lambda_of_quartic,
     match_representatives,
     normalize_split,
     sort_key,
@@ -42,7 +41,7 @@ from howecurves import (
     supersingular_lambda_set,
 )
 from howecurves import ellcurve, genus2, strategies
-from howecurves.arith import cross_ratio_map
+from howecurves.arith import ROW_BLOCK
 from howecurves.ellcurve import enumerate_supersingular_classes
 from howecurves.strategies import (
     VerificationError,
@@ -52,11 +51,13 @@ from howecurves.strategies import (
 )
 from oracles import (
     automorphisms,
+    b_values_scalar,
     cm_entry_polynomials,
     cubic_curve,
     enumerate_a_bruteforce,
     howe_from_cubics,
     howe_type_points_scalar,
+    lambda_of_quartic,
     quartic_is_supersingular,
 )
 
@@ -254,14 +255,6 @@ def _all_orientations(C):
             for T1 in itertools.combinations(C.roots, 3)]
 
 
-def _scalar_b_values(ctx, lset, split):
-    """The per-split solver the batched one replaced: N = M2 M1^-1 at each lambda."""
-    T1, T2 = split
-    back = cross_ratio_map(ctx, *T1).inverse()
-    N = cross_ratio_map(ctx, *T2).compose(back)
-    return sorted((back(lam) for lam in lset.values if N(lam) in lset), key=sort_key)
-
-
 def test_b_value_solver_matches_projective_scan(genus2_lists):
     for p in (11, 13):
         ctx = FieldCtx(p)
@@ -288,7 +281,7 @@ def test_batched_solver_matches_the_scalar_oracle(p, genus2_lists):
     lset = supersingular_lambda_set(ctx)
     for C in genus2_lists(p).curves:
         splits = _all_orientations(C)
-        want = [_scalar_b_values(ctx, lset, split) for split in splits]
+        want = [b_values_scalar(ctx, lset, split) for split in splits]
         assert supersingular_b_values(ctx, lset, splits) == want
 
 
@@ -312,7 +305,7 @@ def test_batched_solver_matches_the_scalar_oracle_on_random_curves(case):
     ctx, C, splits = case
     lset = supersingular_lambda_set(ctx)
     got = supersingular_b_values(ctx, lset, splits)
-    assert got == [_scalar_b_values(ctx, lset, split) for split in splits]
+    assert got == [b_values_scalar(ctx, lset, split) for split in splits]
     assert all(b not in C.roots for bs in got for b in bs)
 
 
@@ -366,12 +359,18 @@ def _orbit_oracle(ctx, lset, C):
 
 def test_orbit_dedup_matches_naive_isomorphism_dedup(genus2_lists):
     # the Howe-key dedup keeps exactly the orbit oracle's fits, in order, on
-    # every class at every prime up to 61
+    # every class at every prime up to 61: the whole list as one block, and
+    # in blocks of 12 curves, as enumerate_b takes them, and of 5
     for p in (q for q in range(7, 62) if is_prime(q)):
         ctx = FieldCtx(p)
         lset = supersingular_lambda_set(ctx)
-        for C in genus2_lists(p).curves:
-            assert _fit_orbits(ctx, lset, C) == _orbit_oracle(ctx, lset, C), (p, C.roots)
+        curves = genus2_lists(p).curves
+        want = [_orbit_oracle(ctx, lset, C) for C in curves]
+        assert _fit_orbits(ctx, lset, curves) == want, p
+        for step in (ROW_BLOCK // 10, 5):
+            blocks = [curves[i:i + step] for i in range(0, len(curves), step)]
+            assert [fit for block in blocks for fit in _fit_orbits(ctx, lset, block)] == want
+    assert _fit_orbits(FieldCtx(13), supersingular_lambda_set(FieldCtx(13)), []) == []
     # and as many as a pairwise howe_isomorphic dedup at p = 13
     ctx = FieldCtx(13)
     lset = supersingular_lambda_set(ctx)
@@ -382,9 +381,23 @@ def test_orbit_dedup_matches_naive_isomorphism_dedup(genus2_lists):
         for H in all_data:
             if not any(howe_isomorphic(H, K) is not None for K in naive):
                 naive.append(H)
-        raw, reps = _fit_orbits(ctx, lset, C)
+        [(raw, reps)] = _fit_orbits(ctx, lset, [C])
         assert raw == len(all_data)
         assert len(reps) == len(naive)
+
+
+def test_fits_run_in_blocks_of_twelve_curves(monkeypatch, genus2_lists):
+    # 78 classes at p = 53: six blocks of 12 and one of 6
+    sizes = []
+    real = strategies._fit_orbits
+
+    def spy(ctx, lset, curves):
+        sizes.append(len(curves))
+        return real(ctx, lset, curves)
+
+    monkeypatch.setattr(strategies, "_fit_orbits", spy)
+    enumerate_b(FieldCtx(53), genus2=genus2_lists(53))
+    assert sizes == [12] * 6 + [6]
 
 
 def test_strategies_agree_on_counts_and_classes():
@@ -411,6 +424,16 @@ def test_worker_pools_match_serial():
     sb = enumerate_b(FieldCtx(13)).to_jsonable()
     pb = enumerate_b(FieldCtx(13), workers=2).to_jsonable()
     assert sb == pb
+
+
+def test_worker_pool_maps_the_same_blocks(genus2_lists):
+    # seven blocks of curves at p = 53 over at most pool_size(2, 7) = 2
+    # processes give the serial report
+    L = genus2_lists(53)
+    assert strategies.pool_size(2, 7) <= 2
+    serial = enumerate_b(FieldCtx(53), verify=True, genus2=L).to_jsonable()
+    pooled = enumerate_b(FieldCtx(53), verify=True, workers=2, genus2=L).to_jsonable()
+    assert pooled == serial and serial["count"] == 167
 
 
 def test_representatives_are_superspecial_and_distinct():
