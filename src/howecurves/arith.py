@@ -55,9 +55,11 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # two point codes below p^2 into one int64 below p^4 < 2^60.
 MAX_P = 30000
 
-# Row count of one block of genus2.igusa_key's sextics; strategy a's blocks
-# of scales mu hold up to ROW_BLOCK**2 (mu, lam) values.  Either way it
-# bounds the temporaries at any batch size.
+# Row count of one block of genus2.igusa_key's sextics and of howe.howe_key's
+# fits; the Richelot closure expands ROW_BLOCK // 15 classes (15 splittings
+# each) per pass and strategy b fits ROW_BLOCK // 10 curves (10 splits each);
+# strategy a's blocks of scales mu hold up to ROW_BLOCK**2 (mu, lam) values.
+# Each way it bounds the temporaries at any batch size.
 ROW_BLOCK = 128
 
 

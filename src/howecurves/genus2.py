@@ -355,7 +355,9 @@ def richelot_codomains(ctx: FieldCtx, curves: Sequence[Genus2Curve]) -> list:
     All splittings of all curves run in one pass over int64 arrays of shape
     (curves, 15, ...): the quadratic formula takes its square roots through
     the norm (arith._sqrt_stacked), and a point is carried as its code
-    c0 p + c1, INF as p^2.  RationalityError is raised for the first curve,
+    c0 p + c1, INF as p^2.  No numpy sort runs; its kernels would add a few
+    hundred KB of resident code to a cold run.  RationalityError is raised
+    for the first curve,
     and its first splitting, where an h_i vanishes to degree zero, has a
     non-square discriminant or a double root, or the six points repeat.
     """
@@ -388,12 +390,13 @@ def richelot_codomains(ctx: FieldCtx, curves: Sequence[Genus2Curve]) -> list:
     shifted[..., 1] -= np.argmin((pts[..., None] == np.arange(6)).any(axis=2), axis=-1)[..., None]
     moved = _inv_stacked(ctx, shifted % p)
     moved = np.where(pts == q, 0, moved[..., 0] * p + moved[..., 1])
-    pts = np.sort(np.where((pts == q).any(axis=-1, keepdims=True), moved, pts), axis=-1)
+    pts = np.where((pts == q).any(axis=-1, keepdims=True), moved, pts)
     # the first failing factor h of each splitting, else a singular model
     factor = np.where(linear & ~c1.any(axis=-1), 1, np.where(~linear & ~square, 2, 0))
-    failed = np.take_along_axis(factor, np.argmax(factor > 0, axis=-1)[..., None], -1)[..., 0]
+    failed = np.where(factor[..., 0] > 0, factor[..., 0],
+                      np.where(factor[..., 1] > 0, factor[..., 1], factor[..., 2]))
     double = (~linear & ~root.any(axis=-1)).any(axis=-1)
-    singular = double | (pts[..., 1:] == pts[..., :-1]).any(axis=-1)
+    singular = double | (pts[..., _FIRST] == pts[..., _SECOND]).any(axis=-1)
     errors = np.where(kept, np.where(failed > 0, failed, 3 * singular), 0).ravel()
     if errors.any():
         raise RationalityError((
@@ -401,6 +404,7 @@ def richelot_codomains(ctx: FieldCtx, curves: Sequence[Genus2Curve]) -> list:
             "rationality invariant violated: non-square discriminant",
             "correspondence produced a singular model",
         )[errors[np.flatnonzero(errors)[0]] - 1])
+    # Genus2Curve sorts the roots
     neighbours = np.stack(np.divmod(pts, p), axis=-1).tolist()
     out = []
     for C, kept_row, rows in zip(curves, kept.tolist(), neighbours):
@@ -557,7 +561,10 @@ def closure_stream(ctx: FieldCtx, acc: Optional[SuperspecialList] = None
     few classes (existence searches) can stop consuming early.  The accumulator
     may be supplied to observe the growing list alongside the stream.  The
     seeds of each pair of elliptic classes, and the Richelot neighbours of
-    each class, are inserted as one batch.  A class found beyond the upper
+    each class, are inserted as one batch; the neighbours are computed for
+    up to ROW_BLOCK // 15 classes not yet expanded at a time, and, since they
+    do not depend on the list, inserted class by class in the same order as
+    one class at a time would give.  A class found beyond the upper
     end of iko_window raises ArithmeticError at once, so a key that splits
     one class into several cannot make the walk run on.
     """

@@ -151,10 +151,15 @@ def _howe_key_block(ctx: FieldCtx, fits: Sequence[tuple]) -> list:
     scale = _inv_stacked(ctx, (x[:, pos[:, 1:2]] - base) % p)
     img = _mul_stacked(ctx, (x[:, pos[:, 2:]] - base) % p, scale)
     codes = img[..., 0] * p + img[..., 1]
-    codes[..., 1:].sort(axis=-1)
+    # the other triple's codes in order by min and max, with no numpy sort,
+    # then the least (hi, lo) of the 12
+    other = codes[..., 1:]
+    low, high = other.min(axis=-1), other.max(axis=-1)
+    codes = np.stack([codes[..., 0], low, other.sum(axis=-1) - low - high, high], axis=-1)
     hi, lo = codes[..., 0] * q + codes[..., 1], codes[..., 2] * q + codes[..., 3]
-    best = np.lexsort((lo, hi), axis=-1)[:, 0]
-    least = np.stack(np.divmod(codes[np.arange(len(codes)), best], p), axis=-1).tolist()
+    lo = np.where(hi == hi.min(axis=-1, keepdims=True), lo, q * q)
+    least = np.stack(np.divmod(codes[np.arange(len(codes)), lo.argmin(axis=-1)], p), axis=-1)
+    least = least.tolist()
     return [(tuple(w), (tuple(o1), tuple(o2), tuple(o3))) for w, o1, o2, o3 in least]
 
 

@@ -359,9 +359,8 @@ def supersingular_b_values(ctx: FieldCtx, lset: SupersingularLambdaSet,
     rows, cols = np.nonzero(finite & (codes[pos] == images))
     b0, b1, finite = mobius_eval_array(ctx, back[rows], codes[cols] // p, codes[cols] % p)
     found = np.where(finite, b0 * p + b1, q)
-    order = np.lexsort((found, rows))
     out = [[] for _ in splits]
-    for row, code in zip(rows[order].tolist(), found[order].tolist()):
+    for row, code in sorted(zip(rows.tolist(), found.tolist())):
         out[row].append(INF if code == q else divmod(code, p))
     return out
 
