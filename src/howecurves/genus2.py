@@ -357,9 +357,9 @@ def richelot_codomains(ctx: FieldCtx, curves: Sequence[Genus2Curve]) -> list:
     the norm (arith._sqrt_stacked), and a point is carried as its code
     c0 p + c1, INF as p^2.  No numpy sort runs; its kernels would add a few
     hundred KB of resident code to a cold run.  RationalityError is raised
-    for the first curve,
-    and its first splitting, where an h_i vanishes to degree zero, has a
-    non-square discriminant or a double root, or the six points repeat.
+    for the first curve, and its first splitting, where an h_i vanishes to
+    degree zero, has a non-square discriminant or a double root, or the six
+    points repeat.
     """
     p = ctx.p
     q = p * p
@@ -391,12 +391,12 @@ def richelot_codomains(ctx: FieldCtx, curves: Sequence[Genus2Curve]) -> list:
     moved = _inv_stacked(ctx, shifted % p)
     moved = np.where(pts == q, 0, moved[..., 0] * p + moved[..., 1])
     pts = np.where((pts == q).any(axis=-1, keepdims=True), moved, pts)
-    # the first failing factor h of each splitting, else a singular model
+    # the first failing factor h of each splitting, else a singular model: a
+    # double root of some h, or a point repeated across them
     factor = np.where(linear & ~c1.any(axis=-1), 1, np.where(~linear & ~square, 2, 0))
     failed = np.where(factor[..., 0] > 0, factor[..., 0],
                       np.where(factor[..., 1] > 0, factor[..., 1], factor[..., 2]))
-    double = (~linear & ~root.any(axis=-1)).any(axis=-1)
-    singular = double | (pts[..., _FIRST] == pts[..., _SECOND]).any(axis=-1)
+    singular = (pts[..., _FIRST] == pts[..., _SECOND]).any(axis=-1)
     errors = np.where(kept, np.where(failed > 0, failed, 3 * singular), 0).ravel()
     if errors.any():
         raise RationalityError((
