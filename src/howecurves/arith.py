@@ -32,7 +32,8 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # elementwise products of _mul_arrays, behind mobius_eval_array and the
 # batched Igusa key (genus2.igusa_key), take operands in [0, p) and reduce
 # each product before the next, so no intermediate exceeds (1 + r) p^2 < 2^35;
-# the key's widest sum, the 60 terms of I6, each below p, stays below 2^21.
+# the key's sums stay below 10 p: each S_k of I6 adds six reduced pairings
+# (< 6 p) and is reduced before its product; I4 and I6 add ten products each.
 # Strategy a's evaluation search (strategies.howe_type_points) builds its
 # power table and scale rows by _mul_stacked, and its values by matmul_fq:
 # each of the four integer matrix products there, in T V and in S (T V),

@@ -195,7 +195,6 @@ _TRIPLE_PARTITIONS = [
     for tri in itertools.combinations(range(6), 3)
     if 0 in tri
 ]
-_BIJECTIONS = list(itertools.permutations(range(3)))
 
 
 def _pair(i: int, j: int) -> int:
@@ -206,18 +205,19 @@ _TRIPLES = list(itertools.combinations(range(6), 3))
 # Every Igusa-Clebsch term is built from products of three squared root
 # differences, gathered by one index table into the 15 pairs: the I2 terms
 # (pair partitions), the products over the pairs inside each root triple (an
-# I4 term multiplies those of a triple and its complement), the six
-# cross-matchings of each triple partition (an I6 term is an I4 term times
-# one of them) and five groups of three pairs (I10 is the product of all 15).
+# I4 term multiplies those of a triple and its complement) and five groups of
+# three pairs (I10 is the product of all 15).  An I6 term is an I4 term times
+# a cross-matching, which pairs each root of the triple with one of the
+# complement: a pair partition, gathered already.  _CROSS lists six per triple.
 _GATHER = np.array(
     [[_pair(*pr) for pr in part] for part in _PAIR_PARTITIONS]
     + [[_pair(a, b) for a, b in itertools.combinations(tri, 2)] for tri in _TRIPLES]
-    + [[_pair(tri[k], co[sigma[k]]) for k in range(3)]
-       for tri, co in _TRIPLE_PARTITIONS for sigma in _BIJECTIONS]
     + [list(range(k, k + 3)) for k in range(0, 15, 3)]
 )
-_SECTIONS = np.cumsum([len(_PAIR_PARTITIONS), len(_TRIPLES), 6 * len(_TRIPLE_PARTITIONS)])
+_SECTIONS = np.cumsum([len(_PAIR_PARTITIONS), len(_TRIPLES)])
 _HALVES = np.array([[_TRIPLES.index(tri), _TRIPLES.index(co)] for tri, co in _TRIPLE_PARTITIONS]).T
+_CROSS = np.array([[_PAIR_PARTITIONS.index(tuple(sorted(tuple(sorted(pr)) for pr in zip(tri, m))))
+                    for m in itertools.permutations(co)] for tri, co in _TRIPLE_PARTITIONS])
 _FIRST, _SECOND = np.array(_PAIRS).T
 
 IgusaKey = tuple
@@ -229,11 +229,11 @@ def igusa_key(ctx: FieldCtx, batch: Sequence[tuple]) -> list:
     One key per root sextuple of the batch.  Two sextics have equal keys iff
     their Igusa-Clebsch invariants agree up to the scaling (s^2, s^4, s^6,
     s^10) over the algebraic closure, i.e. iff the curves are Kbar-isomorphic.
-    The invariants are sums of products of squared root differences (see
-    _GATHER), computed in one pass per block of ROW_BLOCK rows over int64
-    arrays whose last axis holds (c0, c1): a fixed number of numpy calls per
-    block, and temporaries bounded whatever the batch size (the int64 bound
-    is argued next to arith.MAX_P).  Only weight-zero ratios are formed, with
+    The invariants are sums of 40 products of three squared root differences
+    (see _GATHER and _CROSS), computed in one pass per block of ROW_BLOCK
+    rows over int64 arrays whose last axis holds (c0, c1): a fixed number of
+    numpy calls per block, and about 3 KB of temporaries per row (the int64
+    bound is argued next to arith.MAX_P).  Only weight-zero ratios are formed, with
     a case split on the first nonvanishing invariant; the rare rows with
     I2 = 0 are finished one at a time.
     """
@@ -246,13 +246,13 @@ def _igusa_key_block(ctx: FieldCtx, batch: Sequence[tuple]) -> list:
     mul = functools.partial(_mul_stacked, ctx)
     r = np.array(batch, dtype=np.int64).reshape(-1, 6, 2)
     d = (r[:, _FIRST] - r[:, _SECOND]) % p
-    g = mul(d, d)[:, _GATHER]
-    pairings, insides, cross, groups = np.split(mul(mul(g[:, :, 0], g[:, :, 1]), g[:, :, 2]),
-                                                _SECTIONS, axis=1)
+    dd = mul(d, d)
+    pairings, insides, groups = np.split(mul(mul(dd[:, _GATHER[:, 0]], dd[:, _GATHER[:, 1]]),
+                                             dd[:, _GATHER[:, 2]]), _SECTIONS, axis=1)
     i4_terms = mul(insides[:, _HALVES[0]], insides[:, _HALVES[1]])
-    i6_terms = mul(i4_terms[:, :, None], cross.reshape(len(r), 10, 6, 2))
+    cross_sums = pairings[:, _CROSS].sum(axis=2) % p
     quads = mul(groups[:, 0:2], groups[:, 2:4])
-    invariants = np.stack([i4_terms.sum(axis=1), i6_terms.sum(axis=(1, 2)),
+    invariants = np.stack([i4_terms.sum(axis=1), mul(i4_terms, cross_sums).sum(axis=1),
                            mul(mul(quads[:, 0], quads[:, 1]), groups[:, 4])], axis=1) % p
     i2 = pairings.sum(axis=1) % p
     s = _inv_stacked(ctx, i2)  # 0 where I2 = 0
@@ -492,9 +492,9 @@ class SuperspecialList:
     def add(self, curves: Sequence[Genus2Curve]) -> list:
         """Insert a batch in order; return the indices of the new classes.
 
-        The models not seen before are keyed in one igusa_key pass.  Then,
-        curve by curve, a model already seen is skipped, an equal key joins
-        its class, and any other key starts a new class.
+        The models not seen before, over the whole batch, are keyed in one
+        igusa_key call.  Then, curve by curve, a model already seen is
+        skipped, an equal key joins its class, and any other key starts a new class.
         """
         fresh = list(dict.fromkeys(C.roots for C in curves if C.roots not in self._models))
         keys = dict(zip(fresh, igusa_key(self.ctx, fresh)))
@@ -560,10 +560,10 @@ def closure_stream(ctx: FieldCtx, acc: Optional[SuperspecialList] = None
     Lazy form of superspecial_genus2_list: callers that only need the first
     few classes (existence searches) can stop consuming early.  The accumulator
     may be supplied to observe the growing list alongside the stream.  The
-    seeds of each pair of elliptic classes, and the Richelot neighbours of
-    each class, are inserted as one batch; the neighbours are computed for
-    up to ROW_BLOCK // 15 classes not yet expanded at a time, and, since they
-    do not depend on the list, inserted class by class in the same order as
+    seeds of each pair of elliptic classes are inserted as one batch, and so
+    are the Richelot neighbours of each block of up to ROW_BLOCK // 15 classes
+    not yet expanded, in class then splitting order, keyed in one pass; add
+    inserts a batch curve by curve, so the classes come in the order that
     one class at a time would give.  A class found beyond the upper
     end of iko_window raises ArithmeticError at once, so a key that splits
     one class into several cannot make the walk run on.
@@ -578,8 +578,7 @@ def closure_stream(ctx: FieldCtx, acc: Optional[SuperspecialList] = None
             # the classes not yet expanded, up to ROW_BLOCK splitting rows
             block = acc.curves[cursor:cursor + ROW_BLOCK // len(_SPLITTINGS)]
             cursor += len(block)
-            for pairs in richelot_codomains(ctx, block):
-                yield [D for _, D in pairs]
+            yield [D for pairs in richelot_codomains(ctx, block) for _, D in pairs]
 
     hi = iko_window(ctx.p)[1]
     for batch in batches():

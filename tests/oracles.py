@@ -48,7 +48,6 @@ from howecurves import (
 )
 from howecurves.arith import cross_ratio_map
 from howecurves.genus2 import (
-    _BIJECTIONS,
     _PAIR_PARTITIONS,
     _PAIRS,
     _SPLITTINGS,
@@ -191,7 +190,7 @@ def igusa_clebsch(ctx, roots):
     i6 = ctx.zero
     for tri, co in _TRIPLE_PARTITIONS:
         base = mul(tp[tri], tp[co])
-        for sigma in _BIJECTIONS:
+        for sigma in itertools.permutations(range(3)):
             cross = ctx.one
             for k in range(3):
                 i, j = tri[k], co[sigma[k]]

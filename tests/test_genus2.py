@@ -19,6 +19,7 @@ import collections
 import functools
 import itertools
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -545,13 +546,26 @@ def test_closure_expands_blocks_of_classes_in_order(monkeypatch):
         sizes.append(len(curves))
         return real(ctx, curves)
 
+    # one key pass per batch: the seeds of each of the 15 pairs of elliptic
+    # classes, then the neighbours of each block of classes
+    key_calls = []
+    real_key = genus2.igusa_key
+
+    def key_spy(ctx, batch):
+        key_calls.append(len(batch))
+        return real_key(ctx, batch)
+
     monkeypatch.setattr(genus2, "richelot_codomains", spy)
+    monkeypatch.setattr(genus2, "igusa_key", key_spy)
     blocked = superspecial_genus2_list(ctx)
     assert max(sizes) == ROW_BLOCK // 15 == 8 and sum(sizes) == len(blocked) == 78
+    assert len(key_calls) == 15 + len(sizes) == 25
     sizes.clear()
+    key_calls.clear()
     monkeypatch.setattr(genus2, "ROW_BLOCK", 15)
     single = superspecial_genus2_list(ctx)
     assert set(sizes) == {1} and len(sizes) == 78
+    assert len(key_calls) == 15 + 78
     assert [C.roots for C in single] == [C.roots for C in blocked]
     assert single.keys == blocked.keys
 
@@ -668,6 +682,37 @@ def test_batches_longer_than_one_block_key_like_single_rows(genus2_lists, monkey
                         lambda ctx, rows: sizes.append(len(rows)) or real(ctx, rows))
     assert igusa_key(L.ctx, batch) == singles
     assert sizes == [ROW_BLOCK, ROW_BLOCK, 1]
+
+
+def test_cross_matchings_are_the_pair_partitions_across_each_triple_partition():
+    # the 60 I6 cross terms: each entry is a pair partition whose pairs all
+    # join the triple to its complement, six distinct ones per triple
+    # partition, and each of the 15 pair partitions serves four triple
+    # partitions (the triples that take one root from each of its pairs)
+    assert genus2._CROSS.shape == (10, 6)
+    for (tri, co), row in zip(genus2._TRIPLE_PARTITIONS, genus2._CROSS.tolist()):
+        assert len(set(row)) == 6
+        for idx in row:
+            for pr in genus2._PAIR_PARTITIONS[idx]:
+                assert len(set(pr) & set(tri)) == 1 and len(set(pr) & set(co)) == 1
+    assert collections.Counter(genus2._CROSS.ravel().tolist()) == {k: 4 for k in range(15)}
+
+
+def test_key_temporaries_stay_below_4_kb_per_row(genus2_lists):
+    # the block's temporaries bound how many rows one key pass may take;
+    # the 100-row gather with 60 cross products held about 10 KB per row
+    L = genus2_lists(199)
+    batch = [D.roots for pairs in richelot_codomains(L.ctx, L.curves[:ROW_BLOCK // 15 + 2])
+             for _, D in pairs][:ROW_BLOCK]
+    assert len(batch) == ROW_BLOCK
+    igusa_key(L.ctx, batch)  # the field's tables, built once
+    tracemalloc.start()
+    try:
+        igusa_key(L.ctx, batch)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4096 * ROW_BLOCK
 
 
 _PRIMES_TO_MAX = [q for q in range(7, 30000) if is_prime(q)]
