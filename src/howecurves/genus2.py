@@ -244,7 +244,8 @@ def igusa_key(ctx: FieldCtx, batch: Sequence[tuple]) -> list:
 def _igusa_key_block(ctx: FieldCtx, batch: Sequence[tuple]) -> list:
     p = ctx.p
     mul = functools.partial(_mul_stacked, ctx)
-    r = np.array(batch, dtype=np.int64).reshape(-1, 6, 2)
+    flat = itertools.chain.from_iterable(itertools.chain.from_iterable(batch))
+    r = np.fromiter(flat, dtype=np.int64).reshape(-1, 6, 2)
     d = (r[:, _FIRST] - r[:, _SECOND]) % p
     dd = mul(d, d)
     pairings, insides, groups = np.split(mul(mul(dd[:, _GATHER[:, 0]], dd[:, _GATHER[:, 1]]),
@@ -259,12 +260,9 @@ def _igusa_key_block(ctx: FieldCtx, batch: Sequence[tuple]) -> list:
     s2 = mul(s, s)
     s3 = mul(s2, s)
     scaled = mul(invariants, np.stack([s2, s3, mul(s2, s3)], axis=1))
-    keys = []
-    for i2_row, key, rest in zip(i2.tolist(), scaled.tolist(), invariants.tolist()):
-        if any(i2_row):
-            keys.append((0,) + tuple(map(tuple, key)))
-        else:
-            keys.append(_key_without_i2(ctx, *map(tuple, rest)))
+    keys = [(0, (a, b), (c, d), (e, f)) for a, b, c, d, e, f in scaled.reshape(-1, 6).tolist()]
+    for i in np.flatnonzero(~i2.any(axis=1)).tolist():
+        keys[i] = _key_without_i2(ctx, *map(tuple, invariants[i].tolist()))
     return keys
 
 
