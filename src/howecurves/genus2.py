@@ -233,9 +233,9 @@ def igusa_key(ctx: FieldCtx, batch: Sequence[tuple]) -> list:
     (see _GATHER and _CROSS), computed in one pass per block of ROW_BLOCK
     rows over int64 arrays whose last axis holds (c0, c1): a fixed number of
     numpy calls per block, and about 3 KB of temporaries per row (the int64
-    bound is argued next to arith.MAX_P).  Only weight-zero ratios are formed, with
-    a case split on the first nonvanishing invariant; the rare rows with
-    I2 = 0 are finished one at a time.
+    bound is argued next to arith.MAX_P).  Only weight-zero ratios are
+    formed, with a case split on the first nonvanishing invariant; the rare
+    rows with I2 = 0 are finished one at a time.
     """
     return [key for start in range(0, len(batch), ROW_BLOCK)
             for key in _igusa_key_block(ctx, batch[start:start + ROW_BLOCK])]
@@ -260,7 +260,8 @@ def _igusa_key_block(ctx: FieldCtx, batch: Sequence[tuple]) -> list:
     s2 = mul(s, s)
     s3 = mul(s2, s)
     scaled = mul(invariants, np.stack([s2, s3, mul(s2, s3)], axis=1))
-    keys = [(0, (a, b), (c, d), (e, f)) for a, b, c, d, e, f in scaled.reshape(-1, 6).tolist()]
+    keys = [(0, (x0, x1), (y0, y1), (z0, z1))
+            for x0, x1, y0, y1, z0, z1 in scaled.reshape(-1, 6).tolist()]
     for i in np.flatnonzero(~i2.any(axis=1)).tolist():
         keys[i] = _key_without_i2(ctx, *map(tuple, invariants[i].tolist()))
     return keys
@@ -490,9 +491,9 @@ class SuperspecialList:
     def add(self, curves: Sequence[Genus2Curve]) -> list:
         """Insert a batch in order; return the indices of the new classes.
 
-        The models not seen before, over the whole batch, are keyed in one
-        igusa_key call.  Then, curve by curve, a model already seen is
-        skipped, an equal key joins its class, and any other key starts a new class.
+        The models not seen before are keyed in one igusa_key call over the
+        whole batch.  Then, curve by curve, a seen model is skipped, an equal
+        key joins its class, and any other key starts a new class.
         """
         fresh = list(dict.fromkeys(C.roots for C in curves if C.roots not in self._models))
         keys = dict(zip(fresh, igusa_key(self.ctx, fresh)))
