@@ -60,7 +60,6 @@ from .strategies import (
     find_one,
     howe_jsonable,
     howe_type_points,
-    iter_howe_fits,
     match_representatives,
     supersingular_b_values,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "find_one",
     "howe_jsonable",
     "howe_type_points",
-    "iter_howe_fits",
     "match_representatives",
     "supersingular_b_values",
     "__version__",

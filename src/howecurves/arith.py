@@ -116,8 +116,7 @@ def is_prime(n: int) -> bool:
 class FieldCtx:
     """Carrier for a prime p > 3 and the extension F_{p^2} = F_p(t), t^2 = r."""
 
-    __slots__ = ("p", "r", "zero", "one", "_half", "_nonsquare", "_ts_params", "_inv_table",
-                 "_sqrt_table")
+    __slots__ = ("p", "r", "zero", "one", "_nonsquare", "_inv_table", "_sqrt_table")
 
     def __init__(self, p: int):
         if not is_prime(p) or p <= 3:
@@ -128,9 +127,7 @@ class FieldCtx:
         self.r = _least_nonresidue(p)
         self.zero = (0, 0)
         self.one = (1, 0)
-        self._half = pow(2, p - 2, p)
         self._nonsquare: Optional[FqElem] = None
-        self._ts_params: Optional[tuple] = None
         self._inv_table: Optional[np.ndarray] = None
         self._sqrt_table: Optional[np.ndarray] = None
 
@@ -230,91 +227,35 @@ class FieldCtx:
 
     # -- quadratic structure ---------------------------------------------------
 
-    def legendre_fp(self, a: int) -> int:
-        """Legendre symbol of a mod p as -1, 0, 1."""
-        a %= self.p
-        if a == 0:
-            return 0
-        s = pow(a, (self.p - 1) // 2, self.p)
-        return 1 if s == 1 else -1
-
-    def sqrt_fp(self, a: int) -> Optional[int]:
-        """Canonical square root in F_p (the smaller of the two), or None."""
-        p = self.p
-        a %= p
-        if a == 0:
-            return 0
-        if self.legendre_fp(a) != 1:
-            return None
-        if p % 4 == 3:
-            x = pow(a, (p + 1) // 4, p)
-        else:
-            x = self._tonelli_shanks(a)
-        return min(x, p - x)
-
-    def _tonelli_shanks(self, a: int) -> int:
-        p = self.p
-        if self._ts_params is None:
-            q, s = p - 1, 0
-            while q % 2 == 0:
-                q //= 2
-                s += 1
-            # r is a non-residue, so it generates the 2-Sylow part
-            z = pow(self.r, q, p)
-            self._ts_params = (q, s, z)
-        q, s, z = self._ts_params
-        m = s
-        c = z
-        t = pow(a, q, p)
-        x = pow(a, (q + 1) // 2, p)
-        while t != 1:
-            t2 = t
-            i = 0
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m = i
-            c = b * b % p
-            t = t * c % p
-            x = x * b % p
-        return x
-
     def is_square(self, x: FqElem) -> bool:
-        if x == self.zero:
-            return True
-        return self.legendre_fp(self.norm(x)) == 1
+        """x is a square of F_{p^2} exactly when its norm is a square of F_p."""
+        return self.sqrt_table().item(self.norm(x)) >= 0
 
     def sqrt(self, x: FqElem) -> Optional[FqElem]:
-        """Canonical square root in F_{p^2} (lexicographic min of the pair), or None."""
+        """Canonical square root in F_{p^2} (lexicographic min of the pair), or None.
+
+        The formula of _sqrt_stacked on one element, with its F_p roots from
+        the same sqrt_table().
+        """
         p = self.p
+        root_of = self.sqrt_table().item
         c0, c1 = x
         if c1 == 0:
-            if c0 == 0:
-                return (0, 0)
-            s = self.sqrt_fp(c0)
-            if s is not None:
-                root = (s, 0)
-            else:
-                # c0 non-residue means c0/r is a residue; sqrt is purely imaginary
-                v = self.sqrt_fp(c0 * pow(self.r, p - 2, p) % p)
-                root = (0, v)
+            s = root_of(c0)
+            # a non-residue c0 has c0/r a residue, and a purely imaginary root
+            root = (s, 0) if s >= 0 else (0, root_of(c0 * pow(self.r, p - 2, p) % p))
         else:
             # (a + bt)^2 = a^2 + r b^2 + 2ab t: a^2 is a root of
-            # z^2 - c0 z + r c1^2/4, the other root being r b^2 (a non-square).
-            s = self.sqrt_fp(self.norm(x))
-            if s is None:
+            # z^2 - c0 z + r c1^2/4, the other root being r b^2 (a non-square)
+            n = root_of(self.norm(x))
+            if n < 0:
                 return None
-            root = None
-            for cand in (s, (-s) % p):
-                h = (c0 + cand) * self._half % p
-                a = self.sqrt_fp(h)
-                if a:
-                    b = c1 * pow(2 * a, p - 2, p) % p
-                    root = (a, b)
-                    break
-            if root is None:
-                return None
+            half = (p + 1) // 2
+            h = (c0 + n) * half % p
+            if root_of(h) < 0:
+                h = (c0 - n) * half % p
+            a = root_of(h)
+            root = (a, c1 * pow(2 * a, p - 2, p) % p)
         return min(root, (-root[0] % p, -root[1] % p))
 
     def nonsquare(self) -> FqElem:
@@ -658,7 +599,7 @@ def _quadratic_roots(ctx: FieldCtx, g: UniPoly) -> list:
     s = ctx.sqrt(disc)
     if s is None:
         raise ArithmeticError("quadratic expected to split has non-square discriminant")
-    half = (ctx._half, 0)
+    half = ((ctx.p + 1) // 2, 0)
     r1 = ctx.mul(ctx.sub(s, b), half)
     r2 = ctx.mul(ctx.sub(ctx.neg(s), b), half)
     return [r1] if r1 == r2 else [r1, r2]

@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional
 
@@ -36,7 +35,7 @@ from .strategies import (
     find_one,
     howe_jsonable,
     match_representatives,
-    pool_size,
+    pool_map,
 )
 
 EXIT_OK = 0
@@ -281,26 +280,20 @@ def cmd_table(args) -> int:
 
 
 def _exists_task(task: tuple) -> tuple:
-    """One prime's existence check; runs in a worker, returns plain data."""
-    q, verify = task
-    ctx = FieldCtx(q)
+    """One prime's existence check, a pool_map task; returns plain data."""
+    ctx, verify = task
     H = find_one(ctx)
     if H is None:
-        return (q, ctx.r, None, True)
+        return (ctx.p, ctx.r, None, True)
     ok = is_superspecial_howe(H) if verify else True
-    return (q, ctx.r, howe_jsonable(H), ok)
+    return (ctx.p, ctx.r, howe_jsonable(H), ok)
 
 
 def cmd_exists(args) -> int:
     primes = _checked_primes("exists", [args.p] if args.p is not None
                              else _primes_in("exists", args.pmin, args.pmax), 5)
 
-    tasks = [(q, args.verify) for q in primes]
-    if args.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=pool_size(args.workers, len(tasks))) as ex:
-            results = list(ex.map(_exists_task, tasks))
-    else:
-        results = [_exists_task(t) for t in tasks]
+    results = pool_map(_exists_task, [(FieldCtx(q), args.verify) for q in primes], args.workers)
 
     missing = [q for q, _, wit, _ in results if wit is None]
     failed = [q for q, _, wit, ok in results if wit is not None and not ok]

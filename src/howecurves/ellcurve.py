@@ -164,8 +164,9 @@ def _seed_lambda(ctx: FieldCtx) -> FqElem:
     and 1.  Raises ArithmeticError if there is no seed or if H_p does not
     vanish at it.
     """
-    js = [ctx.elem(j) for D, j in _CM_J if ctx.legendre_fp(D) == -1]
-    if not js and ctx.legendre_fp(-15) == -1:
+    root_of = ctx.sqrt_table().item
+    js = [ctx.elem(j) for D, j in _CM_J if root_of(D % ctx.p) < 0]
+    if not js and root_of(-15 % ctx.p) < 0:
         js = poly_roots_in_fq(UniPoly.from_int_coeffs(ctx, _HILBERT_MINUS_15))
     if not js:
         raise ArithmeticError("no CM seed for the supersingular walk at p=%d" % ctx.p)

@@ -64,7 +64,6 @@ from .howe import (
     HoweData,
     howe_isomorphic,
     howe_key,
-    is_superspecial_howe,
     normalize_split,
     quartic_lambdas,
     special_family,
@@ -290,11 +289,7 @@ def enumerate_a(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
     pairs = [(i, j) for i in range(len(classes)) for j in range(i, len(classes))]
     seen = set()
     reps: List[HoweData] = []
-    if workers > 1:
-        hit_lists = _pool_map_a(ctx.p, pairs, workers)
-    else:
-        hit_lists = ([(lam, mu) for lam, mu in howe_type_points(ctx, classes[i], classes[j])]
-                     for i, j in pairs)
+    hit_lists = pool_map(_pair_hits, [(ctx, classes[i], classes[j]) for i, j in pairs], workers)
     data = [_howe_from_pair_hit(ctx, classes[i], classes[j], lam, mu)
             for (i, j), hits in zip(pairs, hit_lists) for lam, mu in hits]
     for H, key in zip(data, howe_key(ctx, [(H.split, H.b) for H in data])):
@@ -372,20 +367,6 @@ def _curve_splits(C: Genus2Curve) -> list:
             for pair in itertools.combinations(roots[1:], 2)]
 
 
-def iter_howe_fits(ctx: FieldCtx, lset: SupersingularLambdaSet,
-                   C: Genus2Curve) -> Iterator[Tuple[tuple, tuple, ProjPoint]]:
-    """(T1, T2, b) with both quartic halves supersingular, raw (no dedup).
-
-    Each of the 10 splits is visited once, through the triple T1 holding the
-    first root; its complement T2 carries the same b values.  The b values of
-    all 10 splits come from one supersingular_b_values call.
-    """
-    splits = _curve_splits(C)
-    for (T1, T2), bs in zip(splits, supersingular_b_values(ctx, lset, splits)):
-        for b in bs:
-            yield T1, T2, b
-
-
 def _fit_orbits(ctx: FieldCtx, lset: SupersingularLambdaSet,
                 curves: Sequence[Genus2Curve]) -> list:
     """The raw fit count and the first (split, b) fit of each Howe key, per curve.
@@ -424,13 +405,9 @@ def enumerate_b(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
     """
     t0 = time.perf_counter()
     L = genus2 if genus2 is not None else superspecial_genus2_list(ctx)
-    lset = supersingular_lambda_set(ctx)
     step = ROW_BLOCK // 10
     blocks = [L.curves[start:start + step] for start in range(0, len(L), step)]
-    if workers > 1:
-        results = _pool_map_b(ctx.p, [[C.roots for C in block] for block in blocks], workers)
-    else:
-        results = (_fit_orbits(ctx, lset, block) for block in blocks)
+    results = pool_map(_block_fits, [(ctx, block) for block in blocks], workers)
     raw = 0
     reps: List[HoweData] = []
     for block, orbits in zip(blocks, results):
@@ -448,20 +425,20 @@ def find_one(ctx: FieldCtx) -> Optional[HoweData]:
     """One superspecial Howe curve in characteristic p, or None.
 
     For p = 5 mod 6 the cubic-split family member with a = -1 is returned
-    directly.  Otherwise superspecial genus-2 curves are generated lazily and
-    the first one admitting a supersingular split wins; exhausting the stream
-    without a fit proves nonexistence (that settles p = 7).
+    untested: the family is superspecial at every such p, and `exists
+    --verify` re-checks it like any other witness.  Otherwise superspecial
+    genus-2 curves are generated lazily and the first b of the first split
+    admitting one wins; exhausting the stream without a fit proves
+    nonexistence (that settles p = 7).
     """
-    p = ctx.p
-    if p % 6 == 5:
-        H = special_family(ctx, ctx.elem(-1))
-        if not is_superspecial_howe(H):
-            raise ArithmeticError("split-cubic family fails at p=%d" % p)
-        return H
+    if ctx.p % 6 == 5:
+        return special_family(ctx, ctx.elem(-1))
     lset = supersingular_lambda_set(ctx)
     for C in closure_stream(ctx):
-        for T1, T2, b in iter_howe_fits(ctx, lset, C):
-            return HoweData(C, normalize_split(T1, T2), b)
+        splits = _curve_splits(C)
+        for (T1, T2), bs in zip(splits, supersingular_b_values(ctx, lset, splits)):
+            if bs:
+                return HoweData(C, normalize_split(T1, T2), bs[0])
     return None
 
 
@@ -511,28 +488,17 @@ def _verify_representatives(ctx: FieldCtx, reps: List[HoweData]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# worker pools
+# the worker map and its tasks
 # ---------------------------------------------------------------------------
 
-_POOL_CTX: Optional[FieldCtx] = None
-_POOL_LSET: Optional[SupersingularLambdaSet] = None
-_POOL_CLASSES: Optional[list] = None
+def _pair_hits(task: tuple) -> list:
+    ctx, roots1, roots2 = task
+    return list(howe_type_points(ctx, roots1, roots2))
 
 
-def _pool_init(p: int, want_classes: bool) -> None:
-    global _POOL_CTX, _POOL_LSET, _POOL_CLASSES
-    _POOL_CTX = FieldCtx(p)
-    _POOL_LSET = supersingular_lambda_set(_POOL_CTX)
-    _POOL_CLASSES = enumerate_supersingular_classes(_POOL_CTX) if want_classes else None
-
-
-def _pool_task_a(pair: tuple) -> list:
-    i, j = pair
-    return list(howe_type_points(_POOL_CTX, _POOL_CLASSES[i], _POOL_CLASSES[j]))
-
-
-def _pool_task_b(block: list) -> list:
-    return _fit_orbits(_POOL_CTX, _POOL_LSET, [Genus2Curve(_POOL_CTX, roots) for roots in block])
+def _block_fits(task: tuple) -> list:
+    ctx, block = task
+    return _fit_orbits(ctx, supersingular_lambda_set(ctx), block)
 
 
 def pool_size(workers: int, tasks: int) -> int:
@@ -545,15 +511,17 @@ def pool_size(workers: int, tasks: int) -> int:
     return max(1, min(workers, tasks, os.cpu_count() or 1))
 
 
-def _pool_map_a(p: int, pairs: list, workers: int) -> list:
-    with ProcessPoolExecutor(max_workers=pool_size(workers, len(pairs)),
-                             initializer=_pool_init, initargs=(p, True)) as ex:
-        return list(ex.map(_pool_task_a, pairs))
+def pool_map(fn, tasks: list, workers: int) -> list:
+    """[fn(task) for task in tasks], in this process when workers == 1.
 
-
-def _pool_map_b(p: int, blocks: list, workers: int) -> list:
-    workers = pool_size(workers, len(blocks))
-    chunk = max(1, len(blocks) // (8 * workers))
-    with ProcessPoolExecutor(max_workers=workers, initializer=_pool_init,
-                             initargs=(p, False)) as ex:
-        return list(ex.map(_pool_task_b, blocks, chunksize=chunk))
+    Otherwise the tasks run in a pool of pool_size(workers, len(tasks))
+    processes, in chunks of about an eighth of each process's share.  fn
+    and the tasks must pickle: each task carries its FieldCtx, and a worker
+    rebuilds anything else it needs from the per-p memos.
+    """
+    if workers == 1:
+        return [fn(task) for task in tasks]
+    workers = pool_size(workers, len(tasks))
+    chunk = max(1, len(tasks) // (8 * workers))
+    with ProcessPoolExecutor(max_workers=workers) as ex:
+        return list(ex.map(fn, tasks, chunksize=chunk))

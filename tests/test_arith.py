@@ -188,7 +188,11 @@ def test_sqrt_against_the_norm_criterion(case):
 
 
 def _check_array_sqrt(ctx, xs):
-    """_sqrt_stacked at the elements xs against ctx.sqrt and big-integer squares."""
+    """_sqrt_stacked at the elements xs against ctx.sqrt and big-integer squares.
+
+    Both read their F_p roots from ctx.sqrt_table(), and ctx.sqrt returns
+    the smaller of the pair of roots, as Python ints.
+    """
     x = np.array(xs, dtype=np.int64).reshape(-1, 2)
     root, square = _sqrt_stacked(ctx, x)
     assert root.shape == x.shape and square.shape == (len(xs),)
@@ -196,9 +200,10 @@ def _check_array_sqrt(ctx, xs):
         want = ctx.sqrt(elem)
         assert flag == (want is not None), elem
         if flag:
-            # either sign: the square round-trips and matches ctx.sqrt up to sign
+            # either sign: the square round-trips, and ctx.sqrt is the smaller of +-got
             assert _big_mul(ctx.r, ctx.p, tuple(got), tuple(got)) == tuple(elem)
-            assert tuple(got) in (want, ctx.neg(want))
+            assert want == min(tuple(got), ctx.neg(tuple(got)))
+            assert all(type(c) is int for c in want)
 
 
 @pytest.mark.parametrize("p", [q for q in range(5, 32) if is_prime(q)])
@@ -225,6 +230,28 @@ def test_array_sqrt_at_the_largest_prime():
     top = ctx.p - 1
     xs = [(0, 0), (1, 0), (top, 0), (0, top), (top, top), (ctx.r, 0), (0, 1)]
     _check_array_sqrt(ctx, xs + [_big_mul(ctx.r, ctx.p, x, x) for x in xs])
+
+
+def _is_square_by_euler(ctx, x):
+    """Euler's criterion in F_{p^2}: x^((p^2 - 1)/2) is 0 or 1, in big integers."""
+    p = ctx.p
+    return _big_pow(ctx.r, p, x, (p * p - 1) // 2) in ((0, 0), (1, 0))
+
+
+@pytest.mark.parametrize("p", [q for q in range(5, 32) if is_prime(q)])
+def test_is_square_against_eulers_criterion_on_the_whole_field(p):
+    ctx = FieldCtx(p)
+    for x in ctx.elements():
+        assert ctx.is_square(x) is _is_square_by_euler(ctx, x), x
+
+
+@settings(max_examples=100, deadline=None)
+@given(_field_elements())
+def test_is_square_against_eulers_criterion_on_drawn_elements(case):
+    # a drawn element, a square, and elements on the real and imaginary axes
+    ctx, a, x, y = case
+    for elem in (x, _big_mul(ctx.r, ctx.p, a, a), (y[0], 0), (0, y[1])):
+        assert ctx.is_square(elem) is _is_square_by_euler(ctx, elem), elem
 
 
 @st.composite

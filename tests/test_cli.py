@@ -229,6 +229,25 @@ def test_exists_verifies_the_minus_15_seed_primes(capsys):
     assert time.perf_counter() - t0 < 30.0
 
 
+def test_exists_verify_tests_a_family_witness_once(capsys, monkeypatch):
+    # 971 = 5 mod 6: find_one returns the special family member untested, so
+    # the re-check of --verify is the one superspeciality test of the witness
+    calls = []
+    real = cli.is_superspecial_howe
+
+    def spy(H):
+        calls.append(H)
+        return real(H)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("howecurves") and hasattr(module, "is_superspecial_howe"):
+            monkeypatch.setattr(module, "is_superspecial_howe", spy)
+    code, out, _ = _run(capsys, ["exists", "--verify", "--format", "json", "--p", "971"])
+    assert code == EXIT_OK
+    assert json.loads(out)["reverify_failures"] == []
+    assert len(calls) == 1
+
+
 def test_exists_workers(capsys):
     base = ["exists", "--pmin", "10", "--pmax", "20", "--format", "csv"]
     _, serial, _ = _run(capsys, base)
@@ -277,12 +296,12 @@ class _DeadPool:
         raise BrokenProcessPool("a worker process terminated abruptly")
 
 
-@pytest.mark.parametrize("module, argv", [
-    (cli, ["exists", "--pmin", "10", "--pmax", "20"]),
-    (strategies, ["enumerate", "--p", "11"]),
+@pytest.mark.parametrize("argv", [
+    ["exists", "--pmin", "10", "--pmax", "20"],
+    ["enumerate", "--p", "11"],
 ], ids=["exists", "enumerate"])
-def test_a_dead_worker_exits_3_without_a_traceback(capsys, monkeypatch, module, argv):
-    monkeypatch.setattr(module, "ProcessPoolExecutor", _DeadPool)
+def test_a_dead_worker_exits_3_without_a_traceback(capsys, monkeypatch, argv):
+    monkeypatch.setattr(strategies, "ProcessPoolExecutor", _DeadPool)
     code, out, err = _run(capsys, argv + ["--workers", "2"])
     assert code == EXIT_INTERNAL
     assert out == ""
@@ -294,10 +313,8 @@ def _recording_pool(sizes):
     """A process pool class that records its size and runs its tasks here."""
 
     class Pool:
-        def __init__(self, max_workers=None, initializer=None, initargs=()):
+        def __init__(self, max_workers=None):
             sizes.append(max_workers)
-            if initializer is not None:
-                initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -317,8 +334,7 @@ def test_pools_never_exceed_the_tasks_or_the_cpus(capsys, monkeypatch, cpus):
     # unknown), with the serial output; no real pool is started
     sizes = []
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    for module in (cli, strategies):
-        monkeypatch.setattr(module, "ProcessPoolExecutor", _recording_pool(sizes))
+    monkeypatch.setattr(strategies, "ProcessPoolExecutor", _recording_pool(sizes))
     # p = 13: one pair of elliptic classes; p = 41: 40 genus-2 curves in four
     # blocks of up to 12; 10..20: four primes
     cases = [(["enumerate", "--p", "13", "--strategy", "a", "--format", "json"], [1]),

@@ -34,14 +34,15 @@ from howecurves import (
     is_prime,
     is_superspecial,
     is_superspecial_howe,
-    iter_howe_fits,
     mobius_from_triples,
     normalize_split,
     special_family,
+    supersingular_b_values,
     supersingular_lambda_set,
 )
 from howecurves.arith import cross_ratio_map
 from howecurves.howe import quartic_lambdas
+from howecurves.strategies import _curve_splits
 from oracles import (
     automorphisms,
     howe_from_cubics,
@@ -224,8 +225,9 @@ def test_howe_isomorphic_agrees_with_the_explicit_search(p, genus2_lists):
     lset = supersingular_lambda_set(ctx)
     hits = 0
     for C in genus2_lists(p).curves:
-        fits = [HoweData(C, normalize_split(T1, T2), b)
-                for T1, T2, b in iter_howe_fits(ctx, lset, C)]
+        tens = _curve_splits(C)
+        fits = [HoweData(C, normalize_split(*split), b)
+                for split, bs in zip(tens, supersingular_b_values(ctx, lset, tens)) for b in bs]
         splits = [(T1, tuple(rt for rt in C.roots if rt not in T1))
                   for T1 in itertools.combinations(C.roots, 3)]
         others = dict.fromkeys(HoweData(C, split, H.b) for H in fits for split in splits)
@@ -273,8 +275,11 @@ def test_batched_howe_key_matches_the_scalar_oracle_on_every_fit(p, genus2_lists
     # of ROW_BLOCK fits from p = 47 on
     ctx = FieldCtx(p)
     lset = supersingular_lambda_set(ctx)
-    data = [HoweData(C, (T1, T2), b) for C in genus2_lists(p).curves
-            for T1, T2, b in iter_howe_fits(ctx, lset, C)]
+    data = []
+    for C in genus2_lists(p).curves:
+        splits = _curve_splits(C)
+        data += [HoweData(C, split, b)
+                 for split, bs in zip(splits, supersingular_b_values(ctx, lset, splits)) for b in bs]
     assert howe_key(ctx, [(H.split, H.b) for H in data]) == [howe_key_scalar(H) for H in data]
     assert howe_key(ctx, []) == []
 

@@ -9,7 +9,8 @@ bound at the top level of a module must be read somewhere in the package,
 as a name, an attribute or an imported name; binding it again does not
 count as a use.  A public function or class defined at the top level of a
 package module must be read by some package module other than
-`__init__.py`, whose re-exports are not reads.
+`__init__.py`, whose re-exports are not reads.  Only `strategies` reads
+`ProcessPoolExecutor`, so every worker pool is its `pool_map`.
 """
 
 import ast
@@ -154,3 +155,11 @@ def test_package_has_no_unused_private_names():
 def test_package_has_no_unread_public_names():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unread_public_names(sources) == []
+
+
+def test_only_strategies_uses_the_process_pool():
+    # every worker pool goes through strategies.pool_map: no other package
+    # module imports ProcessPoolExecutor or reads it as an attribute
+    users = [p.name for p in sorted(PACKAGE.glob("*.py"))
+             if "ProcessPoolExecutor" in _reads(ast.parse(p.read_text()))]
+    assert users == ["strategies.py"]

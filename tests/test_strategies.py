@@ -33,7 +33,6 @@ from howecurves import (
     howe_type_points,
     is_prime,
     is_superspecial_howe,
-    iter_howe_fits,
     match_representatives,
     normalize_split,
     sort_key,
@@ -45,6 +44,7 @@ from howecurves.arith import ROW_BLOCK
 from howecurves.ellcurve import enumerate_supersingular_classes
 from howecurves.strategies import (
     VerificationError,
+    _curve_splits,
     _fit_orbits,
     _PairEntries,
     _verify_representatives,
@@ -314,7 +314,9 @@ def test_fits_visit_each_split_once(p, genus2_lists):
     ctx = FieldCtx(p)
     lset = supersingular_lambda_set(ctx)
     for C in genus2_lists(p).curves:
-        fits = list(iter_howe_fits(ctx, lset, C))
+        splits = _curve_splits(C)
+        fits = [(T1, T2, b) for (T1, T2), bs in zip(splits, supersingular_b_values(ctx, lset, splits))
+                for b in bs]
         assert all(T1[0] == C.roots[0] for T1, _, _ in fits)
         got = [(normalize_split(T1, T2), b) for T1, T2, b in fits]
         assert len(set(got)) == len(got)
@@ -345,15 +347,17 @@ def _orbit_oracle(ctx, lset, C):
     seen = set()
     reps = []
     raw = 0
-    for T1, T2, b in iter_howe_fits(ctx, lset, C):
-        raw += 1
-        key = (normalize_split(T1, T2), sort_key(b))
-        if key in seen:
-            continue
-        for g in auts:
-            gsplit = normalize_split([g(t) for t in T1], [g(t) for t in T2])
-            seen.add((gsplit, sort_key(g(b))))
-        reps.append((normalize_split(T1, T2), b))
+    splits = _curve_splits(C)
+    for (T1, T2), bs in zip(splits, supersingular_b_values(ctx, lset, splits)):
+        for b in bs:
+            raw += 1
+            key = (normalize_split(T1, T2), sort_key(b))
+            if key in seen:
+                continue
+            for g in auts:
+                gsplit = normalize_split([g(t) for t in T1], [g(t) for t in T2])
+                seen.add((gsplit, sort_key(g(b))))
+            reps.append((normalize_split(T1, T2), b))
     return raw, reps
 
 
@@ -375,8 +379,10 @@ def test_orbit_dedup_matches_naive_isomorphism_dedup(genus2_lists):
     ctx = FieldCtx(13)
     lset = supersingular_lambda_set(ctx)
     for C in genus2_lists(13).curves:
-        all_data = [HoweData(C, normalize_split(T1, T2), b)
-                    for T1, T2, b in iter_howe_fits(ctx, lset, C)]
+        splits = _curve_splits(C)
+        all_data = [HoweData(C, normalize_split(*split), b)
+                    for split, bs in zip(splits, supersingular_b_values(ctx, lset, splits))
+                    for b in bs]
         naive = []
         for H in all_data:
             if not any(howe_isomorphic(H, K) is not None for K in naive):
