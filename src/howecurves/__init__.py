@@ -22,7 +22,6 @@ from .arith import (
     sort_key,
 )
 from .ellcurve import (
-    QuarticModel,
     SupersingularLambdaSet,
     enumerate_supersingular_classes,
     supersingular_lambda_set,
@@ -76,7 +75,6 @@ __all__ = [
     "poly_gcd",
     "poly_roots_in_fq",
     "sort_key",
-    "QuarticModel",
     "SupersingularLambdaSet",
     "enumerate_supersingular_classes",
     "supersingular_lambda_set",

@@ -422,6 +422,8 @@ def main(argv=None) -> int:
     if args.command == "exists":
         if args.p is None and (args.pmin is None or args.pmax is None):
             parser.error("exists needs --p or both --pmin and --pmax")
+        if args.p is not None and (args.pmin is not None or args.pmax is not None):
+            parser.error("exists takes --p or --pmin and --pmax, not both")
     try:
         return args.func(args)
     except UsageError as exc:

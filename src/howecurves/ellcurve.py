@@ -12,40 +12,14 @@ of a Howe curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .arith import (
-    INF,
     FieldCtx,
     FqElem,
-    ProjPoint,
     UniPoly,
     poly_roots_in_fq,
 )
-
-
-@dataclass(frozen=True)
-class QuarticModel:
-    """Double cover of P^1 branched at b and the three roots a1, a2, a3.
-
-    With b = INF this is the cubic model y^2 = (x-a1)(x-a2)(x-a3); otherwise
-    the quartic y^2 = (x-b)(x-a1)(x-a2)(x-a3).
-    """
-
-    ctx: FieldCtx
-    b: ProjPoint
-    roots: tuple  # three distinct finite points, sorted
-
-    def __post_init__(self):
-        if len(self.roots) != 3 or len(set(self.roots)) != 3:
-            raise ValueError("need three distinct finite branch roots")
-        if any(rt is INF for rt in self.roots):
-            raise ValueError("branch roots must be finite; put INF in b")
-        if self.b is not INF and self.b in self.roots:
-            raise ValueError("fourth branch point collides with a root")
-        object.__setattr__(self, "roots", tuple(sorted(self.roots)))
 
 
 class SupersingularLambdaSet:

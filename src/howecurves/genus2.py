@@ -11,7 +11,10 @@ tabulated cross-ratios and builds only the maps that pass), the
 (2,2)-correspondence walk and its inverse gluing of elliptic
 pairs, and the closure routine producing every superspecial curve up to
 isomorphism, one class per key, which fails as soon as its class count
-passes the mass-formula window.
+passes the mass-formula window.  The batched kernels (igusa_key,
+cartier_manin_rows, richelot_codomains) take sorted root sextuples, and the
+closure carries sextuples from end to end: a Genus2Curve is built for each
+glued seed and each new class only.
 """
 
 from __future__ import annotations
@@ -337,8 +340,8 @@ _SPLITTINGS = [
     for part in _PAIR_PARTITIONS
 ]
 
-def richelot_codomains(ctx: FieldCtx, curves: Sequence[Genus2Curve]) -> list:
-    """The (2,2)-correspondence neighbours of each curve, one per nonsplit splitting.
+def richelot_codomains(ctx: FieldCtx, batch: Sequence[tuple]) -> list:
+    """The (2,2)-correspondence neighbours of each sorted root sextuple of the batch.
 
     For each grouping {g1, g2, g3} of a curve's roots into monic quadratics
     (in _SPLITTINGS order) with delta = det of their coefficient matrix
@@ -348,8 +351,8 @@ def richelot_codomains(ctx: FieldCtx, curves: Sequence[Genus2Curve]) -> list:
     is INF, and the points are moved by x -> 1/(x - c), c the first element
     of F_{p^2} in canonical order that is not one of them: one of
     (0, 0)..(0, 5), since p > 5.  Splittings with delta = 0 present
-    elliptic products, not curves, and are omitted.  Returns one list of
-    (splitting, neighbour) pairs per curve.
+    elliptic products, not curves, and are omitted.  Returns one list per
+    sextuple, holding the sorted root sextuples of its neighbours.
 
     All splittings of all curves run in one pass over int64 arrays of shape
     (curves, 15, ...): the quadratic formula takes its square roots through
@@ -358,13 +361,13 @@ def richelot_codomains(ctx: FieldCtx, curves: Sequence[Genus2Curve]) -> list:
     hundred KB of resident code to a cold run.  RationalityError is raised
     for the first curve, and its first splitting, where an h_i vanishes to
     degree zero, has a non-square discriminant or a double root, or the six
-    points repeat.
+    points repeat; so every sextuple returned has six distinct roots.
     """
     p = ctx.p
     q = p * p
     mul = functools.partial(_mul_stacked, ctx)
     pos = np.array(_SPLITTINGS)
-    r = np.array([C.roots for C in curves], dtype=np.int64).reshape(-1, 6, 2)
+    r = np.array(batch, dtype=np.int64).reshape(-1, 6, 2)
     u, v = r[:, pos[..., 0]], r[:, pos[..., 1]]
     # g_i = x^2 + e_i x + f_i; h for (j, k) = (1, 2), (2, 0), (0, 1) has
     # coefficients (e_k - e_j, 2 (f_k - f_j), e_j f_k - f_j e_k), and delta
@@ -403,16 +406,10 @@ def richelot_codomains(ctx: FieldCtx, curves: Sequence[Genus2Curve]) -> list:
             "rationality invariant violated: non-square discriminant",
             "correspondence produced a singular model",
         )[errors[np.flatnonzero(errors)[0]] - 1])
-    # Genus2Curve sorts the roots
-    neighbours = np.stack(np.divmod(pts, p), axis=-1).tolist()
-    out = []
-    for C, kept_row, rows in zip(curves, kept.tolist(), neighbours):
-        x = C.roots
-        out.append([(((x[i0], x[i1]), (x[i2], x[i3]), (x[i4], x[i5])),
-                     Genus2Curve(ctx, tuple(map(tuple, row))))
-                    for ((i0, i1), (i2, i3), (i4, i5)), keep, row
-                    in zip(_SPLITTINGS, kept_row, rows) if keep])
-    return out
+    # codes sort as the (c0, c1) pairs they encode
+    six_p = (p,) * 6
+    return [[tuple(map(divmod, sorted(row), six_p)) for keep, row in zip(kept_row, rows) if keep]
+            for kept_row, rows in zip(kept.tolist(), pts.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +465,8 @@ class SuperspecialList:
     the Igusa-Clebsch invariants classify genus-2 curves over the algebraic
     closure, so equal keys mean isomorphic curves and distinct keys distinct
     classes.  Models already seen are remembered, so a repeated model skips
-    the key.  Curves arrive in batches, each keyed in one array pass.
+    the key.  Models arrive as batches of sorted root sextuples, each keyed
+    in one array pass, and a Genus2Curve is built only for a new class.
     """
 
     __slots__ = ("ctx", "curves", "keys", "_index", "_models")
@@ -488,28 +486,26 @@ class SuperspecialList:
     def __iter__(self) -> Iterator[Genus2Curve]:
         return iter(self.curves)
 
-    def add(self, curves: Sequence[Genus2Curve]) -> list:
-        """Insert a batch in order; return the indices of the new classes.
+    def add(self, batch: Sequence[tuple]) -> list:
+        """Insert a batch of sorted root sextuples; return the indices of the new classes.
 
-        The models not seen before are keyed in one igusa_key call over the
-        whole batch.  Then, curve by curve, a seen model is skipped, an equal
-        key joins its class, and any other key starts a new class.
+        The models not seen before, in first-seen order, are keyed in one
+        igusa_key call: an equal key joins its class, and any other key
+        starts a new class with that model, in the order one model at a
+        time would give.
         """
-        fresh = list(dict.fromkeys(C.roots for C in curves if C.roots not in self._models))
-        keys = dict(zip(fresh, igusa_key(self.ctx, fresh)))
+        fresh = list(dict.fromkeys(roots for roots in batch if roots not in self._models))
         new = []
-        for C in curves:
-            if C.roots not in self._models:
-                idx = self._add_keyed(C, keys[C.roots])
-                if idx is not None:
-                    new.append(idx)
+        for roots, key in zip(fresh, igusa_key(self.ctx, fresh)):
+            idx = self._index.get(key)
+            if idx is None:
+                new.append(self._insert(Genus2Curve(self.ctx, roots), key))
+            else:
+                self._models[roots] = idx
         return new
 
-    def _add_keyed(self, C: Genus2Curve, key: IgusaKey) -> Optional[int]:
-        idx = self._index.get(key)
-        if idx is not None:
-            self._models[C.roots] = idx
-            return None
+    def _insert(self, C: Genus2Curve, key: IgusaKey) -> int:
+        """Start a new class with model C and its key; return its index."""
         idx = len(self.curves)
         self.curves.append(C)
         self.keys.append(key)
@@ -522,14 +518,15 @@ def _glue_seeds(ctx: FieldCtx, classes: Sequence) -> Iterator[list]:
     """Glued curves over all unordered pairs of supersingular classes and matchings.
 
     classes holds one 2-torsion root triple per class.  One list per pair
-    of classes, holding its glued curves in matching order.
+    of classes, holding the sorted root sextuples of its glued curves in
+    matching order.
     """
     for i in range(len(classes)):
         for j in range(i, len(classes)):
             s, u = classes[i], classes[j]
             glued = (glue_elliptic_pair(ctx, s, tuple(u[k] for k in perm))
                      for perm in itertools.permutations(range(3)))
-            yield [C for C in glued if C is not None]
+            yield [C.roots for C in glued if C is not None]
 
 
 def iko_window(p: int) -> tuple:
@@ -559,13 +556,14 @@ def closure_stream(ctx: FieldCtx, acc: Optional[SuperspecialList] = None
     Lazy form of superspecial_genus2_list: callers that only need the first
     few classes (existence searches) can stop consuming early.  The accumulator
     may be supplied to observe the growing list alongside the stream.  The
-    seeds of each pair of elliptic classes are inserted as one batch, and so
-    are the Richelot neighbours of each block of up to ROW_BLOCK // 15 classes
-    not yet expanded, in class then splitting order, keyed in one pass; add
-    inserts a batch curve by curve, so the classes come in the order that
-    one class at a time would give.  A class found beyond the upper
-    end of iko_window raises ArithmeticError at once, so a key that splits
-    one class into several cannot make the walk run on.
+    root sextuples of the seeds of each pair of elliptic classes are
+    inserted as one batch, and so are those of the Richelot neighbours of
+    each block of up to ROW_BLOCK // 15 classes not yet expanded, in class
+    then splitting order, keyed in one pass; add inserts a batch in
+    first-seen order, so the classes come in the order that one class at a
+    time would give.  A class found beyond the upper end of iko_window
+    raises ArithmeticError at once, so a key that splits one class into
+    several cannot make the walk run on.
     """
     if acc is None:
         acc = SuperspecialList(ctx)
@@ -577,7 +575,8 @@ def closure_stream(ctx: FieldCtx, acc: Optional[SuperspecialList] = None
             # the classes not yet expanded, up to ROW_BLOCK splitting rows
             block = acc.curves[cursor:cursor + ROW_BLOCK // len(_SPLITTINGS)]
             cursor += len(block)
-            yield [D for pairs in richelot_codomains(ctx, block) for _, D in pairs]
+            yield [D for neighbours in richelot_codomains(ctx, [C.roots for C in block])
+                   for D in neighbours]
 
     hi = iko_window(ctx.p)[1]
     for batch in batches():
@@ -688,9 +687,10 @@ def load_list(ctx: FieldCtx, path: str) -> SuperspecialList:
         if bad:
             raise ValueError("cache record %d of %s: curve is not superspecial"
                              % (lineno, path))
-        if acc._add_keyed(C, key) is None:
+        if key in acc._index:
             raise ValueError("cache record %d of %s duplicates an earlier class"
                              % (lineno, path))
+        acc._insert(C, key)
     if unreadable is not None:
         raise unreadable
     return acc

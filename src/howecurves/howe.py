@@ -29,7 +29,7 @@ from .arith import (
     _mul_stacked,
     sort_key,
 )
-from .ellcurve import QuarticModel, deuring_vanishes
+from .ellcurve import deuring_vanishes
 from .genus2 import Genus2Curve, is_superspecial, mobius_matches
 
 WeierstrassSplit = tuple  # pair of sorted root triples, lexicographically ordered
@@ -59,13 +59,6 @@ class HoweData:
         object.__setattr__(self, "split", normalize_split(w1, w2))
         if self.b is not INF and self.b in self.curve.roots:
             raise ValueError("branch point b collides with a Weierstrass root")
-
-    def quartics(self) -> tuple:
-        ctx = self.curve.ctx
-        return (
-            QuarticModel(ctx, self.b, self.split[0]),
-            QuarticModel(ctx, self.b, self.split[1]),
-        )
 
     def sort_value(self):
         return (self.curve.roots, self.split, sort_key(self.b))

@@ -17,8 +17,9 @@ stands behind the batched richelot_codomains, the Howe key one datum at a
 time (howe_key_scalar) behind the batched howe_key, the b-value map loop
 (b_values_scalar) behind supersingular_b_values, and the cross-ratio of one
 quartic (lambda_of_quartic, through cross_ratio) behind quartic_lambdas.
-The tests compare the two.  isomorphic, automorphisms and j_invariant,
-which only the tests read, live here too.
+The tests compare the two.  isomorphic, automorphisms, j_invariant and the
+genus-1 covers of a Howe datum as QuarticModel objects (quartics), which
+only the tests read, live here too.
 """
 
 import functools
@@ -46,7 +47,7 @@ from howecurves import (
     poly_roots_in_fq,
     sort_key,
 )
-from howecurves.arith import cross_ratio_map
+from howecurves.arith import ProjPoint, cross_ratio_map
 from howecurves.genus2 import (
     _PAIR_PARTITIONS,
     _PAIRS,
@@ -74,6 +75,33 @@ class EllipticCurve:
         a3 = ctx.mul((4, 0), ctx.pow(self.A, 3))
         b2 = ctx.mul((27, 0), ctx.sqr(self.B))
         return ctx.add(a3, b2)
+
+
+@dataclass(frozen=True)
+class QuarticModel:
+    """Double cover of P^1 branched at b and the three roots a1, a2, a3.
+
+    With b = INF this is the cubic model y^2 = (x-a1)(x-a2)(x-a3); otherwise
+    the quartic y^2 = (x-b)(x-a1)(x-a2)(x-a3).
+    """
+
+    ctx: FieldCtx
+    b: ProjPoint
+    roots: tuple  # three distinct finite points, sorted
+
+    def __post_init__(self):
+        if len(self.roots) != 3 or len(set(self.roots)) != 3:
+            raise ValueError("need three distinct finite branch roots")
+        if any(rt is INF for rt in self.roots):
+            raise ValueError("branch roots must be finite; put INF in b")
+        if self.b is not INF and self.b in self.roots:
+            raise ValueError("fourth branch point collides with a root")
+        object.__setattr__(self, "roots", tuple(sorted(self.roots)))
+
+
+def quartics(H):
+    """The two genus-1 covers of a Howe datum, branched at b and each split part."""
+    return tuple(QuarticModel(H.curve.ctx, H.b, part) for part in H.split)
 
 
 def cross_ratio(ctx, q, r, s, t):
@@ -130,7 +158,7 @@ def quartic_is_supersingular(Q):
 
 def is_superspecial_howe_scalar(H):
     """Both quartics by the scalar Hasse test, then the genus-2 quotient."""
-    q1, q2 = H.quartics()
+    q1, q2 = quartics(H)
     return (quartic_is_supersingular(q1) and quartic_is_supersingular(q2)
             and is_superspecial(H.curve))
 

@@ -16,9 +16,9 @@ from fractions import Fraction
 from howecurves import (
     INF,
     FieldCtx,
+    Genus2Curve,
     HoweData,
     MobiusMap,
-    QuarticModel,
     UniPoly,
     enumerate_a,
     enumerate_b,
@@ -40,6 +40,7 @@ from howecurves.cli import main
 from howecurves.ellcurve import enumerate_supersingular_classes
 from howecurves.genus2 import cartier_manin, iko_window
 from oracles import (
+    QuarticModel,
     cubic_curve,
     isomorphic,
     quadratic_splittings,
@@ -239,8 +240,6 @@ def _suite_cartier_manin():
             roots = set()
             while len(roots) < 6:
                 roots.add(ctx.elem(rng.randrange(p), rng.randrange(p)))
-            from howecurves import Genus2Curve
-
             C = Genus2Curve(ctx, tuple(sorted(roots)))
             f = UniPoly.from_roots(ctx, list(C.roots))
             full = UniPoly.from_coeffs(ctx, [ctx.one])
@@ -296,14 +295,15 @@ def _suite_b_values(genus2_lists):
 def _suite_richelot(genus2_lists):
     for p in (11, 13):
         L = genus2_lists(p)
-        for C, neigh in zip(L.curves, richelot_codomains(L.ctx, L.curves)):
+        ctx = L.ctx
+        for C, neigh in zip(L.curves, richelot_codomains(ctx, [C.roots for C in L.curves])):
             if not neigh:
                 return False
-            back = richelot_codomains(L.ctx, [D for _, D in neigh])
-            for (sp, D), pairs in zip(neigh, back):
-                if not is_superspecial(D):
+            back = richelot_codomains(ctx, neigh)
+            for roots, pairs in zip(neigh, back):
+                if not is_superspecial(Genus2Curve(ctx, roots)):
                     return False
-                if not any(isomorphic(E, C) is not None for _, E in pairs):
+                if not any(isomorphic(Genus2Curve(ctx, E), C) is not None for E in pairs):
                     return False
     return True
 

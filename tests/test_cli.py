@@ -264,6 +264,15 @@ def test_exists_argument_combinations(capsys):
     capsys.readouterr()
     code, out, err = _run(capsys, ["exists", "--p", "8"])
     assert code == EXIT_USAGE
+    # --p with a range would silently run --p alone
+    for extra in (["--pmin", "8", "--pmax", "30"], ["--pmin", "8"], ["--pmax", "30"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["exists", "--p", "13"] + extra)
+        assert exc.value.code == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" not in err
+        assert [line for line in err.splitlines() if "error" in line] == [
+            "howecurves: error: exists takes --p or --pmin and --pmax, not both"]
 
 
 def test_workers_must_be_positive(capsys):
@@ -470,3 +479,34 @@ def test_module_entry_point_subprocess():
     res = subprocess.run(cmd, capture_output=True, text=True, timeout=300)
     assert res.returncode == EXIT_OK
     assert json.loads(res.stdout)["reports"]["b"]["count"] == 4
+
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+# Installs the benchmark's layer tracer, which binds genus2's
+# richelot_codomains and SuperspecialList.add by name, then runs one
+# enumeration; prints the exit code and the calls counted for both.
+_TRACED_ENUMERATION = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import layertrace
+from howecurves import cli
+tracer = layertrace.Tracer()
+tracer.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["enumerate", "--p", "13"])
+stats = tracer.snapshot()["stats"]
+names = ("genus2.richelot_codomains", "genus2.add")
+print(json.dumps([code] + [stats[name]["calls"] for name in names]))
+"""
+
+
+def test_benchmark_tracer_counts_the_closure_layers():
+    env = dict(os.environ, PYTHONPATH=os.path.join(_ROOT, "src"))
+    env.pop("HOWE_CACHE", None)
+    cmd = [sys.executable, "-c", _TRACED_ENUMERATION, os.path.join(_ROOT, "perfbench")]
+    res = subprocess.run(cmd, capture_output=True, text=True, timeout=300, env=env)
+    assert res.returncode == 0, res.stderr
+    code, richelot_calls, add_calls = json.loads(res.stdout)
+    assert code == EXIT_OK
+    assert richelot_calls > 0 and add_calls > 0

@@ -20,7 +20,6 @@ from howecurves import (
     INF,
     FieldCtx,
     MobiusMap,
-    QuarticModel,
     enumerate_supersingular_classes,
     supersingular_lambda_set,
 )
@@ -28,6 +27,7 @@ from howecurves import ellcurve
 from howecurves.arith import MAX_P, UniPoly, is_prime, poly_roots_in_fq
 from oracles import (
     EllipticCurve,
+    QuarticModel,
     class_j,
     cross_ratio,
     cubic_curve,

@@ -333,11 +333,11 @@ def _assert_isomorphic_matches_oracle(C, D):
 @pytest.mark.parametrize("p", [11, 13, 29, 53])
 def test_matcher_agrees_with_the_explicit_search(p, genus2_lists):
     L = genus2_lists(p)
-    for C, pairs in zip(L.curves, richelot_codomains(L.ctx, L.curves)):
+    for C, neighbours in zip(L.curves, richelot_codomains(L.ctx, [C.roots for C in L.curves])):
         assert [m.key() for m in automorphisms(C)] == sorted(
             m.key() for m in _oracle_matches(C, C))
-        neighbours = [D for _, D in pairs]
-        for D, key in zip(neighbours, igusa_key(C.ctx, [D.roots for D in neighbours])):
+        for roots, key in zip(neighbours, igusa_key(C.ctx, neighbours)):
+            D = Genus2Curve(C.ctx, roots)
             _assert_isomorphic_matches_oracle(C, D)
             _assert_isomorphic_matches_oracle(L.curves[L.keys.index(key)], D)
     rng = random.Random(p)
@@ -409,27 +409,36 @@ def test_splitting_delta_detects_degenerate_splittings():
 def test_richelot_codomains_over_small_lists(genus2_lists):
     for p in (11, 13):
         L = genus2_lists(p)
-        for C, neigh in zip(L.curves, richelot_codomains(L.ctx, L.curves)):
+        ctx = L.ctx
+        for C, neigh in zip(L.curves, richelot_codomains(ctx, [C.roots for C in L.curves])):
             assert 0 < len(neigh) <= 15
-            back = richelot_codomains(L.ctx, [D for _, D in neigh])
-            for (sp, D), pairs in zip(neigh, back):
-                assert splitting_delta(C.ctx, sp) != C.ctx.zero
-                assert len(set(D.roots)) == 6
-                assert is_superspecial(D)
-                # duality: some neighbour of D is isomorphic to C
-                assert any(isomorphic(E, C) is not None for _, E in pairs)
+            # the splitting behind each neighbour, from the scalar oracle
+            splittings = [sp for sp, _ in richelot_codomains_scalar(C)]
+            assert len(splittings) == len(neigh)
+            back = richelot_codomains(ctx, neigh)
+            for sp, roots, pairs in zip(splittings, neigh, back):
+                assert splitting_delta(ctx, sp) != ctx.zero
+                assert len(set(roots)) == 6 and list(roots) == sorted(roots)
+                assert is_superspecial(Genus2Curve(ctx, roots))
+                # duality: some neighbour of the neighbour is isomorphic to C
+                assert any(isomorphic(Genus2Curve(ctx, E), C) is not None for E in pairs)
+
+
+def _scalar_neighbours(C):
+    """The root sextuples of richelot_codomains_scalar's neighbours of C."""
+    return [D.roots for _, D in richelot_codomains_scalar(C)]
 
 
 def _scalar_or_error(C):
     try:
-        return richelot_codomains_scalar(C)
+        return _scalar_neighbours(C)
     except RationalityError as exc:
         return str(exc)
 
 
-def _batched_or_error(ctx, curves):
+def _batched_or_error(ctx, batch):
     try:
-        return richelot_codomains(ctx, curves)
+        return richelot_codomains(ctx, batch)
     except RationalityError as exc:
         return str(exc)
 
@@ -439,16 +448,18 @@ def test_batched_richelot_matches_the_scalar_oracle_at_every_class(p, genus2_lis
     # every class in one batch, and the classes one at a time; the INF
     # renormalization is reached at 23, 31, 47, 53, 59 and 61
     L = genus2_lists(p)
-    want = [richelot_codomains_scalar(C) for C in L.curves]
-    assert richelot_codomains(L.ctx, L.curves) == want
-    assert [richelot_codomains(L.ctx, [C])[0] for C in L.curves] == want
+    want = [_scalar_neighbours(C) for C in L.curves]
+    batch = [C.roots for C in L.curves]
+    assert richelot_codomains(L.ctx, batch) == want
+    assert [richelot_codomains(L.ctx, [roots])[0] for roots in batch] == want
 
 
 @pytest.mark.parametrize("p", [101, 199])
 def test_batched_richelot_matches_the_scalar_oracle_on_a_sample(p, genus2_lists):
     L = genus2_lists(p)
     sample = random.Random(p).sample(L.curves, 60)
-    assert richelot_codomains(L.ctx, sample) == [richelot_codomains_scalar(C) for C in sample]
+    assert richelot_codomains(L.ctx, [C.roots for C in sample]) == [
+        _scalar_neighbours(C) for C in sample]
 
 
 @st.composite
@@ -479,7 +490,8 @@ def _small_classes(p):
 def test_batched_richelot_matches_the_scalar_oracle_on_moved_classes(curves):
     ctx = curves[0].ctx
     curves = [C for C in curves if C.ctx == ctx]
-    assert richelot_codomains(ctx, curves) == [richelot_codomains_scalar(C) for C in curves]
+    assert richelot_codomains(ctx, [C.roots for C in curves]) == [
+        _scalar_neighbours(C) for C in curves]
 
 
 @st.composite
@@ -509,9 +521,10 @@ def test_batched_richelot_raises_where_the_scalar_oracle_raises(curves):
     curves = [C for C in curves if C.ctx == ctx]
     want = [_scalar_or_error(C) for C in curves]
     first_error = next((w for w in want if isinstance(w, str)), None)
-    assert _batched_or_error(ctx, curves) == (want if first_error is None else first_error)
+    assert _batched_or_error(ctx, [C.roots for C in curves]) == (
+        want if first_error is None else first_error)
     for C, w in zip(curves, want):
-        assert _batched_or_error(ctx, [C]) == (w if isinstance(w, str) else [w])
+        assert _batched_or_error(ctx, [C.roots]) == (w if isinstance(w, str) else [w])
 
 
 _RootTuple = collections.namedtuple("_RootTuple", "ctx roots")
@@ -529,7 +542,7 @@ def test_batched_richelot_raises_alike_on_repeated_roots(p):
     for _ in range(600):
         C = _RootTuple(ctx, tuple(sorted(rng.choice(pool) for _ in range(6))))
         want = _scalar_or_error(C)
-        assert _batched_or_error(ctx, [C]) == (want if isinstance(want, str) else [want])
+        assert _batched_or_error(ctx, [C.roots]) == (want if isinstance(want, str) else [want])
         outcomes.add(want if isinstance(want, str) else "ok")
     assert outcomes == {"ok", "correspondence produced a singular model",
                         "rationality invariant violated: non-square discriminant"}
@@ -570,6 +583,28 @@ def test_closure_expands_blocks_of_classes_in_order(monkeypatch):
     assert single.keys == blocked.keys
 
 
+
+def test_closure_builds_one_curve_per_seed_and_class(monkeypatch):
+    # the Richelot neighbours travel as root sextuples: a Genus2Curve is
+    # built for each glued seed and each new class, and for nothing else
+    ctx = FieldCtx(53)
+    built = []
+    real = genus2.Genus2Curve
+
+    def spy(ctx, roots):
+        built.append(roots)
+        return real(ctx, roots)
+
+    monkeypatch.setattr(genus2, "Genus2Curve", spy)
+    seeds = sum(map(len, genus2._glue_seeds(ctx, enumerate_supersingular_classes(ctx))))
+    assert len(built) == seeds == 83
+    built.clear()
+    L = superspecial_genus2_list(ctx)
+    assert len(built) == seeds + len(L) == 83 + 78
+    built.clear()
+    assert sum(map(len, richelot_codomains(ctx, [C.roots for C in L.curves]))) > 0
+    assert built == []
+
 def test_glue_produces_superspecial_curves_with_split_jacobian():
     ctx = FieldCtx(11)
     classes = enumerate_supersingular_classes(ctx)
@@ -597,7 +632,7 @@ def test_glue_seeds_come_one_batch_per_pair_in_order(monkeypatch):
              for C in [glue_elliptic_pair(ctx, triples[i], tuple(triples[j][k] for k in perm))]
              if C is not None]
             for i, j in itertools.combinations_with_replacement(range(len(triples)), 2)]
-    got = [[C.roots for C in batch] for batch in genus2._glue_seeds(ctx, triples)]
+    got = list(genus2._glue_seeds(ctx, triples))
     assert got == want
     # an existence search that stops at its first witness takes the seeds
     # of one pair of classes, of 34 * 35 / 2
@@ -637,11 +672,12 @@ def test_superspecial_list_small_primes(genus2_lists):
 
 
 def _closure_candidates(L):
-    """Every model the closure keys: its glued seeds and each class's neighbours."""
+    """The root sextuples the closure keys: its glued seeds and each class's neighbours."""
     ctx = L.ctx
-    seeds = [C for batch in genus2._glue_seeds(ctx, enumerate_supersingular_classes(ctx))
-             for C in batch]
-    return seeds + [D for pairs in richelot_codomains(ctx, L.curves) for _, D in pairs]
+    seeds = [roots for batch in genus2._glue_seeds(ctx, enumerate_supersingular_classes(ctx))
+             for roots in batch]
+    return seeds + [D for neighbours in richelot_codomains(ctx, [C.roots for C in L.curves])
+                    for D in neighbours]
 
 
 _PRIMES_TO_61 = [q for q in range(7, 62) if is_prime(q)]
@@ -656,16 +692,16 @@ def test_key_names_an_isomorphic_class_for_every_candidate(p, genus2_lists):
     index = {key: idx for idx, key in enumerate(L.keys)}
     assert len(index) == len(L)
     candidates = _closure_candidates(L)
-    for D, key in zip(candidates, igusa_key(ctx, [D.roots for D in candidates])):
+    for roots, key in zip(candidates, igusa_key(ctx, candidates)):
         C = L.curves[index[key]]
-        assert isomorphic(C, D) is not None
+        assert isomorphic(C, Genus2Curve(ctx, roots)) is not None
 
 
 @pytest.mark.parametrize("p", _PRIMES_TO_61)
 def test_array_key_matches_the_scalar_oracle_for_every_candidate(p, genus2_lists):
     L = genus2_lists(p)
     ctx = L.ctx
-    batch = [D.roots for D in _closure_candidates(L)]
+    batch = _closure_candidates(L)
     keys = igusa_key(ctx, batch)
     assert keys == [igusa_key_scalar(ctx, roots) for roots in batch]
     assert all(type(v) is int for key in keys for part in key[1:] for v in part)
@@ -673,7 +709,7 @@ def test_array_key_matches_the_scalar_oracle_for_every_candidate(p, genus2_lists
 
 def test_batches_longer_than_one_block_key_like_single_rows(genus2_lists, monkeypatch):
     L = genus2_lists(61)
-    batch = [D.roots for D in _closure_candidates(L)][: 2 * ROW_BLOCK + 1]
+    batch = _closure_candidates(L)[: 2 * ROW_BLOCK + 1]
     assert len(batch) == 2 * ROW_BLOCK + 1
     singles = [_key(L.ctx, roots) for roots in batch]
     sizes = []
@@ -702,8 +738,8 @@ def test_key_temporaries_stay_below_4_kb_per_row(genus2_lists):
     # the block's temporaries bound how many rows one key pass may take;
     # the 100-row gather with 60 cross products held about 10 KB per row
     L = genus2_lists(199)
-    batch = [D.roots for pairs in richelot_codomains(L.ctx, L.curves[:ROW_BLOCK // 15 + 2])
-             for _, D in pairs][:ROW_BLOCK]
+    batch = [D for neighbours in richelot_codomains(
+        L.ctx, [C.roots for C in L.curves[:ROW_BLOCK // 15 + 2]]) for D in neighbours][:ROW_BLOCK]
     assert len(batch) == ROW_BLOCK
     igusa_key(L.ctx, batch)  # the field's tables, built once
     tracemalloc.start()
@@ -860,7 +896,7 @@ def test_load_rejects_tampered_records(tmp_path, genus2_lists):
 def _cache_lines(tmp_path, ctx, curves):
     """The lines save_list writes for pairwise non-isomorphic curves, keys recomputed."""
     L = SuperspecialList(ctx)
-    L.add(curves)
+    L.add([C.roots for C in curves])
     assert len(L) == len(curves)
     path = tmp_path / "lines.cache"
     save_list(L, str(path))

@@ -25,7 +25,6 @@ from howecurves import (
     Genus2Curve,
     HoweData,
     MobiusMap,
-    QuarticModel,
     UniPoly,
     enumerate_b,
     find_one,
@@ -44,12 +43,14 @@ from howecurves.arith import cross_ratio_map
 from howecurves.howe import quartic_lambdas
 from howecurves.strategies import _curve_splits
 from oracles import (
+    QuarticModel,
     automorphisms,
     howe_from_cubics,
     howe_key_scalar,
     is_superspecial_howe_scalar,
     lambda_of_quartic,
     quartic_is_supersingular,
+    quartics,
 )
 
 
@@ -107,7 +108,7 @@ def test_howe_data_validation():
     with pytest.raises(ValueError, match="collides"):
         HoweData(C, split, ctx.elem(3))
     H = HoweData(C, split, ctx.elem(7))
-    q1, q2 = H.quartics()
+    q1, q2 = quartics(H)
     assert q1.roots == split[0] and q2.roots == split[1]
     assert q1.b == ctx.elem(7)
 
@@ -129,7 +130,7 @@ def test_superspeciality_with_finite_b_matches_direct_checks():
         if b is not INF and b in C.roots:
             continue
         H = HoweData(C, H0.split, b)
-        q1, q2 = H.quartics()
+        q1, q2 = quartics(H)
         direct = (
             quartic_is_supersingular(q1)
             and quartic_is_supersingular(q2)
@@ -292,7 +293,7 @@ def test_quartic_lambdas_match_the_cross_ratio_oracle(genus2_lists):
         reps = enumerate_b(ctx, genus2=genus2_lists(p)).representatives
         reps += [HoweData(H.curve, H.split, INF) for H in reps[:5]]
         assert any(H.b is INF for H in reps)
-        want = [tuple(lambda_of_quartic(Q) for Q in H.quartics()) for H in reps]
+        want = [tuple(lambda_of_quartic(Q) for Q in quartics(H)) for H in reps]
         assert quartic_lambdas(ctx, reps) == want, p
     assert quartic_lambdas(FieldCtx(11), []) == []
 

@@ -23,7 +23,6 @@ from howecurves import (
     FieldCtx,
     Genus2Curve,
     HoweData,
-    QuarticModel,
     UniPoly,
     enumerate_a,
     enumerate_b,
@@ -50,6 +49,7 @@ from howecurves.strategies import (
     _verify_representatives,
 )
 from oracles import (
+    QuarticModel,
     automorphisms,
     b_values_scalar,
     cm_entry_polynomials,
@@ -59,6 +59,7 @@ from oracles import (
     howe_type_points_scalar,
     lambda_of_quartic,
     quartic_is_supersingular,
+    quartics,
 )
 
 
@@ -543,9 +544,9 @@ def test_verification_checks_each_genus2_curve_once(monkeypatch):
 def test_verification_runs_one_hasse_test_per_lambda(monkeypatch, genus2_lists):
     ctx = FieldCtx(53)
     reps = enumerate_b(ctx, genus2=genus2_lists(53)).representatives
-    quartics = [Q for H in reps for Q in H.quartics()]
-    lams = {lambda_of_quartic(Q) for Q in quartics}
-    assert len(quartics) == 334 and len(lams) == 26
+    covers = [Q for H in reps for Q in quartics(H)]
+    lams = {lambda_of_quartic(Q) for Q in covers}
+    assert len(covers) == 334 and len(lams) == 26
     calls = []
     real = strategies.deuring_vanishes
 
@@ -558,7 +559,7 @@ def test_verification_runs_one_hasse_test_per_lambda(monkeypatch, genus2_lists):
     _verify_representatives(ctx, reps)
     assert len(calls) == 1
     assert len(calls[0]) == len(lams) and set(calls[0]) == lams
-    assert calls[0] == list(dict.fromkeys(lambda_of_quartic(Q) for Q in quartics))
+    assert calls[0] == list(dict.fromkeys(lambda_of_quartic(Q) for Q in covers))
 
     # a representative whose lambda is not supersingular, after good ones,
     # is the first failure reported, with the same message as before
