@@ -35,12 +35,12 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # the key's sums stay below 10 p: each S_k of I6 adds six reduced pairings
 # (< 6 p) and is reduced before its product; I4 and I6 add ten products each.
 # Strategy a's evaluation search (strategies.howe_type_points) builds its
-# power table and scale rows by _mul_stacked, and its values by matmul_fq:
-# each of the four integer matrix products there, in T V and in S (T V),
-# sums at most 3m + 1 <= 3p/2 products below p^2, so each stays below
-# 1.5 p^3 < 2^46 and the second component's sum of two below 2^47; the
-# first component's x1 y1 is reduced mod p before it is multiplied by r.
-# The values at the zeros of entry 0 sum as many reduced products below p.
+# power table and scale rows by _mul_stacked, and its values by matmul_fq,
+# whose four real products, in T V and in S (T V), run in float64: each sums
+# at most 3m + 1 <= 3p/2 integer products below p^2, so every partial sum, in
+# any order and with FMA, is an integer below 1.5 p^3 < 2^53, and exact.  Back
+# in int64, x1 y1 is reduced mod p before r multiplies it.  The values at the
+# zeros of entry 0 sum as many reduced products below p.
 # The Horner pass of the Deuring polynomial (ellcurve.deuring_vanishes)
 # multiplies an accumulator in [0, p) by a lambda in [0, p) and adds a
 # coefficient below p, reducing after every step, so no intermediate
@@ -416,9 +416,6 @@ class UniPoly:
             return self
         return self.scale(self.ctx.inv(lead))
 
-    def truncate(self, degcap: int) -> "UniPoly":
-        return UniPoly(self.ctx, self.c0[: degcap + 1], self.c1[: degcap + 1])
-
     def __divmod__(self, other: "UniPoly") -> tuple:
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
@@ -689,11 +686,14 @@ def _mul_stacked(ctx: FieldCtx, x, y):
 
 
 def matmul_fq(ctx: FieldCtx, x, y):
-    """F_{p^2} matrix product of a (k, n, 2) and an (n, l, 2) array."""
+    """F_{p^2} product of (k, n, 2) and (n, l, 2) arrays with entries in [0, p).
+
+    Runs as four float64 BLAS products, exact while n p^2 < 2^53 (see MAX_P).
+    """
     p = ctx.p
-    x0, x1 = x[..., 0], x[..., 1]
-    y0, y1 = y[..., 0], y[..., 1]
-    return np.stack([(x0 @ y0 + ctx.r * (x1 @ y1 % p)) % p, (x0 @ y1 + x1 @ y0) % p], axis=-1)
+    x0, x1, y0, y1 = (a[..., i].astype(np.float64) for a in (x, y) for i in (0, 1))
+    a, b, c, d = ((u @ v).astype(np.int64) for u, v in ((x0, y0), (x1, y1), (x0, y1), (x1, y0)))
+    return np.stack([(a + ctx.r * (b % p)) % p, (c + d) % p], axis=-1)
 
 
 def _inv_stacked(ctx: FieldCtx, x):

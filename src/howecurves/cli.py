@@ -404,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pmin", type=int, default=None)
     sp.add_argument("--pmax", type=int, default=None)
     _add_common(sp)
-    sp.set_defaults(func=cmd_exists)
+    sp.set_defaults(func=cmd_exists, parser=sp)
 
     sp = sub.add_parser("cache", help="materialize the genus-2 list cache")
     sp.add_argument("--p", type=int, required=True, help="the characteristic")
@@ -421,9 +421,9 @@ def main(argv=None) -> int:
         parser.error("--workers must be at least 1")
     if args.command == "exists":
         if args.p is None and (args.pmin is None or args.pmax is None):
-            parser.error("exists needs --p or both --pmin and --pmax")
+            args.parser.error("exists needs --p or both --pmin and --pmax")
         if args.p is not None and (args.pmin is not None or args.pmax is not None):
-            parser.error("exists takes --p or --pmin and --pmax, not both")
+            args.parser.error("exists takes --p or --pmin and --pmax, not both")
     try:
         return args.func(args)
     except UsageError as exc:

@@ -10,7 +10,7 @@ import pickle
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from howecurves import (
@@ -356,7 +356,7 @@ def test_powmod_truncated_matches_repeated_multiplication():
         full = UniPoly.from_coeffs(ctx, [ctx.one])
         for _ in range(e):
             full = full * f
-        assert f.pow_truncated(e, cap) == full.truncate(cap)
+        assert f.pow_truncated(e, cap) == UniPoly(ctx, full.c0[: cap + 1], full.c1[: cap + 1])
 
 
 def test_powmod_truncated_edge_cases_and_a_larger_prime():
@@ -377,7 +377,7 @@ def test_powmod_truncated_edge_cases_and_a_larger_prime():
         full = UniPoly.from_coeffs(ctx, [ctx.one])
         for _ in range(e):
             full = full * f
-        assert f.pow_truncated(e, cap) == full.truncate(cap)
+        assert f.pow_truncated(e, cap) == UniPoly(ctx, full.c0[: cap + 1], full.c1[: cap + 1])
 
 
 def _pow_mod_by_division(f, e, m):
@@ -658,6 +658,33 @@ def test_matmul_fq_at_the_largest_prime():
             b0, b1 = y[0, j].tolist()
             want = (n * (a0 * b0 + ctx.r * a1 * b1) % p, n * (a0 * b1 + a1 * b0) % p)
             assert tuple(got[i, j].tolist()) == want
+
+
+_PRIMES_UP_TO_MAX_P = [q for q in range(5, MAX_P + 1) if is_prime(q)]
+
+
+# 5 x 44983 x 5 at the largest prime: strategy a's longest inner product,
+# above the 10^6 multiply-adds where OpenBLAS splits a product over threads
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_PRIMES_UP_TO_MAX_P), st.integers(1, 6), st.integers(1, 45000),
+       st.integers(1, 6), st.booleans(), st.integers(0, 2 ** 32 - 1))
+@example(29989, 5, 44983, 5, True, 0)
+@example(29989, 5, 44983, 5, False, 1)
+def test_matmul_fq_matches_python_ints(p, k, n, l, top, seed):
+    # n is capped at strategy a's 3m + 1 terms; top sets about nine entries
+    # in ten to p - 1, where the partial sums are largest
+    ctx = _field(p)
+    n = min(n, 3 * ((p - 1) // 2) + 1)
+    rng = np.random.default_rng(seed)
+    x, y = rng.integers(0, p, (k, n, 2)), rng.integers(0, p, (n, l, 2))
+    if top:
+        x[rng.random(x.shape) < 0.9] = p - 1
+        y[rng.random(y.shape) < 0.9] = p - 1
+    x0, x1, y0, y1 = (a[..., i].astype(object) for a in (x, y) for i in (0, 1))
+    want = [(x0 @ y0 + ctx.r * (x1 @ y1)) % p, (x0 @ y1 + x1 @ y0) % p]
+    got = matmul_fq(ctx, x, y)
+    assert got.dtype == np.int64
+    assert got[..., 0].tolist() == want[0].tolist() and got[..., 1].tolist() == want[1].tolist()
 
 
 @functools.lru_cache(maxsize=None)

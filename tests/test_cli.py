@@ -272,7 +272,7 @@ def test_exists_argument_combinations(capsys):
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" not in err
         assert [line for line in err.splitlines() if "error" in line] == [
-            "howecurves: error: exists takes --p or --pmin and --pmax, not both"]
+            "howecurves exists: error: exists takes --p or --pmin and --pmax, not both"]
 
 
 def test_workers_must_be_positive(capsys):

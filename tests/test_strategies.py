@@ -433,6 +433,13 @@ def test_worker_pools_match_serial():
     assert sb == pb
 
 
+def test_strategy_a_worker_pool_matches_serial_at_29():
+    # the table products at p = 29 (43 x 43 x 841) run BLAS threads inside
+    # the forked pool workers
+    serial = enumerate_a(FieldCtx(29)).to_jsonable()
+    assert enumerate_a(FieldCtx(29), workers=2).to_jsonable() == serial
+
+
 def test_worker_pool_maps_the_same_blocks(genus2_lists):
     # seven blocks of curves at p = 53 over at most pool_size(2, 7) = 2
     # processes give the serial report
