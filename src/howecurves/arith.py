@@ -691,7 +691,7 @@ def matmul_fq(ctx: FieldCtx, x, y):
     Runs as four float64 BLAS products, exact while n p^2 < 2^53 (see MAX_P).
     """
     p = ctx.p
-    x0, x1, y0, y1 = (a[..., i].astype(np.float64) for a in (x, y) for i in (0, 1))
+    x0, x1, y0, y1 = (z[..., i].astype(np.float64) for z in (x, y) for i in (0, 1))
     a, b, c, d = ((u @ v).astype(np.int64) for u, v in ((x0, y0), (x1, y1), (x0, y1), (x1, y0)))
     return np.stack([(a + ctx.r * (b % p)) % p, (c + d) % p], axis=-1)
 
