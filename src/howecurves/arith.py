@@ -116,7 +116,7 @@ def is_prime(n: int) -> bool:
 class FieldCtx:
     """Carrier for a prime p > 3 and the extension F_{p^2} = F_p(t), t^2 = r."""
 
-    __slots__ = ("p", "r", "zero", "one", "_nonsquare", "_inv_table", "_sqrt_table")
+    __slots__ = ("p", "r", "zero", "one", "_cache")
 
     def __init__(self, p: int):
         if not is_prime(p) or p <= 3:
@@ -127,9 +127,7 @@ class FieldCtx:
         self.r = _least_nonresidue(p)
         self.zero = (0, 0)
         self.one = (1, 0)
-        self._nonsquare: Optional[FqElem] = None
-        self._inv_table: Optional[np.ndarray] = None
-        self._sqrt_table: Optional[np.ndarray] = None
+        self._cache: dict = {}
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FieldCtx) and other.p == self.p
@@ -187,31 +185,34 @@ class FieldCtx:
         n = self.norm(x)
         if n == 0:
             raise ZeroDivisionError("inverse of zero in F_{p^2}")
-        ninv = pow(n, self.p - 2, self.p)
+        ninv = self.inv_table().item(n)
         return (x[0] * ninv % self.p, -x[1] * ninv % self.p)
 
     def div(self, x: FqElem, y: FqElem) -> FqElem:
         return self.mul(x, self.inv(y))
 
+    def cached(self, compute):
+        """compute(self), computed on first use and kept with this field.
+
+        The one home of per-prime data: the F_p tables here and the
+        supersingular lambda set and classes of ellcurve.  Values live as
+        long as the field; a new FieldCtx for the same p starts empty, and a
+        pickled field carries what it has computed, keyed by compute, which
+        must then be a module-level function.
+        """
+        try:
+            return self._cache[compute]
+        except KeyError:
+            value = self._cache[compute] = compute(self)
+            return value
+
     def inv_table(self) -> np.ndarray:
         """Inverses of 0, 1, ..., p-1 in F_p (0 for 0), built on first use."""
-        if self._inv_table is None:
-            p = self.p
-            t = [0, 1] + [0] * (p - 2)
-            for i in range(2, p):
-                t[i] = -(p // i) * t[p % i] % p
-            self._inv_table = np.array(t, dtype=np.int64)
-        return self._inv_table
+        return self.cached(_inv_table)
 
     def sqrt_table(self) -> np.ndarray:
         """A square root of each of 0, 1, ..., p-1 in F_p, -1 for the non-residues."""
-        if self._sqrt_table is None:
-            p = self.p
-            t = np.full(p, -1, dtype=np.int64)
-            roots = np.arange(p, dtype=np.int64)
-            t[roots * roots % p] = roots
-            self._sqrt_table = t
-        return self._sqrt_table
+        return self.cached(_sqrt_table)
 
     def pow(self, x: FqElem, e: int) -> FqElem:
         if e < 0:
@@ -243,7 +244,7 @@ class FieldCtx:
         if c1 == 0:
             s = root_of(c0)
             # a non-residue c0 has c0/r a residue, and a purely imaginary root
-            root = (s, 0) if s >= 0 else (0, root_of(c0 * pow(self.r, p - 2, p) % p))
+            root = (s, 0) if s >= 0 else (0, root_of(c0 * self.inv_table().item(self.r) % p))
         else:
             # (a + bt)^2 = a^2 + r b^2 + 2ab t: a^2 is a root of
             # z^2 - c0 z + r c1^2/4, the other root being r b^2 (a non-square)
@@ -255,17 +256,32 @@ class FieldCtx:
             if root_of(h) < 0:
                 h = (c0 - n) * half % p
             a = root_of(h)
-            root = (a, c1 * pow(2 * a, p - 2, p) % p)
+            root = (a, c1 * self.inv_table().item(2 * a % p) % p)
         return min(root, (-root[0] % p, -root[1] % p))
 
     def nonsquare(self) -> FqElem:
         """First non-square of F_{p^2} in canonical order (cached)."""
-        if self._nonsquare is None:
-            for x in self.elements():
-                if x != self.zero and not self.is_square(x):
-                    self._nonsquare = x
-                    break
-        return self._nonsquare
+        return self.cached(_first_nonsquare)
+
+
+def _inv_table(ctx: FieldCtx) -> np.ndarray:
+    p = ctx.p
+    t = [0, 1] + [0] * (p - 2)
+    for i in range(2, p):
+        t[i] = -(p // i) * t[p % i] % p
+    return np.array(t, dtype=np.int64)
+
+
+def _sqrt_table(ctx: FieldCtx) -> np.ndarray:
+    p = ctx.p
+    t = np.full(p, -1, dtype=np.int64)
+    roots = np.arange(p, dtype=np.int64)
+    t[roots * roots % p] = roots
+    return t
+
+
+def _first_nonsquare(ctx: FieldCtx) -> FqElem:
+    return next(x for x in ctx.elements() if x != ctx.zero and not ctx.is_square(x))
 
 
 def _least_nonresidue(p: int) -> int:

@@ -280,8 +280,13 @@ def cmd_table(args) -> int:
 
 
 def _exists_task(task: tuple) -> tuple:
-    """One prime's existence check, a pool_map task; returns plain data."""
-    ctx, verify = task
+    """One prime's existence check, a pool_map task; returns plain data.
+
+    The task builds its own field, so the field and its tables are freed
+    when the task returns, not kept until the sweep ends.
+    """
+    q, verify = task
+    ctx = FieldCtx(q)
     H = find_one(ctx)
     if H is None:
         return (ctx.p, ctx.r, None, True)
@@ -293,7 +298,7 @@ def cmd_exists(args) -> int:
     primes = _checked_primes("exists", [args.p] if args.p is not None
                              else _primes_in("exists", args.pmin, args.pmax), 5)
 
-    results = pool_map(_exists_task, [(FieldCtx(q), args.verify) for q in primes], args.workers)
+    results = pool_map(_exists_task, [(q, args.verify) for q in primes], args.workers)
 
     missing = [q for q, _, wit, _ in results if wit is None]
     failed = [q for q, _, wit, ok in results if wit is not None and not ok]

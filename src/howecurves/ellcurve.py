@@ -26,13 +26,13 @@ class SupersingularLambdaSet:
     """The supersingular lambda-invariants of characteristic p, as a set.
 
     codes holds c0 * p + c1 for each value, an int64 array in the order of
-    values (both sort ascending), for array membership tests.
+    values (both sort ascending), for array membership tests.  The set keeps
+    no reference to its field, so a field and its cache form no cycle.
     """
 
-    __slots__ = ("ctx", "values", "codes", "_set")
+    __slots__ = ("values", "codes", "_set")
 
     def __init__(self, ctx: FieldCtx, values: list):
-        self.ctx = ctx
         self.values = tuple(sorted(values))
         self.codes = np.array([c0 * ctx.p + c1 for c0, c1 in self.values], dtype=np.int64)
         self._set = frozenset(values)
@@ -47,32 +47,13 @@ class SupersingularLambdaSet:
         return iter(self.values)
 
 
-# Recently computed lambda sets and supersingular classes by p.  find_one,
-# both strategies, their pool workers and the closure's elliptic seeds all
-# need them for the same p; the entries are immutable.
-_LAMBDA_SETS: dict = {}
-_CLASSES: dict = {}
-_KEPT = 4
-
-
-def _memo(table: dict, ctx: FieldCtx, compute):
-    """table[p], computed on first use and kept for the last few primes."""
-    value = table.get(ctx.p)
-    if value is None:
-        value = compute(ctx)
-        if len(table) >= _KEPT:
-            del table[next(iter(table))]
-        table[ctx.p] = value
-    return value
-
-
 def supersingular_lambda_set(ctx: FieldCtx) -> SupersingularLambdaSet:
     """All lambda with y^2 = x(x-1)(x-lambda) supersingular; always (p-1)/2 values.
 
     These are the roots of the Deuring polynomial (see _compute_lambda_set).
-    Computed once per p and kept for the last few primes asked for.
+    Computed on first use and kept with the field (FieldCtx.cached).
     """
-    return _memo(_LAMBDA_SETS, ctx, _compute_lambda_set)
+    return ctx.cached(_compute_lambda_set)
 
 
 def _compute_lambda_set(ctx: FieldCtx) -> SupersingularLambdaSet:
@@ -169,10 +150,11 @@ def deuring_vanishes(ctx: FieldCtx, lams: list) -> np.ndarray:
     x1 = np.array([lam[1] for lam in lams], dtype=np.int64)
     v0 = np.zeros_like(x0)
     v1 = np.zeros_like(x1)
+    inv = ctx.inv_table().tolist()
     c = 1  # binom(m, k) mod p
     for k in range(m + 1):
         v0, v1 = (v0 * x0 + r * v1 * x1 + c * c % p) % p, (v0 * x1 + v1 * x0) % p
-        c = c * (m - k) % p * pow(k + 1, p - 2, p) % p
+        c = c * (m - k) % p * inv[k + 1] % p
     return (v0 == 0) & (v1 == 0)
 
 
@@ -193,9 +175,9 @@ def enumerate_supersingular_classes(ctx: FieldCtx) -> tuple:
     triple holds the roots of the class's cubic x^3 + Ax + B, the Legendre
     curve y^2 = x(x-1)(x-lambda) moved by its mean root (_legendre_roots),
     so it is read off lambda with no root finding.  Computed, with its
-    Hasse re-check, once per p and kept like the lambda set.
+    Hasse re-check, on first use and kept with the field like the lambda set.
     """
-    return _memo(_CLASSES, ctx, _compute_classes)
+    return ctx.cached(_compute_classes)
 
 
 def _compute_classes(ctx: FieldCtx) -> tuple:

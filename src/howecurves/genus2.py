@@ -160,14 +160,14 @@ def cartier_manin_rows(ctx: FieldCtx, batch: Sequence[tuple]) -> np.ndarray:
     w0 = np.zeros((6, 2 * n), dtype=np.int64)
     w1 = np.zeros_like(w0)
     w0[-1], w1[-1] = _pow_arrays(ctx, F0[0], F1[0], m)
-    steps = np.arange(6, 0, -1)
+    # row k - 1 holds (m i - k + i) / k for i = 6..1, entries below p
+    ks = np.arange(1, p)[:, None]
+    weights = ((m + 1) * np.arange(6, 0, -1) - ks) % p * ctx.inv_table()[ks] % p
     kept = {}
     for k in range(1, p):
-        # (m i - k + i) / k for i = 6..1; each product is reduced before
-        # it is weighted
-        weights = ((m + 1) * steps - k) * pow(k, p - 2, p) % p
-        s0 = weights @ ((h0 * w0 + r * (h1 * w1)) % p) % p
-        s1 = weights @ ((h0 * w1 + h1 * w0) % p) % p
+        # each product is reduced before it is weighted
+        s0 = weights[k - 1] @ ((h0 * w0 + r * (h1 * w1)) % p) % p
+        s1 = weights[k - 1] @ ((h0 * w1 + h1 * w0) % p) % p
         w0[:-1], w1[:-1] = w0[1:], w1[1:]
         w0[-1], w1[-1] = s0, s1
         if k in (m - 1, m, p - 2, p - 1):

@@ -179,4 +179,4 @@ def special_family(ctx: FieldCtx, a: FqElem) -> HoweData:
     c = ctx.pow(a, (2 * p - 1) // 3)
     r1 = tuple(ctx.neg(u) for u in units)
     r2 = tuple(ctx.neg(ctx.mul(c, u)) for u in units)
-    return HoweData(Genus2Curve(ctx, r1 + r2), normalize_split(r1, r2), INF)
+    return HoweData(Genus2Curve(ctx, r1 + r2), (r1, r2), INF)

@@ -64,7 +64,6 @@ from .howe import (
     HoweData,
     howe_isomorphic,
     howe_key,
-    normalize_split,
     quartic_lambdas,
     special_family,
 )
@@ -130,28 +129,6 @@ def _ratio(p: int, count: int) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _binomials_mod_p(p: int):
-    """C(s, t) mod p for 0 <= t <= s < 2p, as a closure over factorial tables."""
-    fact = [1] * p
-    for i in range(1, p):
-        fact[i] = fact[i - 1] * i % p
-    inv_fact = [1] * p
-    inv_fact[p - 1] = pow(fact[p - 1], p - 2, p)
-    for i in range(p - 1, 0, -1):
-        inv_fact[i - 1] = inv_fact[i] * i % p
-
-    def binom(s: int, t: int) -> int:
-        if t < 0 or t > s:
-            return 0
-        s1, s0 = divmod(s, p)
-        t1, t0 = divmod(t, p)
-        if t1 > s1 or t0 > s0:  # Lucas: a borrow in base p kills the binomial
-            return 0
-        return fact[s0] * inv_fact[t0] % p * inv_fact[s0 - t0] % p
-
-    return binom
-
-
 def _cubic_power(ctx: FieldCtx, roots: tuple):
     """Coefficients of g^m, m = (p-1)/2, as a (3m+1, 2) array.
 
@@ -171,21 +148,21 @@ def _shifted_power_rows(ctx: FieldCtx, roots: tuple):
     Row j of the (3m+1, 3m+1, 2) result holds the x^j coefficient of
     g(x-lam)^m as a polynomial in lam, zero-padded to degree 3m:
     sum_k c_{j+k} * C(j+k, j) * (-1)^k * lam^k, with c the coefficients of
-    g^m.
+    g^m.  As j + k <= 3m < 2p, Lucas's theorem makes C(j+k, j) the binomial
+    of the residues mod p, and zero where j mod p exceeds (j+k) mod p; the
+    factorials of the residues come from the inverse table.
     """
     p = ctx.p
     c = _cubic_power(ctx, roots)
     n = len(c)
-    binom = _binomials_mod_p(p)
-    rows = np.zeros((n, n, 2), dtype=np.int64)
-    for j in range(n):
-        length = n - j
-        signs = np.ones(length, dtype=np.int64)
-        signs[1::2] = p - 1
-        b = np.fromiter((binom(j + k, j) for k in range(length)), dtype=np.int64,
-                        count=length)
-        rows[j, :length] = c[j:] * (signs * b % p)[:, None] % p
-    return rows
+    fact = np.array(list(itertools.accumulate(range(1, p), lambda a, b: a * b % p, initial=1)))
+    inv_fact = np.array(list(itertools.accumulate(ctx.inv_table().tolist()[1:],
+                                                  lambda a, b: a * b % p, initial=1)))
+    j, k = np.ogrid[:n, :n]
+    s0, j0 = (j + k) % p, j % p
+    binom = fact[s0] * inv_fact[j0] % p * inv_fact[(s0 - j0) % p] % p
+    coef = np.where((j + k < n) & (j0 <= s0), binom * (1 - 2 * (k % 2)) % p, 0)
+    return c[np.minimum(j + k, n - 1)] * coef[..., None] % p
 
 
 class _PairEntries:
@@ -278,7 +255,7 @@ def _howe_from_pair_hit(ctx: FieldCtx, rho1: tuple, rho2: tuple,
     if set(w1) & set(w2):
         raise ArithmeticError("cubic halves share a root at a claimed hit")
     C = Genus2Curve(ctx, w1 + w2)
-    return HoweData(C, normalize_split(w1, w2), INF)
+    return HoweData(C, (w1, w2), INF)
 
 
 def enumerate_a(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
@@ -361,7 +338,10 @@ def supersingular_b_values(ctx: FieldCtx, lset: SupersingularLambdaSet,
 
 
 def _curve_splits(C: Genus2Curve) -> list:
-    """The 10 splits (T1, T2) of C's roots, T1 holding the first root."""
+    """The 10 splits (T1, T2) of C's roots, T1 holding the first root.
+
+    The roots are sorted, so each split is already in normalize_split's form.
+    """
     roots = C.roots
     return [((roots[0],) + pair, tuple(rt for rt in roots[1:] if rt not in pair))
             for pair in itertools.combinations(roots[1:], 2)]
@@ -388,7 +368,7 @@ def _fit_orbits(ctx: FieldCtx, lset: SupersingularLambdaSet,
         raw[i] += 1
         if (i, key) not in seen:
             seen.add((i, key))
-            reps[i].append((normalize_split(*split), b))
+            reps[i].append((split, b))
     return list(zip(raw, reps))
 
 
@@ -407,7 +387,8 @@ def enumerate_b(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
     L = genus2 if genus2 is not None else superspecial_genus2_list(ctx)
     step = ROW_BLOCK // 10
     blocks = [L.curves[start:start + step] for start in range(0, len(L), step)]
-    results = pool_map(_block_fits, [(ctx, block) for block in blocks], workers)
+    lset = supersingular_lambda_set(ctx)
+    results = pool_map(_block_fits, [(ctx, lset, block) for block in blocks], workers)
     raw = 0
     reps: List[HoweData] = []
     for block, orbits in zip(blocks, results):
@@ -438,7 +419,7 @@ def find_one(ctx: FieldCtx) -> Optional[HoweData]:
         splits = _curve_splits(C)
         for (T1, T2), bs in zip(splits, supersingular_b_values(ctx, lset, splits)):
             if bs:
-                return HoweData(C, normalize_split(T1, T2), bs[0])
+                return HoweData(C, (T1, T2), bs[0])
     return None
 
 
@@ -497,8 +478,7 @@ def _pair_hits(task: tuple) -> list:
 
 
 def _block_fits(task: tuple) -> list:
-    ctx, block = task
-    return _fit_orbits(ctx, supersingular_lambda_set(ctx), block)
+    return _fit_orbits(*task)
 
 
 def pool_size(workers: int, tasks: int) -> int:
@@ -516,8 +496,10 @@ def pool_map(fn, tasks: list, workers: int) -> list:
 
     Otherwise the tasks run in a pool of pool_size(workers, len(tasks))
     processes, in chunks of about an eighth of each process's share.  fn
-    and the tasks must pickle: each task carries its FieldCtx, and a worker
-    rebuilds anything else it needs from the per-p memos.
+    and the tasks must pickle, and each task carries all it needs: its
+    field, with whatever the field has cached, and any per-prime data the
+    parent computed once, or only the prime when each task builds its own
+    field.
     """
     if workers == 1:
         return [fn(task) for task in tasks]

@@ -1,6 +1,6 @@
 """End-to-end acceptance gate.
 
-Nine criteria, one test and one summary line each.  Every test computes its
+Ten criteria, one test and one summary line each.  Every test computes its
 own pass flag first, records it (so the terminal summary always carries a
 line, even on a crash), and only then asserts.  Time budgets are wall-clock
 on the machine running the suite.
@@ -36,7 +36,7 @@ from howecurves import (
     supersingular_b_values,
     supersingular_lambda_set,
 )
-from howecurves.cli import main
+from howecurves.cli import TABLE1, main
 from howecurves.ellcurve import enumerate_supersingular_classes
 from howecurves.genus2 import cartier_manin, iko_window
 from oracles import (
@@ -193,7 +193,7 @@ def test_criterion_7_genus2_count_window(criterion, genus2_lists):
         lo_c, hi_c = Fraction(-1, 16), Fraction(209, 180)
         rows = []
         bad = []
-        for p in _primes(11, 61) + [199]:
+        for p, _, _ in TABLE1:
             n = len(genus2_lists(p).curves)
             corr = Fraction(n) - Fraction((p - 1) * (p * p + 25 * p + 166), 2880)
             lo, hi = iko_window(p)
@@ -201,8 +201,8 @@ def test_criterion_7_genus2_count_window(criterion, genus2_lists):
             if not (lo_c <= corr <= hi_c) or not (lo <= n <= hi):
                 bad.append((p, n, float(corr)))
         ok = not bad
-        detail = "correction in [-1/16, 209/180] at every tested p; " \
-                 "|L| from %d (p=11) to %d (p=199)" % (rows[0][1], rows[-1][1])
+        detail = "correction in [-1/16, 209/180] at all %d published p; " \
+                 "|L| from %d (p=11) to %d (p=199)" % (len(rows), rows[0][1], rows[-1][1])
         if bad:
             detail = "window violated at %s" % bad
     finally:
@@ -405,4 +405,30 @@ def test_criterion_9_byte_identical_reruns(criterion):
             detail += "; differing commands: %s" % [i for i, v in enumerate(outputs) if not v]
     finally:
         criterion(9, "same seed gives byte-identical JSON", ok, detail)
+    assert ok, detail
+
+
+def test_criterion_10_every_published_row(criterion, genus2_lists):
+    # every row of the published table, 11 <= p <= 199, count and ratio as
+    # `table --verify` compares them, by strategy b with its re-check.  The
+    # genus-2 lists come from the session fixture (criterion 7 builds them
+    # first in a full run).  Measured at about 15 s given the lists, and 27 s
+    # building them too, on a 2-vCPU x86-64 host; the budget leaves room for
+    # a slower machine.
+    ok = False
+    detail = "did not complete"
+    try:
+        t0 = time.time()
+        off = []
+        for p, n, ratio in TABLE1:
+            rep = enumerate_b(FieldCtx(p), verify=True, genus2=genus2_lists(p))
+            if rep.count != n or abs(round(rep.ratio, 3) - ratio) > 5e-4:
+                off.append((p, rep.count, n))
+        elapsed = time.time() - t0
+        ok = not off and len(TABLE1) == 42 and elapsed < 300.0
+        detail = "%d rows, %.1fs (budget 300s)" % (len(TABLE1), elapsed)
+        if off:
+            detail += "; (p, computed, published) off at %s" % off
+    finally:
+        criterion(10, "every published row, 11 <= p <= 199, strategy b verified", ok, detail)
     assert ok, detail

@@ -527,6 +527,31 @@ def test_inverse_table_inverts_every_residue(p):
     assert np.all(table[1:] * np.arange(1, p) % p == 1)
 
 
+_BUILDS = []
+
+
+def _tripled(ctx):
+    # a module-level builder, so a field that has cached it still pickles
+    _BUILDS.append(ctx.p)
+    return 3 * ctx.p
+
+
+def test_field_cache_is_per_instance_and_survives_a_pickle():
+    # cached builds once per field; a second field for the same p starts
+    # empty, and a pickled field carries what it has built
+    _BUILDS.clear()
+    ctx = FieldCtx(13)
+    assert ctx.cached(_tripled) == 39 and ctx.cached(_tripled) == 39 and _BUILDS == [13]
+    assert FieldCtx(13).cached(_tripled) == 39 and _BUILDS == [13, 13]
+    inv, sqrt, nonsquare = ctx.inv_table(), ctx.sqrt_table(), ctx.nonsquare()
+    copy = pickle.loads(pickle.dumps(ctx))
+    assert copy == ctx and copy.r == ctx.r
+    assert copy.cached(_tripled) == 39 and _BUILDS == [13, 13]
+    assert np.array_equal(copy.inv_table(), inv) and np.array_equal(copy.sqrt_table(), sqrt)
+    assert copy.nonsquare() == nonsquare
+    assert copy.inv_table() is copy.inv_table()
+
+
 def test_array_arithmetic_at_the_largest_prime():
     # the array layer against ctx.mul / ctx.div, with every coordinate p - 1
     # among the points and the map coefficients, and with zero denominators

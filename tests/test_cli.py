@@ -12,6 +12,7 @@ import random
 import subprocess
 import sys
 import time
+import weakref
 
 import pytest
 
@@ -255,6 +256,33 @@ def test_exists_workers(capsys):
     assert code == EXIT_OK
     assert serial == pooled
     assert pooled.splitlines()[0] == "p,found"
+
+
+def test_exists_keeps_one_field_alive_at_a_time(capsys, monkeypatch):
+    # each exists task builds its own field, so with one worker a prime's
+    # field, and the tables and lambda set it caches, are freed before the
+    # next prime's search starts
+    fields = []
+
+    class Tracked(cli.FieldCtx):
+        __slots__ = ("__weakref__",)
+
+        def __init__(self, p):
+            super().__init__(p)
+            fields.append(weakref.ref(self))
+
+    alive = []
+    real = cli.find_one
+
+    def spy(ctx):
+        alive.append(sum(ref() is not None for ref in fields))
+        return real(ctx)
+
+    monkeypatch.setattr(cli, "FieldCtx", Tracked)
+    monkeypatch.setattr(cli, "find_one", spy)
+    code, _, _ = _run(capsys, ["exists", "--pmin", "8", "--pmax", "100", "--verify"])
+    assert code == EXIT_OK and len(fields) == len(alive) == 21
+    assert max(alive) == 1, alive
 
 
 def test_exists_argument_combinations(capsys):

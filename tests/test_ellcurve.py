@@ -105,11 +105,11 @@ def _deuring_roots(ctx):
 
 
 @pytest.mark.parametrize("p", [q for q in range(5, 212) if is_prime(q)] + [409, 997])
-def test_lambda_set_matches_the_generic_root_finder(monkeypatch, p):
-    # the 2-isogeny walk against the F_{p^2} root finder on the Deuring polynomial
+def test_lambda_set_matches_the_generic_root_finder(p):
+    # the 2-isogeny walk, on a fresh field, against the F_{p^2} root finder
+    # on the Deuring polynomial
     ctx = FieldCtx(p)
     want = _deuring_roots(ctx)
-    monkeypatch.setattr(ellcurve, "_LAMBDA_SETS", {})  # cold memo
     lset = supersingular_lambda_set(ctx)
     assert lset.values == tuple(want)
     assert lset.codes.tolist() == [c0 * p + c1 for c0, c1 in want]
@@ -323,37 +323,35 @@ def test_class_enumeration_matches_j_scan():
 
 def test_classes_are_computed_once_per_prime(monkeypatch):
     # the Hasse re-check (one Horner pass over the class lambdas) runs on the
-    # first call at a prime only, and the memo keeps as many primes as the
-    # lambda-set memo
+    # first call on a field only; a new field for the same prime starts cold
     ctx = FieldCtx(41)
     supersingular_lambda_set(ctx)  # the walk's seed check is not counted here
     calls = []
     real = ellcurve.deuring_vanishes
     monkeypatch.setattr(ellcurve, "deuring_vanishes",
                         lambda ctx, lams: calls.append(lams) or real(ctx, lams))
-    monkeypatch.setattr(ellcurve, "_CLASSES", {})  # cold memo
     first = enumerate_supersingular_classes(ctx)
     assert isinstance(first, tuple) and len(calls) == 1
     assert [ellcurve._legendre_roots(ctx, lam) for lam in calls[0]] == list(first)
     calls.clear()
-    assert enumerate_supersingular_classes(FieldCtx(41)) is first
+    assert enumerate_supersingular_classes(ctx) is first
     assert calls == []
-    later = [43, 47, 53, 59, 61, 67, 71, 73][:ellcurve._KEPT]
-    for q in later:
-        enumerate_supersingular_classes(FieldCtx(q))
-    assert sorted(ellcurve._CLASSES) == later
+    other = FieldCtx(41)
+    supersingular_lambda_set(other)
+    calls.clear()
+    again = enumerate_supersingular_classes(other)
+    assert again == first and again is not first and len(calls) == 1
 
 
 def test_class_recheck_rejects_an_ordinary_lambda(monkeypatch):
     # one ordinary lambda slipped into the set adds a class whose count still
     # fits the window at p = 13; the Horner re-check must refuse it
+    values = list(supersingular_lambda_set(FieldCtx(13)).values)
     ctx = FieldCtx(13)
-    values = list(supersingular_lambda_set(ctx).values)
     ordinary = ctx.elem(2)
     assert ordinary not in values
-    monkeypatch.setattr(ellcurve, "_LAMBDA_SETS",
-                        {13: ellcurve.SupersingularLambdaSet(ctx, values + [ordinary])})
-    monkeypatch.setattr(ellcurve, "_CLASSES", {})
+    monkeypatch.setattr(ellcurve, "_compute_lambda_set",
+                        lambda ctx: ellcurve.SupersingularLambdaSet(ctx, values + [ordinary]))
     with pytest.raises(ArithmeticError, match="fails the Hasse test"):
         enumerate_supersingular_classes(ctx)
 

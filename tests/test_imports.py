@@ -10,7 +10,9 @@ as a name, an attribute or an imported name; binding it again does not
 count as a use.  A public function or class defined at the top level of a
 package module must be read by some package module other than
 `__init__.py`, whose re-exports are not reads.  Only `strategies` reads
-`ProcessPoolExecutor`, so every worker pool is its `pool_map`.
+`ProcessPoolExecutor`, so every worker pool is its `pool_map`, and only
+`arith` calls the builtin `pow` with a modulus, so every other F_p inverse
+reads the field's inverse table.
 """
 
 import ast
@@ -163,3 +165,26 @@ def test_only_strategies_uses_the_process_pool():
     users = [p.name for p in sorted(PACKAGE.glob("*.py"))
              if "ProcessPoolExecutor" in _reads(ast.parse(p.read_text()))]
     assert users == ["strategies.py"]
+
+
+def modular_pow_calls(source: str) -> list:
+    """Lines of the calls of the builtin pow with three arguments."""
+    return sorted(n.lineno for n in ast.walk(ast.parse(source))
+                  if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                  and n.func.id == "pow" and len(n.args) + len(n.keywords) == 3)
+
+
+def test_checker_flags_a_modular_pow():
+    src = ("def f(ctx, x, p):\n"
+           "    a = pow(x, p - 2, p)\n"
+           "    b = pow(x, 2) + ctx.pow(x, 3)\n"
+           "    return pow(x, p - 2, mod=p)\n")
+    assert modular_pow_calls(src) == [2, 4]
+
+
+def test_only_arith_takes_modular_powers():
+    # Miller-Rabin and Euler's criterion stay in arith; every other F_p
+    # inverse reads FieldCtx.inv_table()
+    users = [p.name for p in sorted(PACKAGE.glob("*.py"))
+             if modular_pow_calls(p.read_text())]
+    assert users == ["arith.py"]

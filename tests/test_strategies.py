@@ -11,6 +11,7 @@ expansion it replaced, on blocks of curves of any length.
 """
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -206,6 +207,19 @@ def test_batched_entry_rows_match_the_scalar_oracle():
             mus = np.array([1, q - 1] + rng.sample(range(2, q - 1), 30))
             lams = np.array([0, q - 1] + rng.sample(range(1, q - 1), 60))
             _check_entry_values(ctx, rng.choice(classes), rng.choice(classes), mus, lams)
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 29])
+def test_shifted_power_rows_match_exact_binomials(p):
+    # row j, column k is c_(j+k) C(j+k, j) (-1)^k mod p, with the binomial
+    # taken exactly: the Lucas mask and the factorial tables must agree
+    ctx = FieldCtx(p)
+    roots = enumerate_supersingular_classes(ctx)[0]
+    c = strategies._cubic_power(ctx, roots).tolist()
+    n = len(c)
+    want = [[[(x * math.comb(j + k, j) * (-1) ** k) % p for x in c[j + k]] if j + k < n
+             else [0, 0] for k in range(n)] for j in range(n)]
+    assert strategies._shifted_power_rows(ctx, roots).tolist() == want
 
 
 def test_evaluation_search_rejects_vanishing_entries(monkeypatch):
@@ -482,13 +496,33 @@ def test_lambda_set_is_computed_once_per_prime(monkeypatch):
 
     monkeypatch.setattr(ellcurve, "_compute_lambda_set", counting)
     for run in (find_one, enumerate_b):
-        monkeypatch.setattr(ellcurve, "_LAMBDA_SETS", {})  # cold memo
         calls.clear()
-        assert run(FieldCtx(p)) is not None
+        ctx = FieldCtx(p)
+        assert run(ctx) is not None
         assert len(calls) == 1, run.__name__
-    lset = supersingular_lambda_set(FieldCtx(p))
-    assert lset is supersingular_lambda_set(FieldCtx(p)) and len(calls) == 1
+        assert run(ctx) is not None and len(calls) == 1, run.__name__
+    ctx = FieldCtx(p)
+    lset = supersingular_lambda_set(ctx)
+    assert lset is supersingular_lambda_set(ctx) and len(calls) == 2
     assert isinstance(lset.values, tuple)
+
+
+def test_fit_tasks_carry_the_parents_lambda_set(monkeypatch, genus2_lists):
+    # enumerate_b computes the lambda set once, here, and hands it to every
+    # block's task; the workers build none
+    tasks = []
+    real = strategies.pool_map
+
+    def spy(fn, batch, workers):
+        tasks.extend(batch)
+        return real(fn, batch, workers)
+
+    monkeypatch.setattr(strategies, "pool_map", spy)
+    ctx = FieldCtx(53)
+    enumerate_b(ctx, genus2=genus2_lists(53))
+    lset = supersingular_lambda_set(ctx)
+    assert len(tasks) == 7
+    assert all(task[0] is ctx and task[1] is lset for task in tasks)
 
 
 def test_match_representatives_edge_cases(monkeypatch):
