@@ -27,16 +27,13 @@ from .ellcurve import (
     supersingular_lambda_set,
 )
 from .genus2 import (
-    CartierManinEntries,
     Genus2Curve,
     RationalityError,
     SuperspecialList,
-    cartier_manin,
     closure_stream,
     glue_elliptic_pair,
     igusa_key,
     iko_window,
-    is_superspecial,
     load_list,
     richelot_codomains,
     save_list,
@@ -78,16 +75,13 @@ __all__ = [
     "SupersingularLambdaSet",
     "enumerate_supersingular_classes",
     "supersingular_lambda_set",
-    "CartierManinEntries",
     "Genus2Curve",
     "RationalityError",
     "SuperspecialList",
-    "cartier_manin",
     "closure_stream",
     "glue_elliptic_pair",
     "igusa_key",
     "iko_window",
-    "is_superspecial",
     "load_list",
     "richelot_codomains",
     "save_list",

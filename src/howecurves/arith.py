@@ -27,13 +27,14 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # real part m0 + r*m2 stays below (1 + r) p^2 len; both are below
 # 4p^2 len + r p^2 len < 2^63.  For p <= MAX_P the least non-residue r is at
 # most 29, so any len below 3 * 10^8 is exact, far beyond the longest operand
-# used (length 2p, in the Cartier-Manin powers).  The schoolbook division
-# accumulates at most (1 + r) p^2 per coefficient before reducing.  The
-# elementwise products of _mul_arrays, behind mobius_eval_array and the
-# batched Igusa key (genus2.igusa_key), take operands in [0, p) and reduce
-# each product before the next, so no intermediate exceeds (1 + r) p^2 < 2^35;
-# the key's sums stay below 10 p: each S_k of I6 adds six reduced pairings
-# (< 6 p) and is reduced before its product; I4 and I6 add ten products each.
+# used (length 3m + 1 < 3p/2, m = (p-1)/2, in strategy a's _cubic_power).  The
+# schoolbook division accumulates at most (1 + r) p^2 per coefficient before
+# reducing.  The elementwise products of _mul_arrays, behind mobius_eval_array
+# and the batched Igusa key (genus2.igusa_key), take operands in [0, p) and
+# reduce each product before the next, so no intermediate exceeds
+# (1 + r) p^2 < 2^35; the key's sums stay below 10 p: each S_k of I6 adds six
+# reduced pairings (< 6 p) and is reduced before its product; I4 and I6 add
+# ten products each.
 # Strategy a's evaluation search (strategies.howe_type_points) builds its
 # power table and scale rows by _mul_stacked, and its values by matmul_fq,
 # whose four real products, in T V and in S (T V), run in float64: each sums
@@ -44,11 +45,12 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # The Horner pass of the Deuring polynomial (ellcurve.deuring_vanishes)
 # multiplies an accumulator in [0, p) by a lambda in [0, p) and adds a
 # coefficient below p, reducing after every step, so no intermediate
-# exceeds (1 + r) p^2 + p < 2^35.  The batched Cartier-Manin recurrence
+# exceeds (1 + r) p^2 + p < 2^35.  The Cartier-Manin recurrence
 # (genus2.cartier_manin_rows) builds each sextic one root at a time and
-# multiplies f_i / f_0 by g_(k-i), all in [0, p), so every product stays
-# below (1 + r) p^2 until it is reduced; each step's weighted sum of six
-# reduced products, with weights below p, stays below 6 p^2 < 2^33.  The
+# multiplies f_i / f_0 by g_(k-i), all in [0, p), so every product of its
+# loop on arrays stays below (1 + r) p^2 until it is reduced; each step's
+# weighted sum of six reduced products, with weights below p, stays below
+# 6 p^2 < 2^33.  Its loop on Python ints, for one sextic, needs no bound.  The
 # array inverses and square roots (_inv_stacked, _sqrt_stacked) form norms
 # x0^2 - r (x1^2 mod p) < (1 + r) p^2 and index tables of length p; the
 # batched Richelot step (genus2.richelot_codomains) and Howe key

@@ -279,13 +279,12 @@ def cmd_table(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _exists_task(task: tuple) -> tuple:
+def _exists_task(q: int, verify: bool) -> tuple:
     """One prime's existence check, a pool_map task; returns plain data.
 
     The task builds its own field, so the field and its tables are freed
     when the task returns, not kept until the sweep ends.
     """
-    q, verify = task
     ctx = FieldCtx(q)
     H = find_one(ctx)
     if H is None:

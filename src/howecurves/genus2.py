@@ -3,8 +3,8 @@
 Curves are carried as the sorted 6-tuple of Weierstrass x-coordinates of a
 monic sextic model y^2 = prod (x - root); every construction in this package
 keeps those roots inside F_{p^2}.  The module provides the Cartier-Manin
-matrix entries (one curve at a time, or a whole batch by the recurrence
-f g' = m f' g), Kbar-isomorphism machinery (the canonical Igusa key, which
+matrix entries of a batch of curves by the recurrence f g' = m f' g,
+Kbar-isomorphism machinery (the canonical Igusa key, which
 identifies a class for p > 5, and mobius_matches, the one Mobius matcher
 behind howe.howe_isomorphic, which tests the 120 candidate maps on
 tabulated cross-ratios and builds only the maps that pass), the
@@ -25,7 +25,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from .arith import (
     FieldCtx,
     FqElem,
     MobiusMap,
-    UniPoly,
     _inv_stacked,
     _mul_arrays,
     _mul_stacked,
@@ -61,39 +60,6 @@ class Genus2Curve:
         if len(self.roots) != 6 or len(set(self.roots)) != 6:
             raise ValueError("need six distinct finite Weierstrass roots")
         object.__setattr__(self, "roots", tuple(sorted(self.roots)))
-
-    def sextic(self) -> UniPoly:
-        return UniPoly.from_roots(self.ctx, self.roots)
-
-
-class CartierManinEntries(NamedTuple):
-    a: FqElem
-    b: FqElem
-    c: FqElem
-    d: FqElem
-
-
-def cartier_manin(C: Genus2Curve) -> CartierManinEntries:
-    """Entries (up to p-th powers) of the Cartier-Manin matrix of C.
-
-    With g = f^((p-1)/2) for the sextic f, the matrix is built from the
-    coefficients of x^(p-1), x^(2p-1), x^(p-2), x^(2p-2) in g; the curve is
-    superspecial exactly when all four vanish, so the p-th powers that enter
-    the literal matrix are irrelevant here and never taken.  One truncated
-    power per curve: the test for a single curve, and the oracle of the
-    batched cartier_manin_rows.
-    """
-    ctx = C.ctx
-    p = ctx.p
-    g = C.sextic().pow_truncated((p - 1) // 2, 2 * p - 1)
-    return CartierManinEntries(
-        g.coeff(p - 1), g.coeff(2 * p - 1), g.coeff(p - 2), g.coeff(2 * p - 2)
-    )
-
-
-def is_superspecial(C: Genus2Curve) -> bool:
-    z = C.ctx.zero
-    return cartier_manin(C) == (z, z, z, z)
 
 
 def _sextic_planes(ctx: FieldCtx, r0, r1) -> tuple:
@@ -127,11 +93,13 @@ def _pow_arrays(ctx: FieldCtx, x0, x1, e: int) -> tuple:
 def cartier_manin_rows(ctx: FieldCtx, batch: Sequence[tuple]) -> np.ndarray:
     """The Cartier-Manin entries of every root sextuple of the batch at once.
 
-    Row i of the (len(batch), 4, 2) int64 result holds the entries (a, b, c,
-    d) of cartier_manin, as (c0, c1) pairs, for the curve with roots
-    batch[i]; the curve is superspecial exactly when its row is zero.
+    Row i of the (len(batch), 4, 2) int64 result holds, as (c0, c1) pairs,
+    the coefficients a, b, c, d of x^(p-1), x^(2p-1), x^(p-2), x^(2p-2) in
+    g = f^m, m = (p-1)/2, for the sextic f with roots batch[i]: the
+    Cartier-Manin matrix up to p-th powers, never taken, so the curve is
+    superspecial exactly when its row is zero.
 
-    g = f^m, m = (p-1)/2, satisfies f g' = m f' g, that is
+    g satisfies f g' = m f' g, that is
     k f_0 g_k = sum_(i=1..6) (m i - k + i) f_i g_(k-i) with g_0 = f_0^m
     (Bostan, Gaudry and Schost, SIAM J. Comput. 36, 2007); k < p is a unit
     up to k = p - 1, where the recurrence stops.  Run forward it reaches
@@ -139,10 +107,8 @@ def cartier_manin_rows(ctx: FieldCtx, batch: Sequence[tuple]) -> np.ndarray:
     and power x^(6m) g(1/x), so its coefficients p - 2 and p - 1 are those
     of x^(2p-1) and x^(2p-2) in g.  A root at 0 makes f_0 = 0; then f = x h
     with h(0) != 0, g = x^m h^m, and the forward entries are coefficients
-    m and m - 1 of h^m.  The forward and reversed rows of every curve take
-    each step k together, on (6, rows) planes of the last six g_j, so the
-    temporaries grow with the batch and not with p (the int64 bound is
-    argued at arith.MAX_P).
+    m and m - 1 of h^m.  One sextuple runs the steps k on Python ints, and
+    a larger batch on arrays.
     """
     p, r = ctx.p, ctx.r
     m = (p - 1) // 2
@@ -157,9 +123,24 @@ def cartier_manin_rows(ctx: FieldCtx, batch: Sequence[tuple]) -> np.ndarray:
     inv = ctx.inv_table()[(F0[0] * F0[0] - r * F1[0] * F1[0]) % p]
     # f_i / f_0 for i = 6..1, to meet g_(k-6)..g_(k-1) in the window
     h0, h1 = _mul_arrays(ctx, F0[:0:-1], F1[:0:-1], F0[0] * inv % p, -F1[0] * inv % p)
-    w0 = np.zeros((6, 2 * n), dtype=np.int64)
+    g0, g1 = _pow_arrays(ctx, F0[0], F1[0], m)
+    kept = (_recurrence_ints if n <= 1 else _recurrence_arrays)(ctx, h0, h1, g0, g1)
+    top, below = kept[p - 1], kept[p - 2]
+    return np.stack([np.where(zero, kept[m][:n], top[:n]), below[n:],
+                     np.where(zero, kept[m - 1][:n], below[:n]), top[n:]], axis=1)
+
+
+def _recurrence_arrays(ctx: FieldCtx, h0, h1, g0, g1) -> dict:
+    """g_k, k in (m - 1, m, p - 2, p - 1), from f_i / f_0 (i = 6..1) and g_0.
+
+    Each step k runs over all rows on (6, rows) planes of the last six g_j
+    (the int64 bound is argued at arith.MAX_P).
+    """
+    p, r = ctx.p, ctx.r
+    m = (p - 1) // 2
+    w0 = np.zeros(h0.shape, dtype=np.int64)
     w1 = np.zeros_like(w0)
-    w0[-1], w1[-1] = _pow_arrays(ctx, F0[0], F1[0], m)
+    w0[-1], w1[-1] = g0, g1
     # row k - 1 holds (m i - k + i) / k for i = 6..1, entries below p
     ks = np.arange(1, p)[:, None]
     weights = ((m + 1) * np.arange(6, 0, -1) - ks) % p * ctx.inv_table()[ks] % p
@@ -172,9 +153,42 @@ def cartier_manin_rows(ctx: FieldCtx, batch: Sequence[tuple]) -> np.ndarray:
         w0[-1], w1[-1] = s0, s1
         if k in (m - 1, m, p - 2, p - 1):
             kept[k] = np.stack([s0, s1], axis=-1)
-    top, below = kept[p - 1], kept[p - 2]
-    return np.stack([np.where(zero, kept[m][:n], top[:n]), below[n:],
-                     np.where(zero, kept[m - 1][:n], below[:n]), top[n:]], axis=1)
+    return kept
+
+
+def _recurrence_ints(ctx: FieldCtx, h0, h1, g0, g1) -> dict:
+    """_recurrence_arrays one row at a time, on Python ints.
+
+    A step is g_k = s_k sum_i i h_i g_(k-i) - sum_i h_i g_(k-i) with
+    h_i = f_i / f_0 and s_k = (m + 1) / k.  a_i, b_i are the (c0, c1) parts
+    of h_i and c_i = r b_i; y_i, z_i those of g_(k-i), and t_i, v_i those of
+    h_i g_(k-i).
+    """
+    p, r = ctx.p, ctx.r
+    m = (p - 1) // 2
+    scale = ((m + 1) * ctx.inv_table()[1:] % p).tolist()
+    rows = []
+    for (a6, a5, a4, a3, a2, a1), (b6, b5, b4, b3, b2, b1), y1, z1 in zip(
+            h0.T.tolist(), h1.T.tolist(), g0.tolist(), g1.tolist()):
+        c6, c5, c4, c3, c2, c1 = (r * b for b in (b6, b5, b4, b3, b2, b1))
+        y6 = y5 = y4 = y3 = y2 = z6 = z5 = z4 = z3 = z2 = 0
+        u0, u1 = [y1], [z1]
+        for s in scale:
+            t1, t2, t3 = a1 * y1 + c1 * z1, a2 * y2 + c2 * z2, a3 * y3 + c3 * z3
+            t4, t5, t6 = a4 * y4 + c4 * z4, a5 * y5 + c5 * z5, a6 * y6 + c6 * z6
+            v1, v2, v3 = a1 * z1 + b1 * y1, a2 * z2 + b2 * y2, a3 * z3 + b3 * y3
+            v4, v5, v6 = a4 * z4 + b4 * y4, a5 * z5 + b5 * y5, a6 * z6 + b6 * y6
+            y6, y5, y4, y3, y2 = y5, y4, y3, y2, y1
+            z6, z5, z4, z3, z2 = z5, z4, z3, z2, z1
+            y1 = (s * (t1 + 2 * t2 + 3 * t3 + 4 * t4 + 5 * t5 + 6 * t6)
+                  - (t1 + t2 + t3 + t4 + t5 + t6)) % p
+            z1 = (s * (v1 + 2 * v2 + 3 * v3 + 4 * v4 + 5 * v5 + 6 * v6)
+                  - (v1 + v2 + v3 + v4 + v5 + v6)) % p
+            u0.append(y1)
+            u1.append(z1)
+        rows.append((u0, u1))
+    return {k: np.array([(u0[k], u1[k]) for u0, u1 in rows], dtype=np.int64).reshape(-1, 2)
+            for k in (m - 1, m, p - 2, p - 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -464,12 +478,11 @@ class SuperspecialList:
     A class is identified by its canonical invariant key alone: for p > 5
     the Igusa-Clebsch invariants classify genus-2 curves over the algebraic
     closure, so equal keys mean isomorphic curves and distinct keys distinct
-    classes.  Models already seen are remembered, so a repeated model skips
-    the key.  Models arrive as batches of sorted root sextuples, each keyed
+    classes.  Models arrive as batches of sorted root sextuples, each keyed
     in one array pass, and a Genus2Curve is built only for a new class.
     """
 
-    __slots__ = ("ctx", "curves", "keys", "_index", "_models")
+    __slots__ = ("ctx", "curves", "keys", "_index")
 
     def __init__(self, ctx: FieldCtx):
         if ctx.p <= 5:
@@ -478,7 +491,6 @@ class SuperspecialList:
         self.curves: list = []
         self.keys: list = []
         self._index: dict = {}    # key -> class index
-        self._models: dict = {}   # roots -> class index
 
     def __len__(self) -> int:
         return len(self.curves)
@@ -489,19 +501,16 @@ class SuperspecialList:
     def add(self, batch: Sequence[tuple]) -> list:
         """Insert a batch of sorted root sextuples; return the indices of the new classes.
 
-        The models not seen before, in first-seen order, are keyed in one
+        The distinct models, in first-seen order, are keyed in one
         igusa_key call: an equal key joins its class, and any other key
         starts a new class with that model, in the order one model at a
         time would give.
         """
-        fresh = list(dict.fromkeys(roots for roots in batch if roots not in self._models))
+        fresh = list(dict.fromkeys(batch))
         new = []
         for roots, key in zip(fresh, igusa_key(self.ctx, fresh)):
-            idx = self._index.get(key)
-            if idx is None:
+            if key not in self._index:
                 new.append(self._insert(Genus2Curve(self.ctx, roots), key))
-            else:
-                self._models[roots] = idx
         return new
 
     def _insert(self, C: Genus2Curve, key: IgusaKey) -> int:
@@ -510,7 +519,6 @@ class SuperspecialList:
         self.curves.append(C)
         self.keys.append(key)
         self._index[key] = idx
-        self._models[C.roots] = idx
         return idx
 
 

@@ -30,7 +30,7 @@ from .arith import (
     sort_key,
 )
 from .ellcurve import deuring_vanishes
-from .genus2 import Genus2Curve, is_superspecial, mobius_matches
+from .genus2 import Genus2Curve, cartier_manin_rows, mobius_matches
 
 WeierstrassSplit = tuple  # pair of sorted root triples, lexicographically ordered
 
@@ -84,18 +84,27 @@ def quartic_lambdas(ctx: FieldCtx, data: Sequence[HoweData]) -> list:
     return [tuple(map(tuple, pair)) for pair in mul(num, _inv_stacked(ctx, den)).tolist()]
 
 
-def is_superspecial_howe(H: HoweData) -> bool:
-    """Superspeciality of the genus-4 curve.
+def superspecial_howe_flags(ctx: FieldCtx, data: Sequence[HoweData]) -> list:
+    """Superspeciality of the genus-4 curve of each datum, one bool each.
 
     Equivalent to: both genus-1 covers supersingular and the genus-2 quotient
     superspecial (the Jacobian splits accordingly up to isogeny of degree
-    prime to p).  The covers' Legendre invariants (quartic_lambdas) are
-    tested in one deuring_vanishes pass.
+    prime to p).  The distinct Legendre invariants of all covers are tested
+    in one deuring_vanishes pass, then the distinct curves of the data whose
+    covers pass in one cartier_manin_rows pass, each in first-seen order.
     """
-    ctx = H.curve.ctx
-    if not deuring_vanishes(ctx, list(quartic_lambdas(ctx, [H])[0])).all():
-        return False
-    return is_superspecial(H.curve)
+    lams = quartic_lambdas(ctx, data)
+    distinct = list(dict.fromkeys(lam for pair in lams for lam in pair))
+    lam_ok = dict(zip(distinct, deuring_vanishes(ctx, distinct).tolist()))
+    covers_ok = [lam_ok[lam1] and lam_ok[lam2] for lam1, lam2 in lams]
+    curves = list(dict.fromkeys(H.curve.roots for H, ok in zip(data, covers_ok) if ok))
+    curve_ok = dict(zip(curves, (~cartier_manin_rows(ctx, curves).any(axis=(1, 2))).tolist()))
+    return [ok and curve_ok[H.curve.roots] for H, ok in zip(data, covers_ok)]
+
+
+def is_superspecial_howe(H: HoweData) -> bool:
+    """Superspeciality of one genus-4 curve: superspecial_howe_flags of one datum."""
+    return superspecial_howe_flags(H.curve.ctx, [H])[0]
 
 
 def howe_isomorphic(H1: HoweData, H2: HoweData) -> Optional[MobiusMap]:

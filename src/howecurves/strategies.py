@@ -49,14 +49,12 @@ from .arith import (
 )
 from .ellcurve import (
     SupersingularLambdaSet,
-    deuring_vanishes,
     enumerate_supersingular_classes,
     supersingular_lambda_set,
 )
 from .genus2 import (
     Genus2Curve,
     SuperspecialList,
-    cartier_manin_rows,
     closure_stream,
     superspecial_genus2_list,
 )
@@ -64,8 +62,8 @@ from .howe import (
     HoweData,
     howe_isomorphic,
     howe_key,
-    quartic_lambdas,
     special_family,
+    superspecial_howe_flags,
 )
 
 DEFAULT_SEED = 0xC0FFEE
@@ -388,7 +386,7 @@ def enumerate_b(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
     step = ROW_BLOCK // 10
     blocks = [L.curves[start:start + step] for start in range(0, len(L), step)]
     lset = supersingular_lambda_set(ctx)
-    results = pool_map(_block_fits, [(ctx, lset, block) for block in blocks], workers)
+    results = pool_map(_fit_orbits, [(ctx, lset, block) for block in blocks], workers)
     raw = 0
     reps: List[HoweData] = []
     for block, orbits in zip(blocks, results):
@@ -448,21 +446,14 @@ def match_representatives(reps1: List[HoweData], reps2: List[HoweData]
 def _verify_representatives(ctx: FieldCtx, reps: List[HoweData]) -> None:
     """Independent re-check: superspeciality of every representative.
 
-    Uses the direct criterion (quartic Legendre invariants through the Hasse
-    polynomial, Cartier-Manin entries of the sextic), not the search path
-    that produced the representative.  The distinct genus-2 curves are
-    tested in one cartier_manin_rows pass, and the distinct Legendre
-    invariants of the quartics (their cross-ratios, computed here afresh)
-    in one deuring_vanishes pass, each in first-seen order; the error names
-    the first representative that fails, in list order.
+    Uses the direct criterion of superspecial_howe_flags (quartic Legendre
+    invariants, computed here afresh, through the Hasse polynomial, and
+    Cartier-Manin entries of the sextic), not the search path that produced
+    the representative; the error names the first representative that
+    fails, in list order.
     """
-    lams = quartic_lambdas(ctx, reps)
-    curves = list(dict.fromkeys(H.curve.roots for H in reps))
-    distinct = list(dict.fromkeys(lam for pair in lams for lam in pair))
-    curve_ok = dict(zip(curves, ~cartier_manin_rows(ctx, curves).any(axis=(1, 2))))
-    lam_ok = dict(zip(distinct, deuring_vanishes(ctx, distinct)))
-    for H, (lam1, lam2) in zip(reps, lams):
-        if not (lam_ok[lam1] and lam_ok[lam2] and curve_ok[H.curve.roots]):
+    for H, ok in zip(reps, superspecial_howe_flags(ctx, reps)):
+        if not ok:
             raise VerificationError(
                 "representative %r at p=%d fails the superspeciality re-check"
                 % (howe_jsonable(H), ctx.p))
@@ -472,13 +463,8 @@ def _verify_representatives(ctx: FieldCtx, reps: List[HoweData]) -> None:
 # the worker map and its tasks
 # ---------------------------------------------------------------------------
 
-def _pair_hits(task: tuple) -> list:
-    ctx, roots1, roots2 = task
+def _pair_hits(ctx: FieldCtx, roots1: tuple, roots2: tuple) -> list:
     return list(howe_type_points(ctx, roots1, roots2))
-
-
-def _block_fits(task: tuple) -> list:
-    return _fit_orbits(*task)
 
 
 def pool_size(workers: int, tasks: int) -> int:
@@ -492,7 +478,7 @@ def pool_size(workers: int, tasks: int) -> int:
 
 
 def pool_map(fn, tasks: list, workers: int) -> list:
-    """[fn(task) for task in tasks], in this process when workers == 1.
+    """[fn(*task) for task in tasks], in this process when workers == 1.
 
     Otherwise the tasks run in a pool of pool_size(workers, len(tasks))
     processes, in chunks of about an eighth of each process's share.  fn
@@ -502,8 +488,8 @@ def pool_map(fn, tasks: list, workers: int) -> list:
     field.
     """
     if workers == 1:
-        return [fn(task) for task in tasks]
+        return [fn(*task) for task in tasks]
     workers = pool_size(workers, len(tasks))
     chunk = max(1, len(tasks) // (8 * workers))
     with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, tasks, chunksize=chunk))
+        return list(ex.map(fn, *zip(*tasks), chunksize=chunk))

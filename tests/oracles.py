@@ -9,8 +9,10 @@ translated Weierstrass model (EllipticCurve) whose cubic is root-found
 (two_torsion_roots) behind the closed-form 2-torsion triples, the scalar
 Hasse test of one curve (is_supersingular, quartic_is_supersingular,
 is_superspecial_howe_scalar) behind the Horner pass of the Deuring
-polynomial, root-found cubics (howe_from_cubics) behind the closed-form
-special family, and a closure from one scanned Rosenhain curve behind the
+polynomial, the truncated power of one sextic (cartier_manin,
+is_superspecial, with sextic and CartierManinEntries) behind the
+recurrence of cartier_manin_rows, root-found cubics (howe_from_cubics)
+behind the closed-form special family, and a closure from one scanned Rosenhain curve behind the
 glued-seed closure.  The Richelot step one splitting at a time
 (richelot_codomains_scalar, with quadratic_splittings and splitting_delta)
 stands behind the batched richelot_codomains, the Howe key one datum at a
@@ -26,6 +28,7 @@ import functools
 import itertools
 import time
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,7 +43,6 @@ from howecurves import (
     UniPoly,
     enumerate_supersingular_classes,
     howe_isomorphic,
-    is_superspecial,
     is_superspecial_howe,
     normalize_split,
     poly_gcd,
@@ -154,6 +156,37 @@ def class_j(ctx, roots):
 def quartic_is_supersingular(Q):
     """The Hasse test of one genus-1 cover, on the model of its Legendre invariant."""
     return is_supersingular(legendre_curve_by_translation(Q.ctx, lambda_of_quartic(Q)))
+
+
+def sextic(C):
+    """The monic sextic prod (x - root) of a genus-2 curve, as a polynomial."""
+    return UniPoly.from_roots(C.ctx, C.roots)
+
+
+class CartierManinEntries(NamedTuple):
+    a: tuple
+    b: tuple
+    c: tuple
+    d: tuple
+
+
+def cartier_manin(C):
+    """The Cartier-Manin entries of one curve by a truncated power.
+
+    With g = f^((p-1)/2) for the sextic f, the entries are the coefficients
+    of x^(p-1), x^(2p-1), x^(p-2), x^(2p-2) in g, as in cartier_manin_rows;
+    g is squared and multiplied up to degree 2p - 1.
+    """
+    p = C.ctx.p
+    g = sextic(C).pow_truncated((p - 1) // 2, 2 * p - 1)
+    return CartierManinEntries(
+        g.coeff(p - 1), g.coeff(2 * p - 1), g.coeff(p - 2), g.coeff(2 * p - 2)
+    )
+
+
+def is_superspecial(C):
+    z = C.ctx.zero
+    return cartier_manin(C) == (z, z, z, z)
 
 
 def is_superspecial_howe_scalar(H):

@@ -8,11 +8,13 @@ replaced; the closure construction is
 checked against the count window and against its own seeds, and the Mobius
 search is the oracle for its key-only class identity.  The batched Igusa
 key is checked against the scalar igusa_clebsch oracle of tests/oracles.py,
-and the batched Cartier-Manin recurrence against the scalar cartier_manin
-and, at the largest prime, against the recurrence in big integers.  The
-batched Richelot step is checked against the scalar one of
-tests/oracles.py, on every class, on Mobius-moved models of the classes and
-on drawn sextics that are not superspecial, where both must raise alike.
+and cartier_manin_rows, on one sextuple (its loop on Python ints) and on a
+batch (its loop on arrays), against the truncated power cartier_manin of
+tests/oracles.py, against each other up to the largest prime, and there
+against the recurrence in big integers.  The batched Richelot step is
+checked against the scalar one of tests/oracles.py, on every class, on
+Mobius-moved models of the classes and on drawn sextics that are not
+superspecial, where both must raise alike.
 """
 
 import collections
@@ -33,13 +35,11 @@ from howecurves import (
     RationalityError,
     SuperspecialList,
     UniPoly,
-    cartier_manin,
     find_one,
     glue_elliptic_pair,
     igusa_key,
     iko_window,
     is_prime,
-    is_superspecial,
     load_list,
     poly_roots_in_fq,
     richelot_codomains,
@@ -51,8 +51,10 @@ from howecurves.arith import ROW_BLOCK, mobius_from_triples
 from howecurves.ellcurve import enumerate_supersingular_classes
 from oracles import (
     automorphisms,
+    cartier_manin,
     igusa_clebsch,
     igusa_key_scalar,
+    is_superspecial,
     isomorphic,
     quadratic_splittings,
     richelot_codomains_scalar,
@@ -97,6 +99,7 @@ def test_cartier_manin_pinned_product_of_cubics():
     got = cartier_manin(C)
     assert got == (ctx.zero, ctx.one, ctx.elem(2), ctx.zero)
     assert not is_superspecial(C)
+    assert _rows(ctx, [C.roots]) == [got]
 
 
 def test_cartier_manin_x6_minus_1():
@@ -106,6 +109,7 @@ def test_cartier_manin_x6_minus_1():
     z = ctx.zero
     assert cartier_manin(C) == (z, z, z, z)
     assert is_superspecial(C)
+    assert _rows(ctx, [C.roots]) == [(z, z, z, z)]
 
 
 def test_cartier_manin_matches_naive_expansion():
@@ -128,8 +132,21 @@ def test_superspeciality_is_isomorphism_invariant():
         assert isomorphic(C, Genus2Curve(ctx, shifted)) is not None
 
 
+_PRIMES_TO_MAX = [q for q in range(7, 30000) if is_prime(q)]
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p):
+    return FieldCtx(p)
+
+
 def _rows(ctx, batch):
     return [tuple(map(tuple, row)) for row in genus2.cartier_manin_rows(ctx, batch).tolist()]
+
+
+def _lone_rows(ctx, batch):
+    """The rows of each sextuple alone: cartier_manin_rows's loop on Python ints."""
+    return [_rows(ctx, [roots])[0] for roots in batch]
 
 
 def _scalar_rows(ctx, batch):
@@ -157,6 +174,7 @@ def test_batched_entries_match_cartier_manin_at_every_class(p, genus2_lists):
     batch = classes + at_zero + controls
     rows = _rows(ctx, batch)
     assert rows == _scalar_rows(ctx, batch)
+    assert _lone_rows(ctx, batch) == rows
     zero = (ctx.zero,) * 4
     assert rows[:2 * len(classes)] == [zero] * (2 * len(classes))
     assert any(row != zero for row in rows[2 * len(classes):])
@@ -231,6 +249,51 @@ def _bigint_entries(p, r, roots):
         a, c = fwd[p - 1], fwd[p - 2]
     rev = coeffs(f[::-1], p - 1)
     return (a, rev[p - 2], c, rev[p - 1])
+
+
+@st.composite
+def _sextic_and_control(draw):
+    """A prime up to 29989, a sextic and the sextic with one root moved.
+
+    Half the time both are translated to put the sextic's first root at 0.
+    """
+    ctx = _field(draw(st.sampled_from(_PRIMES_TO_MAX)))
+    elem = st.tuples(st.integers(0, ctx.p - 1), st.integers(0, ctx.p - 1))
+    roots = draw(st.lists(elem, min_size=7, max_size=7, unique=True))
+    moved = draw(st.integers(0, 5))
+    pair = [roots[:6], roots[:moved] + roots[6:] + roots[moved + 1:6]]
+    if draw(st.booleans()):
+        pair = [_translate(ctx, sextic, roots[0]) for sextic in pair]
+    return ctx, [tuple(sextic) for sextic in pair]
+
+
+_SMALL = ((1, 1), (2, 3), (5, 7), (11, 13), (17, 19), (23, 29))
+
+
+@settings(max_examples=12, deadline=None)
+@given(_sextic_and_control())
+@example((_field(409), [((0, 0),) + _SMALL[1:], ((0, 0),) + _SMALL[1:5] + ((31, 37),)]))
+@example((_field(997), [_SMALL, ((31, 37),) + _SMALL[1:]]))
+def test_lone_sextic_matches_its_row_in_a_batch(case):
+    # the loop on Python ints against the loop on arrays, and for p <= 1000
+    # against the truncated power too
+    ctx, batch = case
+    rows = _rows(ctx, batch)
+    assert _lone_rows(ctx, batch) == rows
+    if ctx.p <= 1000:
+        assert rows == _scalar_rows(ctx, batch)
+
+
+@pytest.mark.parametrize("p", [10009, 19993, 29989])
+def test_lone_witness_matches_its_row_in_a_batch(p):
+    # find_one's witness, which is superspecial, and the witness with one
+    # root moved, which is not
+    ctx = _field(p)
+    roots = find_one(ctx).curve.roots
+    moved = (ctx.add(roots[0], ctx.one),) + roots[1:]
+    rows = _rows(ctx, [roots, moved])
+    assert _lone_rows(ctx, [roots, moved]) == rows
+    assert rows[0] == (ctx.zero,) * 4 and rows[1] != rows[0]
 
 
 def test_batched_entries_at_the_largest_prime_against_big_integers():
@@ -749,14 +812,6 @@ def test_key_temporaries_stay_below_4_kb_per_row(genus2_lists):
     finally:
         tracemalloc.stop()
     assert peak < 4096 * ROW_BLOCK
-
-
-_PRIMES_TO_MAX = [q for q in range(7, 30000) if is_prime(q)]
-
-
-@functools.lru_cache(maxsize=None)
-def _field(p):
-    return FieldCtx(p)
 
 
 @st.composite

@@ -31,7 +31,6 @@ from howecurves import (
     howe_isomorphic,
     howe_key,
     is_prime,
-    is_superspecial,
     is_superspecial_howe,
     mobius_from_triples,
     normalize_split,
@@ -47,6 +46,7 @@ from oracles import (
     automorphisms,
     howe_from_cubics,
     howe_key_scalar,
+    is_superspecial,
     is_superspecial_howe_scalar,
     lambda_of_quartic,
     quartic_is_supersingular,

@@ -188,3 +188,34 @@ def test_only_arith_takes_modular_powers():
     users = [p.name for p in sorted(PACKAGE.glob("*.py"))
              if modular_pow_calls(p.read_text())]
     assert users == ["arith.py"]
+
+
+def readers(source: str, name: str) -> list:
+    """The top-level functions and classes of a module that read name,
+    "<module>" for any other top-level statement."""
+    out = []
+    for node in ast.parse(source).body:
+        if name in _reads(node):
+            defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            out.append(node.name if isinstance(node, defs) else "<module>")
+    return out
+
+
+def test_checker_finds_the_readers_of_a_name():
+    src = ("import arith\n"
+           "x = arith.power\n"
+           "def power(): pass\n"
+           "def square(f): return f.power(2)\n"
+           "class Poly:\n"
+           "    def cube(self): return power(self)\n")
+    assert readers(src, "power") == ["<module>", "square", "Poly"]
+
+
+def test_only_the_cubic_power_reads_the_truncated_power():
+    # strategy a's _cubic_power is the one reader of UniPoly.pow_truncated;
+    # the package's Cartier-Manin entries come from genus2.cartier_manin_rows
+    # alone, and the truncated power of a sextic is the oracle in
+    # tests/oracles.py
+    users = [(p.name, fn) for p in sorted(PACKAGE.glob("*.py"))
+             for fn in readers(p.read_text(), "pow_truncated")]
+    assert users == [("strategies.py", "_cubic_power")]

@@ -39,7 +39,7 @@ from howecurves import (
     supersingular_b_values,
     supersingular_lambda_set,
 )
-from howecurves import ellcurve, genus2, strategies
+from howecurves import ellcurve, howe, strategies
 from howecurves.arith import ROW_BLOCK
 from howecurves.ellcurve import enumerate_supersingular_classes
 from howecurves.strategies import (
@@ -557,16 +557,14 @@ def test_verification_checks_each_genus2_curve_once(monkeypatch):
     assert len(curves) < len(reps)
     assert len(curves) == 5
     calls = []
-    real = strategies.cartier_manin_rows
+    real = howe.cartier_manin_rows
 
     def counting(ctx, batch):
         calls.append(list(batch))
         return real(ctx, batch)
 
-    # one batch, one row per distinct curve in first-seen order, and no
-    # scalar test
-    monkeypatch.setattr(strategies, "cartier_manin_rows", counting)
-    monkeypatch.setattr(genus2, "cartier_manin", None)
+    # one batch, one row per distinct curve in first-seen order
+    monkeypatch.setattr(howe, "cartier_manin_rows", counting)
     _verify_representatives(ctx, reps)
     assert len(calls) == 1
     assert sorted(calls[0]) == sorted(curves)
@@ -589,14 +587,14 @@ def test_verification_runs_one_hasse_test_per_lambda(monkeypatch, genus2_lists):
     lams = {lambda_of_quartic(Q) for Q in covers}
     assert len(covers) == 334 and len(lams) == 26
     calls = []
-    real = strategies.deuring_vanishes
+    real = howe.deuring_vanishes
 
     def counting(ctx, values):
         calls.append(list(values))
         return real(ctx, values)
 
     # one Horner pass over the distinct lambdas in first-seen order
-    monkeypatch.setattr(strategies, "deuring_vanishes", counting)
+    monkeypatch.setattr(howe, "deuring_vanishes", counting)
     _verify_representatives(ctx, reps)
     assert len(calls) == 1
     assert len(calls[0]) == len(lams) and set(calls[0]) == lams
