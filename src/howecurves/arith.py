@@ -36,12 +36,20 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # reduced pairings (< 6 p) and is reduced before its product; I4 and I6 add
 # ten products each.
 # Strategy a's evaluation search (strategies.howe_type_points) builds its
-# power table and scale rows by _mul_stacked, and its values by matmul_fq,
-# whose four real products, in T V and in S (T V), run in float64: each sums
-# at most 3m + 1 <= 3p/2 integer products below p^2, so every partial sum, in
-# any order and with FMA, is an integer below 1.5 p^3 < 2^53, and exact.  Back
-# in int64, x1 y1 is reduced mod p before r multiplies it.  The values at the
-# zeros of entry 0 sum as many reduced products below p.
+# power table and scale rows by _mul_stacked, and its entry tables T V by
+# matmul_fq, whose four real products run in float64: each sums at most
+# 3m + 1 <= 3p/2 integer products below p^2, so every partial sum, in any
+# order and with FMA, is an integer below 1.5 p^3 < 2^53, and exact.  Back in
+# int64, x1 y1 is reduced mod p before r multiplies it.  Entry 0 spans p
+# columns of the scale rows S, and its zeros on a block of scales come from
+# one float64 product [S0 | S1] @ [[T0, T1], [r T1 mod p, T0]]
+# (strategies._zero_mask): 2p products below p^2 per output, so every partial
+# sum is an integer below 2 p^3 < 2^53, and exact.  The zero test stays in
+# float64 as rint(z / p) * p == z.  Where p divides z, the quotient is an
+# integer below 2^53, which IEEE division returns exactly; elsewhere
+# rint(z / p) * p is a multiple of p below 2^53, exact too, so not z.  The
+# values of entries 1-3 at those zeros sum at most 3m + 1 reduced products
+# below p, in int64.
 # The Horner pass of the Deuring polynomial (ellcurve.deuring_vanishes)
 # multiplies an accumulator in [0, p) by a lambda in [0, p) and adds a
 # coefficient below p, reducing after every step, so no intermediate
@@ -61,7 +69,8 @@ MAX_P = 30000
 # Row count of one block of genus2.igusa_key's sextics and of howe.howe_key's
 # fits; the Richelot closure expands ROW_BLOCK // 15 classes (15 splittings
 # each) per pass and strategy b fits ROW_BLOCK // 10 curves (10 splits each);
-# strategy a's blocks of scales mu hold up to ROW_BLOCK**2 (mu, lam) values.
+# strategy a's blocks of scales mu hold ROW_BLOCK**2 // (2 p^2) scales, at
+# least one, so about ROW_BLOCK**2 real outputs of entry 0's float64 product.
 # Each way it bounds the temporaries at any batch size.
 ROW_BLOCK = 128
 

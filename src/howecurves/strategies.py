@@ -6,9 +6,9 @@ applied to the first cubic and a translation lam applied to the second, the
 third projective parameter being normalized to 1.  For each mu the four
 Cartier-Manin entries of y^2 = f1*f2 become polynomials in lam of degree
 below p^2, and their common zeros in F_{p^2} are exactly the superspecial
-fibers.  They are found by evaluation at every lam: F_{p^2} matrix
-products give the first entry's values on a block of scales, and the other
-three are evaluated only at its zeros.
+fibers.  They are found by evaluation at every lam: one float64 matrix
+product per block of scales gives the first entry's zeros, and the other
+three are evaluated exactly only there.
 
 Strategy "b" walks the complete list of superspecial genus-2 curves instead,
 and for each of the 10 splits of a curve's Weierstrass points into two
@@ -163,8 +163,48 @@ def _shifted_power_rows(ctx: FieldCtx, roots: tuple):
     return c[np.minimum(j + k, n - 1)] * coef[..., None] % p
 
 
+def _power_table(ctx: FieldCtx):
+    """V[k, x] = x^k for k <= 3m, m = (p-1)/2, over every x in F_{p^2} by code c0 p + c1.
+
+    A (3m+1, p^2, 2) array; take it through ctx.cached, as it depends only on p.
+    """
+    p = ctx.p
+    x = np.stack(np.divmod(np.arange(p * p), p), axis=-1)
+    powers = [np.broadcast_to(np.array([1, 0], dtype=np.int64), x.shape)]
+    for _ in range(3 * ((p - 1) // 2)):
+        powers.append(_mul_stacked(ctx, powers[-1], x))
+    return np.stack(powers)
+
+
+def _fq_plane(ctx: FieldCtx, table):
+    """The float64 plane [[T0, T1], [r T1 mod p, T0]] of an (n, l, 2) table T.
+
+    [S0 | S1] @ plane is [S0 T0 + r S1 T1 | S0 T1 + S1 T0]: the two parts of
+    the F_{p^2} product S T, not yet reduced, as one (k, 2l) real product.
+    """
+    t0, t1 = table[..., 0], table[..., 1]
+    return np.block([[t0, t1], [ctx.r * t1 % ctx.p, t0]]).astype(np.float64)
+
+
+def _zero_mask(ctx: FieldCtx, scales, plane):
+    """Where the F_{p^2} product of scales, (k, n, 2), and plane's table vanishes.
+
+    Returns a (k, l) bool array, plane being the (2n, 2l) _fq_plane of an
+    (n, l, 2) table.  The product runs as one float64 BLAS product and the
+    test stays in float64: every output is an integer z < 2 n p^2, exact
+    while that is below 2^53 (see MAX_P), and rint(z / p) * p == z holds
+    exactly when p divides z.
+    """
+    z = scales.swapaxes(1, 2).reshape(len(scales), -1).astype(np.float64) @ plane
+    w = np.rint(z / ctx.p)
+    w *= ctx.p
+    zero = w == z
+    half = plane.shape[1] // 2
+    return zero[:, :half] & zero[:, half:]
+
+
 class _PairEntries:
-    """The four entry polynomials of one class pair, evaluated at every lam.
+    """The four entry polynomials of one class pair, ready to evaluate at every lam.
 
     With f1 = x^3 + A1 mu^2 x + B1 mu^3, the first cubic with its roots
     scaled by mu, the x^i coefficient of f1^m is
@@ -173,10 +213,11 @@ class _PairEntries:
     _shifted_power_rows of the second cubic: the scale matrix
     S[mu, i] = hm[i] mu^(3m-i) times a Toeplitz table T, the rows j-i taken
     down the diagonal.  The entries are the coefficients of x^(p-1),
-    x^(2p-1), x^(p-2) and x^(2p-2).  One table of powers V[k, x] = x^k,
-    k <= 3m, x over F_{p^2} by code c0 p + c1, gives both the powers of mu
-    in S and each entry's values T V at every lam, so a block's values are
-    S (T V).
+    x^(2p-1), x^(p-2) and x^(2p-2).  The field's table of powers
+    V[k, x] = x^k (_power_table) gives both the powers of mu in S and each
+    entry's values T V at every lam, so a block's values are S (T V).  Entry
+    0's T V, over columns i < p, is also kept as its float64 _fq_plane, so
+    its zeros on a block of scales take one real product (_zero_mask).
     """
 
     def __init__(self, ctx: FieldCtx, roots1: tuple, roots2: tuple):
@@ -184,26 +225,23 @@ class _PairEntries:
         p = ctx.p
         top = 3 * ((p - 1) // 2)
         self.hm = _cubic_power(ctx, roots1)
-        x = np.stack(np.divmod(np.arange(p * p), p), axis=-1)
-        powers = [np.broadcast_to(np.array([1, 0], dtype=np.int64), x.shape)]
-        for _ in range(top):
-            powers.append(_mul_stacked(ctx, powers[-1], x))
-        self.powers = np.stack(powers)
+        self.powers = ctx.cached(_power_table)
         rows = _shifted_power_rows(ctx, roots2)
         self.tables = []
         for j in (p - 1, 2 * p - 1, p - 2, 2 * p - 2):
             lo, hi = max(0, j - top), min(top, j)
             table = matmul_fq(ctx, rows[j - hi: j - lo + 1][::-1], self.powers)
             self.tables.append((lo, hi + 1, table))
+        self.plane = _fq_plane(ctx, self.tables[0][2])
 
     def scales(self, codes):
         """The (len(codes), 3m+1, 2) scale matrix S of the mu with these codes."""
         return _mul_stacked(self.ctx, self.hm, self.powers[::-1, codes].swapaxes(0, 1))
 
-    def values(self, scales, k: int):
-        """Entry k of every row of the scale matrix at every lam, (rows, p^2, 2)."""
-        lo, hi, table = self.tables[k]
-        return matmul_fq(self.ctx, scales[:, lo:hi], table)
+    def zeros(self, scales):
+        """The rows and lam codes of the zeros of entry 0 on the scale matrix."""
+        lo, hi, _ = self.tables[0]
+        return np.nonzero(_zero_mask(self.ctx, scales[:, lo:hi], self.plane))
 
     def values_at(self, scales, k: int, rows, lams):
         """Entry k at the points (scale row rows[t], lam of code lams[t])."""
@@ -222,9 +260,10 @@ def howe_type_points(ctx: FieldCtx, roots1: tuple, roots2: tuple
     fixed mu the four Cartier-Manin entries of the sextic are polynomials in
     lam of degree at most 3(p-1)/2 < p^2, so the hits are their common zeros
     in F_{p^2}, found by evaluation at every lam (_PairEntries), whose
-    tables take O(p^3) words.  Entry 0 is evaluated on blocks of nonzero
-    mu, at most ROW_BLOCK**2 (mu, lam) points each; entries 1-3 only at its
-    zeros.  A mu whose entries vanish at all p^2 points has four zero
+    tables take O(p^3) words.  Entry 0's zeros come from one float64
+    product per block of ROW_BLOCK**2 // (2 p^2) nonzero mu, at least one,
+    so about ROW_BLOCK**2 real outputs; entries 1-3 are evaluated exactly
+    only at those zeros.  A mu whose entries vanish at all p^2 points has four zero
     entry polynomials, and raises.  Hits come in ctx.elements() order of
     mu, each mu's lam ascending.  The third projective parameter of the
     branch data is normalized to 1 throughout.
@@ -232,12 +271,14 @@ def howe_type_points(ctx: FieldCtx, roots1: tuple, roots2: tuple
     p = ctx.p
     q = p * p
     pair = _PairEntries(ctx, roots1, roots2)
-    size = max(1, ROW_BLOCK ** 2 // q)
+    size = max(1, ROW_BLOCK ** 2 // (2 * q))
     for start in range(1, q, size):
         codes = np.arange(start, min(start + size, q))
         scales = pair.scales(codes)
-        rows, lams = np.nonzero(~pair.values(scales, 0).any(axis=-1))
+        rows, lams = pair.zeros(scales)
         for k in (1, 2, 3):
+            if not len(rows):
+                break
             keep = ~pair.values_at(scales, k, rows, lams).any(axis=-1)
             rows, lams = rows[keep], lams[keep]
         if len(rows) and np.bincount(rows).max() == q:

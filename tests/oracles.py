@@ -3,7 +3,8 @@
 Each oracle here is the straightforward form of a computation the package
 does another way: the scalar Igusa-Clebsch invariants behind the batched
 Igusa key, the per-mu entry polynomials and scalar gcd fold behind strategy
-a's evaluation search, the whole-plane scan behind strategy a, a direct
+a's evaluation search, the exact int64 entry values (pair_values) behind
+its float64 zero test, the whole-plane scan behind strategy a, a direct
 model for each j-invariant behind the supersingular class list, a
 translated Weierstrass model (EllipticCurve) whose cubic is root-found
 (two_torsion_roots) behind the closed-form 2-torsion triples, the scalar
@@ -49,7 +50,7 @@ from howecurves import (
     poly_roots_in_fq,
     sort_key,
 )
-from howecurves.arith import ProjPoint, cross_ratio_map
+from howecurves.arith import ProjPoint, cross_ratio_map, matmul_fq
 from howecurves.genus2 import (
     _PAIR_PARTITIONS,
     _PAIRS,
@@ -453,6 +454,16 @@ def howe_type_points_scalar(ctx, roots1, roots2):
             continue
         for lam in poly_roots_in_fq(g):
             yield lam, mu
+
+
+def pair_values(pair, scales, k):
+    """Entry k of every row of a _PairEntries scale matrix at every lam, (rows, p^2, 2).
+
+    The exact int64 product that the float64 zero test of entry 0
+    (strategies._zero_mask) replaced.
+    """
+    lo, hi, table = pair.tables[k]
+    return matmul_fq(pair.ctx, scales[:, lo:hi], table)
 
 
 def rosenhain_seed(ctx):

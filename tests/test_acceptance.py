@@ -112,14 +112,14 @@ def test_criterion_3_strategies_agree(criterion, genus2_lists):
     detail = "did not complete"
     try:
         agreed = []
-        for p in (11, 13, 17, 19, 23):
+        for p in _primes(11, 43):
             ra = enumerate_a(FieldCtx(p))
             rb = enumerate_b(FieldCtx(p), genus2=genus2_lists(p))
             same = (ra.count == rb.count and
                     match_representatives(ra.representatives, rb.representatives) is not None)
             agreed.append((p, same))
         ok = all(same for _, same in agreed)
-        detail = "counts and classes match at p in {11, 13, 17, 19, 23}" if ok else \
+        detail = "counts and classes match at every prime p in 11..43" if ok else \
             "failures at %s" % [p for p, same in agreed if not same]
     finally:
         criterion(3, "strategy a and strategy b produce the same classes", ok, detail)

@@ -39,6 +39,25 @@ PINNED_ENUMERATE = {
 }
 
 
+# sha256 digests of the stdout of `enumerate --p q --strategy both --format
+# json --seed 1`, pinned before strategy a's entry-0 zeros came from one
+# float64 product per block
+PINNED_BOTH = {
+    17: "1a9a407364965068a390cbebfeb08c802475a6e1864101ec8271b223be8e5059",
+    19: "364a3ae4bbf7b60b94c190750a630bcbc8f8da4f0521e45d1ea0ff4af99e28a3",
+    23: "5197031270f595286da3ebb50242fa4d4b279bcdfc672717073f82974ec06122",
+    29: "3551887add8dace94c0511c41a9b70bf7334328ba263dbcc548990491c03448a",
+}
+
+
+@pytest.mark.parametrize("q", sorted(PINNED_BOTH))
+def test_both_strategies_match_their_pinned_digests(capsys, q):
+    code, out, err = _run(capsys, ["enumerate", "--p", str(q), "--strategy", "both",
+                                   "--format", "json", "--seed", "1"])
+    assert code == EXIT_OK and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_BOTH[q]
+
+
 def test_outputs_match_their_pinned_digests(capsys, tmp_path):
     code, _, _ = _run(capsys, ["table", "--pmin", "11", "--pmax", "61", "--strategy", "b",
                                "--cache", str(tmp_path)])

@@ -16,7 +16,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from howecurves import (
@@ -40,7 +40,7 @@ from howecurves import (
     supersingular_lambda_set,
 )
 from howecurves import ellcurve, howe, strategies
-from howecurves.arith import ROW_BLOCK
+from howecurves.arith import MAX_P, ROW_BLOCK, matmul_fq
 from howecurves.ellcurve import enumerate_supersingular_classes
 from howecurves.strategies import (
     VerificationError,
@@ -59,6 +59,7 @@ from oracles import (
     howe_from_cubics,
     howe_type_points_scalar,
     lambda_of_quartic,
+    pair_values,
     quartic_is_supersingular,
     quartics,
 )
@@ -140,28 +141,57 @@ def test_batched_hits_match_the_scalar_oracle(p):
 
 
 def test_block_boundaries_leave_the_hits_unchanged(monkeypatch):
-    # at p = 19 entry 0 runs on blocks of 128**2 // 361 = 45 scales, eight
-    # per pair; a smaller ROW_BLOCK splits them further, down to one scale
-    # per block once ROW_BLOCK**2 < p^2, and the hits stay the same, in order
+    # at p = 19 a block holds 128**2 // 722 = 22 scales, so ROW_BLOCK**2
+    # real outputs of entry 0's product, sixteen full blocks and one of 8 per
+    # pair; a smaller ROW_BLOCK splits them further, down to one scale per
+    # block once ROW_BLOCK**2 < 2 p^2, and the hits stay the same, in order
     ctx = FieldCtx(19)
     classes = enumerate_supersingular_classes(ctx)
     pairs = [(s, t) for i, s in enumerate(classes) for t in classes[i:]]
     sizes = []
-    values = _PairEntries.values
+    zeros = _PairEntries.zeros
 
-    def spy(self, scales, k):
+    def spy(self, scales):
         sizes.append(len(scales))
-        return values(self, scales, k)
+        return zeros(self, scales)
 
-    monkeypatch.setattr(_PairEntries, "values", spy)
+    monkeypatch.setattr(_PairEntries, "zeros", spy)
     whole = [list(howe_type_points(ctx, s, t)) for s, t in pairs]
-    assert sizes == [45] * 8 * len(pairs)
-    for block, want in ((64, [11] * 32 + [8]), (16, [1] * 360)):
+    assert sizes == ([22] * 16 + [8]) * len(pairs)
+    for block, want in ((64, [5] * 72), (16, [1] * 360)):
         sizes.clear()
         monkeypatch.setattr(strategies, "ROW_BLOCK", block)
         split = [list(howe_type_points(ctx, s, t)) for s, t in pairs]
         assert sizes == want * len(pairs)
         assert split == whole and any(whole)
+
+
+_PRIMES_UP_TO_MAX_P = [q for q in range(5, MAX_P + 1) if is_prime(q)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(_PRIMES_UP_TO_MAX_P), st.integers(2, 6), st.integers(6, 9),
+       st.integers(0, 2 ** 32 - 1))
+@example(29989, 4, 6, 0)
+def test_float64_zero_mask_matches_the_int64_product(p, k, l, seed):
+    # entry 0's inner length p: row 0 and column 0 of all p - 1 give the
+    # largest sums, about 2 p^3; column 1 is zero, and the last entries of
+    # columns 2-5 are solved so that rows 0 and 1 take the values 0, 0, t
+    # and 1 there: nonzero multiples of p, and two products only one of
+    # whose parts vanishes
+    ctx = FieldCtx(p)
+    rng = np.random.default_rng(seed)
+    scales, table = rng.integers(0, p, (k, p, 2)), rng.integers(0, p, (p, l, 2))
+    scales[0], table[:, 0], table[:, 1] = p - 1, p - 1, 0
+    scales[1, -1] = (1, 0)
+    for row, col, value in ((0, 2, (0, 0)), (1, 3, (0, 0)), (0, 4, (0, 1)), (1, 5, (1, 0))):
+        head = matmul_fq(ctx, scales[row:row + 1, :-1], table[:-1, col:col + 1])
+        table[-1, col] = ctx.div(ctx.sub(value, tuple(head[0, 0].tolist())),
+                                 tuple(scales[row, -1].tolist()))
+    want = ~matmul_fq(ctx, scales, table).any(axis=-1)
+    got = strategies._zero_mask(ctx, scales, strategies._fq_plane(ctx, table))
+    assert got.shape == (k, l) and np.array_equal(got, want)
+    assert got[0, 2] and got[1, 3] and got[:, 1].all() and not (got[0, 4] or got[1, 5])
 
 
 def _horner(ctx, f, codes):
@@ -178,14 +208,18 @@ def _horner(ctx, f, codes):
 def _check_entry_values(ctx, roots1, roots2, mus, lams):
     """The entries at every (mu, lam), mu and lam given by code, both from
     the whole-row evaluation and at the points, against the scalar entry
-    polynomials of each mu evaluated by Horner's rule."""
+    polynomials of each mu evaluated by Horner's rule; and entry 0's float64
+    zeros on the whole rows against its exact values."""
     pair = _PairEntries(ctx, roots1, roots2)
     scales = pair.scales(mus)
     rows, cols = np.repeat(np.arange(len(mus)), len(lams)), np.tile(lams, len(mus))
-    got = np.stack([pair.values(scales, k)[:, lams] for k in range(4)], axis=1)
+    got = np.stack([pair_values(pair, scales, k)[:, lams] for k in range(4)], axis=1)
     at = np.stack([pair.values_at(scales, k, rows, cols).reshape(len(mus), len(lams), 2)
                    for k in range(4)], axis=1)
     assert got.shape == (len(mus), 4, len(lams), 2) and np.array_equal(got, at)
+    zero = np.zeros((len(mus), ctx.p ** 2), dtype=bool)
+    zero[pair.zeros(scales)] = True
+    assert np.array_equal(zero, ~pair_values(pair, scales, 0).any(axis=-1))
     for mu, values in zip(mus.tolist(), got):
         polys = cm_entry_polynomials(ctx, roots1, roots2, divmod(mu, ctx.p))
         want = np.stack([_horner(ctx, f, lams) for f in polys])
