@@ -8,7 +8,7 @@ that products run through exact integer convolution.
 
 poly_roots_in_fq finds the roots in F_{p^2} of polynomials of small degree;
 the package's only ones are the seed of the supersingular lambda walk (the
-D = -15 Hilbert quadratic and the j-lambda sextic).  The tests also use it
+D = -15 Hilbert quadratic and the cubic in u = lambda^2 - lambda + 1).  The tests also use it
 as the oracle for the lambda set and the 2-torsion roots.
 """
 
@@ -50,15 +50,18 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # rint(z / p) * p is a multiple of p below 2^53, exact too, so not z.  The
 # values of entries 1-3 at those zeros sum at most 3m + 1 reduced products
 # below p, in int64.
-# The Horner pass of the Deuring polynomial (ellcurve.deuring_vanishes)
-# multiplies an accumulator in [0, p) by a lambda in [0, p) and adds a
-# coefficient below p, reducing after every step, so no intermediate
-# exceeds (1 + r) p^2 + p < 2^35.  The Cartier-Manin recurrence
-# (genus2.cartier_manin_rows) builds each sextic one root at a time and
-# multiplies f_i / f_0 by g_(k-i), all in [0, p), so every product of its
-# loop on arrays stays below (1 + r) p^2 until it is reduced; each step's
-# weighted sum of six reduced products, with weights below p, stays below
-# 6 p^2 < 2^33.  Its loop on Python ints, for one sextic, needs no bound.  The
+# The baby-step giant-step Hasse test (ellcurve.deuring_vanishes) takes its
+# powers by _mul_arrays, reduced.  Its inner sums, one int64 matrix product
+# of the powers lambda^0..lambda^(B-1) with the table of binom(m, k)^2 mod p,
+# add B products below p^2 each, so stay below B p^2 < 2^37 (B = isqrt(m) +
+# 1 <= 123); its giant steps multiply reduced sums by reduced powers of
+# lambda^B and add J reduced products, below J p < 2^22.  The
+# Cartier-Manin recurrence (genus2.cartier_manin_rows) builds each sextic
+# one root at a time and multiplies f_i / f_0 by g_(k-i), all in [0, p),
+# so every product of its loop on arrays stays below (1 + r) p^2 until it
+# is reduced; each step's weighted sum of six reduced products, with
+# weights below p, stays below 6 p^2 < 2^33.  Its loop on Python ints, for
+# one sextic, needs no bound.  The
 # array inverses and square roots (_inv_stacked, _sqrt_stacked) form norms
 # x0^2 - r (x1^2 mod p) < (1 + r) p^2 and index tables of length p; the
 # batched Richelot step (genus2.richelot_codomains) and Howe key
@@ -485,8 +488,8 @@ class UniPoly:
 
         The square-and-multiply runs on bare coefficient arrays: the modulus
         is made monic once and every product is reduced by the schoolbook
-        _divmod_monic.  The package's moduli have degree at most 6 (the
-        lambda walk's seed quadratic and sextic and their factors), where
+        _divmod_monic.  The package's moduli have degree at most 3 (the
+        lambda walk's seed quadratic and cubic and their factors), where
         this beats a reduction by a precomputed inverse.
         """
         if e < 0:

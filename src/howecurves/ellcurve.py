@@ -5,12 +5,17 @@ for a supersingular class, or (b; a1, a2, a3) for the double cover of the
 line ramified at those four points.  Both reduce to a Legendre invariant
 lambda, and the curve is supersingular exactly when lambda is a root of the
 Deuring polynomial H_p = sum_i binom((p-1)/2, i)^2 z^i.  The supersingular
-lambda are found by a 2-isogeny walk from one CM seed, and H_p is only
-evaluated, to certify the seed, the class representatives and the quartics
-of a Howe curve.
+lambda are found by a 2-isogeny walk from one CM seed, a root of a cubic in
+u = lambda^2 - lambda + 1, and H_p is only evaluated, to certify the seed,
+the class representatives and the quartics of a Howe curve, by baby steps
+and giant steps: for a whole batch of lambdas, about 2 log2(p) array
+passes and one int64 matrix product.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 
@@ -18,6 +23,9 @@ from .arith import (
     FieldCtx,
     FqElem,
     UniPoly,
+    _inv_stacked,
+    _mul_arrays,
+    _mul_stacked,
     poly_roots_in_fq,
 )
 
@@ -114,10 +122,15 @@ def _seed_lambda(ctx: FieldCtx) -> FqElem:
     """One supersingular lambda: a Legendre invariant of a CM j, checked on H_p.
 
     The j comes from the first D of _CM_J inert at p, else from a root of
-    the Hilbert polynomial of -15 when p is inert there; lambda is the least
-    root of 256 (l^2 - l + 1)^3 - j l^2 (l - 1)^2, which is 256 at l = 0
-    and 1.  Raises ArithmeticError if there is no seed or if H_p does not
-    vanish at it.
+    the Hilbert polynomial of -15 when p is inert there.  Its lambda solve
+    256 (l^2 - l + 1)^3 = j l^2 (l - 1)^2.  With u = l^2 - l + 1 the right
+    side is j (u - 1)^2, since l^2 (l - 1)^2 = (l^2 - l)^2, so u is a root
+    of the cubic 256 u^3 - j (u - 1)^2, and lambda = (1 + sqrt(4u - 3)) / 2
+    is a root of l^2 - l + 1 - u.  The seed is that lambda for a root u of
+    the cubic.  The lambda of a supersingular j lie in F_{p^2}, so a
+    missing square root, like a nonzero H_p(lambda), shows j ordinary.
+    Raises ArithmeticError if there is no seed or if it is not
+    supersingular.
     """
     root_of = ctx.sqrt_table().item
     js = [ctx.elem(j) for D, j in _CM_J if root_of(D % ctx.p) < 0]
@@ -125,46 +138,92 @@ def _seed_lambda(ctx: FieldCtx) -> FqElem:
         js = poly_roots_in_fq(UniPoly.from_int_coeffs(ctx, _HILBERT_MINUS_15))
     if not js:
         raise ArithmeticError("no CM seed for the supersingular walk at p=%d" % ctx.p)
-    q = UniPoly.from_int_coeffs(ctx, [1, -1, 1])
-    sextic = (q * q * q).scale(ctx.elem(256)) - UniPoly.from_int_coeffs(
-        ctx, [0, 0, 1, -2, 1]).scale(js[0])
-    lams = poly_roots_in_fq(sextic)
-    if not lams or not deuring_vanishes(ctx, lams[:1])[0]:
+    cubic = UniPoly.from_int_coeffs(ctx, [0, 0, 0, 256]) - UniPoly.from_int_coeffs(
+        ctx, [1, -2, 1]).scale(js[0])
+    us = poly_roots_in_fq(cubic)
+    s = ctx.sqrt(ctx.sub(ctx.mul(ctx.elem(4), us[0]), ctx.elem(3))) if us else None
+    lam = None if s is None else ctx.div(ctx.add(ctx.one, s), ctx.elem(2))
+    if lam is None or not deuring_vanishes(ctx, [lam])[0]:
         raise ArithmeticError("CM seed j=%r is not supersingular at p=%d" % (js[0], ctx.p))
-    return lams[0]
+    return lam
 
 
 def deuring_vanishes(ctx: FieldCtx, lams: list) -> np.ndarray:
     """H_p(lambda) == 0 for each lambda, as a bool array.
 
     This is the Hasse test of y^2 = x(x-1)(x-lambda), whose Hasse invariant
-    is (-1)^m H_p(lambda) with m = (p-1)/2 (Silverman, V.4.1(b)), run as one
-    Horner pass over int64 arrays (the bound is argued at arith.MAX_P):
-    O(p) array steps, whatever the number of lambdas.  binom(m, k) =
-    binom(m, m - k), so the coefficients are produced in the order Horner
-    reads them.
+    is (-1)^m H_p(lambda) with m = (p-1)/2 (Silverman, V.4.1(b)).  With the
+    coefficients c_k = binom(m, k)^2 cut into J blocks of B (_deuring_table),
+    H_p(lambda) = sum_j S_j(lambda) (lambda^B)^j, S_j being block j's
+    polynomial of degree below B: baby steps and giant steps (Paterson and
+    Stockmeyer, SIAM J. Comput. 2, 1973).  The powers lambda^0..lambda^B
+    and (lambda^B)^0..(lambda^B)^(J-1) come by doubling (_powers), every
+    S_j of the batch from one int64 matrix product, and the sum from one
+    more array product: about 2 log2(B) + 2 log2(J) array passes, whatever
+    the number of lambdas (the bounds are argued at arith.MAX_P).
     """
-    p, r = ctx.p, ctx.r
+    p = ctx.p
+    table = ctx.cached(_deuring_table)
+    B, J = table.shape
+    x = np.array(lams, dtype=np.int64).reshape(-1, 2)
+    b0, b1 = _powers(ctx, x[:, 0], x[:, 1], B)
+    s0, s1 = b0[:, :B] @ table % p, b1[:, :B] @ table % p
+    v0, v1 = _mul_arrays(ctx, s0, s1, *_powers(ctx, b0[:, B], b1[:, B], J - 1))
+    return (v0.sum(axis=1) % p == 0) & (v1.sum(axis=1) % p == 0)
+
+
+def _deuring_table(ctx: FieldCtx) -> np.ndarray:
+    """The (B, J) int64 table whose column j holds c_(jB)..c_(jB + B - 1).
+
+    c_k = binom(m, k)^2 mod p, m = (p-1)/2, and c_k = 0 past m.
+    B = isqrt(m) + 1 and J = ceil((m + 1) / B), both about sqrt(m).
+    """
+    p = ctx.p
     m = (p - 1) // 2
-    x0 = np.array([lam[0] for lam in lams], dtype=np.int64)
-    x1 = np.array([lam[1] for lam in lams], dtype=np.int64)
-    v0 = np.zeros_like(x0)
-    v1 = np.zeros_like(x1)
+    B = math.isqrt(m) + 1
+    J = -(-(m + 1) // B)
     inv = ctx.inv_table().tolist()
+    coeffs = [0] * (B * J)
     c = 1  # binom(m, k) mod p
     for k in range(m + 1):
-        v0, v1 = (v0 * x0 + r * v1 * x1 + c * c % p) % p, (v0 * x1 + v1 * x0) % p
+        coeffs[k] = c * c % p
         c = c * (m - k) % p * inv[k + 1] % p
-    return (v0 == 0) & (v1 == 0)
+    return np.array(coeffs, dtype=np.int64).reshape(J, B).T.copy()
 
 
-def j_of_lambda(ctx: FieldCtx, lam: FqElem) -> FqElem:
-    """j = 256 (lambda^2 - lambda + 1)^3 / (lambda^2 (lambda - 1)^2)."""
-    l2 = ctx.sqr(lam)
-    num = ctx.add(ctx.sub(l2, lam), ctx.one)
-    num = ctx.mul(ctx.elem(256), ctx.pow(num, 3))
-    den = ctx.mul(l2, ctx.sqr(ctx.sub(lam, ctx.one)))
-    return ctx.div(num, den)
+def _powers(ctx: FieldCtx, x0, x1, k: int) -> tuple:
+    """x^0..x^k for an array of n elements of F_{p^2}, as two (n, k + 1) planes.
+
+    By doubling: columns w..2w-1 are columns 0..w-1 times x^w, and x^w is
+    then squared, so 2 ceil(log2(k + 1)) - 1 array products for k >= 1.
+    """
+    y0 = np.empty((len(x0), k + 1), dtype=np.int64)
+    y1 = np.empty_like(y0)
+    y0[:, 0], y1[:, 0] = 1, 0
+    w, w0, w1 = 1, x0[:, None], x1[:, None]  # w0 + w1 t = x^w
+    while w <= k:
+        h = min(w, k + 1 - w)
+        y0[:, w:w + h], y1[:, w:w + h] = _mul_arrays(ctx, y0[:, :h], y1[:, :h], w0, w1)
+        w *= 2
+        if w <= k:
+            w0, w1 = _mul_arrays(ctx, w0, w1, w0, w1)
+    return y0, y1
+
+
+def _j_codes(ctx: FieldCtx, lams) -> list:
+    """The code j0 p + j1 of j = 256 (l^2 - l + 1)^3 / (l^2 (l - 1)^2) for each lambda l.
+
+    One array pass over the batch; the codes order as the j do.
+    """
+    p = ctx.p
+    mul = functools.partial(_mul_stacked, ctx)
+    x = np.array(lams, dtype=np.int64).reshape(-1, 2)
+    one = np.array([1, 0])
+    x2 = mul(x, x)
+    u = (x2 - x + one) % p
+    d = (x - one) % p
+    j = mul(256 * mul(mul(u, u), u) % p, _inv_stacked(ctx, mul(x2, mul(d, d))))
+    return (j[:, 0] * p + j[:, 1]).tolist()
 
 
 def enumerate_supersingular_classes(ctx: FieldCtx) -> tuple:
@@ -181,10 +240,9 @@ def enumerate_supersingular_classes(ctx: FieldCtx) -> tuple:
 
 
 def _compute_classes(ctx: FieldCtx) -> tuple:
-    lam_set = supersingular_lambda_set(ctx)
+    values = supersingular_lambda_set(ctx).values
     by_j = {}
-    for lam in lam_set.values:
-        j = j_of_lambda(ctx, lam)
+    for j, lam in zip(_j_codes(ctx, values), values):
         by_j.setdefault(j, lam)
     floor = ctx.p // 12
     if not floor <= len(by_j) <= floor + 2:

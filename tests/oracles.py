@@ -5,12 +5,14 @@ does another way: the scalar Igusa-Clebsch invariants behind the batched
 Igusa key, the per-mu entry polynomials and scalar gcd fold behind strategy
 a's evaluation search, the exact int64 entry values (pair_values) behind
 its float64 zero test, the whole-plane scan behind strategy a, a direct
-model for each j-invariant behind the supersingular class list, a
+model for each j-invariant behind the supersingular class list, the j of
+one lambda (j_of_lambda) behind the class list's array pass, a
 translated Weierstrass model (EllipticCurve) whose cubic is root-found
 (two_torsion_roots) behind the closed-form 2-torsion triples, the scalar
 Hasse test of one curve (is_supersingular, quartic_is_supersingular,
-is_superspecial_howe_scalar) behind the Horner pass of the Deuring
-polynomial, the truncated power of one sextic (cartier_manin,
+is_superspecial_howe_scalar) and the Horner pass of the Deuring
+polynomial (deuring_vanishes_horner) behind its baby-step giant-step
+evaluation, the truncated power of one sextic (cartier_manin,
 is_superspecial, with sextic and CartierManinEntries) behind the
 recurrence of cartier_manin_rows, root-found cubics (howe_from_cubics)
 behind the closed-form special family, and a closure from one scanned Rosenhain curve behind the
@@ -130,6 +132,38 @@ def is_supersingular(E):
     f = UniPoly.from_coeffs(ctx, [E.B, E.A, ctx.zero, ctx.one])
     g = f.pow_truncated(m, ctx.p - 1)
     return g.coeff(ctx.p - 1) == ctx.zero
+
+
+def j_of_lambda(ctx, lam):
+    """j = 256 (lambda^2 - lambda + 1)^3 / (lambda^2 (lambda - 1)^2), one lambda."""
+    l2 = ctx.sqr(lam)
+    num = ctx.add(ctx.sub(l2, lam), ctx.one)
+    num = ctx.mul(ctx.elem(256), ctx.pow(num, 3))
+    den = ctx.mul(l2, ctx.sqr(ctx.sub(lam, ctx.one)))
+    return ctx.div(num, den)
+
+
+def deuring_vanishes_horner(ctx, lams):
+    """H_p(lambda) == 0 for each lambda, by one Horner pass over int64 arrays.
+
+    m + 1 array steps, m = (p-1)/2, whatever the number of lambdas: the
+    reference for the baby-step giant-step ellcurve.deuring_vanishes.
+    binom(m, k) = binom(m, m - k), so the coefficients are produced in the
+    order Horner reads them; an accumulator in [0, p) times a lambda in
+    [0, p) plus a coefficient below p stays below (1 + r) p^2 + p < 2^35.
+    """
+    p, r = ctx.p, ctx.r
+    m = (p - 1) // 2
+    x0 = np.array([lam[0] for lam in lams], dtype=np.int64)
+    x1 = np.array([lam[1] for lam in lams], dtype=np.int64)
+    v0 = np.zeros_like(x0)
+    v1 = np.zeros_like(x1)
+    inv = ctx.inv_table().tolist()
+    c = 1  # binom(m, k) mod p
+    for k in range(m + 1):
+        v0, v1 = (v0 * x0 + r * v1 * x1 + c * c % p) % p, (v0 * x1 + v1 * x0) % p
+        c = c * (m - k) % p * inv[k + 1] % p
+    return (v0 == 0) & (v1 == 0)
 
 
 def two_torsion_roots(E):

@@ -1,6 +1,6 @@
 """End-to-end acceptance gate.
 
-Eleven criteria, one test and one summary line each.  Every test computes its
+Twelve criteria, one test and one summary line each.  Every test computes its
 own pass flag first, records it (so the terminal summary always carries a
 line, even on a crash), and only then asserts.  Time budgets are wall-clock
 on the machine running the suite.
@@ -8,6 +8,8 @@ on the machine running the suite.
 
 import hashlib
 import json
+import os
+import random
 import subprocess
 import sys
 import time
@@ -42,6 +44,7 @@ from oracles import (
     QuarticModel,
     cubic_curve,
     is_superspecial,
+    is_superspecial_howe_scalar,
     isomorphic,
     quadratic_splittings,
     quartic_is_supersingular,
@@ -443,8 +446,10 @@ def test_criterion_10_every_published_row(criterion, genus2_lists):
 def test_criterion_11_large_prime_witnesses(criterion, capsys):
     # `exists --verify` in-process near the top of the paper's range, one
     # prime = 5 mod 6 (the closed-form family) and two = 1 mod 6 (the
-    # search).  Measured at 0.41 s, 0.16 s and 0.88 s on a 2-vCPU x86-64
-    # host, against 1.2 s, 3.6 s and 4.3 s with a truncated-power re-check.
+    # search).  Measured at 0.15-0.22 s, 0.07-0.08 s and 0.28-0.44 s on a
+    # 2-vCPU x86-64 host, against 0.50-0.53 s, 0.14-0.20 s and 0.97-1.09 s
+    # with a Horner pass for the Hasse test, and 1.2 s, 3.6 s and 4.3 s with
+    # a truncated-power re-check.
     ok = False
     detail = "did not complete"
     try:
@@ -464,4 +469,49 @@ def test_criterion_11_large_prime_witnesses(criterion, capsys):
             detail += "; no verified witness in budget at %s" % bad
     finally:
         criterion(11, "a verified witness at 10009, 19991 and 19993", ok, detail)
+    assert ok, detail
+
+
+WITNESSES_8_20000 = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir,
+                                 "results", "exists_8_20000.json")
+
+
+def _witness(row):
+    """The HoweData of one row [p, r, roots (12 ints), first split part, b]."""
+    p, _, flat, part, b = row
+    ctx = FieldCtx(p)
+    roots = [ctx.elem(flat[i], flat[i + 1]) for i in range(0, 12, 2)]
+    split = ([roots[i] for i in part], [roots[i] for i in range(6) if i not in part])
+    return HoweData(Genus2Curve(ctx, tuple(roots)), split, INF if b == "inf" else tuple(b))
+
+
+def test_criterion_12_committed_witnesses_for_the_paper_range(criterion):
+    # the committed output of `exists --pmin 8 --pmax 20000 --verify`: no
+    # sweep here, only its primes, a seeded sample re-checked by the package
+    # and three primes re-checked by the scalar oracle (15073 and 18313,
+    # which take the D = -15 seed, and 19997, the largest)
+    ok = False
+    detail = "did not complete"
+    try:
+        t0 = time.time()
+        with open(WITNESSES_8_20000) as fh:
+            doc = json.load(fh)
+        rows = {row[0]: row for row in doc["witnesses"]}
+        primes = _primes(8, 19999)
+        complete = (sorted(rows) == primes == [row[0] for row in doc["witnesses"]]
+                    and doc["missing"] == [] and doc["reverify_failures"] == []
+                    and all(row[1] == FieldCtx(q).r for q, row in rows.items()))
+        sample = sorted(random.Random(12).sample(primes, 24))
+        bad = [q for q in sample if not is_superspecial_howe(_witness(rows[q]))]
+        bad += [q for q in (15073, 18313, 19997)
+                if not is_superspecial_howe_scalar(_witness(rows[q]))]
+        ok = complete and len(primes) == 2258 and not bad
+        detail = "%d primes, %d re-checked, %.1fs" % (len(rows), len(sample) + 3,
+                                                       time.time() - t0)
+        if not complete:
+            detail += "; the file's primes or lists are not those of 7 < p < 20000"
+        if bad:
+            detail += "; failed re-check at %s" % bad
+    finally:
+        criterion(12, "committed witnesses for every prime 7 < p < 20000", ok, detail)
     assert ok, detail

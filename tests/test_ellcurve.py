@@ -13,7 +13,7 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from howecurves import (
@@ -32,8 +32,10 @@ from oracles import (
     cross_ratio,
     cubic_curve,
     curve_from_j,
+    deuring_vanishes_horner,
     is_supersingular,
     j_invariant,
+    j_of_lambda,
     lambda_of_quartic,
     legendre_curve_by_translation,
     quartic_is_supersingular,
@@ -158,6 +160,75 @@ def test_deuring_horner_agrees_with_the_hasse_test_on_drawn_lambdas(case):
     assert ellcurve.deuring_vanishes(ctx, [lam]).tolist() == [want]
 
 
+def _mixed_batch(ctx, size, seed):
+    """size lambdas, about half supersingular, the rest drawn from all of F_{p^2}."""
+    rng = random.Random(seed)
+    values = supersingular_lambda_set(ctx).values
+    return [rng.choice(values) if rng.random() < 0.5
+            else (rng.randrange(ctx.p), rng.randrange(ctx.p)) for _ in range(size)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.sampled_from([5, 7, 11, 13, 17, 409, 4003, 29989]),
+       st.sampled_from(["empty", "one", "two", "p/12"]), st.integers(0, 2 ** 32 - 1))
+@example(5, "p/12", 0)
+@example(7, "p/12", 0)
+@example(11, "p/12", 0)
+@example(13, "p/12", 0)
+@example(29989, "p/12", 0)
+def test_baby_step_giant_step_matches_the_horner_pass(p, size, seed):
+    # B J > m + 1 at 5 and 13, so the table's last block is padded with
+    # zeros; at 29989 the inner sums come nearest their int64 bound
+    ctx = _field(p)
+    n = {"empty": 0, "one": 1, "two": 2, "p/12": max(1, p // 12)}[size]
+    lams = _mixed_batch(ctx, n, seed)
+    got = ellcurve.deuring_vanishes(ctx, lams)
+    assert got.dtype == bool and got.shape == (n,)
+    assert got.tolist() == deuring_vanishes_horner(ctx, lams).tolist()
+
+
+def test_the_deuring_table_is_padded_only_past_m():
+    for p in (5, 7, 11, 13, 409, 29989):
+        m = (p - 1) // 2
+        table = _field(p).cached(ellcurve._deuring_table)
+        B, J = table.shape
+        assert B == math.isqrt(m) + 1 and (J - 1) * B < m + 1 <= J * B
+        flat = table.T.ravel().tolist()
+        assert flat[m + 1:] == [0] * (B * J - m - 1)
+        if p < 1000:
+            assert flat[:m + 1] == [math.comb(m, k) ** 2 % p for k in range(m + 1)]
+    assert [_field(p).cached(ellcurve._deuring_table).size > (p + 1) // 2
+            for p in (5, 7, 11, 13)] == [True, False, False, True]
+
+
+@pytest.mark.parametrize("n", [1, 2500])
+def test_the_hasse_test_makes_at_most_2_sqrt_m_sequential_products(monkeypatch, n):
+    # every sequential F_{p^2} product of the baby and giant steps goes
+    # through _mul_arrays; the Horner pass took m + 1 = 14995 steps here
+    ctx = _field(29989)
+    m = (ctx.p - 1) // 2
+    lams = _mixed_batch(ctx, n, 24)
+    calls = []
+    real = ellcurve._mul_arrays
+    monkeypatch.setattr(ellcurve, "_mul_arrays",
+                        lambda *args: calls.append(args) or real(*args))
+    got = ellcurve.deuring_vanishes(ctx, lams).tolist()
+    assert len(calls) <= 2 * math.isqrt(m) + 2 == 246
+    # the doubling of _powers: 13 products for lambda^0..lambda^123, 13
+    # for (lambda^123)^0..(lambda^123)^121 and one for the sum
+    assert len(calls) == 27
+    assert got == [lam in supersingular_lambda_set(ctx) for lam in lams]
+
+
+@pytest.mark.parametrize("p", [q for q in range(5, 212) if is_prime(q)] + [4003, 29989])
+def test_array_j_codes_match_the_scalar_j(p):
+    ctx = _field(p)
+    lams = [x for x in (ctx.elements() if p < 50 else _mixed_batch(ctx, 300, p))
+            if x not in (ctx.zero, ctx.one)]
+    want = [c0 * p + c1 for c0, c1 in (j_of_lambda(ctx, lam) for lam in lams)]
+    assert ellcurve._j_codes(ctx, lams) == want
+
+
 @pytest.mark.parametrize("p", [5, 7, 11, 13])
 def test_legendre_model_matches_the_translated_cubic(p):
     # the closed-form roots against the root finder on the translated cubic
@@ -219,13 +290,29 @@ def test_an_ordinary_seed_raises(monkeypatch, p):
     lam = next(ctx.elem(c) for c in range(2, p) if ctx.elem(c) not in lset)
     # an ordinary j for an inert D: the Horner certificate rejects it
     D = next(D for D, _ in ellcurve._CM_J if _inert(D, p))
-    monkeypatch.setattr(ellcurve, "_CM_J", ((D, ellcurve.j_of_lambda(ctx, lam)[0]),))
+    monkeypatch.setattr(ellcurve, "_CM_J", ((D, j_of_lambda(ctx, lam)[0]),))
     with pytest.raises(ArithmeticError, match="not supersingular"):
         ellcurve._compute_lambda_set(ctx)
     # an ordinary lambda past the certificate: the walk itself raises
     monkeypatch.setattr(ellcurve, "_seed_lambda", lambda ctx: lam)
     with pytest.raises(ArithmeticError):
         ellcurve._compute_lambda_set(ctx)
+
+
+def test_a_j_without_a_lambda_in_the_field_raises(monkeypatch):
+    ctx = FieldCtx(11)
+    D = next(D for D, _ in ellcurve._CM_J if _inert(D, 11))
+    # 256 u^3 - 4 (u - 1)^2 has no root in F_121: no lambda at all
+    monkeypatch.setattr(ellcurve, "_CM_J", ((D, 4),))
+    with pytest.raises(ArithmeticError, match="not supersingular"):
+        ellcurve._seed_lambda(ctx)
+    # j = t, a root of the patched "Hilbert polynomial" z^2 - r: the cubic
+    # has a root u, but 4u - 3 is not a square in F_121
+    assert _inert(-15, 11)
+    monkeypatch.setattr(ellcurve, "_CM_J", ())
+    monkeypatch.setattr(ellcurve, "_HILBERT_MINUS_15", (-ctx.r, 0, 1))
+    with pytest.raises(ArithmeticError, match=r"j=\(0, 1\) is not supersingular"):
+        ellcurve._seed_lambda(ctx)
 
 
 def test_no_seed_raises(monkeypatch):
@@ -360,7 +447,7 @@ def _class_lambdas(ctx):
     """The first lambda of each j, in the order of j: the classes' invariants."""
     by_j = {}
     for lam in supersingular_lambda_set(ctx).values:
-        by_j.setdefault(ellcurve.j_of_lambda(ctx, lam), lam)
+        by_j.setdefault(j_of_lambda(ctx, lam), lam)
     return [by_j[j] for j in sorted(by_j)]
 
 
