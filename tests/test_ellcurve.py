@@ -118,7 +118,7 @@ def test_lambda_set_matches_the_generic_root_finder(p):
 
 
 # ---------------------------------------------------------------------------
-# the 2-isogeny walk: its CM seed, the Horner certificate and the failure paths
+# the 2-isogeny walk: its CM seed, the Hasse certificate and the failure paths
 # ---------------------------------------------------------------------------
 
 
@@ -288,7 +288,7 @@ def test_an_ordinary_seed_raises(monkeypatch, p):
     ctx = FieldCtx(p)
     lset = ellcurve._compute_lambda_set(ctx)
     lam = next(ctx.elem(c) for c in range(2, p) if ctx.elem(c) not in lset)
-    # an ordinary j for an inert D: the Horner certificate rejects it
+    # an ordinary j for an inert D: the Hasse certificate rejects it
     D = next(D for D, _ in ellcurve._CM_J if _inert(D, p))
     monkeypatch.setattr(ellcurve, "_CM_J", ((D, j_of_lambda(ctx, lam)[0]),))
     with pytest.raises(ArithmeticError, match="not supersingular"):
@@ -409,8 +409,9 @@ def test_class_enumeration_matches_j_scan():
 
 
 def test_classes_are_computed_once_per_prime(monkeypatch):
-    # the Hasse re-check (one Horner pass over the class lambdas) runs on the
-    # first call on a field only; a new field for the same prime starts cold
+    # the Hasse re-check (one deuring_vanishes call over the class lambdas)
+    # runs on the first call on a field only; a new field for the same
+    # prime starts cold
     ctx = FieldCtx(41)
     supersingular_lambda_set(ctx)  # the walk's seed check is not counted here
     calls = []
@@ -432,7 +433,7 @@ def test_classes_are_computed_once_per_prime(monkeypatch):
 
 def test_class_recheck_rejects_an_ordinary_lambda(monkeypatch):
     # one ordinary lambda slipped into the set adds a class whose count still
-    # fits the window at p = 13; the Horner re-check must refuse it
+    # fits the window at p = 13; the Hasse re-check must refuse it
     values = list(supersingular_lambda_set(FieldCtx(13)).values)
     ctx = FieldCtx(13)
     ordinary = ctx.elem(2)

@@ -627,7 +627,7 @@ def test_verification_runs_one_hasse_test_per_lambda(monkeypatch, genus2_lists):
         calls.append(list(values))
         return real(ctx, values)
 
-    # one Horner pass over the distinct lambdas in first-seen order
+    # one Hasse test over the distinct lambdas in first-seen order
     monkeypatch.setattr(howe, "deuring_vanishes", counting)
     _verify_representatives(ctx, reps)
     assert len(calls) == 1
