@@ -22,7 +22,6 @@ from .arith import (
     sort_key,
 )
 from .ellcurve import (
-    SupersingularLambdaSet,
     enumerate_supersingular_classes,
     supersingular_lambda_set,
 )
@@ -72,7 +71,6 @@ __all__ = [
     "poly_gcd",
     "poly_roots_in_fq",
     "sort_key",
-    "SupersingularLambdaSet",
     "enumerate_supersingular_classes",
     "supersingular_lambda_set",
     "Genus2Curve",

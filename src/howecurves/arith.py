@@ -212,12 +212,15 @@ class FieldCtx:
         supersingular lambda set and classes of ellcurve.  Values live as
         long as the field; a new FieldCtx for the same p starts empty, and a
         pickled field carries what it has computed, keyed by compute, which
-        must then be a module-level function.
+        must then be a module-level function.  Every caller shares the value,
+        so an array is stored read-only.
         """
         try:
             return self._cache[compute]
         except KeyError:
             value = self._cache[compute] = compute(self)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
             return value
 
     def inv_table(self) -> np.ndarray:
@@ -649,15 +652,6 @@ class MobiusMap:
         self.ctx = ctx
         self.a, self.b, self.c, self.d = a, b, c, d
 
-    @classmethod
-    def _invertible(cls, ctx: FieldCtx, a: FqElem, b: FqElem, c: FqElem, d: FqElem
-                    ) -> "MobiusMap":
-        """A map from a matrix known to be invertible, with no determinant test."""
-        out = cls.__new__(cls)
-        out.ctx = ctx
-        out.a, out.b, out.c, out.d = a, b, c, d
-        return out
-
     def __call__(self, pt: ProjPoint) -> ProjPoint:
         ctx = self.ctx
         if pt is INF:
@@ -677,13 +671,10 @@ class MobiusMap:
         b = ctx.add(m(self.a, other.b), m(self.b, other.d))
         c = ctx.add(m(self.c, other.a), m(self.d, other.c))
         d = ctx.add(m(self.c, other.b), m(self.d, other.d))
-        # det(self) * det(other) != 0
-        return MobiusMap._invertible(ctx, a, b, c, d)
+        return MobiusMap(ctx, a, b, c, d)
 
     def inverse(self) -> "MobiusMap":
-        # the adjugate has the same determinant
-        return MobiusMap._invertible(self.ctx, self.d, self.ctx.neg(self.b),
-                                     self.ctx.neg(self.c), self.a)
+        return MobiusMap(self.ctx, self.d, self.ctx.neg(self.b), self.ctx.neg(self.c), self.a)
 
     def key(self) -> tuple:
         """Canonical projective normalization, usable as a dict key."""

@@ -30,42 +30,19 @@ from .arith import (
 )
 
 
-class SupersingularLambdaSet:
-    """The supersingular lambda-invariants of characteristic p, as a set.
-
-    codes holds c0 * p + c1 for each value, an int64 array in the order of
-    values (both sort ascending), for array membership tests.  The set keeps
-    no reference to its field, so a field and its cache form no cycle.
-    """
-
-    __slots__ = ("values", "codes", "_set")
-
-    def __init__(self, ctx: FieldCtx, values: list):
-        self.values = tuple(sorted(values))
-        self.codes = np.array([c0 * ctx.p + c1 for c0, c1 in self.values], dtype=np.int64)
-        self._set = frozenset(values)
-
-    def __contains__(self, lam: FqElem) -> bool:
-        return lam in self._set
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
-
-def supersingular_lambda_set(ctx: FieldCtx) -> SupersingularLambdaSet:
+def supersingular_lambda_set(ctx: FieldCtx) -> np.ndarray:
     """All lambda with y^2 = x(x-1)(x-lambda) supersingular; always (p-1)/2 values.
 
-    These are the roots of the Deuring polynomial (see _compute_lambda_set).
-    Computed on first use and kept with the field (FieldCtx.cached).
+    These are the roots of the Deuring polynomial (see _compute_lambda_set),
+    held as the sorted int64 codes c0 p + c1 of the values, so a membership
+    test is a search in the array.  Computed on first use and kept, read-only,
+    with the field (FieldCtx.cached).
     """
     return ctx.cached(_compute_lambda_set)
 
 
-def _compute_lambda_set(ctx: FieldCtx) -> SupersingularLambdaSet:
-    """The roots of H_p in F_{p^2}, by a breadth-first 2-isogeny walk.
+def _compute_lambda_set(ctx: FieldCtx) -> np.ndarray:
+    """The sorted codes of the roots of H_p in F_{p^2}, by a breadth-first 2-isogeny walk.
 
     The walk starts at one certified supersingular lambda (_seed_lambda) and
     takes lambda to 1 - lambda and 1/lambda, which relabel the 2-torsion, and
@@ -104,7 +81,7 @@ def _compute_lambda_set(ctx: FieldCtx) -> SupersingularLambdaSet:
                               % (len(seen), m))
     if {ctx.zero, ctx.one} & seen:
         raise ArithmeticError("degenerate lambda among supersingular values")
-    return SupersingularLambdaSet(ctx, list(seen))
+    return np.array(sorted(c0 * ctx.p + c1 for c0, c1 in seen), dtype=np.int64)
 
 
 # j-invariants of the imaginary quadratic orders of class number 1, by
@@ -240,7 +217,7 @@ def enumerate_supersingular_classes(ctx: FieldCtx) -> tuple:
 
 
 def _compute_classes(ctx: FieldCtx) -> tuple:
-    values = supersingular_lambda_set(ctx).values
+    values = [divmod(code, ctx.p) for code in supersingular_lambda_set(ctx).tolist()]
     by_j = {}
     for j, lam in zip(_j_codes(ctx, values), values):
         by_j.setdefault(j, lam)

@@ -200,7 +200,8 @@ _PAIRS = [(i, j) for i in range(6) for j in range(i + 1, 6)]
 
 
 # The 15 ways to split {0..5} into three unordered pairs: 0 pairs with a,
-# the least remaining root b with c, and the last two pair up.
+# the least remaining root b with c, and the last two pair up.  So each pair
+# and each partition is sorted, and the list ascends.
 _PAIR_PARTITIONS = [
     ((0, a), (b, c), tuple(x for x in range(1, 6) if x not in (a, b, c)))
     for a in range(1, 6)
@@ -349,16 +350,12 @@ def mobius_matches(C: Genus2Curve, D: Genus2Curve) -> Iterator[MobiusMap]:
 # Richelot correspondences
 # ---------------------------------------------------------------------------
 
-_SPLITTINGS = [
-    tuple(sorted((tuple(sorted(pr)) for pr in part)))
-    for part in _PAIR_PARTITIONS
-]
 
 def richelot_codomains(ctx: FieldCtx, batch: Sequence[tuple]) -> list:
     """The (2,2)-correspondence neighbours of each sorted root sextuple of the batch.
 
     For each grouping {g1, g2, g3} of a curve's roots into monic quadratics
-    (in _SPLITTINGS order) with delta = det of their coefficient matrix
+    (in _PAIR_PARTITIONS order) with delta = det of their coefficient matrix
     nonzero, the neighbour is delta * y^2 = h1 h2 h3 with
     h_i = g_j' g_k - g_j g_k'; its six branch points are returned as a monic
     rational-roots model.  If some h_i drops to degree one, its second root
@@ -380,7 +377,7 @@ def richelot_codomains(ctx: FieldCtx, batch: Sequence[tuple]) -> list:
     p = ctx.p
     q = p * p
     mul = functools.partial(_mul_stacked, ctx)
-    pos = np.array(_SPLITTINGS)
+    pos = np.array(_PAIR_PARTITIONS)
     r = np.array(batch, dtype=np.int64).reshape(-1, 6, 2)
     u, v = r[:, pos[..., 0]], r[:, pos[..., 1]]
     # g_i = x^2 + e_i x + f_i; h for (j, k) = (1, 2), (2, 0), (0, 1) has
@@ -581,7 +578,7 @@ def closure_stream(ctx: FieldCtx, acc: Optional[SuperspecialList] = None
         cursor = 0
         while cursor < len(acc.curves):
             # the classes not yet expanded, up to ROW_BLOCK splitting rows
-            block = acc.curves[cursor:cursor + ROW_BLOCK // len(_SPLITTINGS)]
+            block = acc.curves[cursor:cursor + ROW_BLOCK // len(_PAIR_PARTITIONS)]
             cursor += len(block)
             yield [D for neighbours in richelot_codomains(ctx, [C.roots for C in block])
                    for D in neighbours]

@@ -47,11 +47,7 @@ from .arith import (
     matmul_fq,
     mobius_eval_array,
 )
-from .ellcurve import (
-    SupersingularLambdaSet,
-    enumerate_supersingular_classes,
-    supersingular_lambda_set,
-)
+from .ellcurve import _powers, enumerate_supersingular_classes, supersingular_lambda_set
 from .genus2 import (
     Genus2Curve,
     SuperspecialList,
@@ -169,11 +165,8 @@ def _power_table(ctx: FieldCtx):
     A (3m+1, p^2, 2) array; take it through ctx.cached, as it depends only on p.
     """
     p = ctx.p
-    x = np.stack(np.divmod(np.arange(p * p), p), axis=-1)
-    powers = [np.broadcast_to(np.array([1, 0], dtype=np.int64), x.shape)]
-    for _ in range(3 * ((p - 1) // 2)):
-        powers.append(_mul_stacked(ctx, powers[-1], x))
-    return np.stack(powers)
+    y0, y1 = _powers(ctx, *np.divmod(np.arange(p * p), p), 3 * ((p - 1) // 2))
+    return np.stack([y0.T, y1.T], axis=-1)
 
 
 def _fq_plane(ctx: FieldCtx, table):
@@ -336,19 +329,19 @@ def _cross_ratio_maps(ctx: FieldCtx, triples):
     return np.stack([u, -_mul_stacked(ctx, t2, u) % p, v, -_mul_stacked(ctx, t3, v) % p], axis=-2)
 
 
-def supersingular_b_values(ctx: FieldCtx, lset: SupersingularLambdaSet,
-                           splits: Sequence[tuple]) -> list:
+def supersingular_b_values(ctx: FieldCtx, codes: np.ndarray, splits: Sequence[tuple]) -> list:
     """For each split (T1, T2), the b making both quartic halves supersingular.
 
     The half on T = (t1, t2, t3) is y^2 = (x-b)(x-t1)(x-t2)(x-t3).  Its
     Legendre invariant is the cross-ratio (b, t1; t2, t3), a Mobius function
     M_T of b, so the good b for the first half are the preimages under
-    M1 = M_T1 of the lambda set; one composed map N = M2 M1^-1 tests the
+    M1 = M_T1 of the lambda set, given as its sorted codes
+    (supersingular_lambda_set); one composed map N = M2 M1^-1 tests the
     second half on each of them.  Which of the six cross-ratio orderings is
     used does not matter: the lambda set is stable under all of them.  The
     matrices of M1^-1 (the adjugate) and N of all splits are built as
     arrays, every N runs over the whole lambda array in one pass,
-    membership is a search in lset.codes, and only the hits are pulled back
+    membership is a search in the codes, and only the hits are pulled back
     through M1^-1, to INF where its denominator vanishes.  No lambda is 0,
     1 or INF, so no b is a root.  Each list is sorted by the projective sort
     key, INF last.
@@ -363,7 +356,6 @@ def supersingular_b_values(ctx: FieldCtx, lset: SupersingularLambdaSet,
     terms = _mul_stacked(ctx, _cross_ratio_maps(ctx, triples[:, 1]).reshape(-1, 2, 2, 1, 2),
                          back.reshape(-1, 1, 2, 2, 2))
     maps = (terms.sum(axis=2) % p).reshape(-1, 4, 2)
-    codes = lset.codes
     y0, y1, finite = mobius_eval_array(ctx, maps[:, None], codes // p, codes % p)
     images = y0 * p + y1
     pos = np.minimum(np.searchsorted(codes, images), len(codes) - 1)
@@ -386,8 +378,7 @@ def _curve_splits(C: Genus2Curve) -> list:
             for pair in itertools.combinations(roots[1:], 2)]
 
 
-def _fit_orbits(ctx: FieldCtx, lset: SupersingularLambdaSet,
-                curves: Sequence[Genus2Curve]) -> list:
+def _fit_orbits(ctx: FieldCtx, lset: np.ndarray, curves: Sequence[Genus2Curve]) -> list:
     """The raw fit count and the first (split, b) fit of each Howe key, per curve.
 
     On one curve, equal keys mean one orbit under its reduced automorphisms.

@@ -56,7 +56,6 @@ from howecurves.arith import ProjPoint, cross_ratio_map, matmul_fq
 from howecurves.genus2 import (
     _PAIR_PARTITIONS,
     _PAIRS,
-    _SPLITTINGS,
     _TRIPLE_PARTITIONS,
     mobius_matches,
 )
@@ -534,7 +533,7 @@ def rosenhain_closure(ctx):
 
 def quadratic_splittings(C):
     """All 15 groupings of the six roots into three unordered pairs."""
-    return [tuple(tuple(C.roots[i] for i in pr) for pr in part) for part in _SPLITTINGS]
+    return [tuple(tuple(C.roots[i] for i in pr) for pr in part) for part in _PAIR_PARTITIONS]
 
 
 def splitting_delta(ctx, splitting):
@@ -591,7 +590,7 @@ def richelot_codomains_scalar(C):
 
     For each splitting with delta != 0, the roots of h_i = g_j' g_k - g_j g_k'
     by the quadratic formula with ctx.sqrt, pulled off INF by
-    renormalize_infinite; (splitting, neighbour) pairs in _SPLITTINGS order.
+    renormalize_infinite; (splitting, neighbour) pairs in _PAIR_PARTITIONS order.
     """
     ctx = C.ctx
     out = []
@@ -630,9 +629,20 @@ def howe_key_scalar(H):
     return min(keys)
 
 
+def lambda_values(ctx, lset):
+    """The supersingular lambda, decoded from the set's codes c0 p + c1."""
+    return [divmod(code, ctx.p) for code in lset.tolist()]
+
+
+def in_lambda_set(ctx, lset, lam):
+    """lam is in the lambda set held as its sorted codes; INF never is."""
+    return lam is not INF and lam[0] * ctx.p + lam[1] in lset
+
+
 def b_values_scalar(ctx, lset, split):
     """The b of one split by scalar Mobius maps: N = M2 M1^-1 at each lambda."""
     T1, T2 = split
     back = cross_ratio_map(ctx, *T1).inverse()
     N = cross_ratio_map(ctx, *T2).compose(back)
-    return sorted((back(lam) for lam in lset.values if N(lam) in lset), key=sort_key)
+    return sorted((back(lam) for lam in lambda_values(ctx, lset)
+                   if in_lambda_set(ctx, lset, N(lam))), key=sort_key)

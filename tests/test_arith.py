@@ -23,8 +23,11 @@ from howecurves import (
     poly_gcd,
     poly_roots_in_fq,
     sort_key,
+    supersingular_lambda_set,
 )
 import numpy as np
+
+from howecurves import ellcurve
 
 from howecurves.arith import (
     MAX_P,
@@ -35,6 +38,7 @@ from howecurves.arith import (
     matmul_fq,
     mobius_eval_array,
 )
+from howecurves.strategies import _power_table
 from oracles import cross_ratio
 
 
@@ -552,6 +556,15 @@ def test_field_cache_is_per_instance_and_survives_a_pickle():
     assert copy.inv_table() is copy.inv_table()
 
 
+def test_cached_arrays_are_read_only():
+    # every caller of a field shares its cached arrays, so none may write
+    ctx = FieldCtx(13)
+    for table in (ctx.inv_table(), ctx.sqrt_table(), ctx.cached(ellcurve._deuring_table),
+                  ctx.cached(_power_table), supersingular_lambda_set(ctx)):
+        with pytest.raises(ValueError, match="read-only"):
+            table[0] = 1
+
+
 def test_array_arithmetic_at_the_largest_prime():
     # the array layer against ctx.mul / ctx.div, with every coordinate p - 1
     # among the points and the map coefficients, and with zero denominators
@@ -863,21 +876,19 @@ def test_mobius_rejects_singular_matrix():
         MobiusMap(ctx, ctx.one, ctx.one, ctx.one, ctx.one)
 
 
-def test_compose_and_inverse_skip_the_determinant(monkeypatch):
-    # ad - bc is the only subtraction a Mobius map makes; maps built from
-    # invertible ones are invertible, so compose and inverse never test it
+def test_compose_and_inverse_keep_the_determinant_nonzero():
+    # compose and inverse build through the checked constructor, whose
+    # determinant test cannot fire there: det(AB) = det A det B, and the
+    # adjugate has the same determinant
     ctx = FieldCtx(11)
     m = MobiusMap(ctx, ctx.elem(2), ctx.one, ctx.elem(3, 1), ctx.elem(5))
     k = MobiusMap(ctx, ctx.zero, ctx.elem(4, 7), ctx.one, ctx.elem(1, 1))
 
-    def no_sub(self, x, y):
-        raise AssertionError("determinant recomputed")
+    def det(f):
+        return ctx.sub(ctx.mul(f.a, f.d), ctx.mul(f.b, f.c))
 
-    monkeypatch.setattr(FieldCtx, "sub", no_sub)
     back, both = m.inverse(), m.compose(k)
-    with pytest.raises(AssertionError, match="determinant recomputed"):
-        MobiusMap(ctx, ctx.one, ctx.zero, ctx.zero, ctx.one)
-    monkeypatch.undo()
+    assert det(back) == det(m) and det(both) == ctx.mul(det(m), det(k)) != ctx.zero
     for x in [INF, ctx.zero, ctx.one, ctx.elem(5, 9), ctx.elem(0, 3)]:
         assert back(m(x)) == x
         assert both(x) == m(k(x))

@@ -12,6 +12,7 @@ import math
 import random
 import time
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -35,8 +36,10 @@ from oracles import (
     deuring_vanishes_horner,
     is_supersingular,
     j_invariant,
+    in_lambda_set,
     j_of_lambda,
     lambda_of_quartic,
+    lambda_values,
     legendre_curve_by_translation,
     quartic_is_supersingular,
     two_torsion_roots,
@@ -91,12 +94,12 @@ def test_lambda_set_size_and_exclusions():
         ctx = FieldCtx(p)
         lset = supersingular_lambda_set(ctx)
         assert len(lset) == (p - 1) // 2
-        assert ctx.zero not in lset and ctx.one not in lset
-        for lam in lset:
+        assert not in_lambda_set(ctx, lset, ctx.zero) and not in_lambda_set(ctx, lset, ctx.one)
+        for lam in lambda_values(ctx, lset):
             # the six-element orbit of lambda stays inside the set
-            assert ctx.inv(lam) in lset
-            assert ctx.sub(ctx.one, lam) in lset
-    assert FieldCtx(7).elem(6) in supersingular_lambda_set(FieldCtx(7))
+            assert in_lambda_set(ctx, lset, ctx.inv(lam))
+            assert in_lambda_set(ctx, lset, ctx.sub(ctx.one, lam))
+    assert 6 * 7 in supersingular_lambda_set(FieldCtx(7))
 
 
 def _deuring_roots(ctx):
@@ -113,8 +116,8 @@ def test_lambda_set_matches_the_generic_root_finder(p):
     ctx = FieldCtx(p)
     want = _deuring_roots(ctx)
     lset = supersingular_lambda_set(ctx)
-    assert lset.values == tuple(want)
-    assert lset.codes.tolist() == [c0 * p + c1 for c0, c1 in want]
+    assert lambda_values(ctx, lset) == want
+    assert lset.dtype == np.int64 and lset.tolist() == [c0 * p + c1 for c0, c1 in want]
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +148,7 @@ def _lambdas(draw):
     """A prime up to 29989 and a lambda other than 0 and 1, supersingular or not."""
     ctx = _field(draw(st.sampled_from([17, 409, 4003, 29989])))
     if draw(st.booleans()):
-        values = supersingular_lambda_set(ctx).values
+        values = lambda_values(ctx, supersingular_lambda_set(ctx))
         return ctx, values[draw(st.integers(0, len(values) - 1))]
     lam = (draw(st.integers(0, ctx.p - 1)), draw(st.integers(0, ctx.p - 1)))
     return ctx, lam if lam not in (ctx.zero, ctx.one) else ctx.elem(2)
@@ -163,7 +166,7 @@ def test_deuring_horner_agrees_with_the_hasse_test_on_drawn_lambdas(case):
 def _mixed_batch(ctx, size, seed):
     """size lambdas, about half supersingular, the rest drawn from all of F_{p^2}."""
     rng = random.Random(seed)
-    values = supersingular_lambda_set(ctx).values
+    values = lambda_values(ctx, supersingular_lambda_set(ctx))
     return [rng.choice(values) if rng.random() < 0.5
             else (rng.randrange(ctx.p), rng.randrange(ctx.p)) for _ in range(size)]
 
@@ -217,7 +220,7 @@ def test_the_hasse_test_makes_at_most_2_sqrt_m_sequential_products(monkeypatch, 
     # the doubling of _powers: 13 products for lambda^0..lambda^123, 13
     # for (lambda^123)^0..(lambda^123)^121 and one for the sum
     assert len(calls) == 27
-    assert got == [lam in supersingular_lambda_set(ctx) for lam in lams]
+    assert got == [in_lambda_set(ctx, supersingular_lambda_set(ctx), lam) for lam in lams]
 
 
 @pytest.mark.parametrize("p", [q for q in range(5, 212) if is_prime(q)] + [4003, 29989])
@@ -266,7 +269,7 @@ _MINUS_15_INERT = [q for q in range(7, 200) if is_prime(q) and _inert(-15, q)]
 def test_the_minus_15_seed_gives_the_same_set(monkeypatch, p):
     monkeypatch.setattr(ellcurve, "_CM_J", ())
     ctx = FieldCtx(p)
-    assert ellcurve._compute_lambda_set(ctx).values == tuple(_deuring_roots(ctx))
+    assert lambda_values(ctx, ellcurve._compute_lambda_set(ctx)) == _deuring_roots(ctx)
 
 
 def test_every_seed_up_to_997_passes_the_hasse_test(monkeypatch):
@@ -287,7 +290,7 @@ def test_every_seed_up_to_997_passes_the_hasse_test(monkeypatch):
 def test_an_ordinary_seed_raises(monkeypatch, p):
     ctx = FieldCtx(p)
     lset = ellcurve._compute_lambda_set(ctx)
-    lam = next(ctx.elem(c) for c in range(2, p) if ctx.elem(c) not in lset)
+    lam = next(ctx.elem(c) for c in range(2, p) if c * p not in lset)
     # an ordinary j for an inert D: the Hasse certificate rejects it
     D = next(D for D, _ in ellcurve._CM_J if _inert(D, p))
     monkeypatch.setattr(ellcurve, "_CM_J", ((D, j_of_lambda(ctx, lam)[0]),))
@@ -336,7 +339,7 @@ def test_walk_reaches_the_whole_set_at_large_primes():
         ctx = FieldCtx(p)
         lset = ellcurve._compute_lambda_set(ctx)
         assert len(lset) == (p - 1) // 2
-        assert ctx.zero not in lset and ctx.one not in lset
+        assert not in_lambda_set(ctx, lset, ctx.zero) and not in_lambda_set(ctx, lset, ctx.one)
     assert time.perf_counter() - t0 < 10.0
 
 
@@ -348,7 +351,7 @@ def test_lambda_set_matches_legendre_models():
         if x == ctx.zero or x == ctx.one:
             continue
         Q = QuarticModel(ctx, INF, (ctx.zero, ctx.one, x))
-        assert (x in lset) == quartic_is_supersingular(Q)
+        assert in_lambda_set(ctx, lset, x) == quartic_is_supersingular(Q)
 
 
 def test_lambda_of_quartic_legendre_frame():
@@ -372,7 +375,7 @@ def test_quartic_supersingularity_is_orbit_invariant():
             pts = [INF] + [q for q in pts if q is not INF][:3]
         Q = QuarticModel(ctx, pts[0], tuple(pts[1:]))
         direct = quartic_is_supersingular(Q)
-        assert direct == (lambda_of_quartic(Q) in lset)
+        assert direct == in_lambda_set(ctx, lset, lambda_of_quartic(Q))
         # apply a random Mobius map and retest
         while True:
             a, b, c, d = (ctx.elem(rng.randrange(11), rng.randrange(11)) for _ in range(4))
@@ -434,12 +437,12 @@ def test_classes_are_computed_once_per_prime(monkeypatch):
 def test_class_recheck_rejects_an_ordinary_lambda(monkeypatch):
     # one ordinary lambda slipped into the set adds a class whose count still
     # fits the window at p = 13; the Hasse re-check must refuse it
-    values = list(supersingular_lambda_set(FieldCtx(13)).values)
+    codes = supersingular_lambda_set(FieldCtx(13)).tolist()
     ctx = FieldCtx(13)
-    ordinary = ctx.elem(2)
-    assert ordinary not in values
+    ordinary = 2 * 13  # the code of 2
+    assert ordinary not in codes
     monkeypatch.setattr(ellcurve, "_compute_lambda_set",
-                        lambda ctx: ellcurve.SupersingularLambdaSet(ctx, values + [ordinary]))
+                        lambda ctx: np.array(sorted(codes + [ordinary])))
     with pytest.raises(ArithmeticError, match="fails the Hasse test"):
         enumerate_supersingular_classes(ctx)
 
@@ -447,7 +450,7 @@ def test_class_recheck_rejects_an_ordinary_lambda(monkeypatch):
 def _class_lambdas(ctx):
     """The first lambda of each j, in the order of j: the classes' invariants."""
     by_j = {}
-    for lam in supersingular_lambda_set(ctx).values:
+    for lam in lambda_values(ctx, supersingular_lambda_set(ctx)):
         by_j.setdefault(j_of_lambda(ctx, lam), lam)
     return [by_j[j] for j in sorted(by_j)]
 

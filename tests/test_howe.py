@@ -46,9 +46,11 @@ from oracles import (
     automorphisms,
     howe_from_cubics,
     howe_key_scalar,
+    in_lambda_set,
     is_superspecial,
     is_superspecial_howe_scalar,
     lambda_of_quartic,
+    lambda_values,
     quartic_is_supersingular,
     quartics,
 )
@@ -336,8 +338,8 @@ def test_superspeciality_matches_the_scalar_oracle():
         w1, w2 = H.split
         for part, other in ((w1, w2), (w2, w1)):
             back = cross_ratio_map(ctx, *part).inverse()
-            half = [b for b in map(back, lset.values) if b not in H.curve.roots
-                    and lambda_of_quartic(QuarticModel(ctx, b, other)) not in lset]
+            half = [b for b in map(back, lambda_values(ctx, lset)) if b not in H.curve.roots
+                    and not in_lambda_set(ctx, lset, lambda_of_quartic(QuarticModel(ctx, b, other)))]
             free += half[:1]
             halves += bool(half)
         controls = [HoweData(H.curve, H.split, b) for b in free]

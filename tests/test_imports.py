@@ -12,7 +12,8 @@ package module must be read by some package module other than
 `__init__.py`, whose re-exports are not reads.  Only `strategies` reads
 `ProcessPoolExecutor`, so every worker pool is its `pool_map`, and only
 `arith` calls the builtin `pow` with a modulus, so every other F_p inverse
-reads the field's inverse table.
+reads the field's inverse table.  Every `cached(...)` call passes a function
+defined at the top level of its module, as a pickled field's cache keys need.
 """
 
 import ast
@@ -219,3 +220,31 @@ def test_only_the_cubic_power_reads_the_truncated_power():
     users = [(p.name, fn) for p in sorted(PACKAGE.glob("*.py"))
              for fn in readers(p.read_text(), "pow_truncated")]
     assert users == [("strategies.py", "_cubic_power")]
+
+
+def cache_keys(source: str) -> list:
+    """(line, ok) for each call of cached, ok when its one argument names a
+    function defined at the top level of the module."""
+    tree = ast.parse(source)
+    defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    return [(n.lineno, len(n.args) == 1 and not n.keywords
+             and isinstance(n.args[0], ast.Name) and n.args[0].id in defined)
+            for n in ast.walk(tree) if isinstance(n, ast.Call)
+            and getattr(n.func, "attr", getattr(n.func, "id", None)) == "cached"]
+
+
+def test_checker_flags_a_cache_key_that_is_no_module_function():
+    src = ("def _table(ctx): return 1\n"
+           "def f(ctx):\n"
+           "    def inner(c): return 2\n"
+           "    a = ctx.cached(_table) + cached(_table)\n"
+           "    b = ctx.cached(lambda c: 3)\n"
+           "    return ctx.cached(inner) + ctx.cached(compute=_table)\n")
+    assert sorted(cache_keys(src)) == [(4, True), (4, True), (5, False), (6, False), (6, False)]
+
+
+def test_every_cache_key_is_a_module_level_function():
+    # FieldCtx.cached keys a field's values by the function, and a pickled
+    # field's keys must unpickle, by import path, to the same objects
+    keys = [key for p in sorted(PACKAGE.glob("*.py")) for key in cache_keys(p.read_text())]
+    assert len(keys) >= 7 and all(ok for _, ok in keys)
