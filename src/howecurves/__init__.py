@@ -16,7 +16,6 @@ from .arith import (
     MobiusMap,
     UniPoly,
     is_prime,
-    mobius_from_triples,
     poly_gcd,
     poly_roots_in_fq,
     sort_key,
@@ -67,7 +66,6 @@ __all__ = [
     "MobiusMap",
     "UniPoly",
     "is_prime",
-    "mobius_from_triples",
     "poly_gcd",
     "poly_roots_in_fq",
     "sort_key",

@@ -36,20 +36,17 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # reduced pairings (< 6 p) and is reduced before its product; I4 and I6 add
 # ten products each.
 # Strategy a's evaluation search (strategies.howe_type_points) builds its
-# power table and scale rows by _mul_stacked, and its entry tables T V by
-# matmul_fq, whose four real products run in float64: each sums at most
-# 3m + 1 <= 3p/2 integer products below p^2, so every partial sum, in any
-# order and with FMA, is an integer below 1.5 p^3 < 2^53, and exact.  Back in
-# int64, x1 y1 is reduced mod p before r multiplies it.  Entry 0 spans p
-# columns of the scale rows S, and its zeros on a block of scales come from
-# one float64 product [S0 | S1] @ [[T0, T1], [r T1 mod p, T0]]
-# (strategies._zero_mask): 2p products below p^2 per output, so every partial
-# sum is an integer below 2 p^3 < 2^53, and exact.  The zero test stays in
-# float64 as rint(z / p) * p == z.  Where p divides z, the quotient is an
-# integer below 2^53, which IEEE division returns exactly; elsewhere
-# rint(z / p) * p is a multiple of p below 2^53, exact too, so not z.  The
-# values of entries 1-3 at those zeros sum at most 3m + 1 reduced products
-# below p, in int64.
+# power table and scale rows by _mul_stacked, and its F_{p^2} matrix
+# products, the entry tables T V and entry 0's zeros on each block of
+# scales, all as one float64 block product [X0 | X1] @ [[Y0, Y1],
+# [r Y1 mod p, Y0]] (plane_product): each output sums 2n integer products
+# below p^2 with n <= 3m + 1 < 3p/2, so every partial sum, in any order and
+# with FMA, is an integer below 3 p^3 < 2^53, and exact.  Entry 0's zero
+# test stays in float64 as rint(z / p) * p == z.  Where p divides z, the
+# quotient is an integer below 2^53, which IEEE division returns exactly;
+# elsewhere rint(z / p) * p is a multiple of p below 2^53, exact too, so not
+# z.  The values of entries 1-3 at those zeros sum at most 3m + 1 reduced
+# products below p, in int64.
 # The baby-step giant-step Hasse test (ellcurve.deuring_vanishes) takes its
 # powers by _mul_arrays, reduced.  Its inner sums, one int64 matrix product
 # of the powers lambda^0..lambda^(B-1) with the table of binom(m, k)^2 mod p,
@@ -213,7 +210,7 @@ class FieldCtx:
         long as the field; a new FieldCtx for the same p starts empty, and a
         pickled field carries what it has computed, keyed by compute, which
         must then be a module-level function.  Every caller shares the value,
-        so an array is stored read-only.
+        so an array is stored read-only, and read-only again once unpickled.
         """
         try:
             return self._cache[compute]
@@ -222,6 +219,14 @@ class FieldCtx:
             if isinstance(value, np.ndarray):
                 value.flags.writeable = False
             return value
+
+    def __setstate__(self, state):
+        # pickle restores every array writeable
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        for value in self._cache.values():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
 
     def inv_table(self) -> np.ndarray:
         """Inverses of 0, 1, ..., p-1 in F_p (0 for 0), built on first use."""
@@ -706,15 +711,25 @@ def _mul_stacked(ctx: FieldCtx, x, y):
     return np.stack(_mul_arrays(ctx, x[..., 0], x[..., 1], y[..., 0], y[..., 1]), axis=-1)
 
 
-def matmul_fq(ctx: FieldCtx, x, y):
-    """F_{p^2} product of (k, n, 2) and (n, l, 2) arrays with entries in [0, p).
+def fq_plane(ctx: FieldCtx, y):
+    """The float64 plane [[Y0, Y1], [r Y1 mod p, Y0]] of an (n, l, 2) array Y in [0, p)."""
+    y0, y1 = y[..., 0], y[..., 1]
+    return np.block([[y0, y1], [ctx.r * y1 % ctx.p, y0]]).astype(np.float64)
 
-    Runs as four float64 BLAS products, exact while n p^2 < 2^53 (see MAX_P).
+
+def plane_product(x, plane):
+    """[X0 | X1] @ fq_plane(ctx, Y) = [X0 Y0 + r X1 Y1 | X0 Y1 + X1 Y0], (k, 2l) float64.
+
+    The two parts of the F_{p^2} product X Y of a (k, n, 2) array X in
+    [0, p), unreduced, from one real product, exact (see MAX_P).
     """
-    p = ctx.p
-    x0, x1, y0, y1 = (z[..., i].astype(np.float64) for z in (x, y) for i in (0, 1))
-    a, b, c, d = ((u @ v).astype(np.int64) for u, v in ((x0, y0), (x1, y1), (x0, y1), (x1, y0)))
-    return np.stack([(a + ctx.r * (b % p)) % p, (c + d) % p], axis=-1)
+    return x.swapaxes(1, 2).reshape(len(x), -1).astype(np.float64) @ plane
+
+
+def matmul_fq(ctx: FieldCtx, x, plane):
+    """The F_{p^2} product X Y as a reduced (k, l, 2) int64 array; plane = fq_plane(ctx, Y)."""
+    z = plane_product(x, plane).astype(np.int64) % ctx.p
+    return np.stack(np.split(z, 2, axis=1), axis=-1)
 
 
 def _inv_stacked(ctx: FieldCtx, x):
@@ -788,15 +803,3 @@ def cross_ratio_map(ctx: FieldCtx, r: ProjPoint, s: ProjPoint, t: ProjPoint) -> 
     v = ctx.sub(r, s)
     return MobiusMap(ctx, u, ctx.neg(ctx.mul(s, u)), v, ctx.neg(ctx.mul(t, v)))
 
-
-def mobius_from_triples(ctx: FieldCtx, src: Sequence[ProjPoint], dst: Sequence[ProjPoint]) -> MobiusMap:
-    """The unique Mobius map sending the ordered triple src onto dst."""
-    if len(src) != 3 or len(dst) != 3:
-        raise ValueError("need ordered triples of three distinct points each")
-    for tri in (src, dst):
-        keys = {sort_key(x) for x in tri}
-        if len(keys) != 3:
-            raise ValueError("triple contains a repeated point")
-    t_src = cross_ratio_map(ctx, src[1], src[0], src[2])
-    t_dst = cross_ratio_map(ctx, dst[1], dst[0], dst[2])
-    return t_dst.inverse().compose(t_src)

@@ -161,7 +161,7 @@ def _run_strategies(ctx: FieldCtx, args) -> tuple:
     names = ("a", "b") if args.strategy == "both" else (args.strategy,)
     cdir = _cache_dir(args)
     genus2 = _cached_genus2_list(ctx, cdir)[0] if cdir and "b" in names else None
-    common = {"seed": args.seed, "verify": args.verify, "workers": args.workers}
+    common = {"verify": args.verify, "workers": args.workers}
     reports = {s: enumerate_a(ctx, **common) if s == "a"
                else enumerate_b(ctx, genus2=genus2, **common) for s in names}
     agree = None
@@ -186,7 +186,7 @@ def cmd_enumerate(args) -> int:
         doc = {
             "command": "enumerate",
             "field": {"p": ctx.p, "nonresidue": ctx.r},
-            "reports": {s: r.to_jsonable() for s, r in reports.items()},
+            "reports": {s: dict(r.to_jsonable(), seed=args.seed) for s, r in reports.items()},
             "agree": agree,
         }
         out = _dump_json(doc)

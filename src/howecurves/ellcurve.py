@@ -207,11 +207,12 @@ def enumerate_supersingular_classes(ctx: FieldCtx) -> tuple:
     """One sorted 2-torsion root triple per supersingular j-invariant, sorted by j.
 
     Distills the (p-1)/2 supersingular lambda values down to their j-orbit
-    representatives; the count always lands in [p/12, p/12 + 2].  Each
-    triple holds the roots of the class's cubic x^3 + Ax + B, the Legendre
-    curve y^2 = x(x-1)(x-lambda) moved by its mean root (_legendre_roots),
-    so it is read off lambda with no root finding.  Computed, with its
-    Hasse re-check, on first use and kept with the field like the lambda set.
+    representatives, floor(p/12) + (0, 1, 1, 2) of them for p = 1, 5, 7, 11
+    mod 12 (Silverman V.4.1(c)).  Each triple holds the roots of the class's
+    cubic x^3 + Ax + B, the Legendre curve y^2 = x(x-1)(x-lambda) moved by
+    its mean root (_legendre_roots), so it is read off lambda with no root
+    finding.  Computed, with its Hasse and count checks, on first use and
+    kept with the field like the lambda set.
     """
     return ctx.cached(_compute_classes)
 
@@ -221,15 +222,14 @@ def _compute_classes(ctx: FieldCtx) -> tuple:
     by_j = {}
     for j, lam in zip(_j_codes(ctx, values), values):
         by_j.setdefault(j, lam)
-    floor = ctx.p // 12
-    if not floor <= len(by_j) <= floor + 2:
-        raise ArithmeticError("supersingular class count %d outside [%d, %d]"
-                              % (len(by_j), floor, floor + 2))
     lams = [by_j[j] for j in sorted(by_j)]
     ok = deuring_vanishes(ctx, lams)
     if not ok.all():
         raise ArithmeticError("class with lambda=%r fails the Hasse test"
                               % (lams[int(np.argmin(ok))],))
+    want = ctx.p // 12 + {1: 0, 5: 1, 7: 1, 11: 2}[ctx.p % 12]
+    if len(by_j) != want:
+        raise ArithmeticError("supersingular class count %d, not %d" % (len(by_j), want))
     return tuple(_legendre_roots(ctx, lam) for lam in lams)
 
 

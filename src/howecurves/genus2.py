@@ -30,7 +30,6 @@ from typing import Iterator, Optional, Sequence
 import numpy as np
 
 from .arith import (
-    INF,
     ROW_BLOCK,
     FieldCtx,
     FqElem,
@@ -40,7 +39,6 @@ from .arith import (
     _mul_stacked,
     _sqrt_stacked,
     cross_ratio_map,
-    mobius_from_triples,
 )
 from .ellcurve import enumerate_supersingular_classes
 
@@ -437,14 +435,18 @@ def glue_elliptic_pair(ctx: FieldCtx, s: tuple, t: tuple) -> Optional[Genus2Curv
     the latter case the two covers share the three branch points t_i, with
     leftover branch points w and infinity, and the glued curve is
     y^2 = prod (x^2 - (t_i - w)) on the double cover ramified over {w, inf},
-    twisted so that all six roots are F_{p^2}-rational.
+    twisted so that all six roots are F_{p^2}-rational.  As (w, t1; t0, t2)
+    = (INF, s1; s0, s2) = (s1 - s2)/(s1 - s0), w = (t0 u - t2 v)/(u - v) with
+    u = (s1 - s0)(t1 - t2) and v = (s1 - s2)(t1 - t0), and INF where u = v.
     """
     if len(s) != 3 or len(t) != 3:
         raise ValueError("gluing expects two root triples")
-    m = mobius_from_triples(ctx, tuple(s), tuple(t))
-    w = m(INF)
-    if w is INF:
+    sub = ctx.sub
+    u = ctx.mul(sub(s[1], s[0]), sub(t[1], t[2]))
+    v = ctx.mul(sub(s[1], s[2]), sub(t[1], t[0]))
+    if u == v:
         return None
+    w = ctx.div(sub(ctx.mul(t[0], u), ctx.mul(t[2], v)), sub(u, v))
     beta = [ctx.sub(ti, w) for ti in t]
     chars = {ctx.is_square(b) for b in beta}
     if len(chars) != 1:

@@ -32,7 +32,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,8 +44,10 @@ from .arith import (
     ProjPoint,
     UniPoly,
     _mul_stacked,
+    fq_plane,
     matmul_fq,
     mobius_eval_array,
+    plane_product,
 )
 from .ellcurve import _powers, enumerate_supersingular_classes, supersingular_lambda_set
 from .genus2 import (
@@ -62,7 +64,7 @@ from .howe import (
     superspecial_howe_flags,
 )
 
-DEFAULT_SEED = 0xC0FFEE
+DEFAULT_SEED = 0xC0FFEE  # the --seed cli echoes in each report; no result reads it
 
 
 class VerificationError(Exception):
@@ -75,15 +77,20 @@ class EnumReport:
 
     p: int
     strategy: str
-    count: int
-    ratio: float                      # count / (p^3 / 1152)
     # hits before isomorphism dedup: (lam, mu) points for strategy a, and
     # (split, b) fits for strategy b, one orientation per split
     raw_count: int
     genus2_classes: Optional[int]     # size of the superspecial list (strategy b)
-    seed: int
     elapsed: float
     representatives: List[HoweData] = field(default_factory=list)
+
+    @property
+    def count(self) -> int:
+        return len(self.representatives)
+
+    @property
+    def ratio(self) -> float:  # count / (p^3 / 1152)
+        return float(Fraction(1152 * self.count, self.p ** 3))
 
     def to_jsonable(self) -> dict:
         # elapsed is deliberately not serialized: reports with equal inputs
@@ -95,7 +102,6 @@ class EnumReport:
             "ratio": round(self.ratio, 6),
             "raw_count": self.raw_count,
             "genus2_classes": self.genus2_classes,
-            "seed": self.seed,
             "representatives": [howe_jsonable(H) for H in self.representatives],
         }
 
@@ -112,10 +118,6 @@ def howe_jsonable(H: HoweData) -> dict:
         "split": [sorted(roots.index(rt) for rt in part) for part in H.split],
         "b": _point_jsonable(H.b),
     }
-
-
-def _ratio(p: int, count: int) -> float:
-    return float(Fraction(1152 * count, p ** 3))
 
 
 # ---------------------------------------------------------------------------
@@ -162,33 +164,28 @@ def _shifted_power_rows(ctx: FieldCtx, roots: tuple):
 def _power_table(ctx: FieldCtx):
     """V[k, x] = x^k for k <= 3m, m = (p-1)/2, over every x in F_{p^2} by code c0 p + c1.
 
-    A (3m+1, p^2, 2) array; take it through ctx.cached, as it depends only on p.
+    A (3m+1, p^2, 2) array; the field keeps only its plane (_power_plane).
     """
     p = ctx.p
     y0, y1 = _powers(ctx, *np.divmod(np.arange(p * p), p), 3 * ((p - 1) // 2))
     return np.stack([y0.T, y1.T], axis=-1)
 
 
-def _fq_plane(ctx: FieldCtx, table):
-    """The float64 plane [[T0, T1], [r T1 mod p, T0]] of an (n, l, 2) table T.
-
-    [S0 | S1] @ plane is [S0 T0 + r S1 T1 | S0 T1 + S1 T0]: the two parts of
-    the F_{p^2} product S T, not yet reduced, as one (k, 2l) real product.
-    """
-    t0, t1 = table[..., 0], table[..., 1]
-    return np.block([[t0, t1], [ctx.r * t1 % ctx.p, t0]]).astype(np.float64)
+def _power_plane(ctx: FieldCtx):
+    """The fq_plane of the power table, its top rows [V0 | V1]; take it through ctx.cached."""
+    return fq_plane(ctx, _power_table(ctx))
 
 
 def _zero_mask(ctx: FieldCtx, scales, plane):
     """Where the F_{p^2} product of scales, (k, n, 2), and plane's table vanishes.
 
-    Returns a (k, l) bool array, plane being the (2n, 2l) _fq_plane of an
-    (n, l, 2) table.  The product runs as one float64 BLAS product and the
-    test stays in float64: every output is an integer z < 2 n p^2, exact
-    while that is below 2^53 (see MAX_P), and rint(z / p) * p == z holds
-    exactly when p divides z.
+    Returns a (k, l) bool array, plane being the (2n, 2l) fq_plane of an
+    (n, l, 2) table.  The test reads the unreduced plane_product and stays
+    in float64: every output is an integer z < 2 n p^2, exact while that is
+    below 2^53 (see MAX_P), and rint(z / p) * p == z holds exactly when p
+    divides z.
     """
-    z = scales.swapaxes(1, 2).reshape(len(scales), -1).astype(np.float64) @ plane
+    z = plane_product(scales, plane)
     w = np.rint(z / ctx.p)
     w *= ctx.p
     zero = w == z
@@ -206,11 +203,12 @@ class _PairEntries:
     _shifted_power_rows of the second cubic: the scale matrix
     S[mu, i] = hm[i] mu^(3m-i) times a Toeplitz table T, the rows j-i taken
     down the diagonal.  The entries are the coefficients of x^(p-1),
-    x^(2p-1), x^(p-2) and x^(2p-2).  The field's table of powers
-    V[k, x] = x^k (_power_table) gives both the powers of mu in S and each
-    entry's values T V at every lam, so a block's values are S (T V).  Entry
-    0's T V, over columns i < p, is also kept as its float64 _fq_plane, so
-    its zeros on a block of scales take one real product (_zero_mask).
+    x^(2p-1), x^(p-2) and x^(2p-2).  The float64 plane (_power_plane) of
+    the field's table of powers V[k, x] = x^k gives the powers of mu in S
+    and, by matmul_fq, each entry's values T V at every lam, so a block's
+    values are S (T V).  Entry 0's T V, over columns i < p, is also kept as
+    its fq_plane, so its zeros on a block of scales take one real product
+    (_zero_mask).
     """
 
     def __init__(self, ctx: FieldCtx, roots1: tuple, roots2: tuple):
@@ -218,18 +216,20 @@ class _PairEntries:
         p = ctx.p
         top = 3 * ((p - 1) // 2)
         self.hm = _cubic_power(ctx, roots1)
-        self.powers = ctx.cached(_power_table)
+        self.powers = ctx.cached(_power_plane)
         rows = _shifted_power_rows(ctx, roots2)
         self.tables = []
         for j in (p - 1, 2 * p - 1, p - 2, 2 * p - 2):
             lo, hi = max(0, j - top), min(top, j)
             table = matmul_fq(ctx, rows[j - hi: j - lo + 1][::-1], self.powers)
             self.tables.append((lo, hi + 1, table))
-        self.plane = _fq_plane(ctx, self.tables[0][2])
+        self.plane = fq_plane(ctx, self.tables[0][2])
 
     def scales(self, codes):
         """The (len(codes), 3m+1, 2) scale matrix S of the mu with these codes."""
-        return _mul_stacked(self.ctx, self.hm, self.powers[::-1, codes].swapaxes(0, 1))
+        v = self.powers[len(self.hm) - 1::-1]  # [V0 | V1], rows 3m down to 0
+        mu = np.stack([v[:, codes], v[:, codes + self.ctx.p ** 2]], axis=-1).astype(np.int64)
+        return _mul_stacked(self.ctx, self.hm, mu.swapaxes(0, 1))
 
     def zeros(self, scales):
         """The rows and lam codes of the zeros of entry 0 on the scale matrix."""
@@ -244,7 +244,7 @@ class _PairEntries:
 
 
 def howe_type_points(ctx: FieldCtx, roots1: tuple, roots2: tuple
-                     ) -> Iterator[Tuple[FqElem, FqElem]]:
+                     ) -> List[Tuple[FqElem, FqElem]]:
     """All (lam, mu) in F_{p^2} x F_{p^2}* making y^2 = f1*f2 superspecial.
 
     roots1 and roots2 are the 2-torsion triples of two classes, each the
@@ -265,6 +265,7 @@ def howe_type_points(ctx: FieldCtx, roots1: tuple, roots2: tuple
     q = p * p
     pair = _PairEntries(ctx, roots1, roots2)
     size = max(1, ROW_BLOCK ** 2 // (2 * q))
+    hits = []
     for start in range(1, q, size):
         codes = np.arange(start, min(start + size, q))
         scales = pair.scales(codes)
@@ -276,8 +277,9 @@ def howe_type_points(ctx: FieldCtx, roots1: tuple, roots2: tuple
             rows, lams = rows[keep], lams[keep]
         if len(rows) and np.bincount(rows).max() == q:
             raise ArithmeticError("all four entry polynomials vanished identically")
-        for mu, lam in zip(codes[rows].tolist(), lams.tolist()):
-            yield divmod(lam, p), divmod(mu, p)
+        hits.extend((divmod(lam, p), divmod(mu, p))
+                    for mu, lam in zip(codes[rows].tolist(), lams.tolist()))
+    return hits
 
 
 def _howe_from_pair_hit(ctx: FieldCtx, rho1: tuple, rho2: tuple,
@@ -290,17 +292,16 @@ def _howe_from_pair_hit(ctx: FieldCtx, rho1: tuple, rho2: tuple,
     return HoweData(C, (w1, w2), INF)
 
 
-def enumerate_a(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
-                workers: int = 1) -> EnumReport:
+def enumerate_a(ctx: FieldCtx, verify: bool = False, workers: int = 1) -> EnumReport:
     """Enumerate superspecial Howe curves by scanning elliptic pairs."""
     t0 = time.perf_counter()
     classes = enumerate_supersingular_classes(ctx)
-    pairs = [(i, j) for i in range(len(classes)) for j in range(i, len(classes))]
+    pairs = [(s, t) for i, s in enumerate(classes) for t in classes[i:]]
     seen = set()
     reps: List[HoweData] = []
-    hit_lists = pool_map(_pair_hits, [(ctx, classes[i], classes[j]) for i, j in pairs], workers)
-    data = [_howe_from_pair_hit(ctx, classes[i], classes[j], lam, mu)
-            for (i, j), hits in zip(pairs, hit_lists) for lam, mu in hits]
+    hit_lists = pool_map(howe_type_points, [(ctx, s, t) for s, t in pairs], workers)
+    data = [_howe_from_pair_hit(ctx, s, t, lam, mu)
+            for (s, t), hits in zip(pairs, hit_lists) for lam, mu in hits]
     for H, key in zip(data, howe_key(ctx, [(H.split, H.b) for H in data])):
         if key not in seen:
             seen.add(key)
@@ -308,8 +309,7 @@ def enumerate_a(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
     reps.sort(key=lambda H: H.sort_value())
     if verify:
         _verify_representatives(ctx, reps)
-    return EnumReport(ctx.p, "a", len(reps), _ratio(ctx.p, len(reps)), len(data),
-                      None, seed, time.perf_counter() - t0, reps)
+    return EnumReport(ctx.p, "a", len(data), None, time.perf_counter() - t0, reps)
 
 
 # ---------------------------------------------------------------------------
@@ -402,9 +402,8 @@ def _fit_orbits(ctx: FieldCtx, lset: np.ndarray, curves: Sequence[Genus2Curve]) 
     return list(zip(raw, reps))
 
 
-def enumerate_b(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
-                workers: int = 1, genus2: Optional[SuperspecialList] = None
-                ) -> EnumReport:
+def enumerate_b(ctx: FieldCtx, verify: bool = False, workers: int = 1,
+                genus2: Optional[SuperspecialList] = None) -> EnumReport:
     """Enumerate superspecial Howe curves from the superspecial genus-2 list.
 
     Distinct list entries can never carry isomorphic Howe data (the genus-2
@@ -428,8 +427,7 @@ def enumerate_b(ctx: FieldCtx, seed: int = DEFAULT_SEED, verify: bool = False,
     reps.sort(key=lambda H: H.sort_value())
     if verify:
         _verify_representatives(ctx, reps)
-    return EnumReport(ctx.p, "b", len(reps), _ratio(ctx.p, len(reps)), raw,
-                      len(L), seed, time.perf_counter() - t0, reps)
+    return EnumReport(ctx.p, "b", raw, len(L), time.perf_counter() - t0, reps)
 
 
 def find_one(ctx: FieldCtx) -> Optional[HoweData]:
@@ -494,10 +492,6 @@ def _verify_representatives(ctx: FieldCtx, reps: List[HoweData]) -> None:
 # ---------------------------------------------------------------------------
 # the worker map and its tasks
 # ---------------------------------------------------------------------------
-
-def _pair_hits(ctx: FieldCtx, roots1: tuple, roots2: tuple) -> list:
-    return list(howe_type_points(ctx, roots1, roots2))
-
 
 def pool_size(workers: int, tasks: int) -> int:
     """Processes for a pool of tasks: at most workers, the tasks and the CPUs.

@@ -3,7 +3,7 @@
 Each oracle here is the straightforward form of a computation the package
 does another way: the scalar Igusa-Clebsch invariants behind the batched
 Igusa key, the per-mu entry polynomials and scalar gcd fold behind strategy
-a's evaluation search, the exact int64 entry values (pair_values) behind
+a's evaluation search, the reduced entry values (pair_values) behind
 its float64 zero test, the whole-plane scan behind strategy a, a direct
 model for each j-invariant behind the supersingular class list, the j of
 one lambda (j_of_lambda) behind the class list's array pass, a
@@ -15,11 +15,14 @@ polynomial (deuring_vanishes_horner) behind its baby-step giant-step
 evaluation, the truncated power of one sextic (cartier_manin,
 is_superspecial, with sextic and CartierManinEntries) behind the
 recurrence of cartier_manin_rows, root-found cubics (howe_from_cubics)
-behind the closed-form special family, and a closure from one scanned Rosenhain curve behind the
-glued-seed closure.  The Richelot step one splitting at a time
-(richelot_codomains_scalar, with quadratic_splittings and splitting_delta)
-stands behind the batched richelot_codomains, the Howe key one datum at a
-time (howe_key_scalar) behind the batched howe_key, the b-value map loop
+behind the closed-form special family, the point w of a glue as the image
+of INF under the Mobius map of two triples (glue_by_mobius, through
+mobius_from_triples) behind glue_elliptic_pair's closed form, and a closure
+from one scanned Rosenhain curve behind the glued-seed closure.  The
+Richelot step one splitting at a time (richelot_codomains_scalar, with
+quadratic_splittings and splitting_delta) stands behind the batched
+richelot_codomains, the Howe key one datum at a time (howe_key_scalar)
+behind the batched howe_key, the b-value map loop
 (b_values_scalar) behind supersingular_b_values, and the cross-ratio of one
 quartic (lambda_of_quartic, through cross_ratio) behind quartic_lambdas.
 The tests compare the two.  isomorphic, automorphisms, j_invariant and the
@@ -36,7 +39,6 @@ from typing import NamedTuple
 import numpy as np
 
 from howecurves import (
-    DEFAULT_SEED,
     INF,
     EnumReport,
     FieldCtx,
@@ -52,14 +54,14 @@ from howecurves import (
     poly_roots_in_fq,
     sort_key,
 )
-from howecurves.arith import ProjPoint, cross_ratio_map, matmul_fq
+from howecurves.arith import MobiusMap, ProjPoint, cross_ratio_map, fq_plane, matmul_fq
 from howecurves.genus2 import (
     _PAIR_PARTITIONS,
     _PAIRS,
     _TRIPLE_PARTITIONS,
     mobius_matches,
 )
-from howecurves.strategies import _cubic_power, _ratio, _shifted_power_rows
+from howecurves.strategies import _cubic_power, _shifted_power_rows
 
 
 @dataclass(frozen=True)
@@ -116,6 +118,36 @@ def cross_ratio(ctx, q, r, s, t):
             if pts[i] is pts[j] or pts[i] == pts[j]:
                 raise ValueError("cross-ratio requires four distinct points")
     return cross_ratio_map(ctx, r, s, t)(q)
+
+
+def mobius_from_triples(ctx, src, dst) -> MobiusMap:
+    """The unique Mobius map sending the ordered triple src onto dst."""
+    if len(src) != 3 or len(dst) != 3:
+        raise ValueError("need ordered triples of three distinct points each")
+    for tri in (src, dst):
+        keys = {sort_key(x) for x in tri}
+        if len(keys) != 3:
+            raise ValueError("triple contains a repeated point")
+    t_src = cross_ratio_map(ctx, src[1], src[0], src[2])
+    t_dst = cross_ratio_map(ctx, dst[1], dst[0], dst[2])
+    return t_dst.inverse().compose(t_src)
+
+
+def glue_by_mobius(ctx, s, t):
+    """The sorted roots of glue_elliptic_pair's curve, its w found as m(INF).
+
+    m is the Mobius map sending each s_i to t_i, built from two cross-ratio
+    maps; None where m fixes INF.  The roots are +-sqrt(t_i - w), each
+    t_i - w divided by the first non-square where it is not a square.
+    """
+    w = mobius_from_triples(ctx, s, t)(INF)
+    if w is INF:
+        return None
+    beta = [ctx.sub(ti, w) for ti in t]
+    if not ctx.is_square(beta[0]):
+        beta = [ctx.div(b, ctx.nonsquare()) for b in beta]
+    roots = [ctx.sqrt(b) for b in beta]
+    return tuple(sorted(roots + [ctx.neg(x) for x in roots]))
 
 
 def lambda_of_quartic(Q):
@@ -366,8 +398,7 @@ def enumerate_a_bruteforce(ctx):
                     bucket.append(H)
                     reps.append(H)
     reps.sort(key=lambda H: H.sort_value())
-    return EnumReport(ctx.p, "a-brute", len(reps), _ratio(ctx.p, len(reps)), raw,
-                      None, DEFAULT_SEED, time.perf_counter() - t0, reps)
+    return EnumReport(ctx.p, "a-brute", raw, None, time.perf_counter() - t0, reps)
 
 
 def legendre_curve_by_translation(ctx, lam):
@@ -492,11 +523,11 @@ def howe_type_points_scalar(ctx, roots1, roots2):
 def pair_values(pair, scales, k):
     """Entry k of every row of a _PairEntries scale matrix at every lam, (rows, p^2, 2).
 
-    The exact int64 product that the float64 zero test of entry 0
-    (strategies._zero_mask) replaced.
+    The reduced product matmul_fq, whose unreduced float64 output the zero
+    test of entry 0 (strategies._zero_mask) reads instead.
     """
     lo, hi, table = pair.tables[k]
-    return matmul_fq(pair.ctx, scales[:, lo:hi], table)
+    return matmul_fq(pair.ctx, scales[:, lo:hi], fq_plane(pair.ctx, table))
 
 
 def rosenhain_seed(ctx):

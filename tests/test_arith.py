@@ -19,7 +19,6 @@ from howecurves import (
     MobiusMap,
     UniPoly,
     is_prime,
-    mobius_from_triples,
     poly_gcd,
     poly_roots_in_fq,
     sort_key,
@@ -35,11 +34,12 @@ from howecurves.arith import (
     _divmod_monic,
     _mul_arrays,
     _sqrt_stacked,
+    fq_plane,
     matmul_fq,
     mobius_eval_array,
 )
-from howecurves.strategies import _power_table
-from oracles import cross_ratio
+from howecurves.strategies import _power_plane, _power_table
+from oracles import cross_ratio, mobius_from_triples
 
 
 def _coefs(maps):
@@ -556,6 +556,22 @@ def test_field_cache_is_per_instance_and_survives_a_pickle():
     assert copy.inv_table() is copy.inv_table()
 
 
+def test_cached_arrays_stay_read_only_through_a_pickle():
+    # a pool's worker gets its field by pickle, which restores arrays
+    # writeable; the field makes its cached arrays read-only again
+    ctx = FieldCtx(13)
+    ctx.inv_table(), ctx.sqrt_table(), supersingular_lambda_set(ctx)
+    ctx.cached(ellcurve._deuring_table), ctx.cached(_power_plane)
+    arrays = {key: value for key, value in ctx._cache.items() if isinstance(value, np.ndarray)}
+    copy = pickle.loads(pickle.dumps(ctx))
+    assert len(arrays) == 5 and copy._cache.keys() == ctx._cache.keys()
+    for key, value in arrays.items():
+        got = copy._cache[key]
+        assert np.array_equal(got, value) and not got.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            got[0] = 1
+
+
 def test_cached_arrays_are_read_only():
     # every caller of a field shares its cached arrays, so none may write
     ctx = FieldCtx(13)
@@ -689,7 +705,7 @@ def test_matmul_fq_at_the_largest_prime():
     x[1, :, 1] = 0
     y = np.full((n, 3, 2), p - 1, dtype=np.int64)
     y[:, 1, 0] = 1
-    got = matmul_fq(ctx, x, y)
+    got = matmul_fq(ctx, x, fq_plane(ctx, y))
     for i in range(2):
         for j in range(3):
             a0, a1 = x[i, 0].tolist()
@@ -720,7 +736,7 @@ def test_matmul_fq_matches_python_ints(p, k, n, l, top, seed):
         y[rng.random(y.shape) < 0.9] = p - 1
     x0, x1, y0, y1 = (z[..., i].astype(object) for z in (x, y) for i in (0, 1))
     want = [(x0 @ y0 + ctx.r * (x1 @ y1)) % p, (x0 @ y1 + x1 @ y0) % p]
-    got = matmul_fq(ctx, x, y)
+    got = matmul_fq(ctx, x, fq_plane(ctx, y))
     assert got.dtype == np.int64
     assert got[..., 0].tolist() == want[0].tolist() and got[..., 1].tolist() == want[1].tolist()
 

@@ -435,8 +435,8 @@ def test_classes_are_computed_once_per_prime(monkeypatch):
 
 
 def test_class_recheck_rejects_an_ordinary_lambda(monkeypatch):
-    # one ordinary lambda slipped into the set adds a class whose count still
-    # fits the window at p = 13; the Hasse re-check must refuse it
+    # one ordinary lambda slipped into the set adds a class at p = 13; the
+    # Hasse re-check must refuse it
     codes = supersingular_lambda_set(FieldCtx(13)).tolist()
     ctx = FieldCtx(13)
     ordinary = 2 * 13  # the code of 2
@@ -445,6 +445,19 @@ def test_class_recheck_rejects_an_ordinary_lambda(monkeypatch):
                         lambda ctx: np.array(sorted(codes + [ordinary])))
     with pytest.raises(ArithmeticError, match="fails the Hasse test"):
         enumerate_supersingular_classes(ctx)
+
+
+def test_class_count_must_be_exact(monkeypatch):
+    # p = 11 has two supersingular j, 0 and 1728 (floor(11/12) + 2); with
+    # the lambdas of j = 1728, -1, 2 and 1/2, dropped, the one class left
+    # passes the Hasse re-check and the window [0, 2], but not the count
+    codes = supersingular_lambda_set(FieldCtx(11)).tolist()
+    j1728 = [10 * 11, 2 * 11, 6 * 11]  # the codes of -1, 2 and 1/2
+    assert set(j1728) <= set(codes)
+    monkeypatch.setattr(ellcurve, "_compute_lambda_set",
+                        lambda ctx: np.array(sorted(set(codes) - set(j1728))))
+    with pytest.raises(ArithmeticError, match="class count 1, not 2"):
+        enumerate_supersingular_classes(FieldCtx(11))
 
 
 def _class_lambdas(ctx):

@@ -47,15 +47,17 @@ from howecurves import (
     superspecial_genus2_list,
 )
 from howecurves import genus2
-from howecurves.arith import ROW_BLOCK, mobius_from_triples
+from howecurves.arith import ROW_BLOCK
 from howecurves.ellcurve import enumerate_supersingular_classes
 from oracles import (
     automorphisms,
     cartier_manin,
+    glue_by_mobius,
     igusa_clebsch,
     igusa_key_scalar,
     is_superspecial,
     isomorphic,
+    mobius_from_triples,
     quadratic_splittings,
     richelot_codomains_scalar,
     rosenhain_closure,
@@ -716,6 +718,22 @@ def test_glue_identity_matching_returns_none():
     ctx = FieldCtx(11)
     s = enumerate_supersingular_classes(ctx)[0]
     assert glue_elliptic_pair(ctx, s, s) is None
+
+
+@pytest.mark.parametrize("p", [q for q in range(8, 62) if is_prime(q)] + [199])
+def test_closed_form_glue_matches_the_mobius_map(p):
+    # every matching of every ordered pair of classes: the closed-form w
+    # gives the sextuple, or None, that the composed cross-ratio maps give
+    ctx = FieldCtx(p)
+    classes = enumerate_supersingular_classes(ctx)
+    glued = 0
+    for s, t in itertools.product(classes, repeat=2):
+        for perm in itertools.permutations(t):
+            C = glue_elliptic_pair(ctx, s, perm)
+            want = glue_by_mobius(ctx, s, perm)
+            assert (C if C is None else C.roots) == want, (s, perm)
+            glued += C is not None
+    assert glued > 0
 
 
 def test_superspecial_list_small_primes(genus2_lists):

@@ -32,7 +32,6 @@ from howecurves import (
     howe_key,
     is_prime,
     is_superspecial_howe,
-    mobius_from_triples,
     normalize_split,
     special_family,
     supersingular_b_values,
@@ -51,6 +50,7 @@ from oracles import (
     is_superspecial_howe_scalar,
     lambda_of_quartic,
     lambda_values,
+    mobius_from_triples,
     quartic_is_supersingular,
     quartics,
 )
