@@ -28,7 +28,6 @@ from .genus2 import (
     Genus2Curve,
     RationalityError,
     SuperspecialList,
-    closure_stream,
     glue_elliptic_pair,
     igusa_key,
     iko_window,
@@ -74,7 +73,6 @@ __all__ = [
     "Genus2Curve",
     "RationalityError",
     "SuperspecialList",
-    "closure_stream",
     "glue_elliptic_pair",
     "igusa_key",
     "iko_window",

@@ -19,13 +19,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import List, Optional
 
 from .arith import MAX_P, FieldCtx, is_prime
-from .genus2 import (
-    RationalityError,
-    iko_window,
-    load_list,
-    save_list,
-    superspecial_genus2_list,
-)
+from .genus2 import load_list, save_list, superspecial_genus2_list
 from .howe import is_superspecial_howe
 from .strategies import (
     DEFAULT_SEED,
@@ -107,24 +101,19 @@ def _cache_path(cdir: str, p: int) -> str:
 def _cached_genus2_list(ctx: FieldCtx, cdir: str) -> tuple:
     """The genus-2 list through the cache directory, and "loaded" or "written".
 
-    A present cache file is loaded with every record re-verified and the
-    total re-checked against the class-count window; anything off raises a
-    verification error instead of being trusted.  A missing file is computed
-    and written.  A cache directory or file that cannot be created, read or
-    written is a usage error.
+    A present cache file is loaded with every record and the class count
+    re-verified (load_list); anything off raises a verification error
+    instead of being trusted.  A missing file is computed and written.  A
+    cache directory or file that cannot be created, read or written is a
+    usage error.
     """
     path = _cache_path(cdir, ctx.p)
     try:
         if os.path.exists(path):
             try:
-                L = load_list(ctx, path)
+                return load_list(ctx, path), "loaded"
             except ValueError as exc:
                 raise VerificationError(str(exc))
-            lo, hi = iko_window(ctx.p)
-            if not lo <= len(L) <= hi:
-                raise VerificationError(
-                    "cache %s holds %d classes, outside [%d, %d]" % (path, len(L), lo, hi))
-            return L, "loaded"
         os.makedirs(cdir, exist_ok=True)
         L = superspecial_genus2_list(ctx)
         save_list(L, path)
@@ -368,16 +357,19 @@ def cmd_cache(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(sp, with_verify: bool = True) -> None:
+def _add_common(sp, *optional: str) -> None:
+    """--seed and --format, then each of --cache, --workers and --verify named in optional."""
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED,
                     help="run seed recorded in reports (default %(default)s)")
-    sp.add_argument("--cache", metavar="DIR", default=None,
-                    help="genus-2 list cache directory (default $HOWE_CACHE)")
     sp.add_argument("--format", choices=("json", "csv", "text"), default="text",
                     help="output format (default %(default)s)")
-    sp.add_argument("--workers", type=int, default=1,
-                    help="worker process count (default 1)")
-    if with_verify:
+    if "cache" in optional:
+        sp.add_argument("--cache", metavar="DIR", default=None,
+                        help="genus-2 list cache directory (default $HOWE_CACHE)")
+    if "workers" in optional:
+        sp.add_argument("--workers", type=int, default=1,
+                        help="worker process count (default 1)")
+    if "verify" in optional:
         sp.add_argument("--verify", action="store_true",
                         help="independently re-check every result")
 
@@ -392,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=int, required=True, help="the characteristic")
     sp.add_argument("--strategy", type=str.lower, choices=("a", "b", "both"),
                     default="b", help="enumeration strategy (default %(default)s)")
-    _add_common(sp)
+    _add_common(sp, "cache", "workers", "verify")
     sp.set_defaults(func=cmd_enumerate)
 
     sp = sub.add_parser("table", help="class counts over a prime range")
@@ -400,19 +392,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pmax", type=int, required=True)
     sp.add_argument("--strategy", type=str.lower, choices=("a", "b", "both"),
                     default="b", help="enumeration strategy (default %(default)s)")
-    _add_common(sp)
+    _add_common(sp, "cache", "workers", "verify")
     sp.set_defaults(func=cmd_table)
 
     sp = sub.add_parser("exists", help="one witness per prime, or none")
     sp.add_argument("--p", type=int, default=None, help="a single prime")
     sp.add_argument("--pmin", type=int, default=None)
     sp.add_argument("--pmax", type=int, default=None)
-    _add_common(sp)
+    _add_common(sp, "workers", "verify")
     sp.set_defaults(func=cmd_exists, parser=sp)
 
     sp = sub.add_parser("cache", help="materialize the genus-2 list cache")
     sp.add_argument("--p", type=int, required=True, help="the characteristic")
-    _add_common(sp, with_verify=False)
+    _add_common(sp, "cache")
     sp.set_defaults(func=cmd_cache)
 
     return top
@@ -436,7 +428,7 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         sys.stderr.write("verification failed: %s\n" % exc)
         return EXIT_MISMATCH
-    except (RationalityError, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         sys.stderr.write("internal invariant violated: %s\n" % exc)
         return EXIT_INTERNAL
     except BrokenProcessPool as exc:

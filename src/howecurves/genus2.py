@@ -9,12 +9,13 @@ identifies a class for p > 5, and mobius_matches, the one Mobius matcher
 behind howe.howe_isomorphic, which tests the 120 candidate maps on
 tabulated cross-ratios and builds only the maps that pass), the
 (2,2)-correspondence walk and its inverse gluing of elliptic
-pairs, and the closure routine producing every superspecial curve up to
-isomorphism, one class per key, which fails as soon as its class count
-passes the mass-formula window.  The batched kernels (igusa_key,
-cartier_manin_rows, richelot_codomains) take sorted root sextuples, and the
-closure carries sextuples from end to end: a Genus2Curve is built for each
-glued seed and each new class only.
+pairs, and superspecial_genus2_list, the one Richelot walk, producing every
+superspecial curve up to isomorphism, one class per key, which fails as
+soon as its class count passes the mass-formula window.  That window is
+checked here alone: by the walk, and by load_list on a cached list.  The
+batched kernels (igusa_key, cartier_manin_rows, richelot_codomains) take
+sorted root sextuples, and the walk carries sextuples from end to end: a
+Genus2Curve is built for each glued seed and each new class only.
 """
 
 from __future__ import annotations
@@ -526,7 +527,7 @@ def _glue_seeds(ctx: FieldCtx, classes: Sequence) -> Iterator[list]:
 
     classes holds one 2-torsion root triple per class.  One list per pair
     of classes, holding the sorted root sextuples of its glued curves in
-    matching order.
+    matching order, so that an existence search can stop after a pair.
     """
     for i in range(len(classes)):
         for j in range(i, len(classes)):
@@ -556,58 +557,38 @@ def _count_error(p: int, count: int) -> ArithmeticError:
         % (count, p, lo, hi))
 
 
-def closure_stream(ctx: FieldCtx, acc: Optional[SuperspecialList] = None
-                   ) -> Iterator[Genus2Curve]:
-    """Yield superspecial genus-2 classes as the Richelot closure discovers them.
-
-    Lazy form of superspecial_genus2_list: callers that only need the first
-    few classes (existence searches) can stop consuming early.  The accumulator
-    may be supplied to observe the growing list alongside the stream.  The
-    root sextuples of the seeds of each pair of elliptic classes are
-    inserted as one batch, and so are those of the Richelot neighbours of
-    each block of up to ROW_BLOCK // 15 classes not yet expanded, in class
-    then splitting order, keyed in one pass; add inserts a batch in
-    first-seen order, so the classes come in the order that one class at a
-    time would give.  A class found beyond the upper end of iko_window
-    raises ArithmeticError at once, so a key that splits one class into
-    several cannot make the walk run on.
-    """
-    if acc is None:
-        acc = SuperspecialList(ctx)
-
-    def batches():
-        yield from _glue_seeds(ctx, enumerate_supersingular_classes(ctx))
-        cursor = 0
-        while cursor < len(acc.curves):
-            # the classes not yet expanded, up to ROW_BLOCK splitting rows
-            block = acc.curves[cursor:cursor + ROW_BLOCK // len(_PAIR_PARTITIONS)]
-            cursor += len(block)
-            yield [D for neighbours in richelot_codomains(ctx, [C.roots for C in block])
-                   for D in neighbours]
-
-    hi = iko_window(ctx.p)[1]
-    for batch in batches():
-        for idx in acc.add(batch):
-            if idx >= hi:
-                raise _count_error(ctx.p, idx + 1)
-            yield acc.curves[idx]
-
-
 def superspecial_genus2_list(ctx: FieldCtx) -> SuperspecialList:
     """Every superspecial genus-2 curve over F_bar_p, one model per class.
 
-    Seeds the list with curves (2,2)-isogenous to products of supersingular
+    Seeds the list with the curves glued from every pair of supersingular
     elliptic curves and closes under Richelot neighbours; connectivity of
-    the superspecial (2,2)-graph makes the closure exhaustive.  The count is
-    checked against the exact interval around (p-1)(p^2+25p+166)/2880.
+    the superspecial (2,2)-graph makes the closure exhaustive.  All the
+    seeds go in as one batch, and so do the neighbours of each block of up
+    to ROW_BLOCK // 15 classes not yet expanded, in class then splitting
+    order; add keys a batch in one pass and inserts it in first-seen order,
+    so the classes come in the order that one model at a time would give.
+    A batch that takes the count past the upper end of iko_window raises
+    ArithmeticError at once, so a key that splits one class into several
+    cannot make the walk run on; the final count must lie in the window.
     """
-    acc = SuperspecialList(ctx)
-    for _ in closure_stream(ctx, acc):
-        pass
+    L = SuperspecialList(ctx)
     lo, hi = iko_window(ctx.p)
-    if not lo <= len(acc) <= hi:
-        raise _count_error(ctx.p, len(acc))
-    return acc
+    batch = [roots for seeds in _glue_seeds(ctx, enumerate_supersingular_classes(ctx))
+             for roots in seeds]
+    cursor = 0
+    while True:
+        L.add(batch)
+        if len(L) > hi:
+            raise _count_error(ctx.p, hi + 1)
+        if cursor == len(L):
+            break
+        block = L.curves[cursor:cursor + ROW_BLOCK // len(_PAIR_PARTITIONS)]
+        cursor += len(block)
+        batch = [D for neighbours in richelot_codomains(ctx, [C.roots for C in block])
+                 for D in neighbours]
+    if len(L) < lo:
+        raise _count_error(ctx.p, len(L))
+    return L
 
 
 # ---------------------------------------------------------------------------
@@ -665,12 +646,14 @@ def _parse_record(ctx: FieldCtx, path: str, lineno: int, line: str) -> tuple:
 
 
 def load_list(ctx: FieldCtx, path: str) -> SuperspecialList:
-    """Reload a cached list, re-verifying superspeciality and keys per record.
+    """Reload a cached list, re-verifying keys and superspeciality per record and the count.
 
     The records up to the first unreadable one are keyed in one igusa_key
     pass and tested in one cartier_manin_rows pass; the error names the
     first faulty record in file order, checked for its key, then its
-    Cartier-Manin entries, then a repeated class.
+    Cartier-Manin entries, then a repeated class.  A file whose records all
+    pass must hold a class count inside iko_window.  Every fault raises
+    ValueError.
     """
     records = []
     unreadable = None
@@ -700,4 +683,7 @@ def load_list(ctx: FieldCtx, path: str) -> SuperspecialList:
         acc._insert(C, key)
     if unreadable is not None:
         raise unreadable
+    lo, hi = iko_window(ctx.p)
+    if not lo <= len(acc) <= hi:
+        raise ValueError("cache %s holds %d classes, outside [%d, %d]" % (path, len(acc), lo, hi))
     return acc

@@ -53,7 +53,7 @@ from .ellcurve import _powers, enumerate_supersingular_classes, supersingular_la
 from .genus2 import (
     Genus2Curve,
     SuperspecialList,
-    closure_stream,
+    _glue_seeds,
     superspecial_genus2_list,
 )
 from .howe import (
@@ -205,9 +205,10 @@ class _PairEntries:
     down the diagonal.  The entries are the coefficients of x^(p-1),
     x^(2p-1), x^(p-2) and x^(2p-2).  The float64 plane (_power_plane) of
     the field's table of powers V[k, x] = x^k gives the powers of mu in S
-    and, by matmul_fq, each entry's values T V at every lam, so a block's
-    values are S (T V).  Entry 0's T V, over columns i < p, is also kept as
-    its fq_plane, so its zeros on a block of scales take one real product
+    and, by one matmul_fq, the values of every row of rows at every lam,
+    from which each entry's T V is a reversed window, so a block's values
+    are S (T V).  Entry 0's T V, over columns i < p, is also kept as its
+    fq_plane, so its zeros on a block of scales take one real product
     (_zero_mask).
     """
 
@@ -217,12 +218,11 @@ class _PairEntries:
         top = 3 * ((p - 1) // 2)
         self.hm = _cubic_power(ctx, roots1)
         self.powers = ctx.cached(_power_plane)
-        rows = _shifted_power_rows(ctx, roots2)
+        values = matmul_fq(ctx, _shifted_power_rows(ctx, roots2), self.powers)
         self.tables = []
         for j in (p - 1, 2 * p - 1, p - 2, 2 * p - 2):
             lo, hi = max(0, j - top), min(top, j)
-            table = matmul_fq(ctx, rows[j - hi: j - lo + 1][::-1], self.powers)
-            self.tables.append((lo, hi + 1, table))
+            self.tables.append((lo, hi + 1, values[j - hi: j - lo + 1][::-1]))
         self.plane = fq_plane(ctx, self.tables[0][2])
 
     def scales(self, codes):
@@ -430,25 +430,35 @@ def enumerate_b(ctx: FieldCtx, verify: bool = False, workers: int = 1,
     return EnumReport(ctx.p, "b", raw, len(L), time.perf_counter() - t0, reps)
 
 
-def find_one(ctx: FieldCtx) -> Optional[HoweData]:
-    """One superspecial Howe curve in characteristic p, or None.
-
-    For p = 5 mod 6 the cubic-split family member with a = -1 is returned
-    untested: the family is superspecial at every such p, and `exists
-    --verify` re-checks it like any other witness.  Otherwise superspecial
-    genus-2 curves are generated lazily and the first b of the first split
-    admitting one wins; exhausting the stream without a fit proves
-    nonexistence (that settles p = 7).
-    """
-    if ctx.p % 6 == 5:
-        return special_family(ctx, ctx.elem(-1))
-    lset = supersingular_lambda_set(ctx)
-    for C in closure_stream(ctx):
+def _first_fit(ctx: FieldCtx, lset: np.ndarray, curves) -> Optional[HoweData]:
+    """The first b of the first split that has one, on the first curve with such a split."""
+    for C in curves:
         splits = _curve_splits(C)
         for (T1, T2), bs in zip(splits, supersingular_b_values(ctx, lset, splits)):
             if bs:
                 return HoweData(C, (T1, T2), bs[0])
     return None
+
+
+def find_one(ctx: FieldCtx) -> Optional[HoweData]:
+    """One superspecial Howe curve in characteristic p, or None.
+
+    For p = 5 mod 6 the cubic-split family member with a = -1 is returned
+    untested: the family is superspecial at every such p, and `exists
+    --verify` re-checks it like any other witness.  Otherwise the glued
+    seed curves are tried unkeyed, gluing one pair of elliptic classes at a
+    time, and the first b of the first split admitting one wins.  A Mobius map
+    between isomorphic models carries fits to fits, so the first seed that
+    fits is the first model of its class, the curve the list would hold.
+    Only if no seed fits is superspecial_genus2_list scanned in its order;
+    exhausting it without a fit proves nonexistence (that settles p = 7).
+    """
+    if ctx.p % 6 == 5:
+        return special_family(ctx, ctx.elem(-1))
+    lset = supersingular_lambda_set(ctx)
+    seeds = (Genus2Curve(ctx, roots)
+             for batch in _glue_seeds(ctx, enumerate_supersingular_classes(ctx)) for roots in batch)
+    return _first_fit(ctx, lset, seeds) or _first_fit(ctx, lset, superspecial_genus2_list(ctx))
 
 
 def match_representatives(reps1: List[HoweData], reps2: List[HoweData]

@@ -336,6 +336,21 @@ def test_unknown_flag_exits_with_usage(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["exists", "--p", "13", "--cache", "d"],
+                                  ["cache", "--p", "13", "--workers", "2"]],
+                         ids=["exists-cache", "cache-workers"])
+def test_a_flag_the_command_would_ignore_is_refused(capsys, argv):
+    # exists reads no genus-2 list and cache starts no pool, so neither
+    # takes the flag: one usage line and one error line, exit 1
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_USAGE
+    out, err = capsys.readouterr()
+    assert out == "" and err.splitlines() == [
+        "usage: howecurves [-h] {enumerate,table,exists,cache} ...",
+        "howecurves: error: unrecognized arguments: " + " ".join(argv[3:])]
+
+
 class _DeadPool:
     """A process pool whose workers have all died."""
 
@@ -452,6 +467,16 @@ def _mutate(data: bytes, rng: random.Random) -> bytes:
     else:
         del out[pos]
     return bytes(out)
+
+
+def test_a_cache_short_one_class_exits_2(tmp_path, capsys):
+    # every record passes, but the count is off the window [3, 3] at p = 13
+    assert _run(capsys, ["cache", "--p", "13", "--cache", str(tmp_path)])[0] == EXIT_OK
+    path = tmp_path / "genus2_p13.cache"
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+    code, out, err = _run(capsys, ["enumerate", "--p", "13", "--cache", str(tmp_path)])
+    assert (code, out) == (EXIT_MISMATCH, "")
+    assert err == "verification failed: cache %s holds 2 classes, outside [3, 3]\n" % path
 
 
 def test_mutated_caches_exit_2_or_load_the_same_values(tmp_path, capsys):

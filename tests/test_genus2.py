@@ -624,8 +624,8 @@ def test_closure_expands_blocks_of_classes_in_order(monkeypatch):
         sizes.append(len(curves))
         return real(ctx, curves)
 
-    # one key pass per batch: the seeds of each of the 15 pairs of elliptic
-    # classes, then the neighbours of each block of classes
+    # one key pass per batch: the seeds of all 15 pairs of elliptic classes,
+    # then the neighbours of each block of classes
     key_calls = []
     real_key = genus2.igusa_key
 
@@ -637,13 +637,13 @@ def test_closure_expands_blocks_of_classes_in_order(monkeypatch):
     monkeypatch.setattr(genus2, "igusa_key", key_spy)
     blocked = superspecial_genus2_list(ctx)
     assert max(sizes) == ROW_BLOCK // 15 == 8 and sum(sizes) == len(blocked) == 78
-    assert len(key_calls) == 15 + len(sizes) == 25
+    assert len(key_calls) == 1 + len(sizes) == 11
     sizes.clear()
     key_calls.clear()
     monkeypatch.setattr(genus2, "ROW_BLOCK", 15)
     single = superspecial_genus2_list(ctx)
     assert set(sizes) == {1} and len(sizes) == 78
-    assert len(key_calls) == 15 + 78
+    assert len(key_calls) == 1 + 78
     assert [C.roots for C in single] == [C.roots for C in blocked]
     assert single.keys == blocked.keys
 
@@ -688,7 +688,7 @@ def test_glue_produces_superspecial_curves_with_split_jacobian():
     assert produced > 0
 
 
-def test_glue_seeds_come_one_batch_per_pair_in_order(monkeypatch):
+def test_glue_seeds_come_one_batch_per_pair_in_order():
     # every unordered pair (i <= j) of class triples and every matching of
     # the second triple, with one batch per pair
     ctx = FieldCtx(61)
@@ -697,21 +697,7 @@ def test_glue_seeds_come_one_batch_per_pair_in_order(monkeypatch):
              for C in [glue_elliptic_pair(ctx, triples[i], tuple(triples[j][k] for k in perm))]
              if C is not None]
             for i, j in itertools.combinations_with_replacement(range(len(triples)), 2)]
-    got = list(genus2._glue_seeds(ctx, triples))
-    assert got == want
-    # an existence search that stops at its first witness takes the seeds
-    # of one pair of classes, of 34 * 35 / 2
-    batches = []
-    real = genus2._glue_seeds
-
-    def counting(ctx, classes):
-        for batch in real(ctx, classes):
-            batches.append(batch)
-            yield batch
-
-    monkeypatch.setattr(genus2, "_glue_seeds", counting)
-    assert find_one(FieldCtx(409)) is not None
-    assert len(batches) == 1
+    assert list(genus2._glue_seeds(ctx, triples)) == want
 
 
 def test_glue_identity_matching_returns_none():
@@ -942,6 +928,17 @@ def test_interrupted_save_keeps_the_previous_cache(tmp_path, monkeypatch, genus2
     monkeypatch.undo()
     assert path.read_bytes() == before
     assert sorted(tmp_path.iterdir()) == [path]
+
+
+def test_load_rejects_a_list_short_one_class(tmp_path, genus2_lists):
+    # every record passes its own checks, but two classes are not the three
+    # at p = 13
+    path = tmp_path / "g2.cache"
+    save_list(genus2_lists(13), str(path))
+    path.write_text("".join(path.read_text().splitlines(keepends=True)[1:]))
+    with pytest.raises(ValueError) as err:
+        load_list(FieldCtx(13), str(path))
+    assert str(err.value) == "cache %s holds 2 classes, outside [3, 3]" % path
 
 
 def test_load_rejects_tampered_records(tmp_path, genus2_lists):

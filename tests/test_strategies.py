@@ -39,8 +39,9 @@ from howecurves import (
     supersingular_b_values,
     supersingular_lambda_set,
 )
-from howecurves import ellcurve, howe, strategies
+from howecurves import ellcurve, genus2, howe, strategies
 from howecurves.arith import MAX_P, ROW_BLOCK, fq_plane, matmul_fq
+from howecurves.cli import TABLE1
 from howecurves.ellcurve import enumerate_supersingular_classes
 from howecurves.strategies import (
     VerificationError,
@@ -515,9 +516,45 @@ def test_find_one_returns_verified_witnesses():
     # p = 17 = 5 mod 6 takes the family shortcut
     H17 = find_one(FieldCtx(17))
     assert H17 is not None and is_superspecial_howe(H17)
-    # p = 13 = 1 mod 6 goes through the genus-2 stream
+    # p = 13 = 1 mod 6 goes through the glued seeds
     H13 = find_one(FieldCtx(13))
     assert H13 is not None and is_superspecial_howe(H13)
+
+
+@pytest.mark.parametrize("p", [q for q, _, _ in TABLE1 if q % 6 == 1])
+def test_find_one_is_the_first_fit_of_the_list(p, genus2_lists):
+    # the glued seeds are tried unkeyed, yet the witness is the one a scan
+    # of the class list in order gives: its first class with a split that
+    # has a b, that split and its first b, here by the scalar solver
+    L = genus2_lists(p)
+    lset = supersingular_lambda_set(L.ctx)
+    want = next(HoweData(C, split, bs[0]) for C in L for split in _curve_splits(C)
+                for bs in [b_values_scalar(L.ctx, lset, split)] if bs)
+    assert howe_jsonable(find_one(L.ctx)) == howe_jsonable(want)
+
+
+def test_find_one_stops_after_the_first_pair_of_classes(monkeypatch):
+    # at 409 and 10009 the seeds glued from the first of 34 * 35 / 2 and of
+    # 834 * 835 / 2 pairs of elliptic classes hold a fit: nothing is keyed
+    # and the genus-2 list is never walked
+    pairs = []
+    real = strategies._glue_seeds
+
+    def counting(ctx, classes):
+        for seeds in real(ctx, classes):
+            pairs.append(seeds)
+            yield seeds
+
+    def refuse(*args):
+        raise AssertionError("find_one went past the glued seeds")
+
+    monkeypatch.setattr(strategies, "_glue_seeds", counting)
+    monkeypatch.setattr(strategies, "superspecial_genus2_list", refuse)
+    monkeypatch.setattr(genus2, "igusa_key", refuse)
+    for p in (409, 10009):
+        pairs.clear()
+        assert find_one(FieldCtx(p)) is not None
+        assert len(pairs) == 1
 
 
 def test_lambda_set_is_computed_once_per_prime(monkeypatch):
