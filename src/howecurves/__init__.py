@@ -13,7 +13,6 @@ genus-2 curves.
 from .arith import (
     INF,
     FieldCtx,
-    MobiusMap,
     UniPoly,
     is_prime,
     poly_gcd,
@@ -62,7 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "INF",
     "FieldCtx",
-    "MobiusMap",
     "UniPoly",
     "is_prime",
     "poly_gcd",

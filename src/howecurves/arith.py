@@ -29,7 +29,7 @@ FqElem = tuple  # (c0, c1) with 0 <= c0, c1 < p
 # most 29, so any len below 3 * 10^8 is exact, far beyond the longest operand
 # used (length 3m + 1 < 3p/2, m = (p-1)/2, in strategy a's _cubic_power).  The
 # schoolbook division accumulates at most (1 + r) p^2 per coefficient before
-# reducing.  The elementwise products of _mul_arrays, behind mobius_eval_array
+# reducing.  The elementwise products of _mul_arrays, behind the Mobius kernel
 # and the batched Igusa key (genus2.igusa_key), take operands in [0, p) and
 # reduce each product before the next, so no intermediate exceeds
 # (1 + r) p^2 < 2^35; the key's sums stay below 10 p: each S_k of I6 adds six
@@ -580,21 +580,21 @@ def poly_gcd(f: UniPoly, g: UniPoly) -> UniPoly:
     return a.monic()
 
 
-def poly_roots_in_fq(f: UniPoly, rng: Optional[random.Random] = None) -> list:
+def poly_roots_in_fq(f: UniPoly) -> list:
     """Distinct roots of f in F_{p^2}, sorted canonically.
 
     Strips to the product of distinct linear factors with gcd(f, x^q - x),
-    then splits by the usual randomized (x + delta)^((q-1)/2) probes; factors
-    of degree <= 2 are finished with the explicit linear/quadratic formulas,
-    so the returned set never depends on the random choices.
+    then splits by the usual randomized (x + delta)^((q-1)/2) probes, drawn
+    from a generator with a fixed seed; factors of degree <= 2 are finished
+    with the explicit linear/quadratic formulas, so the returned set never
+    depends on the random choices.
     """
     if f.is_zero():
         raise ValueError("the zero polynomial has every element as a root")
     ctx = f.ctx
     if f.degree == 0:
         return []
-    if rng is None:
-        rng = random.Random(0xC0FFEE)
+    rng = random.Random(0xC0FFEE)
     q = ctx.p * ctx.p
     x = UniPoly.x_power(ctx, 1)
     xq = x.pow_mod(q, f)
@@ -641,63 +641,8 @@ def _quadratic_roots(ctx: FieldCtx, g: UniPoly) -> list:
 
 
 # ---------------------------------------------------------------------------
-# the projective line: cross-ratios and Mobius transformations
+# array arithmetic, and Mobius maps on the projective line
 # ---------------------------------------------------------------------------
-
-
-class MobiusMap:
-    """Invertible map x -> (a*x + b)/(c*x + d) on P^1(F_{p^2})."""
-
-    __slots__ = ("ctx", "a", "b", "c", "d")
-
-    def __init__(self, ctx: FieldCtx, a: FqElem, b: FqElem, c: FqElem, d: FqElem):
-        det = ctx.sub(ctx.mul(a, d), ctx.mul(b, c))
-        if det == ctx.zero:
-            raise ValueError("singular matrix does not define a Mobius map")
-        self.ctx = ctx
-        self.a, self.b, self.c, self.d = a, b, c, d
-
-    def __call__(self, pt: ProjPoint) -> ProjPoint:
-        ctx = self.ctx
-        if pt is INF:
-            num, den = self.a, self.c
-        else:
-            num = ctx.add(ctx.mul(self.a, pt), self.b)
-            den = ctx.add(ctx.mul(self.c, pt), self.d)
-        if den == ctx.zero:
-            return INF
-        return ctx.div(num, den)
-
-    def compose(self, other: "MobiusMap") -> "MobiusMap":
-        """self after other."""
-        ctx = self.ctx
-        m = ctx.mul
-        a = ctx.add(m(self.a, other.a), m(self.b, other.c))
-        b = ctx.add(m(self.a, other.b), m(self.b, other.d))
-        c = ctx.add(m(self.c, other.a), m(self.d, other.c))
-        d = ctx.add(m(self.c, other.b), m(self.d, other.d))
-        return MobiusMap(ctx, a, b, c, d)
-
-    def inverse(self) -> "MobiusMap":
-        return MobiusMap(self.ctx, self.d, self.ctx.neg(self.b), self.ctx.neg(self.c), self.a)
-
-    def key(self) -> tuple:
-        """Canonical projective normalization, usable as a dict key."""
-        ctx = self.ctx
-        for lead in (self.a, self.b, self.c, self.d):
-            if lead != ctx.zero:
-                s = ctx.inv(lead)
-                return tuple(ctx.mul(s, v) for v in (self.a, self.b, self.c, self.d))
-        raise AssertionError("zero matrix cannot occur")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, MobiusMap) and self.ctx == other.ctx and self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash((self.ctx.p,) + self.key())
-
-    def __repr__(self) -> str:
-        return "MobiusMap(%r, %r, %r, %r)" % (self.a, self.b, self.c, self.d)
 
 
 def _mul_arrays(ctx: FieldCtx, x0, x1, y0, y1) -> tuple:
@@ -732,12 +677,16 @@ def matmul_fq(ctx: FieldCtx, x, plane):
     return np.stack(np.split(z, 2, axis=1), axis=-1)
 
 
-def _inv_stacked(ctx: FieldCtx, x):
-    """Elementwise inverse of a stacked array, conj(x) / norm(x); 0 where x = 0."""
+def _inv_arrays(ctx: FieldCtx, x0, x1) -> tuple:
+    """Elementwise inverse of (c0, c1) int64 arrays, conj(x) / norm(x); 0 where x = 0."""
     p = ctx.p
-    x0, x1 = x[..., 0], x[..., 1]
     ninv = ctx.inv_table()[(x0 * x0 - ctx.r * (x1 * x1 % p)) % p]
-    return np.stack([x0 * ninv % p, -x1 * ninv % p], axis=-1)
+    return x0 * ninv % p, -x1 * ninv % p
+
+
+def _inv_stacked(ctx: FieldCtx, x):
+    """_inv_arrays on an array whose last axis holds (c0, c1)."""
+    return np.stack(_inv_arrays(ctx, x[..., 0], x[..., 1]), axis=-1)
 
 
 def _sqrt_stacked(ctx: FieldCtx, x) -> tuple:
@@ -768,38 +717,67 @@ def _sqrt_stacked(ctx: FieldCtx, x) -> tuple:
     return root, n >= 0
 
 
+# The one Mobius representation: x -> (a x + b) / (c x + d) is the (4, 2)
+# array of its coefficients (a, b, c, d) as (c0, c1) pairs, and a batch of
+# maps is a (..., 4, 2) array.  Two maps are equal when their arrays are
+# proportional.
+
+
+def cross_ratio_maps(ctx: FieldCtx, triples):
+    """The map q -> (q, t1; t2, t3), sending t2 -> 0, t1 -> 1, t3 -> INF, per triple.
+
+    triples is a (..., 3, 2) array of distinct finite points; the map is
+    q -> (u q - t2 u)/(v q - t3 v) with u = t1 - t3 and v = t1 - t2.
+    """
+    p = ctx.p
+    t1, t2, t3 = triples[..., 0, :], triples[..., 1, :], triples[..., 2, :]
+    u, v = (t1 - t3) % p, (t1 - t2) % p
+    return np.stack([u, -_mul_stacked(ctx, t2, u) % p, v, -_mul_stacked(ctx, t3, v) % p], axis=-2)
+
+
+def mobius_inverse(ctx: FieldCtx, maps):
+    """The inverse of each map: its adjugate (d, -b, -c, a)."""
+    a, b, c, d = np.moveaxis(maps, -2, 0)
+    return np.stack([d, -b % ctx.p, -c % ctx.p, a], axis=-2)
+
+
+def mobius_compose(ctx: FieldCtx, outer, inner):
+    """outer after inner, as 2x2 matrix products; the leading axes broadcast."""
+    # entry (i, j) sums over k the products of outer's (i, k) and inner's (k, j)
+    terms = _mul_stacked(ctx, outer.reshape(outer.shape[:-2] + (2, 2, 1, 2)),
+                         inner.reshape(inner.shape[:-2] + (1, 2, 2, 2)))
+    return (terms.sum(axis=-3) % ctx.p).reshape(terms.shape[:-4] + (4, 2))
+
+
 def mobius_eval_array(ctx: FieldCtx, coef, x0, x1) -> tuple:
     """Maps at finite points, broadcast elementwise, in one array pass.
 
-    coef[..., k, :] holds coefficient k of (a, b, c, d) of x -> (a x + b) /
-    (c x + d) as a (c0, c1) pair; its leading axes broadcast against those
-    of x0 and x1, so coef[:, None] against a line of points evaluates every
-    map at every point.  Returns (y0, y1, finite) of the broadcast shape.
-    Where a denominator vanishes the image is INF: finite is False and
-    y0 = y1 = 0.
+    coef is a (..., 4, 2) array of maps, whose leading axes broadcast
+    against those of x0 and x1, so coef[:, None] against a line of points
+    evaluates every map at every point.  Returns (y0, y1, finite) of the
+    broadcast shape.  Where a denominator vanishes the image is INF: finite
+    is False and y0 = y1 = 0.
     """
     p = ctx.p
     coef = coef.reshape(coef.shape[:-2] + (8,))
     a0, a1, b0, b1, c0, c1, d0, d1 = np.moveaxis(coef, -1, 0)
     n0, n1 = _mul_arrays(ctx, a0, a1, x0, x1)
     e0, e1 = _mul_arrays(ctx, c0, c1, x0, x1)
-    num = np.stack([(n0 + b0) % p, (n1 + b1) % p], axis=-1)
-    den = np.stack([(e0 + d0) % p, (e1 + d1) % p], axis=-1)
-    y = _mul_stacked(ctx, num, _inv_stacked(ctx, den))
-    return y[..., 0], y[..., 1], den.any(axis=-1)
+    e0, e1 = (e0 + d0) % p, (e1 + d1) % p
+    y0, y1 = _mul_arrays(ctx, (n0 + b0) % p, (n1 + b1) % p, *_inv_arrays(ctx, e0, e1))
+    return y0, y1, (e0 | e1) != 0
 
 
-def cross_ratio_map(ctx: FieldCtx, r: ProjPoint, s: ProjPoint, t: ProjPoint) -> MobiusMap:
-    """The map q -> (q, r; s, t) for distinct r, s, t: s -> 0, r -> 1, t -> INF."""
-    if s is INF:
-        d = ctx.sub(r, t)
-        return MobiusMap(ctx, ctx.zero, d, ctx.one, ctx.neg(t))
-    if r is INF:
-        return MobiusMap(ctx, ctx.one, ctx.neg(s), ctx.one, ctx.neg(t))
-    if t is INF:
-        d = ctx.sub(r, s)
-        return MobiusMap(ctx, ctx.one, ctx.neg(s), ctx.zero, d)
-    u = ctx.sub(r, t)
-    v = ctx.sub(r, s)
-    return MobiusMap(ctx, u, ctx.neg(ctx.mul(s, u)), v, ctx.neg(ctx.mul(t, v)))
+def mobius_eval_codes(ctx: FieldCtx, coef, codes):
+    """mobius_eval_array at point codes c0 p + c1, INF = p^2 in and out.
 
+    INF is the point (1 : 0), so its image a / c is that of x = 1 under the
+    map with b and d zeroed.
+    """
+    p = ctx.p
+    q = p * p
+    finite = codes != q
+    x0, x1 = np.divmod(np.where(finite, codes, p), p)
+    keep = finite[..., None] | np.array([True, False, True, False])
+    y0, y1, image_finite = mobius_eval_array(ctx, coef * keep[..., None], x0, x1)
+    return np.where(image_finite, y0 * p + y1, q)

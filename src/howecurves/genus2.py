@@ -4,10 +4,10 @@ Curves are carried as the sorted 6-tuple of Weierstrass x-coordinates of a
 monic sextic model y^2 = prod (x - root); every construction in this package
 keeps those roots inside F_{p^2}.  The module provides the Cartier-Manin
 matrix entries of a batch of curves by the recurrence f g' = m f' g,
-Kbar-isomorphism machinery (the canonical Igusa key, which
-identifies a class for p > 5, and mobius_matches, the one Mobius matcher
-behind howe.howe_isomorphic, which tests the 120 candidate maps on
-tabulated cross-ratios and builds only the maps that pass), the
+Kbar-isomorphism machinery (the canonical Igusa key, which identifies a
+class for p > 5, and mobius_matches, the one Mobius matcher behind
+howe.howe_isomorphic, which tests the 120 candidate maps of a block of
+curve pairs in one array pass and builds only the maps that pass), the
 (2,2)-correspondence walk and its inverse gluing of elliptic
 pairs, and superspecial_genus2_list, the one Richelot walk, producing every
 superspecial curve up to isomorphism, one class per key, which fails as
@@ -34,12 +34,14 @@ from .arith import (
     ROW_BLOCK,
     FieldCtx,
     FqElem,
-    MobiusMap,
     _inv_stacked,
     _mul_arrays,
     _mul_stacked,
     _sqrt_stacked,
-    cross_ratio_map,
+    cross_ratio_maps,
+    mobius_compose,
+    mobius_eval_array,
+    mobius_inverse,
 )
 from .ellcurve import enumerate_supersingular_classes
 
@@ -303,46 +305,41 @@ def _key_without_i2(ctx: FieldCtx, i4: FqElem, i6: FqElem, i10: FqElem) -> Igusa
 
 
 # Each ordered triple (a, b, c) of root positions, in itertools.permutations
-# order, with the three positions it leaves out.
-_TRIPLES_WITH_REST = [
-    (a, b, c, tuple(d for d in range(6) if d not in (a, b, c)))
+# order, then the three positions it leaves out.
+_TRIPLES_WITH_REST = np.array([
+    (a, b, c) + tuple(d for d in range(6) if d not in (a, b, c))
     for a, b, c in itertools.permutations(range(6), 3)
-]
+])
 
 
-def mobius_matches(C: Genus2Curve, D: Genus2Curve) -> Iterator[MobiusMap]:
-    """Every Mobius map carrying the root set of C onto that of D.
+def mobius_matches(ctx: FieldCtx, pairs: Sequence[tuple]) -> tuple:
+    """Every Mobius map carrying the roots of C onto those of D, for each pair (C, D).
 
-    A map is pinned by the images (a, b, c) of C's first three roots
-    (s0, s1, s2).  Writing T_xyz for the map x -> 0, y -> 1, z -> INF, the
-    map T_abc^-1 T_(s0 s1 s2) carries C's other three roots onto D's roots
-    exactly when T_abc sends D's other three roots into the set of images of
-    C's tail under T_(s0 s1 s2).  That set is computed once, and D's root
-    differences and their inverses are tabulated once, so each of the 120
-    candidate triples costs a few multiplications and stops at the first
-    miss; a MobiusMap is built only for a triple that passes.  Candidates
-    come in itertools.permutations(D.roots, 3) order.
+    C and D are sorted root sextuples.  A map is pinned by the images (a, b,
+    c) of C's first three roots (s0, s1, s2).  Writing T_xyz for the map
+    x -> 0, y -> 1, z -> INF (arith.cross_ratio_maps), T_abc^-1 T_(s0 s1 s2)
+    carries C's other three roots onto D's exactly when T_abc sends D's
+    other three roots onto their images under T_(s0 s1 s2).  The 120 ordered
+    triples of D's roots of each block of ROW_BLOCK pairs are tested in one
+    array pass, and only the maps that pass are built.  Returns (owners,
+    maps): the index of each map's pair and the (n, 4, 2) array of maps,
+    ordered by pair and then by itertools.permutations(D, 3).
     """
-    ctx = C.ctx
-    mul, sub = ctx.mul, ctx.sub
-    s0, s1, s2 = C.roots[:3]
-    t_src = cross_ratio_map(ctx, s1, s0, s2)
-    tail = {t_src(t) for t in C.roots[3:]}
-    roots = D.roots
-    diff = [[sub(x, y) for y in roots] for x in roots]
-    inv = [[None] * 6 for _ in range(6)]
-    for i, j in _PAIRS:
-        w = ctx.inv(diff[i][j])
-        inv[i][j], inv[j][i] = w, ctx.neg(w)
-    for a, b, c, rest in _TRIPLES_WITH_REST:
-        # T_abc(x) = (x - a)(b - c) / ((x - c)(b - a))
-        scale = mul(diff[b][c], inv[b][a])
-        for d in rest:
-            if mul(scale, mul(diff[d][a], inv[d][c])) not in tail:
-                break
-        else:
-            t_dst = cross_ratio_map(ctx, roots[b], roots[a], roots[c])
-            yield t_dst.inverse().compose(t_src)
+    p = ctx.p
+    owners, maps = [np.zeros(0, dtype=np.int64)], [np.zeros((0, 4, 2), dtype=np.int64)]
+    for start in range(0, len(pairs), ROW_BLOCK):
+        block = np.array(pairs[start:start + ROW_BLOCK], dtype=np.int64).reshape(-1, 2, 6, 2)
+        src = cross_ratio_maps(ctx, block[:, 0, [1, 0, 2]])
+        y0, y1, _ = mobius_eval_array(ctx, src[:, None], block[:, 0, 3:, 0], block[:, 0, 3:, 1])
+        tail = y0 * p + y1
+        dst = block[:, 1, _TRIPLES_WITH_REST]
+        t_abc = cross_ratio_maps(ctx, dst[:, :, [1, 0, 2]])
+        y0, y1, _ = mobius_eval_array(ctx, t_abc[:, :, None], dst[:, :, 3:, 0], dst[:, :, 3:, 1])
+        hit = ((y0 * p + y1)[..., None] == tail[:, None, None]).any(axis=-1).all(axis=-1)
+        rows, cols = np.nonzero(hit)
+        owners.append(rows + start)
+        maps.append(mobius_compose(ctx, mobius_inverse(ctx, t_abc[rows, cols]), src[rows]))
+    return np.concatenate(owners), np.concatenate(maps)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -23,10 +23,10 @@ from .arith import (
     ROW_BLOCK,
     FieldCtx,
     FqElem,
-    MobiusMap,
     ProjPoint,
     _inv_stacked,
     _mul_stacked,
+    mobius_eval_codes,
     sort_key,
 )
 from .ellcurve import deuring_vanishes
@@ -107,18 +107,27 @@ def is_superspecial_howe(H: HoweData) -> bool:
     return superspecial_howe_flags(H.curve.ctx, [H])[0]
 
 
-def howe_isomorphic(H1: HoweData, H2: HoweData) -> Optional[MobiusMap]:
-    """A Mobius map matching roots, split, and b between the two data sets.
+def howe_isomorphic(ctx: FieldCtx, pairs: Sequence[tuple]) -> list:
+    """For each pair (H1, H2), a Mobius map matching roots, split and b, or None.
 
     The first map of mobius_matches between the two genus-2 curves that
-    carries a part of H1's split onto a part of H2's split (the other part
-    then follows) and sends H1's b to H2's b.
+    sends H1's b to H2's b and a part of H1's split onto a part of H2's (the
+    other part then follows), as a (4, 2) array of coefficients.  The maps
+    of all pairs are tested in one array pass on point codes c0 p + c1, INF
+    being (p, 0), whose code is p^2.
     """
-    parts = (set(H2.split[0]), set(H2.split[1]))
-    for m in mobius_matches(H1.curve, H2.curve):
-        if m(H1.b) == H2.b and {m(rt) for rt in H1.split[0]} in parts:
-            return m
-    return None
+    p = ctx.p
+    owners, maps = mobius_matches(ctx, [(H1.curve.roots, H2.curve.roots) for H1, H2 in pairs])
+    pts = np.array([[(p, 0) if H.b is INF else H.b, *H.split[0], *H.split[1]]
+                    for pair in pairs for H in pair], dtype=np.int64).reshape(-1, 2, 7, 2)
+    codes = (pts[..., 0] * p + pts[..., 1])[owners]
+    img = mobius_eval_codes(ctx, maps[:, None], codes[:, 0, :4])
+    parts = codes[:, 1, 1:].reshape(-1, 1, 2, 3)
+    onto = (img[:, 1:, None, None] == parts).any(axis=-1).all(axis=1).any(axis=1)
+    out = [None] * len(pairs)
+    for row in np.flatnonzero(onto & (img[:, 0] == codes[:, 1, 0]))[::-1].tolist():
+        out[owners[row]] = maps[row]
+    return out
 
 
 def howe_key(ctx: FieldCtx, fits: Sequence[tuple]) -> list:

@@ -44,13 +44,18 @@ from .arith import (
     ProjPoint,
     UniPoly,
     _mul_stacked,
+    cross_ratio_maps,
     fq_plane,
     matmul_fq,
+    mobius_compose,
     mobius_eval_array,
+    mobius_eval_codes,
+    mobius_inverse,
     plane_product,
 )
 from .ellcurve import _powers, enumerate_supersingular_classes, supersingular_lambda_set
 from .genus2 import (
+    _TRIPLE_PARTITIONS,
     Genus2Curve,
     SuperspecialList,
     _glue_seeds,
@@ -317,18 +322,6 @@ def enumerate_a(ctx: FieldCtx, verify: bool = False, workers: int = 1) -> EnumRe
 # ---------------------------------------------------------------------------
 
 
-def _cross_ratio_maps(ctx: FieldCtx, triples):
-    """The coefficients (a, b, c, d) of cross_ratio_map(t1, t2, t3) per finite triple.
-
-    triples is a (..., 3, 2) array; the map is q -> (u q - t2 u)/(v q - t3 v)
-    with u = t1 - t3 and v = t1 - t2, returned as a (..., 4, 2) array.
-    """
-    p = ctx.p
-    t1, t2, t3 = triples[..., 0, :], triples[..., 1, :], triples[..., 2, :]
-    u, v = (t1 - t3) % p, (t1 - t2) % p
-    return np.stack([u, -_mul_stacked(ctx, t2, u) % p, v, -_mul_stacked(ctx, t3, v) % p], axis=-2)
-
-
 def supersingular_b_values(ctx: FieldCtx, codes: np.ndarray, splits: Sequence[tuple]) -> list:
     """For each split (T1, T2), the b making both quartic halves supersingular.
 
@@ -349,19 +342,15 @@ def supersingular_b_values(ctx: FieldCtx, codes: np.ndarray, splits: Sequence[tu
     p = ctx.p
     q = p * p
     triples = np.array([T1 + T2 for T1, T2 in splits], dtype=np.int64).reshape(-1, 2, 3, 2)
-    m1 = _cross_ratio_maps(ctx, triples[:, 0])
-    back = np.stack([m1[:, 3], -m1[:, 1] % p, -m1[:, 2] % p, m1[:, 0]], axis=1)
-    # N = M2 M1^-1 as 2x2 matrices: entry (i, j) sums over k the products of
-    # M2's (i, k) and M1^-1's (k, j)
-    terms = _mul_stacked(ctx, _cross_ratio_maps(ctx, triples[:, 1]).reshape(-1, 2, 2, 1, 2),
-                         back.reshape(-1, 1, 2, 2, 2))
-    maps = (terms.sum(axis=2) % p).reshape(-1, 4, 2)
-    y0, y1, finite = mobius_eval_array(ctx, maps[:, None], codes // p, codes % p)
+    m1, m2 = np.moveaxis(cross_ratio_maps(ctx, triples), 1, 0)
+    back = mobius_inverse(ctx, m1)
+    maps = mobius_compose(ctx, m2, back)
+    y0, y1, _ = mobius_eval_array(ctx, maps[:, None], *np.divmod(codes, p))
+    # an INF image reads as the code 0 of the point 0, which is no lambda
     images = y0 * p + y1
     pos = np.minimum(np.searchsorted(codes, images), len(codes) - 1)
-    rows, cols = np.nonzero(finite & (codes[pos] == images))
-    b0, b1, finite = mobius_eval_array(ctx, back[rows], codes[cols] // p, codes[cols] % p)
-    found = np.where(finite, b0 * p + b1, q)
+    rows, cols = np.nonzero(codes[pos] == images)
+    found = mobius_eval_codes(ctx, back[rows], codes[cols])
     out = [[] for _ in splits]
     for row, code in sorted(zip(rows.tolist(), found.tolist())):
         out[row].append(INF if code == q else divmod(code, p))
@@ -373,9 +362,8 @@ def _curve_splits(C: Genus2Curve) -> list:
 
     The roots are sorted, so each split is already in normalize_split's form.
     """
-    roots = C.roots
-    return [((roots[0],) + pair, tuple(rt for rt in roots[1:] if rt not in pair))
-            for pair in itertools.combinations(roots[1:], 2)]
+    return [(tuple(C.roots[i] for i in T1), tuple(C.roots[i] for i in T2))
+            for T1, T2 in _TRIPLE_PARTITIONS]
 
 
 def _fit_orbits(ctx: FieldCtx, lset: np.ndarray, curves: Sequence[Genus2Curve]) -> list:
@@ -478,9 +466,8 @@ def match_representatives(reps1: List[HoweData], reps2: List[HoweData]
     pairing = [index.get(key) for key in howe_key(ctx, [(H.split, H.b) for H in reps1])]
     if None in pairing or len(set(pairing)) != len(pairing):
         return None
-    if any(howe_isomorphic(H, reps2[idx]) is None for H, idx in zip(reps1, pairing)):
-        return None
-    return pairing
+    maps = howe_isomorphic(ctx, [(H, reps2[idx]) for H, idx in zip(reps1, pairing)])
+    return None if any(m is None for m in maps) else pairing
 
 
 def _verify_representatives(ctx: FieldCtx, reps: List[HoweData]) -> None:

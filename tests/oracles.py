@@ -25,9 +25,14 @@ richelot_codomains, the Howe key one datum at a time (howe_key_scalar)
 behind the batched howe_key, the b-value map loop
 (b_values_scalar) behind supersingular_b_values, and the cross-ratio of one
 quartic (lambda_of_quartic, through cross_ratio) behind quartic_lambdas.
-The tests compare the two.  isomorphic, automorphisms, j_invariant and the
-genus-1 covers of a Howe datum as QuarticModel objects (quartics), which
-only the tests read, live here too.
+One scalar Mobius map (MobiusMap, with cross_ratio_map) stands behind the
+package's coefficient-array kernel, the 120-triple matcher one pair at a
+time (mobius_matches_scalar) behind the batched genus2.mobius_matches, and
+its first map that keeps b and the split (howe_isomorphic_scalar) behind
+the batched howe.howe_isomorphic.  The tests compare the two.  isomorphic
+and automorphisms (both through mobius_matches_scalar), j_invariant and
+the genus-1 covers of a Howe datum as QuarticModel objects (quartics),
+which only the tests read, live here too.
 """
 
 import functools
@@ -47,21 +52,95 @@ from howecurves import (
     RationalityError,
     UniPoly,
     enumerate_supersingular_classes,
-    howe_isomorphic,
     is_superspecial_howe,
     normalize_split,
     poly_gcd,
     poly_roots_in_fq,
     sort_key,
 )
-from howecurves.arith import MobiusMap, ProjPoint, cross_ratio_map, fq_plane, matmul_fq
+from howecurves.arith import ProjPoint, fq_plane, matmul_fq
 from howecurves.genus2 import (
     _PAIR_PARTITIONS,
     _PAIRS,
     _TRIPLE_PARTITIONS,
-    mobius_matches,
+    _TRIPLES_WITH_REST,
 )
 from howecurves.strategies import _cubic_power, _shifted_power_rows
+
+
+class MobiusMap:
+    """Invertible map x -> (a*x + b)/(c*x + d) on P^1(F_{p^2}), one scalar map."""
+
+    __slots__ = ("ctx", "a", "b", "c", "d")
+
+    def __init__(self, ctx, a, b, c, d):
+        det = ctx.sub(ctx.mul(a, d), ctx.mul(b, c))
+        if det == ctx.zero:
+            raise ValueError("singular matrix does not define a Mobius map")
+        self.ctx = ctx
+        self.a, self.b, self.c, self.d = a, b, c, d
+
+    @classmethod
+    def from_array(cls, ctx, coef):
+        """The map of one (4, 2) coefficient array of the package's Mobius kernel."""
+        return cls(ctx, *map(tuple, np.asarray(coef).tolist()))
+
+    def __call__(self, pt):
+        ctx = self.ctx
+        if pt is INF:
+            num, den = self.a, self.c
+        else:
+            num = ctx.add(ctx.mul(self.a, pt), self.b)
+            den = ctx.add(ctx.mul(self.c, pt), self.d)
+        if den == ctx.zero:
+            return INF
+        return ctx.div(num, den)
+
+    def compose(self, other):
+        """self after other."""
+        ctx = self.ctx
+        m = ctx.mul
+        a = ctx.add(m(self.a, other.a), m(self.b, other.c))
+        b = ctx.add(m(self.a, other.b), m(self.b, other.d))
+        c = ctx.add(m(self.c, other.a), m(self.d, other.c))
+        d = ctx.add(m(self.c, other.b), m(self.d, other.d))
+        return MobiusMap(ctx, a, b, c, d)
+
+    def inverse(self):
+        return MobiusMap(self.ctx, self.d, self.ctx.neg(self.b), self.ctx.neg(self.c), self.a)
+
+    def key(self):
+        """Canonical projective normalization, usable as a dict key."""
+        ctx = self.ctx
+        for lead in (self.a, self.b, self.c, self.d):
+            if lead != ctx.zero:
+                s = ctx.inv(lead)
+                return tuple(ctx.mul(s, v) for v in (self.a, self.b, self.c, self.d))
+        raise AssertionError("zero matrix cannot occur")
+
+    def __eq__(self, other):
+        return isinstance(other, MobiusMap) and self.ctx == other.ctx and self.key() == other.key()
+
+    def __hash__(self):
+        return hash((self.ctx.p,) + self.key())
+
+    def __repr__(self):
+        return "MobiusMap(%r, %r, %r, %r)" % (self.a, self.b, self.c, self.d)
+
+
+def cross_ratio_map(ctx, r, s, t):
+    """The map q -> (q, r; s, t) for distinct r, s, t: s -> 0, r -> 1, t -> INF."""
+    if s is INF:
+        d = ctx.sub(r, t)
+        return MobiusMap(ctx, ctx.zero, d, ctx.one, ctx.neg(t))
+    if r is INF:
+        return MobiusMap(ctx, ctx.one, ctx.neg(s), ctx.one, ctx.neg(t))
+    if t is INF:
+        d = ctx.sub(r, s)
+        return MobiusMap(ctx, ctx.one, ctx.neg(s), ctx.zero, d)
+    u = ctx.sub(r, t)
+    v = ctx.sub(r, s)
+    return MobiusMap(ctx, u, ctx.neg(ctx.mul(s, u)), v, ctx.neg(ctx.mul(t, v)))
 
 
 @dataclass(frozen=True)
@@ -351,18 +430,68 @@ def igusa_key_scalar(ctx, roots):
     return (3,)
 
 
+def mobius_matches_scalar(C, D):
+    """Every Mobius map carrying the root set of C onto that of D, one triple at a time.
+
+    A map is pinned by the images (a, b, c) of C's first three roots
+    (s0, s1, s2).  Writing T_xyz for the map x -> 0, y -> 1, z -> INF, the
+    map T_abc^-1 T_(s0 s1 s2) carries C's other three roots onto D's roots
+    exactly when T_abc sends D's other three roots into the set of images of
+    C's tail under T_(s0 s1 s2).  That set is computed once, and D's root
+    differences and their inverses are tabulated once, so each of the 120
+    candidate triples costs a few multiplications and stops at the first
+    miss; a MobiusMap is built only for a triple that passes.  Candidates
+    come in itertools.permutations(D.roots, 3) order: the scalar form of
+    genus2.mobius_matches.
+    """
+    ctx = C.ctx
+    mul, sub = ctx.mul, ctx.sub
+    s0, s1, s2 = C.roots[:3]
+    t_src = cross_ratio_map(ctx, s1, s0, s2)
+    tail = {t_src(t) for t in C.roots[3:]}
+    roots = D.roots
+    diff = [[sub(x, y) for y in roots] for x in roots]
+    inv = [[None] * 6 for _ in range(6)]
+    for i, j in _PAIRS:
+        w = ctx.inv(diff[i][j])
+        inv[i][j], inv[j][i] = w, ctx.neg(w)
+    for a, b, c, *rest in _TRIPLES_WITH_REST.tolist():
+        # T_abc(x) = (x - a)(b - c) / ((x - c)(b - a))
+        scale = mul(diff[b][c], inv[b][a])
+        for d in rest:
+            if mul(scale, mul(diff[d][a], inv[d][c])) not in tail:
+                break
+        else:
+            t_dst = cross_ratio_map(ctx, roots[b], roots[a], roots[c])
+            yield t_dst.inverse().compose(t_src)
+
+
 def isomorphic(C, D):
     """A Mobius map carrying the root set of C onto that of D, if one exists.
 
-    The first of mobius_matches: the map sending C's first three roots to
-    the earliest ordered triple of D's roots that works.
+    The first of mobius_matches_scalar: the map sending C's first three
+    roots to the earliest ordered triple of D's roots that works.
     """
-    return next(mobius_matches(C, D), None)
+    return next(mobius_matches_scalar(C, D), None)
 
 
 def automorphisms(C):
     """All Mobius maps preserving the root set of C (the reduced automorphisms)."""
-    return sorted(mobius_matches(C, C), key=lambda m: m.key())
+    return sorted(mobius_matches_scalar(C, C), key=lambda m: m.key())
+
+
+def howe_isomorphic_scalar(H1, H2):
+    """The scalar form of howe.howe_isomorphic on one pair, a MobiusMap or None.
+
+    The first map of mobius_matches_scalar between the two genus-2 curves
+    that carries a part of H1's split onto a part of H2's split (the other
+    part then follows) and sends H1's b to H2's b.
+    """
+    parts = (set(H2.split[0]), set(H2.split[1]))
+    for m in mobius_matches_scalar(H1.curve, H2.curve):
+        if m(H1.b) == H2.b and {m(rt) for rt in H1.split[0]} in parts:
+            return m
+    return None
 
 
 def enumerate_a_bruteforce(ctx):
@@ -393,7 +522,7 @@ def enumerate_a_bruteforce(ctx):
                     raw += 1
                     key = igusa_key_scalar(ctx, H.curve.roots)
                     bucket = buckets.setdefault(key, [])
-                    if any(howe_isomorphic(H, seen) is not None for seen in bucket):
+                    if any(howe_isomorphic_scalar(H, seen) is not None for seen in bucket):
                         continue
                     bucket.append(H)
                     reps.append(H)

@@ -21,7 +21,6 @@ from howecurves import (
     FieldCtx,
     Genus2Curve,
     HoweData,
-    MobiusMap,
     UniPoly,
     enumerate_a,
     enumerate_b,
@@ -42,6 +41,7 @@ from howecurves.cli import TABLE1, main
 from howecurves.ellcurve import enumerate_supersingular_classes
 from howecurves.genus2 import cartier_manin_rows, iko_window
 from oracles import (
+    MobiusMap,
     QuarticModel,
     cubic_curve,
     is_superspecial,
@@ -349,9 +349,10 @@ def _suite_howe_isomorphism():
     rng = random.Random(89)
     ctx = FieldCtx(11)
     reps = enumerate_b(ctx).representatives
+    moved = []
     for H in reps:
-        moved = 0
-        while moved < 8:
+        images = 0
+        while images < 8:
             a, b, c, d = (ctx.elem(rng.randrange(11), rng.randrange(11)) for _ in range(4))
             if ctx.sub(ctx.mul(a, d), ctx.mul(b, c)) == ctx.zero:
                 continue
@@ -360,20 +361,17 @@ def _suite_howe_isomorphism():
             img_b = m(H.b)
             if any(q is INF for q in img_roots) or (img_b is not INF and img_b in img_roots):
                 continue
-            H2 = HoweData(
+            moved.append((H, HoweData(
                 Genus2Curve(ctx, tuple(img_roots)),
                 normalize_split(tuple(m(rt) for rt in H.split[0]),
                                 tuple(m(rt) for rt in H.split[1])),
                 img_b,
-            )
-            if howe_isomorphic(H, H2) is None:
-                return False
-            moved += 1
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            if howe_isomorphic(reps[i], reps[j]) is not None:
-                return False
-    return True
+            )))
+            images += 1
+    if any(m is None for m in howe_isomorphic(ctx, moved)):
+        return False
+    distinct = [(reps[i], reps[j]) for i in range(len(reps)) for j in range(i + 1, len(reps))]
+    return all(m is None for m in howe_isomorphic(ctx, distinct))
 
 
 def test_criterion_8_oracle_suites(criterion, genus2_lists):

@@ -8,6 +8,7 @@ the handful of pinned small-field values that double as regression anchors.
 import functools
 import pickle
 import random
+import types
 
 import pytest
 from hypothesis import example, given, settings
@@ -16,7 +17,6 @@ from hypothesis import strategies as st
 from howecurves import (
     INF,
     FieldCtx,
-    MobiusMap,
     UniPoly,
     is_prime,
     poly_gcd,
@@ -26,20 +26,23 @@ from howecurves import (
 )
 import numpy as np
 
-from howecurves import ellcurve
-
+from howecurves import arith, ellcurve
 from howecurves.arith import (
     MAX_P,
     _conv_fq,
     _divmod_monic,
     _mul_arrays,
     _sqrt_stacked,
+    cross_ratio_maps,
     fq_plane,
     matmul_fq,
+    mobius_compose,
     mobius_eval_array,
+    mobius_eval_codes,
+    mobius_inverse,
 )
 from howecurves.strategies import _power_plane, _power_table
-from oracles import cross_ratio, mobius_from_triples
+from oracles import MobiusMap, cross_ratio, cross_ratio_map, mobius_from_triples
 
 
 def _coefs(maps):
@@ -655,12 +658,18 @@ def test_roots_match_exhaustive_evaluation():
             assert poly_roots_in_fq(f) == want
 
 
-def test_roots_are_rng_independent():
+def test_roots_are_rng_independent(monkeypatch):
+    # the probes come from a generator with a fixed seed inside
+    # poly_roots_in_fq; reseeding it must not change the roots
     ctx = FieldCtx(13)
     f = UniPoly.from_roots(ctx, [ctx.elem(2), ctx.elem(5), ctx.elem(0, 1), ctx.elem(7, 3)])
-    a = poly_roots_in_fq(f, rng=random.Random(1))
-    b = poly_roots_in_fq(f, rng=random.Random(999))
-    assert a == b == sorted([ctx.elem(2), ctx.elem(5), ctx.elem(0, 1), ctx.elem(7, 3)])
+    roots = []
+    for seed in (1, 999):
+        monkeypatch.setattr(arith, "random", types.SimpleNamespace(
+            Random=lambda _fixed, seed=seed: random.Random(seed)))
+        roots.append(poly_roots_in_fq(f))
+    want = sorted([ctx.elem(2), ctx.elem(5), ctx.elem(0, 1), ctx.elem(7, 3)])
+    assert roots[0] == roots[1] == want
 
 
 def test_gcd_pinned_cases():
@@ -908,6 +917,63 @@ def test_compose_and_inverse_keep_the_determinant_nonzero():
     for x in [INF, ctx.zero, ctx.one, ctx.elem(5, 9), ctx.elem(0, 3)]:
         assert back(m(x)) == x
         assert both(x) == m(k(x))
+
+
+def _random_map(ctx, rng):
+    while True:
+        a, b, c, d = (_random_elem(ctx, rng) for _ in range(4))
+        if ctx.sub(ctx.mul(a, d), ctx.mul(b, c)) != ctx.zero:
+            return MobiusMap(ctx, a, b, c, d)
+
+
+@pytest.mark.parametrize("p", [11, 13, 29989])
+def test_mobius_kernel_matches_the_scalar_maps(p):
+    # the coefficient arrays of cross_ratio_maps, mobius_inverse and
+    # mobius_compose equal those of the scalar cross_ratio_map, inverse and
+    # compose, on one batch with extra leading axes
+    ctx = FieldCtx(p)
+    rng = random.Random(p)
+    triples = [tuple(rng.sample([(i, j) for i in range(5) for j in range(5)], 3))
+               for _ in range(12)]
+    scalar = [cross_ratio_map(ctx, *tri) for tri in triples]
+    maps = cross_ratio_maps(ctx, np.array(triples, dtype=np.int64).reshape(3, 4, 3, 2))
+    assert maps.shape == (3, 4, 4, 2)
+    assert maps.reshape(-1, 4, 2).tolist() == _coefs(scalar).tolist()
+    inner = [_random_map(ctx, rng) for _ in scalar]
+    assert mobius_inverse(ctx, maps).reshape(-1, 4, 2).tolist() == _coefs(
+        [m.inverse() for m in scalar]).tolist()
+    both = mobius_compose(ctx, maps, _coefs(inner).reshape(3, 4, 4, 2))
+    assert both.reshape(-1, 4, 2).tolist() == _coefs(
+        [m.compose(k) for m, k in zip(scalar, inner)]).tolist()
+    # broadcast: every map after one
+    assert mobius_compose(ctx, maps, _coefs(inner[:1])).reshape(-1, 4, 2).tolist() == _coefs(
+        [m.compose(inner[0]) for m in scalar]).tolist()
+
+
+@pytest.mark.parametrize("p", [11, 29989])
+def test_code_evaluation_matches_the_scalar_map(p):
+    # mobius_eval_codes against MobiusMap.__call__, INF = p^2 as input and
+    # as output: maps with a pole, with INF fixed (c = 0) and the flip 1/x
+    ctx = FieldCtx(p)
+    q = p * p
+    rng = random.Random(p)
+    top = (p - 1, p - 1)
+    maps = [MobiusMap(ctx, top, top, ctx.one, top),
+            MobiusMap(ctx, top, ctx.one, ctx.zero, top),
+            MobiusMap(ctx, ctx.zero, ctx.one, ctx.one, ctx.zero)]
+    maps += [_random_map(ctx, rng) for _ in range(5)]
+    line = [INF] + (list(ctx.elements()) if p < 20 else [top, ctx.neg(top), ctx.zero, ctx.one]
+                    + [_random_elem(ctx, rng) for _ in range(40)])
+
+    def code(pt):
+        return q if pt is INF else pt[0] * p + pt[1]
+
+    got = mobius_eval_codes(ctx, _coefs(maps)[:, None], np.array([code(x) for x in line]))
+    assert got.tolist() == [[code(m(x)) for x in line] for m in maps]
+    assert (got == q).sum() >= 3 and (got[:, 0] != q).sum() >= 3
+    # one point per map, elementwise
+    diag = mobius_eval_codes(ctx, _coefs(maps), got[:, 0])
+    assert diag.tolist() == [code(m(m(INF))) for m in maps]
 
 
 def test_is_prime_small_table():

@@ -2,9 +2,11 @@
 
 The Cartier-Manin oracle recomputes f^((p-1)/2) by naive repeated
 multiplication with no degree cap and reads the same four coefficients;
-the Mobius matcher, read through isomorphic and automorphisms of
-tests/oracles.py, is checked against the explicit 120-map search it
-replaced; the closure construction is
+the scalar Mobius matcher of tests/oracles.py, read through isomorphic
+and automorphisms, is checked against the explicit 120-map search, and the
+batched mobius_matches against the scalar one, map for map, and through
+the exact genus-2 mass identity at every published prime; the closure
+construction is
 checked against the count window and against its own seeds, and the Mobius
 search is the oracle for its key-only class identity.  The batched Igusa
 key is checked against the scalar igusa_clebsch oracle of tests/oracles.py,
@@ -22,7 +24,9 @@ import functools
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -31,7 +35,6 @@ from howecurves import (
     INF,
     FieldCtx,
     Genus2Curve,
-    MobiusMap,
     RationalityError,
     SuperspecialList,
     UniPoly,
@@ -48,8 +51,11 @@ from howecurves import (
 )
 from howecurves import genus2
 from howecurves.arith import ROW_BLOCK
+from howecurves.cli import TABLE1
+from howecurves.genus2 import mobius_matches
 from howecurves.ellcurve import enumerate_supersingular_classes
 from oracles import (
+    MobiusMap,
     automorphisms,
     cartier_manin,
     glue_by_mobius,
@@ -58,6 +64,7 @@ from oracles import (
     is_superspecial,
     isomorphic,
     mobius_from_triples,
+    mobius_matches_scalar,
     quadratic_splittings,
     richelot_codomains_scalar,
     rosenhain_closure,
@@ -409,6 +416,60 @@ def test_matcher_agrees_with_the_explicit_search(p, genus2_lists):
     pairs = list(itertools.combinations(L.curves, 2))
     for C, D in rng.sample(pairs, min(len(pairs), 300)):
         _assert_isomorphic_matches_oracle(C, D)
+
+
+def _batched_match_keys(ctx, pairs):
+    """The projective keys of mobius_matches' maps, one list per pair."""
+    owners, maps = mobius_matches(ctx, [(C.roots, D.roots) for C, D in pairs])
+    out = [[] for _ in pairs]
+    for i, coef in zip(owners.tolist(), maps):
+        out[i].append(MobiusMap.from_array(ctx, coef).key())
+    return out
+
+
+def _mobius_image(C, rng):
+    """C moved by a random Mobius map that keeps its roots finite."""
+    ctx = C.ctx
+    while True:
+        a, b, c, d = (ctx.elem(rng.randrange(ctx.p), rng.randrange(ctx.p)) for _ in range(4))
+        if ctx.sub(ctx.mul(a, d), ctx.mul(b, c)) != ctx.zero:
+            g = MobiusMap(ctx, a, b, c, d)
+            if all(g(rt) is not INF for rt in C.roots):
+                return Genus2Curve(ctx, tuple(g(rt) for rt in C.roots))
+
+
+@pytest.mark.parametrize("p", [q for q in range(7, 62) if is_prime(q)])
+def test_batched_matcher_matches_the_scalar_oracle(p, genus2_lists):
+    # the same maps in the same order as mobius_matches_scalar, compared
+    # projectively: every (C, C), C against a Mobius image of C and against
+    # one of the next class, all in one call, which spans several blocks of
+    # ROW_BLOCK pairs from p = 23 on
+    ctx = FieldCtx(p)
+    curves = genus2_lists(p).curves
+    rng = random.Random(p)
+    pairs = [(C, C) for C in curves]
+    pairs += [(C, _mobius_image(C, rng)) for C in curves]
+    pairs += [(C, _mobius_image(D, rng)) for C, D in zip(curves, curves[1:])]
+    want = [[m.key() for m in mobius_matches_scalar(C, D)] for C, D in pairs]
+    assert _batched_match_keys(ctx, pairs) == want
+    assert all(want[:2 * len(curves)])
+    owners, maps = mobius_matches(ctx, [])
+    assert owners.shape == (0,) and maps.shape == (0, 4, 2)
+
+
+@pytest.mark.parametrize("p", [p for p, _, _ in TABLE1])
+def test_genus2_mass_identity(p, genus2_lists):
+    # sum over the classes of 1/|G_C| = (p-1)(p-2)(p-3)/2880 exactly, G_C the
+    # Mobius maps permuting C's roots, counted by the batched matcher on
+    # (C, C): the mass of principally polarized superspecial surfaces less
+    # that of products of elliptic curves, with |Aut C| = 2 |G_C|
+    curves = genus2_lists(p).curves
+    owners, _ = mobius_matches(FieldCtx(p), [(C.roots, C.roots) for C in curves])
+    orders = np.bincount(owners, minlength=len(curves))
+    # the orders of the reduced automorphism groups in genus 2 for p > 5
+    assert set(orders.tolist()) <= {1, 2, 4, 5, 6, 12, 24}
+    mass = sum(Fraction(1, n) for n in orders.tolist())
+    assert mass == Fraction((p - 1) * (p - 2) * (p - 3), 2880)
 
 
 _SMALL_FIELDS = st.sampled_from([FieldCtx(p) for p in (7, 11, 13)])

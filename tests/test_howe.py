@@ -5,7 +5,9 @@ curve, two choices of branch point give isomorphic data exactly when an
 automorphism of the curve preserving the split carries one choice to the
 other.  Across curves, an explicit search builds the 12 maps sending H1's
 first split part onto an ordered part of H2's split and checks the full
-incidence; equal keys must mean exactly that the search finds a map.
+incidence; equal keys must mean exactly that the search finds a map.  The
+batched isomorphism test returns the same first map as its scalar form of
+tests/oracles.py on every ordered pair of representatives up to 29.
 The closed-form special family is checked against root-found cubics, and
 the one-pass superspeciality test against the scalar Hasse tests of
 tests/oracles.py.  The batched Howe key and Legendre invariants are checked
@@ -24,8 +26,8 @@ from howecurves import (
     FieldCtx,
     Genus2Curve,
     HoweData,
-    MobiusMap,
     UniPoly,
+    enumerate_a,
     enumerate_b,
     find_one,
     howe_isomorphic,
@@ -37,13 +39,16 @@ from howecurves import (
     supersingular_b_values,
     supersingular_lambda_set,
 )
-from howecurves.arith import cross_ratio_map
+from howecurves.arith import ROW_BLOCK
 from howecurves.howe import quartic_lambdas
 from howecurves.strategies import _curve_splits
 from oracles import (
+    MobiusMap,
     QuarticModel,
     automorphisms,
+    cross_ratio_map,
     howe_from_cubics,
+    howe_isomorphic_scalar,
     howe_key_scalar,
     in_lambda_set,
     is_superspecial,
@@ -153,21 +158,29 @@ def _oracle_howe_isomorphic(H1, H2):
     return None
 
 
-def _assert_howe_isomorphic_matches_oracle(H1, H2):
-    m = howe_isomorphic(H1, H2)
-    want = _oracle_howe_isomorphic(H1, H2) is not None
-    assert (m is not None) == want
-    assert (_key(H1) == _key(H2)) == want
-    if m is not None:
-        assert m(H1.b) == H2.b
-        img = normalize_split([m(rt) for rt in H1.split[0]], [m(rt) for rt in H1.split[1]])
-        assert img == H2.split
-    return m
+def _isomorphic_maps(pairs):
+    """howe_isomorphic on the pairs, in one call, each map as a MobiusMap or None."""
+    ctx = pairs[0][0].curve.ctx
+    return [None if m is None else MobiusMap.from_array(ctx, m)
+            for m in howe_isomorphic(ctx, pairs)]
+
+
+def _assert_howe_isomorphic_matches_oracle(pairs):
+    maps = _isomorphic_maps(pairs)
+    for (H1, H2), m in zip(pairs, maps):
+        want = _oracle_howe_isomorphic(H1, H2) is not None
+        assert (m is not None) == want
+        assert (_key(H1) == _key(H2)) == want
+        if m is not None:
+            assert m(H1.b) == H2.b
+            img = normalize_split([m(rt) for rt in H1.split[0]], [m(rt) for rt in H1.split[1]])
+            assert img == H2.split
+    return maps
 
 
 def test_howe_isomorphic_is_reflexive_and_symmetric():
     ctx, H = _cube_root_data(11)
-    assert howe_isomorphic(H, H) is not None
+    assert _isomorphic_maps([(H, H)])[0] is not None
     rng = random.Random(32)
     for _ in range(10):
         while True:
@@ -185,8 +198,7 @@ def test_howe_isomorphic_is_reflexive_and_symmetric():
         )
         H2 = HoweData(C2, split2, img_b)
         assert _key(H2) == _key(H)
-        fwd = _assert_howe_isomorphic_matches_oracle(H, H2)
-        bwd = _assert_howe_isomorphic_matches_oracle(H2, H)
+        fwd, bwd = _assert_howe_isomorphic_matches_oracle([(H, H2), (H2, H)])
         assert fwd is not None and bwd is not None
         assert is_superspecial_howe(H2) == is_superspecial_howe(H)
 
@@ -206,17 +218,12 @@ def test_howe_isomorphic_matches_automorphism_orbit_of_b():
 
     candidates = [INF] + [ctx.elem(v) for v in range(11)]
     candidates = [b for b in candidates if b is INF or b not in C.roots]
-    for b1 in candidates:
-        orbit = set()
-        for m in fixers:
-            q = m(b1)
-            orbit.add("INF" if q is INF else q)
-        H1 = HoweData(C, H0.split, b1)
-        for b2 in candidates:
-            H2 = HoweData(C, H0.split, b2)
-            got = howe_isomorphic(H1, H2) is not None
-            want = ("INF" if b2 is INF else b2) in orbit
-            assert got == want, (b1, b2)
+    pairs = [(HoweData(C, H0.split, b1), HoweData(C, H0.split, b2))
+             for b1 in candidates for b2 in candidates]
+    for (H1, H2), m in zip(pairs, _isomorphic_maps(pairs)):
+        orbit = {"INF" if g(H1.b) is INF else g(H1.b) for g in fixers}
+        want = ("INF" if H2.b is INF else H2.b) in orbit
+        assert (m is not None) == want, (H1.b, H2.b)
 
 
 @pytest.mark.parametrize("p", [13, 17])
@@ -234,10 +241,29 @@ def test_howe_isomorphic_agrees_with_the_explicit_search(p, genus2_lists):
         splits = [(T1, tuple(rt for rt in C.roots if rt not in T1))
                   for T1 in itertools.combinations(C.roots, 3)]
         others = dict.fromkeys(HoweData(C, split, H.b) for H in fits for split in splits)
-        for H1, H2 in itertools.product(fits, others):
-            m = _assert_howe_isomorphic_matches_oracle(H1, H2)
-            hits += m is not None and H1 != H2
+        pairs = list(itertools.product(fits, others))
+        if pairs:
+            maps = _assert_howe_isomorphic_matches_oracle(pairs)
+            hits += sum(m is not None and H1 != H2 for (H1, H2), m in zip(pairs, maps))
     assert hits > 0
+
+
+@pytest.mark.parametrize("p", [11, 13, 17, 19, 23, 29])
+def test_batched_howe_isomorphic_matches_the_scalar_oracle(p, genus2_lists):
+    # the first map, compared projectively, on every ordered pair of the
+    # representatives of both strategies, in one call; strategy a's have
+    # b = INF, and at 17, 23 and 29 the call spans several blocks of
+    # ROW_BLOCK pairs
+    ctx = FieldCtx(p)
+    reps = enumerate_a(ctx).representatives
+    reps += enumerate_b(ctx, genus2=genus2_lists(p)).representatives
+    pairs = list(itertools.product(reps, repeat=2))
+    assert any(H.b is INF for H in reps) and (len(pairs) > ROW_BLOCK or p in (11, 13, 19))
+    got = [None if m is None else m.key() for m in _isomorphic_maps(pairs)]
+    want = [None if m is None else m.key()
+            for m in itertools.starmap(howe_isomorphic_scalar, pairs)]
+    assert got == want
+    assert sum(m is not None for m in got) >= 2 * len(reps)
 
 
 @st.composite

@@ -392,6 +392,16 @@ def test_b_value_solver_is_symmetric_in_the_split(genus2_lists):
     assert supersingular_b_values(ctx, lset, orders) == [base] * len(orders)
 
 
+def test_curve_splits_are_the_triple_partitions(genus2_lists):
+    # the 10 splits of each class at 13, in the order of the pairs that join
+    # the first root
+    for C in genus2_lists(13).curves:
+        roots = C.roots
+        want = [((roots[0],) + pair, tuple(rt for rt in roots[1:] if rt not in pair))
+                for pair in itertools.combinations(roots[1:], 2)]
+        assert _curve_splits(C) == want
+
+
 def _orbit_oracle(ctx, lset, C):
     """The first fit of each orbit under the reduced automorphisms of C."""
     auts = automorphisms(C)
@@ -436,7 +446,7 @@ def test_orbit_dedup_matches_naive_isomorphism_dedup(genus2_lists):
                     for b in bs]
         naive = []
         for H in all_data:
-            if not any(howe_isomorphic(H, K) is not None for K in naive):
+            if all(m is None for m in howe_isomorphic(ctx, [(H, K) for K in naive])):
                 naive.append(H)
         [(raw, reps)] = _fit_orbits(ctx, lset, [C])
         assert raw == len(all_data)
@@ -505,9 +515,8 @@ def test_representatives_are_superspecial_and_distinct():
     reps = rb.representatives
     for H in reps:
         assert is_superspecial_howe(H)
-    for i in range(len(reps)):
-        for j in range(i + 1, len(reps)):
-            assert howe_isomorphic(reps[i], reps[j]) is None
+    pairs = list(itertools.combinations(reps, 2))
+    assert pairs and howe_isomorphic(FieldCtx(13), pairs) == [None] * len(pairs)
 
 
 def test_find_one_returns_verified_witnesses():
@@ -608,8 +617,17 @@ def test_match_representatives_edge_cases(monkeypatch):
     swapped = reps[:-1] + [reps[0]]
     assert match_representatives(reps, swapped) is None
     assert match_representatives(swapped, reps) is None
-    # every key pairing is confirmed by an explicit map
-    monkeypatch.setattr(strategies, "howe_isomorphic", lambda H1, H2: None)
+    # every key pairing is confirmed by an explicit map, all in one call
+    calls = []
+
+    def spy(ctx, pairs):
+        calls.append(len(pairs))
+        return howe.howe_isomorphic(ctx, pairs)
+
+    monkeypatch.setattr(strategies, "howe_isomorphic", spy)
+    assert match_representatives(reps, list(reversed(reps))) is not None
+    assert calls == [len(reps)]
+    monkeypatch.setattr(strategies, "howe_isomorphic", lambda ctx, pairs: [None] * len(pairs))
     assert match_representatives(reps, list(reversed(reps))) is None
 
 
